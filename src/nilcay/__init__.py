@@ -30,6 +30,7 @@ from .cayley import (  # noqa: F401
     count_geodesics,
     enumerate_geodesics,
     generate_ball,
+    iter_geodesics,
     standard_genset,
 )
 from .reporting import Report  # noqa: F401

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import structure
-from .cayley import Ball, check_vertex_map, generate_ball
+from .cayley import Ball, check_vertex_map, generate_ball, require_total
 from .reporting import Report
 
 
@@ -328,6 +328,7 @@ def induced_quotient_check(ball_a: Ball, ball_b: Ball, mapping,
     params = {"radius": ball_a.radius, "n1": len(n1.elements), "n2": len(n2.elements)}
     n2set = set(n2.elements)
     interior = ball_a.interior_vertices()
+    require_total(mapping, interior)
     dom = set(mapping)
     for g in interior:
         mg = mapping[g]

@@ -6,9 +6,13 @@ on exponent vectors, so all derived artifacts are deterministic.  Distance
 queries answer ``None`` ("unknown") rather than ever returning a wrong
 number: ``dist(u,v)`` is certified exactly when ``u^{-1}v`` lies in the ball.
 
-Geodesic enumeration and counting run on the translated problem from the
-identity to ``u^{-1}v`` (label sequences are invariant under left
-translation), which keeps every intermediate vertex inside the ball.
+Geodesics are paths in the ball's BFS DAG, whose edges ``u -> u*s`` go one
+shell outward.  A query from ``u`` to ``v`` runs on the translated problem
+from the identity to ``u^{-1}v``, as label sequences are invariant under
+left translation.  The first query caches the geodesic counts from the
+identity, one pass over the DAG in shell order, and a count is then a
+lookup; the torsion-label check reruns that pass with a label count capped
+at 2.  Listing walks the DAG forward through the target's ancestors only.
 """
 
 from __future__ import annotations
@@ -109,6 +113,7 @@ class Ball:
         self.adjacency = adjacency        # vid -> tuple of (sid, vid)
         self._nbr_sets = None
         self._interior_ids = None
+        self._geo_counts = None           # vid -> geodesics from e, built lazily
 
     def __contains__(self, v):
         return v in self.index
@@ -200,65 +205,73 @@ def generate_ball(presentation, genset, radius, max_vertices=None) -> Ball:
 
 
 def _certified_remainder(ball, u, v):
+    """Index and distance of ``u^{-1}v``, raising when it is not in the ball."""
     p = ball.presentation
-    w = p.multiply(p.inverse(u), v)
-    d = ball.distance_from_identity(w)
-    if d is None:
+    wid = ball.index.get(p.multiply(p.inverse(u), v))
+    if wid is None:
         raise ValueError("distance between the endpoints is not certifiable in this ball")
-    return w, d
+    return wid, ball.dist_list[wid]
+
+
+def _dag_edges(ball):
+    """Edges (u, sid, u*s) of the BFS DAG, with the sources u in shell order."""
+    dist = ball.dist_list
+    for u in sorted(range(len(dist)), key=dist.__getitem__):
+        for sid, w in ball.adjacency[u]:
+            if dist[w] == dist[u] + 1:
+                yield u, sid, w
+
+
+def _geodesic_counts(ball):
+    if ball._geo_counts is None:
+        counts = [0] * len(ball)
+        counts[ball.index[ball.presentation.identity]] = 1
+        for u, _, w in _dag_edges(ball):
+            counts[w] += counts[u]
+        ball._geo_counts = counts
+    return ball._geo_counts
+
+
+def iter_geodesics(ball, u, v):
+    """Geodesic segments from u to v, lazily, in lexicographic order of labels.
+
+    Ancestors of the target are found by stepping to neighbours one shell
+    closer, which are DAG predecessors because the generating set is
+    symmetric.
+    """
+    wid, d = _certified_remainder(ball, u, v)
+    dist, adj, gens = ball.dist_list, ball.adjacency, ball.genset.elements
+    ancestors = shell = {wid}
+    for _ in range(d):
+        shell = {y for x in shell for _, y in adj[x] if dist[y] == dist[x] - 1}
+        ancestors = ancestors | shell
+    labels = []
+
+    def walk(x):
+        if x == wid:
+            yield GeodesicPath(u, tuple(labels))
+            return
+        for sid, y in adj[x]:
+            if y in ancestors and dist[y] == dist[x] + 1:
+                labels.append(gens[sid])
+                yield from walk(y)
+                labels.pop()
+
+    return walk(ball.index[ball.presentation.identity])
 
 
 def enumerate_geodesics(ball, u, v, cap=DEFAULT_GEODESIC_CAP):
     """All geodesic segments from u to v, as label sequences in canonical order."""
-    w, d = _certified_remainder(ball, u, v)
-    p = ball.presentation
-    gens = ball.genset.elements
-    inv_gens = [p.inverse(s) for s in gens]
-    dist = ball.distance_from_identity
-    paths = []
-    labels = []
-
-    def walk(rem, left):
-        if left == 0:
-            paths.append(GeodesicPath(u, tuple(labels)))
-            if len(paths) > cap:
-                raise GeodesicCapError(
-                    f"geodesic cap {cap} exceeded", partial_count=cap)
-            return
-        for sid, s in enumerate(gens):
-            nxt = p.multiply(inv_gens[sid], rem)
-            if dist(nxt) == left - 1:
-                labels.append(s)
-                walk(nxt, left - 1)
-                labels.pop()
-
-    walk(w, d)
-    return paths
+    wid, _ = _certified_remainder(ball, u, v)
+    if _geodesic_counts(ball)[wid] > cap:
+        raise GeodesicCapError(f"geodesic cap {cap} exceeded", partial_count=cap)
+    return list(iter_geodesics(ball, u, v))
 
 
 def count_geodesics(ball, u, v):
-    """Number of geodesic segments from u to v, by dynamic programming."""
-    w, d = _certified_remainder(ball, u, v)
-    p = ball.presentation
-    gens = ball.genset.elements
-    inv_gens = [p.inverse(s) for s in gens]
-    dist = ball.distance_from_identity
-    memo = {p.identity: 1}
-
-    def cnt(rem):
-        got = memo.get(rem)
-        if got is not None:
-            return got
-        left = dist(rem)
-        total = 0
-        for sid in range(len(gens)):
-            nxt = p.multiply(inv_gens[sid], rem)
-            if dist(nxt) == left - 1:
-                total += cnt(nxt)
-        memo[rem] = total
-        return total
-
-    return cnt(w)
+    """Number of geodesic segments from u to v, a lookup in the cached counts."""
+    wid, _ = _certified_remainder(ball, u, v)
+    return _geodesic_counts(ball)[wid]
 
 
 # -- torsion-label checks (geodesics through a finite normal subgroup) ----
@@ -275,7 +288,7 @@ def _check_normal_under_generators(presentation, elements):
     return True
 
 
-def torsion_label_bound(ball, subgroup_elements, cap=DEFAULT_GEODESIC_CAP) -> Report:
+def torsion_label_bound(ball, subgroup_elements) -> Report:
     """Verify that no in-ball geodesic carries two edges labelled in the subgroup."""
     p = ball.presentation
     members = set(subgroup_elements)
@@ -285,19 +298,21 @@ def torsion_label_bound(ball, subgroup_elements, cap=DEFAULT_GEODESIC_CAP) -> Re
         raise ValueError("subgroup is not conjugation-stable under the generators")
     labels_in = members - {p.identity}
     params = {"radius": ball.radius, "subgroup_order": len(members)}
-    witness = None
-    for w in ball.vertices:
-        for path in enumerate_geodesics(ball, p.identity, w, cap=cap):
-            hits = sum(1 for s in path.labels if s in labels_in)
-            if hits > 1:
-                witness = {"endpoint": w, "labels": list(path.labels)}
-                break
-        if witness:
-            break
-    if witness:
+    in_n = [s in labels_in for s in ball.genset.elements]
+    # most subgroup labels on a geodesic from e, capped at 2; -1 if unreached
+    hits = [-1] * len(ball)
+    hits[ball.index[p.identity]] = 0
+    for u, sid, w in _dag_edges(ball):
+        if hits[u] >= 0:
+            hits[w] = max(hits[w], min(2, hits[u] + in_n[sid]))
+    if 2 in hits:
+        w = ball.vertices[hits.index(2)]
+        path = next(g for g in iter_geodesics(ball, p.identity, w)
+                    if sum(s in labels_in for s in g.labels) > 1)
         return Report(
             claim="every geodesic in the ball has at most one subgroup-labelled edge",
-            verdict="fail", ok=False, witnesses=[witness], parameters=params)
+            verdict="fail", ok=False, parameters=params,
+            witnesses=[{"endpoint": w, "labels": list(path.labels)}])
     return Report(
         claim="every geodesic in the ball has at most one subgroup-labelled edge",
         verdict="pass", ok=True, parameters=params,
@@ -405,6 +420,13 @@ class MapVerdict:
         return self.ok
 
 
+def require_total(mapping, interior):
+    """Raise MapError unless the map has an image for every interior vertex."""
+    missing = next((u for u in interior if u not in mapping), None)
+    if missing is not None:
+        raise MapError(f"map is not total on interior vertices (missing {missing})")
+
+
 def check_vertex_map(ball_a, target, mapping) -> MapVerdict:
     """Adjacency preservation in both directions on interior vertices.
 
@@ -416,11 +438,8 @@ def check_vertex_map(ball_a, target, mapping) -> MapVerdict:
         raise MapError("radius mismatch between source and target balls")
     interior = ball_a.interior_vertices()
     dom = set(interior)
-    images = {}
-    for u in interior:
-        if u not in mapping:
-            raise MapError(f"map is not total on interior vertices (missing {u})")
-        images[u] = mapping[u]
+    require_total(mapping, interior)
+    images = {u: mapping[u] for u in interior}
     if len(set(images.values())) != len(images):
         raise MapError("map is not injective on interior vertices")
     tverts = target.vertex_set()

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import cayley
-from .cayley import GenSet, count_geodesics, enumerate_geodesics, generate_ball
+from .cayley import GenSet, count_geodesics, generate_ball, iter_geodesics
 from .reporting import Report
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -113,8 +114,8 @@ def convexity_check(ball, s, kmax) -> Report:
             break
         count = count_geodesics(ball, p.identity, sk)
         if count != 1:
-            other = [g.labels for g in enumerate_geodesics(ball, p.identity, sk, cap=4)]
-            witnesses.append({"k": k, "count": count, "paths": other[:2]})
+            first = islice(iter_geodesics(ball, p.identity, sk), 2)
+            witnesses.append({"k": k, "count": count, "paths": [g.labels for g in first]})
             break
     if witnesses:
         return Report(claim="powers of the generator form a convex geodesic segment",

@@ -17,9 +17,6 @@ from . import __version__, autlab, constructions, order, pcgroup, structure
 from .cayley import (GenSet, count_geodesics, generate_ball, standard_genset)
 from .reporting import Report, json_bytes
 
-ACCEPTANCE_FAMILIES = ("z", "z2", "z3", "heisenberg", "klein_bottle",
-                       "zxz2", "heisenberg_z3")
-
 
 @dataclass
 class SuiteResult:
@@ -38,9 +35,9 @@ def _random_element(presentation, rng, span=20):
 
 def _families(group_filter):
     if group_filter is None:
-        return ACCEPTANCE_FAMILIES
+        return pcgroup.ACCEPTANCE_FAMILY_IDS
     wanted = {g.strip() for g in group_filter.split(",")}
-    out = tuple(f for f in ACCEPTANCE_FAMILIES if f in wanted)
+    out = tuple(f for f in pcgroup.ACCEPTANCE_FAMILY_IDS if f in wanted)
     if not out:
         raise ValueError(f"no acceptance family matches {group_filter!r}")
     return out
@@ -126,20 +123,18 @@ def metric_oracle(group_filter=None, radius=4) -> SuiteResult:
 
 
 def _brute_force_word_distances(presentation, genset, radius):
-    """Literal word enumeration: min length over all generator words <= radius."""
+    """Literal word enumeration: min length over all generator words <= radius.
+
+    Level d holds the products of all |S|^d words of length d, duplicates
+    included, so no step relies on the BFS the oracle checks.
+    """
     p = presentation
     best = {p.identity: 0}
-    words = [p.identity]
+    products = [p.identity]
     for d in range(1, radius + 1):
-        nxt = []
-        for u in words:
-            for s in genset.elements:
-                w = p.multiply(u, s)
-                nxt.append(w)
-                if w not in best:
-                    best[w] = d
-        # dedupe per level to keep the enumeration finite but exhaustive
-        words = sorted(set(nxt))
+        products = [p.multiply(u, s) for u in products for s in genset.elements]
+        for w in products:
+            best.setdefault(w, d)
     return best
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nilcay import cayley, pcgroup
+from nilcay import cayley, pcgroup, structure
 from nilcay.cayley import (GenSet, GeodesicCapError, GeodesicPath,
                            check_vertex_map, count_geodesics,
                            enumerate_geodesics, export_distances, export_graph,
@@ -132,6 +132,50 @@ def test_geodesic_cap(z2_ball8):
     with pytest.raises(GeodesicCapError) as exc:
         enumerate_geodesics(z2_ball8, (0, 0), (4, 4), cap=3)
     assert exc.value.partial_count == 3
+
+
+def _geodesic_words(p, S, radius):
+    """Oracle: for each d <= radius, the words of length d over S (as tuples
+    of generator indices) grouped by their product, from all |S|^d words."""
+    words = [((), p.identity)]
+    levels = [{p.identity: [()]}]
+    for _ in range(radius):
+        words = [(word + (sid,), p.multiply(g, s))
+                 for word, g in words for sid, s in enumerate(S.elements)]
+        by_product = {}
+        for word, g in words:
+            by_product.setdefault(g, []).append(word)
+        levels.append(by_product)
+    return levels
+
+
+@pytest.mark.parametrize("fid", ["z2", "klein_bottle", "zxz2", "heisenberg",
+                                 "heisenberg_z3", "zn_cross_cyclic:1,4"])
+def test_geodesic_engine_matches_word_enumeration(fid):
+    # zn_cross_cyclic:1,4 is Z x Z4 with only the generators of Z4 in S, so
+    # (0,2) has the geodesics t.t and t^3.t^3 with two torsion labels each
+    p = from_id(fid)
+    S = standard_genset(p)
+    ball = generate_ball(p, S, 4)
+    levels = _geodesic_words(p, S, 4)
+    labels_in = set(structure.torsion_subgroup(p).elements) - {p.identity}
+    first_bad = None
+    for w in ball.vertices:
+        geodesics = sorted(levels[ball.distance_from_identity(w)][w])
+        assert count_geodesics(ball, p.identity, w) == len(geodesics)
+        assert [g.labels for g in enumerate_geodesics(ball, p.identity, w)] == \
+            [tuple(S.elements[i] for i in word) for word in geodesics]
+        bad = [word for word in geodesics
+               if sum(S.elements[i] in labels_in for i in word) > 1]
+        if bad and first_bad is None:
+            first_bad = {"endpoint": w,
+                         "labels": [S.elements[i] for i in bad[0]]}
+    rep = torsion_label_bound(ball, structure.torsion_subgroup(p).elements)
+    if first_bad is None:
+        assert rep.verdict == "pass"
+    else:
+        assert rep.verdict == "fail" and rep.witnesses == [first_bad]
+    assert (first_bad is not None) == (fid == "zn_cross_cyclic:1,4")
 
 
 def test_left_translation_is_isometric():

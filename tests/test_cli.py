@@ -133,6 +133,15 @@ def test_induced_command(tmp_path):
     assert read_json(out)["result"]["verdict"] == "pass"
 
 
+def test_induced_partial_map_is_usage_error(tmp_path, capsys):
+    mp = tmp_path / "partial.tsv"
+    mp.write_text("0\t0\n")
+    assert run(["induced", "--group", "z", "--radius", "3",
+                "--map", str(mp)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err["kind"] == "MapError" and "not total" in err["error"]
+
+
 def test_usage_errors():
     assert run(["distance", "--group", "no_such_group", "--radius", "2",
                 "--from", "0", "--to", "1"]) == 2

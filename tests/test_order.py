@@ -114,6 +114,17 @@ def test_convexity_checks():
     assert rep.verdict == "fail" and rep.witnesses
 
 
+def test_convexity_fail_with_many_geodesics_is_a_report():
+    # (2,0) = (1,0)^2 has five geodesics: (1,0)(1,0) and (1,j)(1,-j), j = +-1, +-2
+    z2 = builtin("zn", n=2)
+    S = GenSet(z2, [(a * x, a * y) for a in (1, -1)
+                    for x, y in ((1, 0), (1, 1), (1, -1), (1, 2), (1, -2))])
+    rep = convexity_check(generate_ball(z2, S, 2), (1, 0), 2)
+    assert rep.verdict == "fail"
+    assert rep.witnesses == [{"k": 2, "count": 5,
+                              "paths": [((1, -2), (1, 2)), ((1, -1), (1, 1))]}]
+
+
 def test_central_label_propagation():
     z2 = builtin("zn", n=2)
     ball = generate_ball(z2, standard_genset(z2), 6)
