@@ -62,14 +62,13 @@ class AffineVerdict:
         }
 
 
-def _wl_colors(big: Ball):
+def _wl_colors(big: Ball, nbr):
     """Stable Weisfeiler-Leman colors seeded with (distance, degree).
 
     Any distance-preserving automorphism of the induced ball graph preserves
     these colors, so color classes are sound candidate pools.
     """
     n = len(big.vertices)
-    nbr = [big.neighbor_ids(i) for i in range(n)]
 
     def canon(raw):
         palette = {}
@@ -101,8 +100,8 @@ def _stable_restrictions(big: Ball, small_radius, cap, node_guard=10**8):
     """
     import sys as _sys
     n = len(big.vertices)
-    nbr_ids = [frozenset(big.neighbor_ids(i)) for i in range(n)]
-    colors = _wl_colors(big)
+    nbr_ids = [frozenset(w for _, w in row) for row in big.adjacency]
+    colors = _wl_colors(big, nbr_ids)
     dist = big.dist_list
     verts = big.vertices
     is_small = [dist[i] <= small_radius for i in range(n)]

@@ -1,10 +1,15 @@
 """Finite balls of Cayley graphs: word metrics, labelled edges, geodesics.
 
 A ball ``B(r)`` of ``Cay(G;S)`` holds every element at distance at most ``r``
-from the identity, with exact BFS distances.  Vertex order is lexicographic
-on exponent vectors, so all derived artifacts are deterministic.  Distance
-queries answer ``None`` ("unknown") rather than ever returning a wrong
-number: ``dist(u,v)`` is certified exactly when ``u^{-1}v`` lies in the ball.
+from the identity, with exact BFS distances.  It is built in one BFS pass
+that multiplies each vertex by each generator once: the products discover
+the next shell and are the vertex's adjacency row, from which the last
+shell drops the products outside the ball.  The rows are then relabelled
+once into lexicographic order on exponent vectors, so all derived
+artifacts are deterministic; the BFS dict, re-valued in place, becomes the
+index.  Distance queries answer ``None`` ("unknown") rather than ever
+returning a wrong number: ``dist(u,v)`` is certified exactly when
+``u^{-1}v`` lies in the ball.
 
 Geodesics are paths in the ball's BFS DAG, whose edges ``u -> u*s`` go one
 shell outward.  A query from ``u`` to ``v`` runs on the translated problem
@@ -21,6 +26,7 @@ import os
 from dataclasses import dataclass
 
 from .reporting import Report
+from .structure import conjugation_stable
 
 DEFAULT_VERTEX_BUDGET = 5 * 10**6
 DEFAULT_GEODESIC_CAP = 10**6
@@ -103,13 +109,13 @@ class GeodesicPath:
 class Ball:
     """The radius-r metric ball with oriented labelled edges."""
 
-    def __init__(self, presentation, genset, radius, vertices, dist_list, adjacency):
+    def __init__(self, presentation, genset, radius, vertices, index, dist_list, adjacency):
         self.presentation = presentation
         self.genset = genset
         self.radius = radius
         self.vertices = vertices          # tuple of elements, lexicographic
+        self.index = index                # element -> vid
         self.dist_list = dist_list        # vid -> distance
-        self.index = {v: i for i, v in enumerate(vertices)}
         self.adjacency = adjacency        # vid -> tuple of (sid, vid)
         self._nbr_sets = None
         self._interior_ids = None
@@ -132,9 +138,6 @@ class Ball:
         p = self.presentation
         w = p.multiply(p.inverse(u), v)
         return self.distance_from_identity(w)
-
-    def neighbor_ids(self, vid):
-        return [w for _, w in self.adjacency[vid]]
 
     def neighbor_set(self, v):
         if self._nbr_sets is None:
@@ -168,37 +171,38 @@ def generate_ball(presentation, genset, radius, max_vertices=None) -> Ball:
         raise ValueError("radius must be nonnegative")
     genset.require_symmetric()
     budget = vertex_budget(max_vertices)
-    p = presentation
-    e = p.identity
-    dist = {e: 0}
-    frontier = [e]
-    for d in range(1, radius + 1):
-        nxt = []
-        for u in frontier:
-            for s in genset.elements:
-                w = p.multiply(u, s)
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-                    if len(dist) > budget:
-                        raise BallBudgetError(
-                            f"ball exceeded vertex budget {budget} at radius {d}")
-        frontier = nxt
-        if not frontier:
-            break
-    vertices = tuple(sorted(dist))
-    index = {v: i for i, v in enumerate(vertices)}
-    dist_list = [dist[v] for v in vertices]
-    adjacency = []
-    for v in vertices:
+    multiply = presentation.multiply
+    index = {presentation.identity: 0}    # element -> BFS id, until the relabel
+    order = [presentation.identity]       # BFS id -> element
+    dist = [0]                            # BFS id -> distance
+    rows = []                             # BFS id -> tuple of (sid, BFS id)
+    for bid, u in enumerate(order):    # order grows while it is walked
+        d = dist[bid] + 1
         row = []
         for sid, s in enumerate(genset.elements):
-            w = p.multiply(v, s)
+            w = multiply(u, s)
             wid = index.get(w)
-            if wid is not None:
-                row.append((sid, wid))
-        adjacency.append(tuple(row))
-    return Ball(presentation, genset, radius, vertices, dist_list, tuple(adjacency))
+            if wid is None:
+                if d > radius:
+                    continue
+                wid = index[w] = len(order)
+                order.append(w)
+                dist.append(d)
+                if len(order) > budget:
+                    raise BallBudgetError(
+                        f"ball exceeded vertex budget {budget} at radius {d}")
+            row.append((sid, wid))
+        rows.append(tuple(row))
+    lex = sorted(range(len(order)), key=order.__getitem__)
+    relabel = [0] * len(lex)              # BFS id -> lexicographic id
+    for i, b in enumerate(lex):
+        relabel[b] = index[order[b]] = i
+    adjacency = []
+    for b in lex:
+        adjacency.append(tuple((sid, relabel[w]) for sid, w in rows[b]))
+        rows[b] = None                    # free each BFS row once relabelled
+    return Ball(presentation, genset, radius, tuple(order[b] for b in lex), index,
+                [dist[b] for b in lex], tuple(adjacency))
 
 
 # -- geodesics -----------------------------------------------------------
@@ -277,24 +281,13 @@ def count_geodesics(ball, u, v):
 # -- torsion-label checks (geodesics through a finite normal subgroup) ----
 
 
-def _check_normal_under_generators(presentation, elements):
-    p = presentation
-    members = set(elements)
-    for n in elements:
-        for i in range(p.n):
-            g = p.generator(i)
-            if p.conjugate(n, g) not in members or p.conjugate(n, p.inverse(g)) not in members:
-                return False
-    return True
-
-
 def torsion_label_bound(ball, subgroup_elements) -> Report:
     """Verify that no in-ball geodesic carries two edges labelled in the subgroup."""
     p = ball.presentation
     members = set(subgroup_elements)
     if p.identity not in members:
         members.add(p.identity)
-    if not _check_normal_under_generators(p, members):
+    if not all(conjugation_stable(p, n, members) for n in members):
         raise ValueError("subgroup is not conjugation-stable under the generators")
     labels_in = members - {p.identity}
     params = {"radius": ball.radius, "subgroup_order": len(members)}

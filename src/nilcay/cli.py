@@ -495,7 +495,8 @@ def main(argv=None):
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}),
               file=sys.stderr)
         return EXIT_USAGE
-    except (CollectionError, BallBudgetError, GeodesicCapError) as exc:
+    except (CollectionError, BallBudgetError, GeodesicCapError,
+            order.AnalyticDisagreement) as exc:
         diag = {"error": str(exc), "kind": type(exc).__name__}
         if isinstance(exc, GeodesicCapError):
             diag["partial_count"] = exc.partial_count

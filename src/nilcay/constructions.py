@@ -26,29 +26,33 @@ class LabeledGraph:
 
     vertices: tuple
     edges: frozenset          # frozenset of 2-element frozensets
-    coloring: dict | None = None
+    _nbrs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vset = set(self.vertices)
+        nbrs = {v: set() for v in self.vertices}
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError("self-loops are not allowed")
-            if not e <= vset:
+            if not e <= nbrs.keys():
                 raise ValueError("edge endpoint outside the vertex set")
+            u, w = e
+            nbrs[u].add(w)
+            nbrs[w].add(u)
+        object.__setattr__(self, "_nbrs", {v: frozenset(ws) for v, ws in nbrs.items()})
 
     def vertex_set(self):
-        return set(self.vertices)
+        return self._nbrs.keys()
 
     def neighbor_set(self, v):
-        return frozenset(w for e in self.edges if v in e for w in e if w != v)
+        return self._nbrs[v]
 
     def edge_count(self):
         return len(self.edges)
 
 
-def make_graph(vertices, edge_pairs, coloring=None) -> LabeledGraph:
+def make_graph(vertices, edge_pairs) -> LabeledGraph:
     edges = frozenset(frozenset((u, v)) for u, v in edge_pairs if u != v)
-    return LabeledGraph(tuple(vertices), edges, coloring)
+    return LabeledGraph(tuple(vertices), edges)
 
 
 def edgeless_graph(n) -> LabeledGraph:

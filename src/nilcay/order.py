@@ -32,6 +32,10 @@ class BiOrderUnavailable(ValueError):
     """The presentation does not support the filtration bi-order."""
 
 
+class AnalyticDisagreement(RuntimeError):
+    """A certified distortion verdict contradicts the analytic membership table."""
+
+
 class NotAGeneratorError(ValueError):
     pass
 
@@ -287,7 +291,7 @@ def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
     if p.analytic is not None:
         analytic = "distorted" if p.analytic.in_sqrt_commutator(g) else "undistorted"
         if verdict != "inconclusive" and verdict != analytic:
-            raise RuntimeError(
+            raise AnalyticDisagreement(
                 f"distortion verdict {verdict!r} disagrees with the analytic "
                 f"membership table ({analytic!r}) for {g}")
     report = Report(

@@ -62,6 +62,14 @@ def trivial_subgroup(presentation) -> SubgroupWitness:
                            elements=(presentation.identity,), label="trivial")
 
 
+def conjugation_stable(presentation, x, members) -> bool:
+    """Whether x stays in ``members`` when conjugated by every generator and
+    by its inverse."""
+    p = presentation
+    return all(p.conjugate(x, g) in members and p.conjugate(x, p.inverse(g)) in members
+               for g in map(p.generator, range(p.n)))
+
+
 def torsion_subgroup(presentation) -> SubgroupWitness:
     """Full element list of the declared torsion block, with exactness checks.
 
@@ -89,11 +97,9 @@ def torsion_subgroup(presentation) -> SubgroupWitness:
     for x in elements:
         if p.order_of(x, bound) is None:
             raise SubgroupError(f"declared torsion element {x} has order > {bound}")
-        for i in range(p.n):
-            g = p.generator(i)
-            if p.conjugate(x, g) not in eset or p.conjugate(x, p.inverse(g)) not in eset:
-                raise SubgroupError(
-                    "declared torsion block is not conjugation-stable; presentation rejected")
+        if not conjugation_stable(p, x, eset):
+            raise SubgroupError(
+                "declared torsion block is not conjugation-stable; presentation rejected")
     gens = tuple(p.generator(i) for i in range(free, p.n))
     return SubgroupWitness(p, generators=gens, elements=tuple(sorted(eset)),
                            label="torsion").check_closed()

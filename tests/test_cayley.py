@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nilcay import cayley, pcgroup, structure
+from nilcay import cayley, constructions, pcgroup, structure
 from nilcay.cayley import (GenSet, GeodesicCapError, GeodesicPath,
                            check_vertex_map, count_geodesics,
                            enumerate_geodesics, export_distances, export_graph,
@@ -91,9 +91,27 @@ def test_bfs_matches_brute_force_words():
             words = sorted({p.multiply(u, s) for u in words for s in S.elements})
             for w in words:
                 best.setdefault(w, d)
-        assert set(best) == set(ball.vertices)
+        assert ball.vertices == tuple(sorted(best))
         for v, d in best.items():
             assert ball.distance_from_identity(v) == d
+        # every row, the boundary shell's included, against a recomputation
+        index = {v: i for i, v in enumerate(sorted(best))}
+        for v, row in zip(ball.vertices, ball.adjacency):
+            products = [(sid, p.multiply(v, s)) for sid, s in enumerate(S.elements)]
+            assert row == tuple((sid, index[w]) for sid, w in products if w in index)
+
+
+def test_generate_ball_multiplies_once_per_vertex_and_generator():
+    h = builtin("heisenberg")
+    zx = from_id("zxz2")
+    fsf = constructions.fsf_generating_set(
+        zx, structure.torsion_subgroup(zx), standard_genset(zx)).genset
+    for p, S in ((h, standard_genset(h)), (zx, fsf)):
+        calls = []
+        multiply = p.multiply
+        p.multiply = lambda x, y: calls.append(1) or multiply(x, y)
+        ball = generate_ball(p, S, 4)
+        assert len(calls) == len(ball) * len(S)
 
 
 def test_geodesic_enumeration(z2_ball8):
@@ -224,7 +242,7 @@ def test_torsion_label_bound_negative_control():
 def test_torsion_label_bound_rejects_non_normal_set():
     p = builtin("heisenberg")
     ball = generate_ball(p, standard_genset(p), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not conjugation-stable"):
         torsion_label_bound(ball, [(0, 0, 0), (1, 0, 0)])
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nilcay import cli, constructions, structure
+from nilcay import cli, constructions, pcgroup, structure
 from nilcay.cayley import GenSet, export_vertex_map, generate_ball
 from nilcay.pcgroup import from_id
 
@@ -148,6 +148,18 @@ def test_usage_errors():
     assert run(["biorder", "--group", "klein_bottle", "--max"]) == 2
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["frobnicate"])
+
+
+def test_distortion_analytic_disagreement_is_a_verdict_error(capsys, monkeypatch):
+    # a table that calls the central c undistorted contradicts the certified
+    # profile; the CLI reports the conflict instead of raising
+    wrong = pcgroup.AnalyticTables(ab_rank=2, ab_image=lambda x: (x[0], x[1]),
+                                   in_sqrt_commutator=lambda x: False)
+    monkeypatch.setattr(pcgroup, "_HEISENBERG_ANALYTIC", wrong)
+    assert run(["distortion", "--group", "heisenberg", "--element", "0,0,1",
+                "--kmax", "16"]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err["kind"] == "AnalyticDisagreement" and "disagrees" in err["error"]
 
 
 def test_budget_exhaustion_exit_code(tmp_path, monkeypatch):

@@ -35,7 +35,7 @@ def test_non_stable_torsion_block_rejected():
            "gen x order inf\ngen t order 2\npow t = 1\n"
            "conj t by x = x^2*t\nconjinv t by x = x^-2*t\n")
     p = parse_presentation(src)
-    with pytest.raises(SubgroupError):
+    with pytest.raises(SubgroupError, match="not conjugation-stable"):
         torsion_subgroup(p)
 
 
