@@ -15,11 +15,14 @@ in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import structure
 from .cayley import Ball, check_vertex_map, generate_ball, require_total
 from .reporting import Report
+
+#: search nodes the stable-restriction backtracking may visit before giving up
+SEARCH_NODE_GUARD = 10**8
 
 
 class EnumerationCapError(RuntimeError):
@@ -89,7 +92,7 @@ def _wl_colors(big: Ball, nbr):
         cur = new
 
 
-def _stable_restrictions(big: Ball, small_radius, cap, node_guard=10**8):
+def _stable_restrictions(big: Ball, small_radius, cap):
     """Restrictions to B(small_radius) of distance-preserving automorphisms of
     the induced graph on the big ball, fixing the identity.
 
@@ -184,7 +187,7 @@ def _stable_restrictions(big: Ball, small_radius, cap, node_guard=10**8):
             if not full_ok(u, c):
                 continue
             nodes += 1
-            if nodes > node_guard:
+            if nodes > SEARCH_NODE_GUARD:
                 raise EnumerationCapError("search node guard exceeded", len(results))
             img[u] = c
             used[c] = True
@@ -353,12 +356,8 @@ def induced_quotient_check(ball_a: Ball, ball_b: Ball, mapping,
                           witnesses=[{"coset": pg, "images": [qmap[pg], img]}])
         qmap[pg] = img
     from .cayley import GenSet
-    qgens_a = GenSet(qa, {structure.project_to_quotient(pa, s)
-                          for s in ball_a.genset.elements
-                          if any(structure.project_to_quotient(pa, s))})
-    qgens_b = GenSet(qb, {structure.project_to_quotient(pb, s)
-                          for s in ball_b.genset.elements
-                          if any(structure.project_to_quotient(pb, s))})
+    qgens_a = GenSet(qa, structure.quotient_generators(pa, ball_a.genset.elements))
+    qgens_b = GenSet(qb, structure.quotient_generators(pb, ball_b.genset.elements))
     qball_a = generate_ball(qa, qgens_a, ball_a.radius)
     qball_b = generate_ball(qb, qgens_b, ball_b.radius)
     for v in qball_a.interior_vertices():

@@ -54,15 +54,11 @@ def _resolve_genset(p, selector):
         return standard_genset(p)
     if selector == "fsf":
         F = structure.torsion_subgroup(p)
-        base = GenSet(p, [s for s in standard_genset(p).elements
-                          if any(structure.project_to_quotient(p, s))])
+        base = GenSet(p, structure.nontrivial_in_quotient(p, standard_genset(p).elements))
         return constructions.fsf_generating_set(p, F, base).genset
     if selector == "lifted":
-        quotient = structure.quotient_by_torsion(p)
-        qgens = {structure.project_to_quotient(p, s)
-                 for s in standard_genset(p).elements
-                 if any(structure.project_to_quotient(p, s))}
-        return constructions.lift_generating_set(p, sorted(qgens))
+        qgens = structure.quotient_generators(p, standard_genset(p).elements)
+        return constructions.lift_generating_set(p, qgens)
     return GenSet(p, _parse_vectors(selector, p.n))
 
 
@@ -256,8 +252,7 @@ def cmd_construct(args):
         raise SystemExit2("construct needs --group for this operation")
     if args.fsf:
         F = structure.torsion_subgroup(p)
-        S = GenSet(p, [s for s in standard_genset(p).elements
-                       if any(structure.project_to_quotient(p, s))])
+        S = GenSet(p, structure.nontrivial_in_quotient(p, standard_genset(p).elements))
         res = constructions.fsf_generating_set(p, F, S)
         _emit(_envelope(p, "construct.fsf", vars_of(args),
                         {"genset": list(res.genset.elements),
@@ -265,9 +260,7 @@ def cmd_construct(args):
         return EXIT_OK
     if args.lift:
         quotient = structure.quotient_by_torsion(p)
-        qgens = sorted({structure.project_to_quotient(p, s)
-                        for s in standard_genset(p).elements
-                        if any(structure.project_to_quotient(p, s))})
+        qgens = structure.quotient_generators(p, standard_genset(p).elements)
         lifted = constructions.lift_generating_set(p, qgens)
         _emit(_envelope(p, "construct.lift", vars_of(args),
                         {"genset": list(lifted.elements),

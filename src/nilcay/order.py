@@ -25,7 +25,7 @@ from .reporting import Report
 LESS, EQUAL, GREATER = -1, 0, 1
 
 DEFAULT_CLASSIFY_KMAX = 64
-DEFAULT_CLASSIFY_TOL = Fraction(1, 2)
+CLASSIFY_TOL = Fraction(1, 2)
 
 
 class BiOrderUnavailable(ValueError):
@@ -270,7 +270,7 @@ def distortion_profile(presentation, genset, g, kmax,
 
 
 def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
-                       tol=DEFAULT_CLASSIFY_TOL, max_vertices=None):
+                       max_vertices=None):
     """Three-valued distortion verdict with an analytic cross-check for built-ins.
 
     Returns (verdict, profile, report); verdict is one of "distorted",
@@ -283,7 +283,7 @@ def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
     if all(r is not None for r in ratios) and ratios:
         first, last = ratios[0], ratios[-1]
         monotone = all(a >= b for a, b in zip(ratios, ratios[1:]))
-        if monotone and last < tol * first:
+        if monotone and last < CLASSIFY_TOL * first:
             verdict = "distorted"
         elif all(r == first for r in ratios) and first >= 1:
             verdict = "undistorted"
@@ -298,7 +298,7 @@ def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
         claim="power distortion classification of the element",
         verdict=verdict,
         ok=None if verdict == "inconclusive" else True,
-        parameters={"element": g, "kmax": kmax, "tol": str(tol),
+        parameters={"element": g, "kmax": kmax, "tol": str(CLASSIFY_TOL),
                     "ks": profile.ks, "dists": profile.dists,
                     "ratios": [None if r is None else str(r) for r in profile.ratios]},
         notes=profile.notes + ([f"analytic verdict: {analytic}"] if analytic else []))

@@ -8,9 +8,17 @@ no declared relation commute).  Group elements are normal-form exponent
 vectors ``(e_1, ..., e_n)`` stored as plain tuples of Python ints, so
 exponents never overflow; at finite-order positions ``0 <= e_i < m_i``.
 
-Products are computed by collection from the left.  A fuel bound turns
-runaway rewriting on inconsistent user presentations into a reported error
-rather than a hang.  Built-in families additionally carry analytic side
+Products are computed by collection from the left.  At load time the
+presentation derives, once and by decreasing generator index, a table of
+how a ``g_j`` block moves left past each higher ``g_l`` run: it commutes,
+flips sign, picks up a central correction, or is GENERIC.  Each pair is
+found by collecting ``g_l g_j g_l^{-1}``, reading only the finished rows of
+generators above ``j`` (a pair not yet derived reads as GENERIC, which is
+always correct).  ``_block_mul`` applies whole blocks through this table and
+falls back to the letter-by-letter collector ``_letter_collect``, which is
+also the reference oracle of the test suite.  A fuel bound turns runaway
+rewriting on inconsistent user presentations into a reported error rather
+than a hang.  Built-in families additionally carry analytic side
 tables (abelianization image, membership in the isolator of the derived
 subgroup) that higher layers use as independent cross-checks.
 
@@ -25,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 DEFAULT_FUEL = 10**6
 
@@ -219,42 +227,35 @@ class PcPresentation:
         self._fast_reduce = tuple(
             self.orders[i] is None or not self.power_words.get(i)
             for i in range(n))
-        self._action_memo = {}
-        self._action_progress = set()
-        for l in range(n):
-            for j in range(l):
-                self._get_action(l, j)
+        # _moves[j]: the (l, action) pairs for l > j whose action is not
+        # COMMUTE, in descending l.  Every pair starts GENERIC, which is always
+        # correct; rows are derived by decreasing j, so deriving (l, j) reads
+        # finished rows above j and GENERIC below it.
+        self._moves = [tuple((l, (_GENERIC,)) for l in range(n - 1, j, -1))
+                       for j in range(n)]
+        for j in range(n - 1, -1, -1):
+            row = ((l, self._derive_action(l, j)) for l in range(n - 1, j, -1))
+            self._moves[j] = tuple((l, a) for l, a in row if a[0] != _COMMUTE)
+        self._moves = tuple(self._moves)
 
-    def _get_action(self, l, j):
-        """How a g_j block moves left past a g_l run (j < l), derived lazily.
+    def _derive_action(self, l, j):
+        """How a g_j block moves left past a g_l run (j < l).
 
-        Uses g_l g_j g_l^{-1} = g_j * w * g_l^{-1} with w the stored conjugate
-        of g_l by g_j.  The inverse direction follows algebraically for the
-        recognized patterns, so only the positive direction is collected.
+        Collects g_l g_j g_l^{-1} = g_j * w * g_l^{-1} with w the stored
+        conjugate of g_l by g_j.  The inverse direction follows algebraically
+        for the recognized patterns, so only the positive direction is collected.
         """
-        key = (l, j)
-        memo = self._action_memo
-        if key in memo:
-            return memo[key]
-        if key in self._action_progress:
-            memo[key] = (_GENERIC,)
-            return memo[key]
-        self._action_progress.add(key)
+        w = self.conj.get((l, j), ((l, 1),))
+        fuel = [20000]
+        v = [0] * self.n
         try:
-            w = self.conj.get((l, j), ((l, 1),))
-            fuel = [20000]
-            v = [0] * self.n
             self._block_mul(v, j, 1, fuel)
             for i, c in w:
                 self._block_mul(v, i, c, fuel)
             self._block_mul(v, l, -1, fuel)
-            act = self._classify_action(j, tuple(v))
         except CollectionError:
-            act = (_GENERIC,)
-        finally:
-            self._action_progress.discard(key)
-        memo[key] = act
-        return act
+            return (_GENERIC,)
+        return self._classify_action(j, tuple(v))
 
     def _classify_action(self, j, xp):
         n = self.n
@@ -265,7 +266,8 @@ class PcPresentation:
             return (_SIGN,)
         if xp[j] == 1:
             zeta = tuple((k, xp[k]) for k in range(n) if k != j and xp[k])
-            if all(self._inert[k] for k, _ in zeta):
+            # a correction with a power word leaves the fast path anyway
+            if all(self._inert[k] and self._fast_reduce[k] for k, _ in zeta):
                 return (_CENTRAL, zeta)
         return (_GENERIC,)
 
@@ -302,9 +304,6 @@ class PcPresentation:
     def generator(self, i) -> Element:
         return tuple(1 if k == i else 0 for k in range(self.n))
 
-    def generator_elements(self):
-        return [self.generator(i) for i in range(self.n)]
-
     def sha256(self) -> str:
         return hashlib.sha256(self.source.encode("utf-8")).hexdigest()
 
@@ -318,11 +317,6 @@ class PcPresentation:
     def element_to_str(self, x) -> str:
         return ",".join(str(e) for e in x)
 
-    def format_word(self, x) -> str:
-        factors = [f"{self.gens[i]}^{e}" if e != 1 else self.gens[i]
-                   for i, e in enumerate(x) if e]
-        return "*".join(factors) if factors else "1"
-
     # -- collection ----------------------------------------------------
 
     def _letters_to_vector(self, letters, fuel):
@@ -333,8 +327,9 @@ class PcPresentation:
     def _letter_collect(self, v, letters, fuel):
         """Reference collector: fold (index, +-1) letters into normal form.
 
-        Slow but assumption-free; the fast path in _block_mul must agree with
-        it (cross-checked in the test suite).
+        Slow but assumption-free.  It is the oracle the fast path in
+        ``_block_mul`` is tested against, and the generic path that
+        ``_block_mul`` falls back to for a GENERIC move or a power word.
         """
         n = self.n
         orders = self.orders
@@ -381,18 +376,14 @@ class PcPresentation:
         """Multiply the normal form in ``v`` by ``g_j^f``, in place."""
         if f == 0:
             return
-        n = self.n
         fj = f
         corr = None
         fast = self._fast_reduce[j]
-        for l in range(n - 1, j, -1):
+        for l, a in self._moves[j]:
             e = v[l]
             if not e:
                 continue
-            a = self._get_action(l, j)
             kind = a[0]
-            if kind == _COMMUTE:
-                continue
             if kind == _SIGN:
                 if e & 1:
                     fj = -fj
@@ -401,8 +392,6 @@ class PcPresentation:
                     corr = {}
                 for idx, coef in a[1]:
                     corr[idx] = corr.get(idx, 0) + coef * e * fj
-                    if not self._fast_reduce[idx]:
-                        fast = False
             else:
                 fast = False
             if not fast:
@@ -720,9 +709,12 @@ def direct_product(left, right, name=None) -> PcPresentation:
             lines.append(f"conj {names[l]} by {names[j]} = {_word_text(w, names)}")
         for (l, j), w in p.conjinv.items():
             lines.append(f"conjinv {names[l]} by {names[j]} = {_word_text(w, names)}")
-    for p, names in ((left, left.gens), (right, [rename[s] for s in right.gens])):
-        for b in p.blocks:
-            lines.append("block " + " ".join(names[i] for i in b))
+    # blocks must cover every infinite-order generator, so only when each
+    # factor with one declares them
+    if all(p.blocks or None not in p.orders for p in (left, right)):
+        for p, names in ((left, left.gens), (right, [rename[s] for s in right.gens])):
+            for b in p.blocks:
+                lines.append("block " + " ".join(names[i] for i in b))
     words = []
     for v in left.genset:
         words.append(_vector_text(v, left.gens))

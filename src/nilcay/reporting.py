@@ -3,8 +3,6 @@
 Verdict strings are op-specific (``pass``/``fail``/``inconclusive``,
 ``normal-at-(r,t)``/``non-normal``, ...).  ``ok`` carries the boolean the
 exit code is derived from; ``None`` marks purely informational reports.
-Timing lives in ``runtime_ms`` and is excluded from the stable byte form
-so that repeated runs with the same seed produce identical report files.
 """
 
 from __future__ import annotations
@@ -32,10 +30,9 @@ class Report:
     witnesses: list = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-    runtime_ms: float | None = None
 
-    def to_dict(self, stable=True):
-        d = {
+    def to_dict(self):
+        return {
             "claim": self.claim,
             "verdict": self.verdict,
             "ok": self.ok,
@@ -43,9 +40,6 @@ class Report:
             "parameters": jsonable(self.parameters),
             "notes": jsonable(self.notes),
         }
-        if not stable:
-            d["runtime_ms"] = self.runtime_ms
-        return d
 
 
 def json_bytes(obj) -> bytes:

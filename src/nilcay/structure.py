@@ -111,6 +111,18 @@ def project_to_quotient(presentation, x) -> tuple:
     return tuple(x[:free])
 
 
+def nontrivial_in_quotient(presentation, elements) -> list:
+    """The elements whose image in the torsion-free quotient is nontrivial
+    (the base of the FSF construction when given the standard generators)."""
+    return [s for s in elements if any(project_to_quotient(presentation, s))]
+
+
+def quotient_generators(presentation, elements) -> list:
+    """Sorted distinct nontrivial images of the elements in the torsion-free quotient."""
+    return sorted({project_to_quotient(presentation, s)
+                   for s in nontrivial_in_quotient(presentation, elements)})
+
+
 def quotient_by_torsion(presentation) -> pcgroup.PcPresentation:
     """Presentation on the free generators with relations reduced mod torsion."""
     p = presentation

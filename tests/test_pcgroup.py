@@ -139,14 +139,101 @@ def test_normal_form_idempotence(heis):
         assert heis.collect_word(word) == x
 
 
+FILIFORM_SOURCE = """\
+group Filiform4
+nilpotent true
+torsion_prefix 0
+gen a order inf
+gen b order inf
+gen c order inf
+gen d order inf
+conj b by a = b*c
+conjinv b by a = b*c^-1*d
+conj c by a = c*d
+conjinv c by a = c*d^-1
+block a b
+block c
+block d
+genset a a^-1 b b^-1
+"""
+
+# the Heisenberg group with its central generator first: c^k a^i b^j
+CENTRAL_FIRST_SOURCE = """\
+group HeisenbergCentralFirst
+nilpotent true
+torsion_prefix 0
+gen c order inf
+gen a order inf
+gen b order inf
+conj b by a = c^-1*b
+conjinv b by a = c*b
+"""
+
+
+def _presentation(name):
+    if name == "filiform":
+        return pcgroup.parse_presentation(FILIFORM_SOURCE)
+    if name == "central_first":
+        return pcgroup.parse_presentation(CENTRAL_FIRST_SOURCE)
+    if name == "heisenberg_x_z2":
+        return pcgroup.direct_product(builtin("heisenberg"), builtin("zn", n=2))
+    if name == "quotient(heisenberg_z3)":
+        from nilcay import structure
+        return structure.quotient_by_torsion(from_id("heisenberg_z3"))
+    return from_id(name)
+
+
+_HEIS_MOVE = {(1, 0): (pcgroup._CENTRAL, ((2, -1),))}
+
+
+@pytest.mark.parametrize("name,moves", [
+    ("z", {}), ("z2", {}), ("z3", {}), ("zn:5", {}), ("zxz2", {}),
+    ("zn_cross_cyclic:2,4", {}), ("zn_cross_cyclic:0,3", {}),
+    ("heisenberg", _HEIS_MOVE), ("heisenberg_z", _HEIS_MOVE),
+    ("heisenberg_z3", _HEIS_MOVE), ("heisenberg_x_z2", _HEIS_MOVE),
+    ("quotient(heisenberg_z3)", _HEIS_MOVE),
+    ("klein_bottle", {(1, 0): (pcgroup._SIGN,)}),
+    ("filiform", {(1, 0): (pcgroup._GENERIC,),
+                  (2, 0): (pcgroup._CENTRAL, ((3, 1),))}),
+    # deriving (2, 1) collects past the pair (1, 0), not derived yet
+    ("central_first", {(2, 1): (pcgroup._CENTRAL, ((0, -1),))}),
+])
+def test_action_table_is_pinned(name, moves):
+    """Every non-commuting pair, so a pair that silently falls back to
+    GENERIC (or a missed COMMUTE) shows up."""
+    p = _presentation(name)
+    got = {(l, j): a for j in range(p.n) for l, a in p._moves[j]}
+    assert got == moves
+    for j in range(p.n):
+        ls = [l for l, _ in p._moves[j]]
+        assert ls == sorted(ls, reverse=True) and all(l > j for l in ls)
+
+
+def test_central_first_heisenberg_matches_closed_form():
+    p = _presentation("central_first")
+    rng = random.Random(19)
+    for _ in range(1000):
+        x = tuple(rng.randint(-20, 20) for _ in range(3))
+        y = tuple(rng.randint(-20, 20) for _ in range(3))
+        (k1, i1, j1), (k2, i2, j2) = x, y
+        assert p.multiply(x, y) == (k1 + k2 - j1 * i2, i1 + i2, j1 + j2)
+        assert p.multiply(x, p.inverse(x)) == p.identity
+
+
 def test_letterwise_reference_agrees_with_fast_path():
-    for fid in ("z2", "heisenberg", "zxz2", "heisenberg_z3"):
-        p = from_id(fid)
+    for fid in ("z2", "heisenberg", "zxz2", "heisenberg_z3", "klein_bottle",
+                "filiform"):
+        p = _presentation(fid)
         rng = random.Random(f"ref:{fid}")
         for _ in range(120):
             letters = []
             for _ in range(rng.randint(1, 8)):
-                letters.append((rng.randrange(p.n), rng.choice((1, -1))))
+                i, s = rng.randrange(p.n), rng.choice((1, -1))
+                # the letter collector does not terminate on the Klein bottle
+                # once b has a negative exponent (a past b^-1 gives b^-1 a^2)
+                if fid == "klein_bottle" and i == 1:
+                    s = 1
+                letters.append((i, s))
             v = [0] * p.n
             p._letter_collect(v, letters, [10**5])
             fast = p.identity
@@ -246,3 +333,19 @@ def test_direct_product_torsion_block_rule():
         pcgroup.direct_product(zx, z)  # torsion would end up mid-basis
     ok = pcgroup.direct_product(z, zx)
     assert ok.torsion_len == 1 and ok.orders == (None, None, 2)
+
+
+@pytest.mark.parametrize("left,right", [
+    ("z", "klein"), ("klein", "heisenberg"), ("heisenberg", "klein")])
+def test_direct_product_with_a_blockless_factor(left, right):
+    from nilcay.order import BiOrder, BiOrderUnavailable
+    a, b = from_id(left), from_id(right)
+    p = builtin("direct_product", left=left, right=right)
+    assert p.n == a.n + b.n and not p.blocks
+    rng = random.Random(f"dp:{left}x{right}")
+    for _ in range(300):
+        xa, ya = (tuple(rng.randint(-6, 6) for _ in range(a.n)) for _ in "xy")
+        xb, yb = (tuple(rng.randint(-6, 6) for _ in range(b.n)) for _ in "xy")
+        assert p.multiply(xa + xb, ya + yb) == a.multiply(xa, ya) + b.multiply(xb, yb)
+    with pytest.raises(BiOrderUnavailable):
+        BiOrder(p)
