@@ -9,7 +9,8 @@ once into lexicographic order on exponent vectors, so all derived
 artifacts are deterministic; the BFS dict, re-valued in place, becomes the
 index.  Distance queries answer ``None`` ("unknown") rather than ever
 returning a wrong number: ``dist(u,v)`` is certified exactly when
-``u^{-1}v`` lies in the ball.
+``u^{-1}v`` lies in the ball.  ``distance_via_sphere`` reaches twice as far
+from the identity, meeting in the middle on the ball's outer sphere.
 
 Geodesics are paths in the ball's BFS DAG, whose edges ``u -> u*s`` go one
 shell outward.  A query from ``u`` to ``v`` runs on the translated problem
@@ -120,6 +121,7 @@ class Ball:
         self._nbr_sets = None
         self._interior_ids = None
         self._geo_counts = None           # vid -> geodesics from e, built lazily
+        self._sphere = None               # vertices at distance radius, built lazily
 
     def __contains__(self, v):
         return v in self.index
@@ -203,6 +205,31 @@ def generate_ball(presentation, genset, radius, max_vertices=None) -> Ball:
         rows[b] = None                    # free each BFS row once relabelled
     return Ball(presentation, genset, radius, tuple(order[b] for b in lex), index,
                 [dist[b] for b in lex], tuple(adjacency))
+
+
+def distance_via_sphere(ball, x):
+    """Exact dist(e, x) for any x within twice the ball's radius, else None.
+
+    Inside B(R) this is the BFS distance.  Outside it, write d = dist(e, x)
+    and let S(R) be the sphere of radius R.  If d <= 2R, the vertex y at
+    distance R on a geodesic from e to x lies in S(R), and y^-1 x lies in
+    B(R) with |y^-1 x| = d - R; every y in S(R) with y^-1 x in B(R) gives
+    d <= R + |y^-1 x| by the triangle inequality.  So d is R plus the least
+    |y^-1 x| over those y.  If d > 2R, no y in S(R) has y^-1 x in B(R), as
+    that would give d <= 2R, and the answer is None ("unknown").  As the
+    generating set is symmetric, |y^-1| = |y|, so y^-1 ranges over S(R)
+    itself and no inverse is computed.
+    """
+    d = ball.distance_from_identity(x)
+    if d is not None:
+        return d
+    if ball._sphere is None:
+        ball._sphere = [y for y, dy in zip(ball.vertices, ball.dist_list)
+                        if dy == ball.radius]
+    multiply = ball.presentation.multiply
+    within = (ball.distance_from_identity(multiply(y_inv, x)) for y_inv in ball._sphere)
+    best = min((r for r in within if r is not None), default=None)
+    return None if best is None else ball.radius + best
 
 
 # -- geodesics -----------------------------------------------------------

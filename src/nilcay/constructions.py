@@ -91,9 +91,7 @@ def graph_from_ball(ball: Ball) -> LabeledGraph:
 def lift_generating_set(presentation, quotient_genset) -> GenSet:
     """Full preimage in G of a quotient generating set under the torsion map."""
     p = presentation
-    t = p.torsion_len
-    free = p.n - t
-    quotient = structure.quotient_by_torsion(p)
+    free = p.n - p.torsion_len
     elements = list(quotient_genset.elements
                     if isinstance(quotient_genset, GenSet) else quotient_genset)
     for v in elements:
@@ -107,7 +105,6 @@ def lift_generating_set(presentation, quotient_genset) -> GenSet:
         for w in torsion.elements:
             lifted.append(p.collect_word(
                 tuple((i, e) for i, e in enumerate(tuple(v) + tuple(w[free:])) if e)))
-    del quotient
     return GenSet(p, lifted)
 
 

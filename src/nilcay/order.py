@@ -6,10 +6,19 @@ nonzero exponent.  This is a bi-invariant total order when the blocks are
 adapted to the central series, which holds for the built-in families and is
 falsifiable by the sampled bi-invariance property checks.
 
-Distortion certification never reports an uncertified distance: each value
-``dist(e, g^k)`` is either read off a ball that contains ``g^k`` or pinned by
-matching analytic lower and trivial upper bounds; anything else stays
-unknown and the classification degrades to "inconclusive".
+Distortion certification never reports an uncertified distance.  Each value
+``dist(e, g^k)`` comes from one of three certificates, cheapest first:
+
+- in-ball: ``g^k`` lies in the last ball built and its BFS distance is read;
+- analytic bounds: the word length of the image of ``g^k`` in the
+  abelianization (a lower bound) equals ``k * dist(e, g)`` (an upper bound);
+- sphere meet-in-the-middle: ``cayley.distance_via_sphere`` certifies any
+  distance up to twice the radius of the last ball built.
+
+Balls are rebuilt at radii 4, 8, 16, ... only while the upper bound exceeds
+twice the radius.  Anything uncertified stays unknown and the classification
+degrades to "inconclusive", with a note naming the vertex budget, the ball
+whose build exceeded it and the largest distance still certifiable.
 """
 
 from __future__ import annotations
@@ -226,10 +235,10 @@ def distortion_profile(presentation, genset, g, kmax,
     notes = []
     ball = None
     radius = 0
-    budget_hit = False
+    failed_radius = None                  # radius of the build that broke the budget
 
     def dist_of(x, upper):
-        nonlocal ball, radius, budget_hit
+        nonlocal ball, radius, failed_radius
         if ball is not None:
             d = ball.distance_from_identity(x)
             if d is not None:
@@ -237,22 +246,20 @@ def distortion_profile(presentation, genset, g, kmax,
         lower = ab.dist(ab.image(x), upper) if ab.available else None
         if lower is not None and lower == upper:
             return upper
-        while not budget_hit and radius < upper:
+        while True:
+            if ball is not None:
+                d = cayley.distance_via_sphere(ball, x)
+                if d is not None:
+                    return d
+            if failed_radius is not None or 2 * radius >= upper:
+                return None
             want = min(upper, max(4, radius * 2))
             try:
                 ball = generate_ball(p, genset, want, max_vertices=budget)
             except cayley.BallBudgetError:
-                budget_hit = True
-                break
+                failed_radius = want
+                return None
             radius = want
-            d = ball.distance_from_identity(x)
-            if d is not None:
-                return d
-        if ball is not None:
-            d = ball.distance_from_identity(x)
-            if d is not None:
-                return d
-        return None
 
     d1 = dist_of(g, upper=max(1, sum(abs(e) for e in g) * 4))
     if d1 is None:
@@ -263,8 +270,11 @@ def distortion_profile(presentation, genset, g, kmax,
         upper = d1 * k if d1 is not None else None
         d = dist_of(gk, upper) if upper is not None else None
         dists.append(d)
-    if budget_hit:
-        notes.append("vertex budget exhausted before certifying every power")
+    if failed_radius is not None:
+        reach = (f"B({radius}) certifies distances up to {2 * radius}" if ball is not None
+                 else "no ball was built, so no distance is certified from one")
+        notes.append(f"vertex budget {budget} exceeded building B({failed_radius}); "
+                     + reach)
     ratios = [None if d is None else Fraction(d, k) for k, d in zip(ks, dists)]
     return DistortionProfile(element=g, ks=ks, dists=dists, ratios=ratios, notes=notes)
 

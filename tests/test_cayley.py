@@ -1,13 +1,15 @@
 """Ball generation, word metrics, geodesics, and vertex-map checks."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from nilcay import cayley, constructions, pcgroup, structure
 from nilcay.cayley import (GenSet, GeodesicCapError, GeodesicPath,
                            check_vertex_map, count_geodesics,
-                           enumerate_geodesics, export_distances, export_graph,
+                           distance_via_sphere, enumerate_geodesics,
+                           export_distances, export_graph,
                            generate_ball, insert_torsion_edge, standard_genset,
                            torsion_label_bound)
 from nilcay.pcgroup import builtin, from_id
@@ -99,6 +101,41 @@ def test_bfs_matches_brute_force_words():
         for v, row in zip(ball.vertices, ball.adjacency):
             products = [(sid, p.multiply(v, s)) for sid, s in enumerate(S.elements)]
             assert row == tuple((sid, index[w]) for sid, w in products if w in index)
+
+
+FILIFORM = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "filiform4.pc"
+
+
+def _plain_bfs(p, S, radius):
+    """Oracle: element -> distance from the identity, shell by shell."""
+    dist = {p.identity: 0}
+    shell = {p.identity}
+    for d in range(1, radius + 1):
+        shell = {p.multiply(u, s) for u in shell for s in S.elements} - dist.keys()
+        dist.update(dict.fromkeys(shell, d))
+    return dist
+
+
+def _sphere_case(name):
+    if name == "zxz2 fsf":
+        p = from_id("zxz2")
+        base = GenSet(p, structure.nontrivial_in_quotient(p, standard_genset(p).elements))
+        return p, constructions.fsf_generating_set(
+            p, structure.torsion_subgroup(p), base).genset
+    p = pcgroup.parse_presentation(FILIFORM.read_text()) if name == "filiform" \
+        else from_id(name)
+    return p, standard_genset(p)
+
+
+@pytest.mark.parametrize("name,R", [("heisenberg", 4), ("z3", 4), ("klein_bottle", 4),
+                                    ("zxz2 fsf", 3), ("filiform", 3)])
+def test_distance_via_sphere_matches_bfs_to_twice_the_radius(name, R):
+    p, S = _sphere_case(name)
+    ball = generate_ball(p, S, R)
+    oracle = _plain_bfs(p, S, 2 * R + 1)
+    assert max(oracle.values()) == 2 * R + 1
+    for x, d in oracle.items():
+        assert distance_via_sphere(ball, x) == (d if d <= 2 * R else None), (x, d)
 
 
 def test_generate_ball_multiplies_once_per_vertex_and_generator():

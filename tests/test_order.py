@@ -1,6 +1,7 @@
 """Bi-order comparators, convex segments, central label propagation, distortion."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,10 @@ def test_classification_matches_analytic_table():
     assert classify_distorted(h, S, (0, 0, 1), kmax=16)[0] == "distorted"
     assert classify_distorted(h, S, (1, 0, 0), kmax=16)[0] == "undistorted"
     assert classify_distorted(h, S, (0, 1, 0), kmax=16)[0] == "undistorted"
+    # B(16) (27,905 vertices) certifies dist(c^64) = 32 from its sphere
+    verdict, prof, _ = classify_distorted(h, S, (0, 0, 1), kmax=64, max_vertices=30000)
+    assert verdict == "distorted"
+    assert prof.dists == [4, 6, 8, 12, 16, 24, 32]
     z2 = builtin("zn", n=2)
     S2 = standard_genset(z2)
     assert classify_distorted(z2, S2, (1, 0), kmax=64)[0] == "undistorted"
@@ -178,6 +183,18 @@ def test_distortion_budget_exhaustion_is_inconclusive():
     assert verdict == "inconclusive"
     assert any(r is None for r in prof.ratios)
     assert rep.ok is None
+    # B(4) has 135 vertices, so no ball is built
+    assert any(re.fullmatch(r"vertex budget 50 exceeded building B\(4\); no ball was "
+                            r"built, so no distance is certified from one", n)
+               for n in rep.notes)
+    # B(4) fits in 1,000 vertices and B(8) (1,793) does not
+    verdict, prof, rep = classify_distorted(h, S, (0, 0, 1), kmax=16,
+                                            max_vertices=1000)
+    assert verdict == "inconclusive"
+    assert prof.dists == [4, 6, 8, None, None]
+    assert any(re.fullmatch(r"vertex budget 1000 exceeded building B\(8\); "
+                            r"B\(4\) certifies distances up to 8", n)
+               for n in rep.notes)
 
 
 def test_distortion_rejects_identity():
