@@ -335,19 +335,18 @@ def cmd_induced(args):
 def cmd_verify(args):
     names = list(suites.SUITES) if args.suite == "all" else \
         [s.strip() for s in args.suite.split(",")]
-    envelope, timing = suites.run_verify(names, seed=args.seed,
-                                         threads=args.threads,
-                                         group_filter=args.group)
+    envelope, per_suite_ms = suites.run_verify(names, seed=args.seed,
+                                               group_filter=args.group)
     for name in names:
         ok = envelope["suites"][name]["ok"]
-        ms = timing.per_suite_ms[name]
+        ms = per_suite_ms[name]
         print(f"{'PASS' if ok else 'FAIL'} {name} ({ms:.0f} ms)",
               file=sys.stderr)
     _emit(envelope, args)
     if args.timings:
         with open(args.timings, "w", encoding="utf-8") as fh:
-            fh.write(json_pretty({"per_suite_ms": timing.per_suite_ms}))
-    return EXIT_OK if timing.all_passed else EXIT_VERDICT
+            fh.write(json_pretty({"per_suite_ms": per_suite_ms}))
+    return EXIT_OK if envelope["all_passed"] else EXIT_VERDICT
 
 
 # -- parser ------------------------------------------------------------------
@@ -463,7 +462,8 @@ def build_parser():
                     help="all or a comma list of: " + ", ".join(suites.SUITES))
     sp.add_argument("--group", help="restrict family-parametric suites")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, choices=(1,), default=1,
+                    help="accepted for compatibility; suites run serially")
     sp.add_argument("--out", help="write the JSON report here")
     sp.add_argument("--pretty", action="store_true")
     sp.add_argument("--timings", help="write wall-clock sidecar JSON here")

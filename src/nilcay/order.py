@@ -15,10 +15,17 @@ Distortion certification never reports an uncertified distance.  Each value
 - sphere meet-in-the-middle: ``cayley.distance_via_sphere`` certifies any
   distance up to twice the radius of the last ball built.
 
-Balls are rebuilt at radii 4, 8, 16, ... only while the upper bound exceeds
-twice the radius.  Anything uncertified stays unknown and the classification
-degrades to "inconclusive", with a note naming the vertex budget, the ball
-whose build exceeded it and the largest distance still certifiable.
+Balls are rebuilt at radii 4, 8, 16, ...: for dist(e, g) until the sphere
+certifies it, and for g^k only while the proven upper bound k * dist(e, g)
+exceeds twice the radius.  Anything uncertified stays unknown and the
+classification degrades to "inconclusive", with a note naming the vertex
+budget, the ball whose build exceeded it and the largest distance still
+certifiable.
+
+The profile's shape is a heuristic, not a certificate, so the verdict is
+guarded by the rational abelianization of the presentation: an element with a
+nonzero image there is undistorted in any group, and an element of infinite
+order without one is distorted in a nilpotent group (Osin).
 """
 
 from __future__ import annotations
@@ -238,22 +245,24 @@ def distortion_profile(presentation, genset, g, kmax,
     failed_radius = None                  # radius of the build that broke the budget
 
     def dist_of(x, upper):
+        """dist(e, x) or None; ``upper`` is a proven upper bound, or None."""
         nonlocal ball, radius, failed_radius
         if ball is not None:
             d = ball.distance_from_identity(x)
             if d is not None:
                 return d
-        lower = ab.dist(ab.image(x), upper) if ab.available else None
-        if lower is not None and lower == upper:
+        if upper is not None and ab.available and ab.dist(ab.image(x), upper) == upper:
             return upper
         while True:
             if ball is not None:
                 d = cayley.distance_via_sphere(ball, x)
                 if d is not None:
                     return d
-            if failed_radius is not None or 2 * radius >= upper:
+                if max(ball.dist_list) < radius:
+                    return None           # the ball is all of <S>, and x is outside it
+            if failed_radius is not None or (upper is not None and 2 * radius >= upper):
                 return None
-            want = min(upper, max(4, radius * 2))
+            want = max(4, radius * 2) if upper is None else min(upper, max(4, radius * 2))
             try:
                 ball = generate_ball(p, genset, want, max_vertices=budget)
             except cayley.BallBudgetError:
@@ -261,9 +270,11 @@ def distortion_profile(presentation, genset, g, kmax,
                 return None
             radius = want
 
-    d1 = dist_of(g, upper=max(1, sum(abs(e) for e in g) * 4))
+    d1 = dist_of(g, upper=None)
     if d1 is None:
-        notes.append("dist(e, g) itself could not be certified within budget")
+        notes.append("dist(e, g) itself could not be certified within budget"
+                     if failed_radius is not None else
+                     "g is not in the subgroup generated by the generating set")
     dists = []
     for k in ks:
         gk = p.power(g, k)
@@ -283,6 +294,11 @@ def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
                        max_vertices=None):
     """Three-valued distortion verdict with an analytic cross-check for built-ins.
 
+    The profile's verdict is overridden, with a note, where the rational
+    abelianization contradicts it: "distorted" becomes "undistorted" for g
+    outside the isolator of [G, G], and "undistorted" becomes "inconclusive"
+    for g of infinite order inside it in a nilpotent-flagged presentation.
+
     Returns (verdict, profile, report); verdict is one of "distorted",
     "undistorted", "inconclusive".
     """
@@ -297,10 +313,27 @@ def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
             verdict = "distorted"
         elif all(r == first for r in ratios) and first >= 1:
             verdict = "undistorted"
+    guard = []
+    rational = _in_rational_isolator(p, g)
+    if verdict == "distorted" and not rational:
+        verdict = "undistorted"
+        guard.append("certified undistorted: g has a nonzero image in the rational "
+                     "abelianization of the presentation, so |g^k| grows linearly")
+    elif (verdict == "undistorted" and rational and p.nilpotent
+          and any(g[:p.n - p.torsion_len])):
+        verdict = "inconclusive"
+        guard.append("the profile looks undistorted, but g has infinite order and "
+                     "lies in the isolator of the derived subgroup of a "
+                     "nilpotent-flagged presentation, so it is distorted (Osin); "
+                     "kmax is too small to show it")
     analytic = None
     if p.analytic is not None:
-        analytic = "distorted" if p.analytic.in_sqrt_commutator(g) else "undistorted"
-        if verdict != "inconclusive" and verdict != analytic:
+        # g in the isolator of [G, G] means distorted only in nilpotent groups
+        if not p.analytic.in_sqrt_commutator(g):
+            analytic = "undistorted"
+        elif p.nilpotent:
+            analytic = "distorted"
+        if analytic is not None and verdict != "inconclusive" and verdict != analytic:
             raise AnalyticDisagreement(
                 f"distortion verdict {verdict!r} disagrees with the analytic "
                 f"membership table ({analytic!r}) for {g}")
@@ -311,5 +344,53 @@ def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
         parameters={"element": g, "kmax": kmax, "tol": str(CLASSIFY_TOL),
                     "ks": profile.ks, "dists": profile.dists,
                     "ratios": [None if r is None else str(r) for r in profile.ratios]},
-        notes=profile.notes + ([f"analytic verdict: {analytic}"] if analytic else []))
+        notes=profile.notes + guard
+        + ([f"analytic verdict: {analytic}"] if analytic else []))
     return verdict, profile, report
+
+
+def _in_rational_isolator(presentation, g):
+    """Whether some power of g lies in [G, G], read from the presentation alone.
+
+    The abelianization of G is Z^n modulo the exponent-sum vectors of the
+    defining relations: ``expsum(w) - e_l`` for each conjugation relation
+    rewriting g_l to w, and ``m_i e_i - expsum(w)`` for each power relation
+    g_i^m_i = w.  Some power of g lies in [G, G] exactly when g's exponent
+    vector lies in the rational span of these vectors, which exact Gaussian
+    elimination over Fractions decides.
+    """
+    p = presentation
+
+    def expsum(word):
+        v = [0] * p.n
+        for i, e in word:
+            v[i] += e
+        return v
+
+    relations = []
+    for table in (p.conj, p.conjinv):
+        for (l, _j), w in table.items():
+            v = expsum(w)
+            v[l] -= 1
+            relations.append(v)
+    for i, m in enumerate(p.orders):
+        if m is not None:
+            v = [-e for e in expsum(p.power_words.get(i, ()))]
+            v[i] += m
+            relations.append(v)
+    basis = []                          # (pivot, row with 1 at the pivot)
+
+    def reduce(v):
+        v = [Fraction(e) for e in v]
+        for pivot, row in basis:
+            if v[pivot]:
+                f = v[pivot]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    for v in relations:
+        v = reduce(v)
+        pivot = next((i for i, e in enumerate(v) if e), None)
+        if pivot is not None:
+            basis.append((pivot, [e / v[pivot] for e in v]))
+    return not any(reduce(g))

@@ -1,29 +1,19 @@
 """Acceptance suites: one callable per acceptance criterion, shared by the
 `verify` CLI subcommand and the test suite.
 
-Each suite returns a SuiteResult whose report is deterministic for a fixed
-seed; wall-clock timing is carried separately so that report bytes are
-reproducible across runs and worker counts.
+Each suite returns a Report that is deterministic for a fixed seed.
+`run_verify` runs suites one after another and keeps their wall-clock times
+apart from the envelope, so report bytes are reproducible across runs.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from . import __version__, autlab, constructions, order, pcgroup, structure
 from .cayley import (GenSet, count_geodesics, generate_ball, standard_genset)
 from .reporting import Report, json_bytes
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    ok: bool
-    report: Report
-    elapsed_ms: float
 
 
 def _random_element(presentation, rng, span=20):
@@ -43,82 +33,70 @@ def _families(group_filter):
     return out
 
 
-def _timed(name, fn):
-    t0 = time.perf_counter()
-    report = fn()
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return SuiteResult(name=name, ok=bool(report.ok), report=report,
-                       elapsed_ms=elapsed)
-
-
 # -- criterion 1 -------------------------------------------------------------
 
 
-def group_laws(seed=0, samples=10**4, group_filter=None) -> SuiteResult:
-    def run():
-        families = _families(group_filter)
-        failures = []
-        hashes = {}
-        for fid in families:
-            p = pcgroup.from_id(fid)
-            hashes[fid] = p.sha256()
-            rng = random.Random(f"{seed}:laws:{fid}")
-            e = p.identity
-            for _ in range(samples):
-                x = _random_element(p, rng)
-                y = _random_element(p, rng)
-                z = _random_element(p, rng)
-                xy = p.multiply(x, y)
-                if p.multiply(xy, z) != p.multiply(x, p.multiply(y, z)):
-                    failures.append({"family": fid, "law": "associativity",
-                                     "triple": [x, y, z]})
-                    break
-                if p.multiply(x, e) != x or p.multiply(e, x) != x:
-                    failures.append({"family": fid, "law": "identity", "x": x})
-                    break
-                if p.multiply(x, p.inverse(x)) != e:
-                    failures.append({"family": fid, "law": "inverse", "x": x})
-                    break
-        return Report(
-            claim="group laws hold on seeded random triples in every built-in family",
-            verdict="pass" if not failures else "fail", ok=not failures,
-            witnesses=failures,
-            parameters={"samples": samples, "families": list(families),
-                        "seed": seed, "presentations": hashes})
-    return _timed("group_laws", run)
+def group_laws(seed=0, samples=10**4, group_filter=None) -> Report:
+    families = _families(group_filter)
+    failures = []
+    hashes = {}
+    for fid in families:
+        p = pcgroup.from_id(fid)
+        hashes[fid] = p.sha256()
+        rng = random.Random(f"{seed}:laws:{fid}")
+        e = p.identity
+        for _ in range(samples):
+            x = _random_element(p, rng)
+            y = _random_element(p, rng)
+            z = _random_element(p, rng)
+            xy = p.multiply(x, y)
+            if p.multiply(xy, z) != p.multiply(x, p.multiply(y, z)):
+                failures.append({"family": fid, "law": "associativity",
+                                 "triple": [x, y, z]})
+                break
+            if p.multiply(x, e) != x or p.multiply(e, x) != x:
+                failures.append({"family": fid, "law": "identity", "x": x})
+                break
+            if p.multiply(x, p.inverse(x)) != e:
+                failures.append({"family": fid, "law": "inverse", "x": x})
+                break
+    return Report(
+        claim="group laws hold on seeded random triples in every built-in family",
+        verdict="pass" if not failures else "fail", ok=not failures,
+        witnesses=failures,
+        parameters={"samples": samples, "families": list(families),
+                    "seed": seed, "presentations": hashes})
 
 
 # -- criterion 2 -------------------------------------------------------------
 
 
-def metric_oracle(group_filter=None, radius=4) -> SuiteResult:
-    def run():
-        families = _families(group_filter)
-        mismatches = []
-        sizes = {}
-        for fid in families:
-            p = pcgroup.from_id(fid)
-            S = standard_genset(p)
-            ball = generate_ball(p, S, radius)
-            oracle = _brute_force_word_distances(p, S, radius)
-            if set(oracle) != set(ball.vertices):
-                mismatches.append({"family": fid, "reason": "vertex sets differ",
-                                   "ball": len(ball), "oracle": len(oracle)})
-                continue
-            for v in ball.vertices:
-                if oracle[v] != ball.distance_from_identity(v):
-                    mismatches.append({"family": fid, "vertex": v,
-                                       "bfs": ball.distance_from_identity(v),
-                                       "oracle": oracle[v]})
-                    break
-            sizes[fid] = len(ball)
-        return Report(
-            claim="BFS ball distances equal exhaustive word-enumeration distances",
-            verdict="pass" if not mismatches else "fail", ok=not mismatches,
-            witnesses=mismatches,
-            parameters={"radius": radius, "ball_sizes": sizes,
-                        "families": list(families)})
-    return _timed("metric_oracle", run)
+def metric_oracle(group_filter=None, radius=4) -> Report:
+    families = _families(group_filter)
+    mismatches = []
+    sizes = {}
+    for fid in families:
+        p = pcgroup.from_id(fid)
+        S = standard_genset(p)
+        ball = generate_ball(p, S, radius)
+        oracle = _brute_force_word_distances(p, S, radius)
+        if set(oracle) != set(ball.vertices):
+            mismatches.append({"family": fid, "reason": "vertex sets differ",
+                               "ball": len(ball), "oracle": len(oracle)})
+            continue
+        for v in ball.vertices:
+            if oracle[v] != ball.distance_from_identity(v):
+                mismatches.append({"family": fid, "vertex": v,
+                                   "bfs": ball.distance_from_identity(v),
+                                   "oracle": oracle[v]})
+                break
+        sizes[fid] = len(ball)
+    return Report(
+        claim="BFS ball distances equal exhaustive word-enumeration distances",
+        verdict="pass" if not mismatches else "fail", ok=not mismatches,
+        witnesses=mismatches,
+        parameters={"radius": radius, "ball_sizes": sizes,
+                    "families": list(families)})
 
 
 def _brute_force_word_distances(presentation, genset, radius):
@@ -140,284 +118,270 @@ def _brute_force_word_distances(presentation, genset, radius):
 # -- criterion 3 -------------------------------------------------------------
 
 
-def klein_pair(radius=8) -> SuiteResult:
-    def run():
-        problems = []
-        flip = constructions.klein_flip_map(radius)
-        if not flip.check():
-            problems.append("flip map failed the adjacency check")
-        verdict = autlab.is_affine_on_ball(flip.source, flip.source, flip.mapping)
-        if verdict.affine or verdict.witness is None:
-            problems.append("flip map was not rejected by the affine check "
-                            "with a witness")
-        grid = constructions.klein_grid_map(radius)
-        if not grid.check():
-            problems.append("grid map failed the adjacency check")
-        klein = pcgroup.builtin("klein_bottle")
-        rep = autlab.normality_verdict(klein, standard_genset(klein), 4, 2)
-        if rep.verdict != "non-normal":
-            problems.append(f"normality verdict was {rep.verdict}")
-        ok = not problems
-        return Report(
-            claim="the Klein-bottle ball is grid-isomorphic and admits a "
-                  "non-affine generator-swapping automorphism",
-            verdict="pass" if ok else "fail", ok=ok,
-            witnesses=[{"flip_affine_witness": verdict.to_witness_dict(),
-                        "normality": rep.verdict}] + problems,
-            parameters={"radius": radius, "normality_radius": 4, "stability": 2,
-                        "presentations": {"klein_bottle": klein.sha256()}})
-    return _timed("klein_pair", run)
+def klein_pair(radius=8) -> Report:
+    problems = []
+    flip = constructions.klein_flip_map(radius)
+    if not flip.check():
+        problems.append("flip map failed the adjacency check")
+    verdict = autlab.is_affine_on_ball(flip.source, flip.source, flip.mapping)
+    if verdict.affine or verdict.witness is None:
+        problems.append("flip map was not rejected by the affine check "
+                        "with a witness")
+    grid = constructions.klein_grid_map(radius)
+    if not grid.check():
+        problems.append("grid map failed the adjacency check")
+    klein = pcgroup.builtin("klein_bottle")
+    rep = autlab.normality_verdict(klein, standard_genset(klein), 4, 2)
+    if rep.verdict != "non-normal":
+        problems.append(f"normality verdict was {rep.verdict}")
+    ok = not problems
+    return Report(
+        claim="the Klein-bottle ball is grid-isomorphic and admits a "
+              "non-affine generator-swapping automorphism",
+        verdict="pass" if ok else "fail", ok=ok,
+        witnesses=[{"flip_affine_witness": verdict.to_witness_dict(),
+                    "normality": rep.verdict}] + problems,
+        parameters={"radius": radius, "normality_radius": 4, "stability": 2,
+                    "presentations": {"klein_bottle": klein.sha256()}})
 
 
 # -- criterion 4 -------------------------------------------------------------
 
 
-def fsf_construction(radius=5) -> SuiteResult:
-    def run():
-        problems = []
-        zx = pcgroup.from_id("zxz2")
-        F = structure.torsion_subgroup(zx)
-        S = GenSet(zx, [(1, 0), (-1, 0)])
-        fsf = constructions.fsf_generating_set(zx, F, S)
-        gens = fsf.genset
-        if not gens.symmetric:
-            problems.append("FSF set is not symmetric")
-        ball = generate_ball(zx, gens, radius)
-        expected = {(x, t) for x in range(-radius, radius + 1) for t in (0, 1)}
-        if not expected <= set(ball.vertices):
-            problems.append("FSF set does not generate the expected ball")
-        classes = constructions.twin_classes(ball)
-        want = tuple(sorted(tuple(sorted([(x, 0), (x, 1)]))
-                            for x in range(-(radius - 1), radius)))
-        if classes != want:
-            problems.append(f"twin classes differ from the F-cosets: {classes}")
-        g, h = (3, 0), (3, 1)
-        swap = constructions.twin_swap_map(ball, g, h)
-        from .cayley import check_vertex_map
-        if not check_vertex_map(ball, ball, swap):
-            problems.append("twin swap failed the adjacency check")
-        fixed = set(gens.elements) | {zx.identity}
-        if any(swap[v] != v for v in fixed):
-            problems.append("twin swap moved a generator or the identity")
-        verdict = autlab.is_affine_on_ball(ball, ball, swap)
-        if verdict.affine:
-            problems.append("twin swap passed the affine check")
-        rep = autlab.normality_verdict(zx, gens, 4, 2)
-        if rep.verdict != "non-normal":
-            problems.append(f"normality verdict was {rep.verdict}")
-        ok = not problems
-        return Report(
-            claim="the FSF generating set yields twin cosets and a non-affine "
-                  "twin-swap automorphism",
-            verdict="pass" if ok else "fail", ok=ok,
-            witnesses=[{"swap_pair": [g, h],
-                        "affine_failure": verdict.to_witness_dict(),
-                        "normality": rep.verdict}] + problems,
-            parameters={"radius": radius, "genset": list(gens.elements),
-                        "presentations": {"zxz2": zx.sha256()}})
-    return _timed("fsf_construction", run)
+def fsf_construction(radius=5) -> Report:
+    problems = []
+    zx = pcgroup.from_id("zxz2")
+    F = structure.torsion_subgroup(zx)
+    S = GenSet(zx, [(1, 0), (-1, 0)])
+    fsf = constructions.fsf_generating_set(zx, F, S)
+    gens = fsf.genset
+    if not gens.symmetric:
+        problems.append("FSF set is not symmetric")
+    ball = generate_ball(zx, gens, radius)
+    expected = {(x, t) for x in range(-radius, radius + 1) for t in (0, 1)}
+    if not expected <= set(ball.vertices):
+        problems.append("FSF set does not generate the expected ball")
+    classes = constructions.twin_classes(ball)
+    want = tuple(sorted(tuple(sorted([(x, 0), (x, 1)]))
+                        for x in range(-(radius - 1), radius)))
+    if classes != want:
+        problems.append(f"twin classes differ from the F-cosets: {classes}")
+    g, h = (3, 0), (3, 1)
+    swap = constructions.twin_swap_map(ball, g, h)
+    from .cayley import check_vertex_map
+    if not check_vertex_map(ball, ball, swap):
+        problems.append("twin swap failed the adjacency check")
+    fixed = set(gens.elements) | {zx.identity}
+    if any(swap[v] != v for v in fixed):
+        problems.append("twin swap moved a generator or the identity")
+    verdict = autlab.is_affine_on_ball(ball, ball, swap)
+    if verdict.affine:
+        problems.append("twin swap passed the affine check")
+    rep = autlab.normality_verdict(zx, gens, 4, 2)
+    if rep.verdict != "non-normal":
+        problems.append(f"normality verdict was {rep.verdict}")
+    ok = not problems
+    return Report(
+        claim="the FSF generating set yields twin cosets and a non-affine "
+              "twin-swap automorphism",
+        verdict="pass" if ok else "fail", ok=ok,
+        witnesses=[{"swap_pair": [g, h],
+                    "affine_failure": verdict.to_witness_dict(),
+                    "normality": rep.verdict}] + problems,
+        parameters={"radius": radius, "genset": list(gens.elements),
+                    "presentations": {"zxz2": zx.sha256()}})
 
 
 # -- criterion 5 -------------------------------------------------------------
 
 
-def affine_shadow(r=3, t=2) -> SuiteResult:
-    def run():
-        problems = []
-        counts = {}
-        for fid in ("z2", "z3", "heisenberg"):
-            p = pcgroup.from_id(fid)
-            ball = generate_ball(p, standard_genset(p), r)
-            auts = autlab.enumerate_local_auts(ball, t)
-            counts[fid] = len(auts)
-            for aut in auts:
-                verdict = autlab.is_affine_on_ball(ball, ball, aut.mapping)
-                if not verdict.affine:
-                    problems.append({"family": fid,
-                                     "witness": verdict.to_witness_dict()})
-                    break
-        if counts.get("z2") != 8:
-            problems.append({"family": "z2", "expected_count": 8,
-                             "got": counts.get("z2")})
-        ok = not problems
-        return Report(
-            claim="every stable local automorphism of the torsion-free "
-                  "families is affine on the ball",
-            verdict="pass" if ok else "fail", ok=ok, witnesses=problems,
-            parameters={"r": r, "t": t, "counts": counts})
-    return _timed("affine_shadow", run)
+def affine_shadow(r=3, t=2) -> Report:
+    problems = []
+    counts = {}
+    for fid in ("z2", "z3", "heisenberg"):
+        p = pcgroup.from_id(fid)
+        ball = generate_ball(p, standard_genset(p), r)
+        auts = autlab.enumerate_local_auts(ball, t)
+        counts[fid] = len(auts)
+        for aut in auts:
+            verdict = autlab.is_affine_on_ball(ball, ball, aut.mapping)
+            if not verdict.affine:
+                problems.append({"family": fid,
+                                 "witness": verdict.to_witness_dict()})
+                break
+    if counts.get("z2") != 8:
+        problems.append({"family": "z2", "expected_count": 8,
+                         "got": counts.get("z2")})
+    ok = not problems
+    return Report(
+        claim="every stable local automorphism of the torsion-free "
+              "families is affine on the ball",
+        verdict="pass" if ok else "fail", ok=ok, witnesses=problems,
+        parameters={"r": r, "t": t, "counts": counts})
 
 
 # -- criterion 6 -------------------------------------------------------------
 
 
-def biorder_shadow(seed=0, samples=10**4, kmax=6) -> SuiteResult:
-    def run():
-        problems = []
-        details = {}
-        for fid in ("z", "z2", "z3", "heisenberg"):
-            p = pcgroup.from_id(fid)
-            o = order.BiOrder(p)
-            S = standard_genset(p)
-            s = order.max_generator(o, S)
-            ball = generate_ball(p, S, kmax)
-            rep = order.convexity_check(ball, s, kmax)
-            details[fid] = {"max_generator": s, "convexity": rep.verdict}
-            if rep.verdict != "pass":
-                problems.append({"family": fid, "convexity": rep.witnesses})
-            rng = random.Random(f"{seed}:biorder:{fid}")
-            for _ in range(samples):
-                a = _random_element(p, rng, span=10)
-                b = _random_element(p, rng, span=10)
-                x = _random_element(p, rng, span=10)
-                y = _random_element(p, rng, span=10)
-                cmp_xy = o.compare(x, y)
-                if cmp_xy == order.EQUAL:
-                    continue
-                lhs = p.multiply(p.multiply(a, x), b)
-                rhs = p.multiply(p.multiply(a, y), b)
-                if o.compare(lhs, rhs) != cmp_xy:
-                    problems.append({"family": fid, "quadruple": [a, x, y, b]})
-                    break
-        ok = not problems
-        return Report(
-            claim="the filtration bi-order is bi-invariant and its maximal "
-                  "generator spans a convex geodesic segment",
-            verdict="pass" if ok else "fail", ok=ok, witnesses=problems,
-            parameters={"samples": samples, "kmax": kmax, "seed": seed,
-                        "details": details})
-    return _timed("biorder_shadow", run)
+def biorder_shadow(seed=0, samples=10**4, kmax=6) -> Report:
+    problems = []
+    details = {}
+    for fid in ("z", "z2", "z3", "heisenberg"):
+        p = pcgroup.from_id(fid)
+        o = order.BiOrder(p)
+        S = standard_genset(p)
+        s = order.max_generator(o, S)
+        ball = generate_ball(p, S, kmax)
+        rep = order.convexity_check(ball, s, kmax)
+        details[fid] = {"max_generator": s, "convexity": rep.verdict}
+        if rep.verdict != "pass":
+            problems.append({"family": fid, "convexity": rep.witnesses})
+        rng = random.Random(f"{seed}:biorder:{fid}")
+        for _ in range(samples):
+            a = _random_element(p, rng, span=10)
+            b = _random_element(p, rng, span=10)
+            x = _random_element(p, rng, span=10)
+            y = _random_element(p, rng, span=10)
+            cmp_xy = o.compare(x, y)
+            if cmp_xy == order.EQUAL:
+                continue
+            lhs = p.multiply(p.multiply(a, x), b)
+            rhs = p.multiply(p.multiply(a, y), b)
+            if o.compare(lhs, rhs) != cmp_xy:
+                problems.append({"family": fid, "quadruple": [a, x, y, b]})
+                break
+    ok = not problems
+    return Report(
+        claim="the filtration bi-order is bi-invariant and its maximal "
+              "generator spans a convex geodesic segment",
+        verdict="pass" if ok else "fail", ok=ok, witnesses=problems,
+        parameters={"samples": samples, "kmax": kmax, "seed": seed,
+                    "details": details})
 
 
 # -- criterion 7 -------------------------------------------------------------
 
 
-def distortion(kmax=16) -> SuiteResult:
-    def run():
-        problems = []
-        p = pcgroup.builtin("heisenberg")
-        S = standard_genset(p)
-        verdict_c, prof_c, _ = order.classify_distorted(p, S, (0, 0, 1), kmax=kmax)
-        if verdict_c != "distorted":
-            problems.append({"element": "c", "verdict": verdict_c})
-        if prof_c.ratios[0] != 4:
-            problems.append({"element": "c", "ratio1": str(prof_c.ratios[0])})
-        if prof_c.ratios[-1] is None or prof_c.ratios[-1] > 1:
-            problems.append({"element": "c", "ratio16": str(prof_c.ratios[-1])})
-        for name, g in (("a", (1, 0, 0)), ("b", (0, 1, 0))):
-            v, prof, _ = order.classify_distorted(p, S, g, kmax=kmax)
-            if v != "undistorted" or any(r != 1 for r in prof.ratios):
-                problems.append({"element": name, "verdict": v,
-                                 "ratios": [str(r) for r in prof.ratios]})
-        agree = {
-            "c": p.analytic.in_sqrt_commutator((0, 0, 1)),
-            "a": not p.analytic.in_sqrt_commutator((1, 0, 0)),
-            "b": not p.analytic.in_sqrt_commutator((0, 1, 0)),
-        }
-        if not all(agree.values()):
-            problems.append({"analytic_table": agree})
-        ok = not problems
-        return Report(
-            claim="central commutator powers are distorted and the standard "
-                  "generators are not, matching the analytic table",
-            verdict="pass" if ok else "fail", ok=ok, witnesses=problems,
-            parameters={"kmax": kmax,
-                        "profile_c": [(k, d) for k, d in
-                                      zip(prof_c.ks, prof_c.dists)]})
-    return _timed("distortion", run)
+def distortion(kmax=16) -> Report:
+    problems = []
+    p = pcgroup.builtin("heisenberg")
+    S = standard_genset(p)
+    verdict_c, prof_c, _ = order.classify_distorted(p, S, (0, 0, 1), kmax=kmax)
+    if verdict_c != "distorted":
+        problems.append({"element": "c", "verdict": verdict_c})
+    if prof_c.ratios[0] != 4:
+        problems.append({"element": "c", "ratio1": str(prof_c.ratios[0])})
+    if prof_c.ratios[-1] is None or prof_c.ratios[-1] > 1:
+        problems.append({"element": "c", "ratio16": str(prof_c.ratios[-1])})
+    for name, g in (("a", (1, 0, 0)), ("b", (0, 1, 0))):
+        v, prof, _ = order.classify_distorted(p, S, g, kmax=kmax)
+        if v != "undistorted" or any(r != 1 for r in prof.ratios):
+            problems.append({"element": name, "verdict": v,
+                             "ratios": [str(r) for r in prof.ratios]})
+    agree = {
+        "c": p.analytic.in_sqrt_commutator((0, 0, 1)),
+        "a": not p.analytic.in_sqrt_commutator((1, 0, 0)),
+        "b": not p.analytic.in_sqrt_commutator((0, 1, 0)),
+    }
+    if not all(agree.values()):
+        problems.append({"analytic_table": agree})
+    ok = not problems
+    return Report(
+        claim="central commutator powers are distorted and the standard "
+              "generators are not, matching the analytic table",
+        verdict="pass" if ok else "fail", ok=ok, witnesses=problems,
+        parameters={"kmax": kmax,
+                    "profile_c": [(k, d) for k, d in
+                                  zip(prof_c.ks, prof_c.dists)]})
 
 
 # -- criterion 8 -------------------------------------------------------------
 
 
-def torsion_geodesics(seed=0, radius=4, pairs=100) -> SuiteResult:
-    def run():
-        problems = []
-        from .cayley import torsion_label_bound
-        zx = pcgroup.from_id("zxz2")
-        N = structure.torsion_subgroup(zx)
-        S = GenSet(zx, list(standard_genset(zx).elements))  # std already = S u N
-        ball = generate_ball(zx, S, radius)
-        rep = torsion_label_bound(ball, N.elements)
-        if rep.verdict != "pass":
-            problems.append({"torsion_label_bound": rep.witnesses})
-        from .cayley import GeodesicPath, insert_torsion_edge
-        for k in range(0, 5):
-            geo = GeodesicPath((0, 0), ((0, 1),) + ((1, 0),) * k)
-            try:
-                paths = insert_torsion_edge(ball, geo, N.elements)
-            except ValueError as exc:
-                problems.append({"insert_torsion_edge": str(exc), "k": k})
-                continue
-            if len(paths) != k + 1:
-                problems.append({"k": k, "paths": len(paths)})
-        rng = random.Random(f"{seed}:geocount")
-        sized = len(S.elements)
-        checked = 0
-        attempts = 0
-        while checked < pairs and attempts < pairs * 50:
-            attempts += 1
-            u = rng.choice(ball.vertices)
-            v = rng.choice(ball.vertices)
-            w = zx.multiply(zx.inverse(u), v)
-            d = ball.distance_from_identity(w)
-            if d is None:
-                continue
-            checked += 1
-            if count_geodesics(ball, u, v) > sized ** d:
-                problems.append({"pair": [u, v], "count_exceeds": sized ** d})
-        orbit = autlab.aut_e_orbit(ball, (0, 1), 2)
-        if not set(orbit) <= set(N.elements):
-            problems.append({"orbit": orbit})
-        ok = not problems
-        return Report(
-            claim="torsion labels appear at most once on geodesics, inserted "
-                  "torsion edges multiply geodesics, and the identity-fixing "
-                  "orbit of a torsion generator stays in the torsion subgroup",
-            verdict="pass" if ok else "fail", ok=ok, witnesses=problems,
-            parameters={"radius": radius, "pairs_checked": checked,
-                        "seed": seed, "orbit": orbit})
-    return _timed("torsion_geodesics", run)
+def torsion_geodesics(seed=0, radius=4, pairs=100) -> Report:
+    problems = []
+    from .cayley import torsion_label_bound
+    zx = pcgroup.from_id("zxz2")
+    N = structure.torsion_subgroup(zx)
+    S = GenSet(zx, list(standard_genset(zx).elements))  # std already = S u N
+    ball = generate_ball(zx, S, radius)
+    rep = torsion_label_bound(ball, N.elements)
+    if rep.verdict != "pass":
+        problems.append({"torsion_label_bound": rep.witnesses})
+    from .cayley import GeodesicPath, insert_torsion_edge
+    for k in range(0, 5):
+        geo = GeodesicPath((0, 0), ((0, 1),) + ((1, 0),) * k)
+        try:
+            paths = insert_torsion_edge(ball, geo, N.elements)
+        except ValueError as exc:
+            problems.append({"insert_torsion_edge": str(exc), "k": k})
+            continue
+        if len(paths) != k + 1:
+            problems.append({"k": k, "paths": len(paths)})
+    rng = random.Random(f"{seed}:geocount")
+    sized = len(S.elements)
+    checked = 0
+    attempts = 0
+    while checked < pairs and attempts < pairs * 50:
+        attempts += 1
+        u = rng.choice(ball.vertices)
+        v = rng.choice(ball.vertices)
+        w = zx.multiply(zx.inverse(u), v)
+        d = ball.distance_from_identity(w)
+        if d is None:
+            continue
+        checked += 1
+        if count_geodesics(ball, u, v) > sized ** d:
+            problems.append({"pair": [u, v], "count_exceeds": sized ** d})
+    orbit = autlab.aut_e_orbit(ball, (0, 1), 2)
+    if not set(orbit) <= set(N.elements):
+        problems.append({"orbit": orbit})
+    ok = not problems
+    return Report(
+        claim="torsion labels appear at most once on geodesics, inserted "
+              "torsion edges multiply geodesics, and the identity-fixing "
+              "orbit of a torsion generator stays in the torsion subgroup",
+        verdict="pass" if ok else "fail", ok=ok, witnesses=problems,
+        parameters={"radius": radius, "pairs_checked": checked,
+                    "seed": seed, "orbit": orbit})
 
 
 # -- criterion 9 -------------------------------------------------------------
 
 
-def induced_and_wreath(radius=5) -> SuiteResult:
-    def run():
-        problems = []
-        zx = pcgroup.from_id("zxz2")
-        N = structure.torsion_subgroup(zx)
-        S = GenSet(zx, [(1, 0), (-1, 0)])
-        fsf = constructions.fsf_generating_set(zx, N, S).genset
-        ball = generate_ball(zx, fsf, radius)
-        swap = constructions.twin_swap_map(ball, (3, 0), (3, 1))
-        rep = autlab.induced_quotient_check(ball, ball, swap, N, N)
-        if rep.verdict != "pass":
-            problems.append({"induced_quotient_check": rep.witnesses})
-        if "induced translation part: (0,)" not in rep.notes[0]:
-            problems.append({"induced_translation": rep.notes})
-        wc = constructions.wreath_lift_comparison(zx, [(1,), (-1,)], radius)
-        check = wc.check()
-        if not check:
-            problems.append({"wreath_map": [check.reason, check.witness]})
-        r1 = structure.rank_report(zx, N)
-        h3 = pcgroup.from_id("heisenberg_z3")
-        r2 = structure.rank_report(h3, structure.torsion_subgroup(h3))
-        if not (r1.ok and r1.parameters["rank_G"] == 1):
-            problems.append({"rank_zxz2": r1.parameters})
-        if not (r2.ok and r2.parameters["rank_G"] == 3):
-            problems.append({"rank_heisenberg_z3": r2.parameters})
-        ok = not problems
-        return Report(
-            claim="the twin swap induces the identity on the torsion quotient, "
-                  "the lifted ball matches the wreath product, and Hirsch "
-                  "ranks are additive",
-            verdict="pass" if ok else "fail", ok=ok, witnesses=problems,
-            parameters={"radius": radius,
-                        "ranks": {"zxz2": r1.parameters, "heisenberg_z3":
-                                  r2.parameters}})
-    return _timed("induced_and_wreath", run)
+def induced_and_wreath(radius=5) -> Report:
+    problems = []
+    zx = pcgroup.from_id("zxz2")
+    N = structure.torsion_subgroup(zx)
+    S = GenSet(zx, [(1, 0), (-1, 0)])
+    fsf = constructions.fsf_generating_set(zx, N, S).genset
+    ball = generate_ball(zx, fsf, radius)
+    swap = constructions.twin_swap_map(ball, (3, 0), (3, 1))
+    rep = autlab.induced_quotient_check(ball, ball, swap, N, N)
+    if rep.verdict != "pass":
+        problems.append({"induced_quotient_check": rep.witnesses})
+    if "induced translation part: (0,)" not in rep.notes[0]:
+        problems.append({"induced_translation": rep.notes})
+    wc = constructions.wreath_lift_comparison(zx, [(1,), (-1,)], radius)
+    check = wc.check()
+    if not check:
+        problems.append({"wreath_map": [check.reason, check.witness]})
+    r1 = structure.rank_report(zx, N)
+    h3 = pcgroup.from_id("heisenberg_z3")
+    r2 = structure.rank_report(h3, structure.torsion_subgroup(h3))
+    if not (r1.ok and r1.parameters["rank_G"] == 1):
+        problems.append({"rank_zxz2": r1.parameters})
+    if not (r2.ok and r2.parameters["rank_G"] == 3):
+        problems.append({"rank_heisenberg_z3": r2.parameters})
+    ok = not problems
+    return Report(
+        claim="the twin swap induces the identity on the torsion quotient, "
+              "the lifted ball matches the wreath product, and Hirsch "
+              "ranks are additive",
+        verdict="pass" if ok else "fail", ok=ok, witnesses=problems,
+        parameters={"radius": radius,
+                    "ranks": {"zxz2": r1.parameters, "heisenberg_z3":
+                              r2.parameters}})
 
 
 # -- criterion 10 ------------------------------------------------------------
@@ -425,20 +389,17 @@ def induced_and_wreath(radius=5) -> SuiteResult:
 DETERMINISM_SUBSET = ("klein_pair", "fsf_construction", "induced_and_wreath")
 
 
-def determinism(seed=0) -> SuiteResult:
-    def run():
-        blobs = []
-        for workers in (1, 2, 8):
-            envelope, _ok = run_verify(DETERMINISM_SUBSET, seed=seed,
-                                       threads=workers)
-            blobs.append(json_bytes(envelope))
-        identical = blobs[0] == blobs[1] == blobs[2]
-        return Report(
-            claim="verify reports are byte-identical across 1, 2 and 8 workers",
-            verdict="pass" if identical else "fail", ok=identical,
-            parameters={"suites": list(DETERMINISM_SUBSET), "seed": seed,
-                        "bytes": len(blobs[0])})
-    return _timed("determinism", run)
+def determinism(seed=0) -> Report:
+    forward = run_verify(DETERMINISM_SUBSET, seed=seed)[0]
+    backward = run_verify(reversed(DETERMINISM_SUBSET), seed=seed)[0]
+    blob = json_bytes(forward)
+    identical = blob == json_bytes(backward)
+    return Report(
+        claim="verify reports are byte-identical across repeated runs in "
+              "forward and reverse suite order",
+        verdict="pass" if identical else "fail", ok=identical,
+        parameters={"suites": list(DETERMINISM_SUBSET), "seed": seed,
+                    "bytes": len(blob)})
 
 
 # -- driver ------------------------------------------------------------------
@@ -460,41 +421,31 @@ _SEEDED = {"group_laws", "biorder_shadow", "torsion_geodesics", "determinism"}
 _FILTERED = {"group_laws", "metric_oracle"}
 
 
-def run_suite(name, seed=0, group_filter=None) -> SuiteResult:
-    fn = SUITES[name]
-    kwargs = {}
-    if name in _SEEDED:
-        kwargs["seed"] = seed
-    if name in _FILTERED and group_filter is not None:
-        kwargs["group_filter"] = group_filter
-    return fn(**kwargs)
+def run_verify(names, seed=0, group_filter=None):
+    """Run the named suites one after another into a stable envelope.
 
-
-def run_verify(names, seed=0, threads=1, group_filter=None):
-    """Run the named suites (possibly in parallel) into a stable envelope."""
+    Returns ``(envelope, per_suite_ms)``; the wall-clock times stay out of
+    the envelope so that its bytes depend only on the suites and the seed.
+    """
     names = list(names)
     for n in names:
         if n not in SUITES:
             raise ValueError(f"unknown suite {n!r}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {n: pool.submit(run_suite, n, seed, group_filter)
-                       for n in names}
-            results = {n: futures[n].result() for n in names}
-    else:
-        results = {n: run_suite(n, seed, group_filter) for n in names}
+    reports = {}
+    per_suite_ms = {}
+    for n in names:
+        kwargs = {}
+        if n in _SEEDED:
+            kwargs["seed"] = seed
+        if n in _FILTERED and group_filter is not None:
+            kwargs["group_filter"] = group_filter
+        t0 = time.perf_counter()
+        reports[n] = SUITES[n](**kwargs)
+        per_suite_ms[n] = (time.perf_counter() - t0) * 1000.0
     envelope = {
         "tool": {"name": "nilcay", "version": __version__},
         "seed": seed,
-        "suites": {n: dict(results[n].report.to_dict(),
-                           ok=results[n].ok) for n in names},
-        "all_passed": all(results[n].ok for n in names),
+        "suites": {n: reports[n].to_dict() for n in names},
+        "all_passed": all(reports[n].ok for n in names),
     }
-    timing = {n: results[n].elapsed_ms for n in names}
-    return envelope, TimingInfo(timing, all(results[n].ok for n in names))
-
-
-@dataclass
-class TimingInfo:
-    per_suite_ms: dict
-    all_passed: bool
+    return envelope, per_suite_ms

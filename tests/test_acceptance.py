@@ -4,78 +4,75 @@ Each test prints a single PASS/FAIL line (visible with `pytest -s` or in the
 captured output); the suite functions are the same ones `nilcay verify` runs.
 """
 
-import pytest
+import time
 
 from nilcay import suites
 
 SEED = 0
 
 
-def _check(criterion, label, result, bound_s):
-    line = (f"{'PASS' if result.ok else 'FAIL'} criterion {criterion}: "
-            f"{label} ({result.elapsed_ms:.0f} ms)")
-    print(line)
-    assert result.ok, (label, result.report.witnesses)
+def _check(criterion, label, suite, bound_s, **kwargs):
+    """Run and time one suite; its report must pass within the bound."""
+    t0 = time.perf_counter()
+    report = suite(**kwargs)
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    print(f"{'PASS' if report.ok else 'FAIL'} criterion {criterion}: "
+          f"{label} ({elapsed_ms:.0f} ms)")
+    assert report.ok, (label, report.witnesses)
     if bound_s is not None:
-        assert result.elapsed_ms < bound_s * 1000, \
+        assert elapsed_ms < bound_s * 1000, \
             f"criterion {criterion} exceeded {bound_s}s"
+    return report
 
 
 def test_criterion_01_group_laws():
-    result = suites.group_laws(seed=SEED, samples=10**4)
-    _check(1, "group-law suite, 10^4 seeded triples per family", result, 5)
+    _check(1, "group-law suite, 10^4 seeded triples per family",
+           suites.group_laws, 5, seed=SEED, samples=10**4)
 
 
 def test_criterion_02_metric_oracle():
-    result = suites.metric_oracle(radius=4)
     _check(2, "BFS distances equal exhaustive word enumeration on B(4)",
-           result, 30)
+           suites.metric_oracle, 30, radius=4)
 
 
 def test_criterion_03_klein_pair():
-    result = suites.klein_pair(radius=8)
-    _check(3, "Klein-bottle flip/grid maps and non-normality", result, 10)
+    _check(3, "Klein-bottle flip/grid maps and non-normality",
+           suites.klein_pair, 10, radius=8)
 
 
 def test_criterion_04_fsf_construction():
-    result = suites.fsf_construction(radius=5)
-    _check(4, "FSF twin cosets, twin swap, non-normality", result, 10)
+    _check(4, "FSF twin cosets, twin swap, non-normality",
+           suites.fsf_construction, 10, radius=5)
 
 
 def test_criterion_05_affine_shadow():
-    result = suites.affine_shadow(r=3, t=2)
-    _check(5, "stable local automorphisms are affine (Z2 count = 8)",
-           result, 60)
-    assert result.report.parameters["counts"]["z2"] == 8
+    report = _check(5, "stable local automorphisms are affine (Z2 count = 8)",
+                    suites.affine_shadow, 60, r=3, t=2)
+    assert report.parameters["counts"]["z2"] == 8
 
 
 def test_criterion_06_biorder_shadow():
-    result = suites.biorder_shadow(seed=SEED, samples=10**4, kmax=6)
     _check(6, "bi-order max generators are convex; bi-invariance sampled",
-           result, 30)
+           suites.biorder_shadow, 30, seed=SEED, samples=10**4, kmax=6)
 
 
 def test_criterion_07_distortion():
-    result = suites.distortion(kmax=16)
-    _check(7, "Heisenberg distortion verdicts match the analytic table",
-           result, 60)
-    profile = dict(result.report.parameters["profile_c"])
+    report = _check(7, "Heisenberg distortion verdicts match the analytic table",
+                    suites.distortion, 60, kmax=16)
+    profile = dict(report.parameters["profile_c"])
     assert profile[1] == 4 and profile[16] <= 16
 
 
 def test_criterion_08_torsion_geodesics():
-    result = suites.torsion_geodesics(seed=SEED, radius=4, pairs=100)
     _check(8, "torsion labels on geodesics, edge insertion, orbit in N",
-           result, 30)
+           suites.torsion_geodesics, 30, seed=SEED, radius=4, pairs=100)
 
 
 def test_criterion_09_induced_and_wreath():
-    result = suites.induced_and_wreath(radius=5)
     _check(9, "induced quotient map, wreath isomorphism, rank additivity",
-           result, 30)
+           suites.induced_and_wreath, 30, radius=5)
 
 
 def test_criterion_10_determinism():
-    result = suites.determinism(seed=SEED)
-    _check(10, "byte-identical verify reports under 1, 2 and 8 workers",
-           result, None)
+    _check(10, "byte-identical verify reports over repeated runs, forward "
+               "and reverse suite order", suites.determinism, None, seed=SEED)

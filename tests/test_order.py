@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilcay import order
+from nilcay import order, pcgroup
 from nilcay.cayley import GenSet, GeodesicPath, generate_ball, standard_genset
 from nilcay.order import (BiOrder, BiOrderUnavailable, NotAGeneratorError,
                           NotCentralError, NotConvexError,
@@ -173,6 +173,37 @@ def test_classification_matches_analytic_table():
     S2 = standard_genset(z2)
     assert classify_distorted(z2, S2, (1, 0), kmax=64)[0] == "undistorted"
     assert classify_distorted(z2, S2, (0, 1), kmax=64)[0] == "undistorted"
+    # a lies in the isolator of [K, K] but spans a coordinate of the index-2
+    # subgroup <a, b^2> = Z^2, so it is undistorted: Klein is not nilpotent
+    k = builtin("klein_bottle")
+    for g in ((1, 0), (0, 1)):
+        verdict, prof, _ = classify_distorted(k, standard_genset(k), g, kmax=64)
+        assert verdict == "undistorted"
+        assert prof.dists == [1, 2, 4, 8, 16, 32, 64]
+    # user presentations, without analytic tables: the profile's shape alone
+    # would say the opposite verdict; the rational abelianization overrides it
+    heis = pcgroup._HEISENBERG_SOURCE
+    every_coordinate = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                        (0, 0, 1), (0, 0, -1)]
+    cases = [
+        ("gen x order inf\nblock x\ngenset x^3 x^-3 x^5 x^-5\n", None, (1,), 64,
+         "undistorted", [3, 2, 4, 2, 4, 8, 14], "certified undistorted"),
+        (heis, every_coordinate, (0, 0, 1), 16,
+         "inconclusive", [1, 2, 4, 8, 16], "so it is distorted (Osin)"),
+        (heis, None, (0, 0, 1), 1, "inconclusive", [4], "so it is distorted (Osin)"),
+    ]
+    for source, genset, g, kmax, want, dists, note in cases:
+        p = pcgroup.parse_presentation(source)
+        S = standard_genset(p) if genset is None else GenSet(p, genset)
+        verdict, prof, rep = classify_distorted(p, S, g, kmax=kmax)
+        assert (verdict, prof.dists) == (want, dists)
+        assert len(rep.notes) == 1 and note in rep.notes[0]
+    # dist(e, 1) = 11 > 4 * |1|: the ball grows until its sphere reaches it
+    z = builtin("zn", n=1)
+    verdict, prof, rep = classify_distorted(z, GenSet(z, [(11,), (-11,), (13,), (-13,)]),
+                                            (1,), kmax=4)
+    assert (verdict, prof.dists) == ("undistorted", [11, 2, 4])
+    assert "certified undistorted" in rep.notes[0]
 
 
 def test_distortion_budget_exhaustion_is_inconclusive():
