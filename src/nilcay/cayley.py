@@ -23,7 +23,6 @@ at 2.  Listing walks the DAG forward through the target's ancestors only.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .reporting import Report
@@ -31,7 +30,6 @@ from .structure import conjugation_stable
 
 DEFAULT_VERTEX_BUDGET = 5 * 10**6
 DEFAULT_GEODESIC_CAP = 10**6
-BUDGET_ENV_VAR = "NILCAY_BUDGET_VERTICES"
 
 
 class BallBudgetError(RuntimeError):
@@ -84,10 +82,7 @@ def standard_genset(presentation) -> GenSet:
 
 
 def vertex_budget(explicit=None):
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_VERTEX_BUDGET
+    return DEFAULT_VERTEX_BUDGET if explicit is None else explicit
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ import sys
 import time
 
 from . import __version__, autlab, constructions, order, pcgroup, structure, suites
-from .cayley import (BallBudgetError, GenSet, GeodesicCapError, count_geodesics,
-                     enumerate_geodesics, export_distances, export_graph,
-                     export_vertex_map, generate_ball, load_vertex_map,
-                     standard_genset)
+from .cayley import (DEFAULT_VERTEX_BUDGET, BallBudgetError, GenSet,
+                     GeodesicCapError, count_geodesics, enumerate_geodesics,
+                     export_distances, export_graph, export_vertex_map,
+                     generate_ball, load_vertex_map, standard_genset)
 from .pcgroup import CollectionError, PresentationError
 from .reporting import json_bytes, json_pretty, jsonable
 
@@ -72,10 +72,12 @@ def _envelope(p, command, params, payload):
     }
 
 
-def _emit(obj, args):
+def _emit(obj, args, exported=False):
+    """Write the report to ``--out``, or to stdout when there is no ``--out``
+    or it already holds the command's export."""
     text = json_pretty(obj) if getattr(args, "pretty", False) else \
         json_bytes(obj).decode("utf-8")
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) and not exported:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {args.out}", file=sys.stderr)
@@ -200,7 +202,7 @@ def cmd_structure(args):
     if args.zdagger:
         S = _resolve_genset(p, args.genset)
         ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
-        zd = structure.z_dagger(p, ball, kmax=args.kmax)
+        zd = structure.z_dagger(p, ball)
         _emit(_envelope(p, "structure.zdagger", vars_of(args),
                         {"elements": list(zd)}), args)
         return EXIT_OK
@@ -220,7 +222,7 @@ def cmd_structure(args):
     if args.isolator:
         S = _resolve_genset(p, args.genset)
         ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
-        witness = structure.commutator_subgroup_witness(p, ball)
+        witness = structure.commutator_subgroup_witness(p)
         res = structure.isolator_oracle(ball, witness, args.kmax)
         _emit(_envelope(p, "structure.isolator", vars_of(args),
                         res.report().to_dict()), args)
@@ -237,7 +239,7 @@ def cmd_construct(args):
         if args.out:
             export_vertex_map(bm.mapping, args.out)
         _emit(_envelope(bm.source.presentation, "construct.klein_grid",
-                        vars_of(args), {"adjacency_ok": ok}), args)
+                        vars_of(args), {"adjacency_ok": ok}), args, exported=True)
         return EXIT_OK if ok else EXIT_VERDICT
     if args.klein_flip is not None:
         bm = constructions.klein_flip_map(args.klein_flip)
@@ -246,7 +248,7 @@ def cmd_construct(args):
             export_vertex_map(bm.mapping, args.out)
         _emit(_envelope(bm.source.presentation, "construct.klein_flip",
                         vars_of(args), {"adjacency_ok": ok, "notes": bm.notes}),
-              args)
+              args, exported=True)
         return EXIT_OK if ok else EXIT_VERDICT
     if p is None:
         raise SystemExit2("construct needs --group for this operation")
@@ -373,7 +375,8 @@ def _add_common(sp, genset=True, radius=True, budget=True):
         sp.add_argument("--radius", type=int, default=4)
     if budget:
         sp.add_argument("--budget", type=int, default=None,
-                        help="vertex budget override (env NILCAY_BUDGET_VERTICES)")
+                        help="the most vertices one ball may have "
+                             f"(default {DEFAULT_VERTEX_BUDGET:,})")
     sp.add_argument("--out", help="write the JSON report or export here")
     sp.add_argument("--pretty", action="store_true", help="indented JSON")
     sp.add_argument("--format", choices=("json", "tsv"), default="json")

@@ -10,8 +10,9 @@ Distortion certification never reports an uncertified distance.  Each value
 ``dist(e, g^k)`` comes from one of three certificates, cheapest first:
 
 - in-ball: ``g^k`` lies in the last ball built and its BFS distance is read;
-- analytic bounds: the word length of the image of ``g^k`` in the
-  abelianization (a lower bound) equals ``k * dist(e, g)`` (an upper bound);
+- abelianized bound, in every presentation: the word length of the image
+  of ``g^k`` in the free abelianization (a lower bound, as the map is a
+  homomorphism) equals ``k * dist(e, g)`` (an upper bound);
 - sphere meet-in-the-middle: ``cayley.distance_via_sphere`` certifies any
   distance up to twice the radius of the last ball built.
 
@@ -23,9 +24,10 @@ budget, the ball whose build exceeded it and the largest distance still
 certifiable.
 
 The profile's shape is a heuristic, not a certificate, so the verdict is
-guarded by the rational abelianization of the presentation: an element with a
-nonzero image there is undistorted in any group, and an element of infinite
-order without one is distorted in a nilpotent group (Osin).
+guarded by the same abelianization (``structure.Abelianization``): an
+element with a nonzero image there is undistorted in any group, and an
+element of infinite order without one is distorted in a nilpotent group
+(Osin).
 """
 
 from __future__ import annotations
@@ -173,26 +175,26 @@ def central_label_propagation(ball, geo: cayley.GeodesicPath, s) -> Report:
 
 
 class _AbelianizedMetric:
-    """Word metric of the abelianized generating set, grown on demand."""
+    """Word metric of the abelianized generating set, grown on demand.
 
-    def __init__(self, presentation, genset):
-        an = presentation.analytic
-        self.available = an is not None and an.ab_rank > 0
-        if not self.available:
-            return
+    The abelianization is a homomorphism, so the distance of an image is a
+    lower bound on the distance of the element, in every presentation.
+    """
+
+    def __init__(self, presentation, genset, budget):
         from . import pcgroup
-        self.image = an.ab_image
-        self._zn = pcgroup.builtin("zn", n=an.ab_rank)
-        imgs = {an.ab_image(s) for s in genset.elements}
-        imgs.discard(self._zn.identity)
-        self._gens = GenSet(self._zn, imgs) if imgs else None
+        ab = presentation.abelianization
+        self.image = ab.image
+        imgs = {ab.image(s) for s in genset.elements} - {(0,) * ab.rank}
+        self._gens = GenSet(pcgroup.builtin("zn", n=ab.rank), imgs) if imgs else None
+        self._budget = budget
         self._ball = None
         self._radius = 0
 
     def dist(self, target, upper_hint):
-        if not self.available or self._gens is None:
-            return None
-        while True:
+        """dist(e, target) in the image, or None when it exceeds
+        ``upper_hint`` or the vertex budget."""
+        while self._gens is not None:
             if self._ball is not None:
                 d = self._ball.distance_from_identity(target)
                 if d is not None:
@@ -200,8 +202,15 @@ class _AbelianizedMetric:
                 if self._radius >= upper_hint:
                     return None
             grow = max(4, self._radius * 2, 1)
-            self._radius = min(max(grow, self._radius + 1), upper_hint)
-            self._ball = generate_ball(self._zn, self._gens, self._radius)
+            radius = min(max(grow, self._radius + 1), upper_hint)
+            try:
+                self._ball = generate_ball(self._gens.presentation, self._gens,
+                                           radius, max_vertices=self._budget)
+            except cayley.BallBudgetError:
+                self._gens = None         # no larger ball fits; stop trying
+                return None
+            self._radius = radius
+        return None
 
 
 @dataclass
@@ -238,7 +247,7 @@ def distortion_profile(presentation, genset, g, kmax,
         raise ValueError("kmax must be at least 1")
     budget = cayley.vertex_budget(max_vertices)
     ks = _profile_ks(kmax)
-    ab = _AbelianizedMetric(p, genset)
+    ab = _AbelianizedMetric(p, genset, budget)
     notes = []
     ball = None
     radius = 0
@@ -251,7 +260,7 @@ def distortion_profile(presentation, genset, g, kmax,
             d = ball.distance_from_identity(x)
             if d is not None:
                 return d
-        if upper is not None and ab.available and ab.dist(ab.image(x), upper) == upper:
+        if upper is not None and ab.dist(ab.image(x), upper) == upper:
             return upper
         while True:
             if ball is not None:
@@ -314,7 +323,7 @@ def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
         elif all(r == first for r in ratios) and first >= 1:
             verdict = "undistorted"
     guard = []
-    rational = _in_rational_isolator(p, g)
+    rational = p.abelianization.in_isolator(g)
     if verdict == "distorted" and not rational:
         verdict = "undistorted"
         guard.append("certified undistorted: g has a nonzero image in the rational "
@@ -348,49 +357,3 @@ def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
         + ([f"analytic verdict: {analytic}"] if analytic else []))
     return verdict, profile, report
 
-
-def _in_rational_isolator(presentation, g):
-    """Whether some power of g lies in [G, G], read from the presentation alone.
-
-    The abelianization of G is Z^n modulo the exponent-sum vectors of the
-    defining relations: ``expsum(w) - e_l`` for each conjugation relation
-    rewriting g_l to w, and ``m_i e_i - expsum(w)`` for each power relation
-    g_i^m_i = w.  Some power of g lies in [G, G] exactly when g's exponent
-    vector lies in the rational span of these vectors, which exact Gaussian
-    elimination over Fractions decides.
-    """
-    p = presentation
-
-    def expsum(word):
-        v = [0] * p.n
-        for i, e in word:
-            v[i] += e
-        return v
-
-    relations = []
-    for table in (p.conj, p.conjinv):
-        for (l, _j), w in table.items():
-            v = expsum(w)
-            v[l] -= 1
-            relations.append(v)
-    for i, m in enumerate(p.orders):
-        if m is not None:
-            v = [-e for e in expsum(p.power_words.get(i, ()))]
-            v[i] += m
-            relations.append(v)
-    basis = []                          # (pivot, row with 1 at the pivot)
-
-    def reduce(v):
-        v = [Fraction(e) for e in v]
-        for pivot, row in basis:
-            if v[pivot]:
-                f = v[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    for v in relations:
-        v = reduce(v)
-        pivot = next((i for i, e in enumerate(v) if e), None)
-        if pivot is not None:
-            basis.append((pivot, [e / v[pivot] for e in v]))
-    return not any(reduce(g))

@@ -18,9 +18,11 @@ always correct).  ``_block_mul`` applies whole blocks through this table and
 falls back to the letter-by-letter collector ``_letter_collect``, which is
 also the reference oracle of the test suite.  A fuel bound turns runaway
 rewriting on inconsistent user presentations into a reported error rather
-than a hang.  Built-in families additionally carry analytic side
-tables (abelianization image, membership in the isolator of the derived
-subgroup) that higher layers use as independent cross-checks.
+than a hang.  Built-in families additionally carry an analytic table,
+membership in the isolator of the derived subgroup, which higher layers use
+only as an independent oracle for ``structure.Abelianization``; every
+presentation gets that abelianization, derived from its relations on first
+use.
 
 Note on the ``torsion_prefix`` keyword: the declared count refers to the
 contiguous block of finite-order generators at the *end* of the basis, so
@@ -33,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 DEFAULT_FUEL = 10**6
@@ -106,15 +109,12 @@ def _parse_word(token, index_of, line):
 
 @dataclass(frozen=True)
 class AnalyticTables:
-    """Exact family knowledge for built-in groups, used for cross-checks.
+    """Exact family knowledge for built-in groups, used as an oracle.
 
-    ``ab_image`` maps an element to its coordinates in the free part of the
-    abelianization; ``in_sqrt_commutator`` decides membership in the isolator
-    of the derived subgroup.
+    ``in_sqrt_commutator`` decides membership in the isolator of the derived
+    subgroup from the family's closed form.
     """
 
-    ab_rank: int
-    ab_image: Callable[[Element], tuple]
     in_sqrt_commutator: Callable[[Element], bool]
 
 
@@ -464,6 +464,13 @@ class PcPresentation:
                 return False
         return True
 
+    @cached_property
+    def abelianization(self):
+        """The free part of the abelianization (``structure.Abelianization``),
+        computed on first use."""
+        from .structure import Abelianization
+        return Abelianization(self)
+
     def hirsch_rank(self) -> int:
         if not (self.nilpotent or self.polycyclic_certified):
             raise PresentationError(
@@ -640,27 +647,17 @@ def _zn_cross_cyclic_source(n, m):
 
 def _zn_analytic(n):
     zero = (0,) * n
-    return AnalyticTables(
-        ab_rank=n,
-        ab_image=lambda x: tuple(x),
-        in_sqrt_commutator=lambda x: tuple(x) == zero)
+    return AnalyticTables(in_sqrt_commutator=lambda x: tuple(x) == zero)
 
 
 _HEISENBERG_ANALYTIC = AnalyticTables(
-    ab_rank=2,
-    ab_image=lambda x: (x[0], x[1]),
     in_sqrt_commutator=lambda x: x[0] == 0 and x[1] == 0)
 
-_KLEIN_ANALYTIC = AnalyticTables(
-    ab_rank=1,
-    ab_image=lambda x: (x[1],),
-    in_sqrt_commutator=lambda x: x[1] == 0)
+_KLEIN_ANALYTIC = AnalyticTables(in_sqrt_commutator=lambda x: x[1] == 0)
 
 
 def _zn_cross_cyclic_analytic(n):
     return AnalyticTables(
-        ab_rank=n,
-        ab_image=lambda x: tuple(x[:n]),
         in_sqrt_commutator=lambda x: all(e == 0 for e in x[:n]))
 
 
@@ -668,8 +665,6 @@ def _combine_analytic(left, right, nl):
     if left is None or right is None:
         return None
     return AnalyticTables(
-        ab_rank=left.ab_rank + right.ab_rank,
-        ab_image=lambda x: left.ab_image(x[:nl]) + right.ab_image(x[nl:]),
         in_sqrt_commutator=lambda x: (left.in_sqrt_commutator(x[:nl])
                                       and right.in_sqrt_commutator(x[nl:])))
 

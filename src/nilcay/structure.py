@@ -1,14 +1,18 @@
-"""Torsion subgroups, torsion quotients, isolator oracles, conjugator search.
+"""Torsion subgroups, torsion quotients, the abelianization, isolators,
+conjugator search.
 
-Isolators are reported as certified lower approximations inside a ball with
-an explicit power bound; built-in families carry exact analytic membership
-tables instead.  Centrality is always decided exactly via collection.
+The free part of the abelianization is read from the presentation's
+relations with exact rational elimination, so membership in the isolator of
+the derived subgroup, and Z-dagger with it, is exact for every presentation.
+Centrality is decided exactly via collection.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 from . import pcgroup
@@ -160,11 +164,9 @@ def quotient_by_torsion(presentation) -> pcgroup.PcPresentation:
             pcgroup._vector_text(v, names) for v in seen))
     analytic = None
     if p.analytic is not None:
-        an = p.analytic
+        member = p.analytic.in_sqrt_commutator
         analytic = pcgroup.AnalyticTables(
-            ab_rank=an.ab_rank,
-            ab_image=lambda x: an.ab_image(tuple(x) + (0,) * t),
-            in_sqrt_commutator=lambda x: an.in_sqrt_commutator(tuple(x) + (0,) * t))
+            in_sqrt_commutator=lambda x: member(tuple(x) + (0,) * t))
     src = "\n".join(lines) + "\n"
     try:
         return pcgroup.parse_presentation(
@@ -172,6 +174,67 @@ def quotient_by_torsion(presentation) -> pcgroup.PcPresentation:
             polycyclic_certified=p.polycyclic_certified, analytic=analytic)
     except pcgroup.PresentationError as exc:
         raise SubgroupError(f"torsion quotient is not presentable: {exc}") from exc
+
+
+class Abelianization:
+    """The free part of G/[G, G], read from the presentation's relations.
+
+    G/[G, G] is Z^n modulo one vector per defining relation: the exponent
+    sum of its right side minus that of its left side, g_l for a
+    conjugation relation and g_i^m_i for a power relation.  Exact
+    elimination over Fractions reduces these vectors to an echelon basis of
+    their rational span.  A vector reduced against that basis is zero at
+    every pivot; its other coordinates, scaled by one common denominator,
+    are its image in Z^rank.  So ``image`` is a homomorphism whose kernel is
+    the isolator of [G, G], the elements with a power in [G, G].
+    """
+
+    def __init__(self, presentation):
+        p = presentation
+
+        def relation(lhs, exponent, word):
+            v = [0] * p.n
+            v[lhs] -= exponent
+            for i, e in word:
+                v[i] += e
+            return v
+
+        relations = [relation(l, 1, w) for table in (p.conj, p.conjinv)
+                     for (l, _j), w in table.items()]
+        relations += [relation(i, m, p.power_words.get(i, ()))
+                      for i, m in enumerate(p.orders) if m is not None]
+        basis = []                      # (pivot, row with 1 at the pivot)
+
+        def reduce(v):
+            v = [Fraction(e) for e in v]
+            for pivot, row in basis:
+                if v[pivot]:
+                    f = v[pivot]
+                    v = [a - f * b for a, b in zip(v, row)]
+            return v
+
+        for v in relations:
+            v = reduce(v)
+            pivot = next((i for i, e in enumerate(v) if e), None)
+            if pivot is not None:
+                basis.append((pivot, [e / v[pivot] for e in v]))
+        pivots = {pivot for pivot, _ in basis}
+        free = [i for i in range(p.n) if i not in pivots]
+        residues = [[reduce(p.generator(i))[j] for j in free] for i in range(p.n)]
+        den = math.lcm(*(r.denominator for res in residues for r in res))
+        self.rank = len(free)
+        #: image(g_i) in Z^rank for each pc generator g_i
+        self.generator_images = tuple(tuple(int(r * den) for r in res)
+                                      for res in residues)
+
+    def image(self, x) -> tuple:
+        """The image of the normal form x: the sum of x_i * image(g_i)."""
+        return tuple(sum(e * img[j] for e, img in zip(x, self.generator_images))
+                     for j in range(self.rank))
+
+    def in_isolator(self, x) -> bool:
+        """Whether some power of x lies in [G, G]."""
+        return not any(self.image(x))
 
 
 @dataclass
@@ -204,45 +267,18 @@ def isolator_oracle(ball, subgroup: SubgroupWitness, kmax) -> IsolatorResult:
     return IsolatorResult(elements=tuple(found), certificates=certs, kmax=kmax)
 
 
-def commutator_subgroup_witness(presentation, ball=None) -> SubgroupWitness:
-    """Witness for the derived subgroup: analytic for built-ins, a ball-closure
-    lower approximation otherwise."""
-    p = presentation
-    if p.analytic is not None:
-        return SubgroupWitness(p, generators=(), elements=None,
-                               member=p.analytic.in_sqrt_commutator,
-                               label="sqrt-commutator (analytic)")
-    if ball is None:
-        raise SubgroupError("no analytic table; a ball is required for the oracle")
-    inside = set()
-    frontier = [p.identity]
-    basic = [p.commutator(u, v) for u in ball.vertices for v in ball.genset.elements]
-    basic = [x for x in set(basic) if x in ball.index]
-    inside.update(basic)
-    inside.add(p.identity)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(inside):
-            for y in basic:
-                z = p.multiply(x, y)
-                if z in ball.index and z not in inside:
-                    inside.add(z)
-                    changed = True
-    return SubgroupWitness(p, generators=tuple(basic), elements=tuple(sorted(inside)),
-                           label="commutator closure in ball")
+def commutator_subgroup_witness(presentation) -> SubgroupWitness:
+    """The isolator of the derived subgroup, with exact membership."""
+    return SubgroupWitness(presentation, generators=(), elements=None,
+                           member=presentation.abelianization.in_isolator,
+                           label="isolator of the derived subgroup")
 
 
-def z_dagger(presentation, ball, kmax=8) -> tuple:
+def z_dagger(presentation, ball) -> tuple:
     """Ball elements that are central and lie in the isolator of the derived subgroup."""
     p = presentation
-    central = [x for x in ball.vertices if p.is_central(x)]
-    witness = commutator_subgroup_witness(p, ball)
-    if witness.member is not None:
-        return tuple(x for x in central if witness.member(x))
-    iso = isolator_oracle(ball, witness, kmax)
-    eset = set(iso.elements)
-    return tuple(x for x in central if x in eset)
+    in_isolator = p.abelianization.in_isolator
+    return tuple(x for x in ball.vertices if in_isolator(x) and p.is_central(x))
 
 
 @dataclass

@@ -101,14 +101,31 @@ def test_structure_commands(tmp_path):
                 "--out", str(out)]) == 0
 
 
-def test_construct_commands(tmp_path):
+def test_construct_commands(tmp_path, capsys):
+    # --out holds the exported map, and the report goes to stdout
+    for flag, build in (("--klein-flip", constructions.klein_flip_map),
+                        ("--klein-grid", constructions.klein_grid_map)):
+        exported, direct = tmp_path / "exported.tsv", tmp_path / "direct.tsv"
+        assert run(["construct", flag, "6", "--out", str(exported)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["adjacency_ok"] is True
+        export_vertex_map(build(6).mapping, str(direct))
+        assert exported.read_text() == direct.read_text()
     out = tmp_path / "c.json"
-    assert run(["construct", "--klein-flip", "6", "--out", str(out)]) == 0
-    assert read_json(out)["result"]["adjacency_ok"] is True
     assert run(["construct", "--group", "zxz2", "--fsf",
                 "--out", str(out)]) == 0
     assert sorted(read_json(out)["result"]["genset"]) == [
         [-1, 0], [-1, 1], [1, 0], [1, 1]]
+
+
+def test_exported_klein_flip_is_not_affine(tmp_path, capsys):
+    flip = tmp_path / "flip.tsv"
+    assert run(["construct", "--klein-flip", "6", "--out", str(flip)]) == 0
+    capsys.readouterr()
+    assert run(["induced", "--group", "klein_bottle", "--radius", "6",
+                "--map", str(flip)]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["verdict"] == "fail"
+    assert result["witnesses"][0]["reason"] == "alpha is not multiplicative"
 
 
 def test_autos_commands(tmp_path):
@@ -157,8 +174,7 @@ def test_usage_errors():
 def test_distortion_analytic_disagreement_is_a_verdict_error(capsys, monkeypatch):
     # a table that calls the central c undistorted contradicts the certified
     # profile; the CLI reports the conflict instead of raising
-    wrong = pcgroup.AnalyticTables(ab_rank=2, ab_image=lambda x: (x[0], x[1]),
-                                   in_sqrt_commutator=lambda x: False)
+    wrong = pcgroup.AnalyticTables(in_sqrt_commutator=lambda x: False)
     monkeypatch.setattr(pcgroup, "_HEISENBERG_ANALYTIC", wrong)
     assert run(["distortion", "--group", "heisenberg", "--element", "0,0,1",
                 "--kmax", "16"]) == 1
@@ -166,12 +182,21 @@ def test_distortion_analytic_disagreement_is_a_verdict_error(capsys, monkeypatch
     assert err["kind"] == "AnalyticDisagreement" and "disagrees" in err["error"]
 
 
-def test_budget_exhaustion_exit_code(tmp_path, monkeypatch):
+def test_budget_exhaustion_exit_code(tmp_path):
     assert run(["ball", "--group", "z2", "--radius", "10", "--budget", "10",
                 "--out", str(tmp_path / "x.tsv")]) == 1
-    monkeypatch.setenv("NILCAY_BUDGET_VERTICES", "10")
-    assert run(["ball", "--group", "z2", "--radius", "10",
-                "--out", str(tmp_path / "y.tsv")]) == 1
+
+
+def test_abelianized_bound_respects_the_budget(capsys):
+    # the abelianized lower bound of (32, 64, 96) in Z^3 needs a ball of
+    # radius 192; at this budget it gives up and the profile reports instead
+    assert run(["distortion", "--group", "z3", "--element", "1,2,3",
+                "--kmax", "32", "--budget", "20000"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["verdict"] == "inconclusive"
+    assert result["parameters"]["dists"] == [6, 12, 24, None, None, None]
+    assert result["notes"][0] == ("vertex budget 20000 exceeded building B(32); "
+                                  "B(16) certifies distances up to 32")
 
 
 def test_verify_reports_are_byte_identical_across_hash_seeds(tmp_path):

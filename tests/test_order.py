@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from nilcay.order import (BiOrder, BiOrderUnavailable, NotAGeneratorError,
                           central_label_propagation, classify_distorted,
                           convexity_check, distortion_profile, max_generator)
 from nilcay.pcgroup import builtin, direct_product, from_id
+
+FILIFORM = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "filiform4.pc"
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +207,16 @@ def test_classification_matches_analytic_table():
                                             (1,), kmax=4)
     assert (verdict, prof.dists) == ("undistorted", [11, 2, 4])
     assert "certified undistorted" in rep.notes[0]
+
+
+def test_abelianized_bound_certifies_user_presentations():
+    # B(8) of the filiform group exceeds the budget; the abelianized bound
+    # |a^16| >= 16 certifies the last distance without it
+    p = pcgroup.parse_presentation(FILIFORM.read_text())
+    verdict, prof, rep = classify_distorted(p, standard_genset(p), (1, 0, 0, 0),
+                                            kmax=16, max_vertices=1000)
+    assert (verdict, prof.dists) == ("undistorted", [1, 2, 4, 8, 16])
+    assert rep.notes == []
 
 
 def test_distortion_budget_exhaustion_is_inconclusive():

@@ -1,9 +1,14 @@
-"""Torsion subgroups, quotients, isolator oracles, conjugator search, ranks."""
+"""Torsion subgroups, quotients, the abelianization, isolator oracles,
+conjugator search, ranks."""
+
+import itertools
+from pathlib import Path
 
 import pytest
 
 from nilcay import structure
-from nilcay.cayley import generate_ball, standard_genset
+from nilcay.autlab import central_translation_check
+from nilcay.cayley import GenSet, generate_ball, standard_genset
 from nilcay.pcgroup import PresentationError, builtin, from_id, parse_presentation
 from nilcay.structure import (SubgroupError, SubgroupWitness, find_conjugator,
                               isolator_oracle, quotient_by_torsion, rank_report,
@@ -50,6 +55,87 @@ def test_quotient_by_torsion():
     z2 = builtin("zn", n=2)
     assert quotient_by_torsion(z2) is z2
     assert structure.project_to_quotient(zx, (5, 1)) == (5,)
+
+
+FILIFORM = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "filiform4.pc"
+
+# the free rank of the abelianization of each family, from its closed form
+ABELIAN_RANKS = {"z": 1, "z2": 2, "z3": 3, "heisenberg": 2, "klein_bottle": 1,
+                 "zxz2": 1, "heisenberg_z3": 2, "heisenberg_z": 3,
+                 "zn_cross_cyclic:2,4": 2, "zn_cross_cyclic:0,3": 0}
+
+
+def test_abelianization_matches_the_analytic_isolator():
+    groups = [(gid, from_id(gid)) for gid in ABELIAN_RANKS]
+    groups.append(("heisenberg", quotient_by_torsion(from_id("heisenberg_z3"))))
+    for gid, p in groups:
+        ab = p.abelianization
+        assert ab.rank == ABELIAN_RANKS[gid], gid
+        for x in generate_ball(p, standard_genset(p), 4).vertices:
+            assert ab.in_isolator(x) == p.analytic.in_sqrt_commutator(x), (gid, x)
+    # [b, a] = c^2 d^3: the isolator of [G, G] is {c^i d^j : 3i = 2j}, and
+    # the images need the common denominator 2
+    p = parse_presentation(
+        "nilpotent true\ngen a order inf\ngen b order inf\ngen c order inf\n"
+        "gen d order inf\nconj b by a = b*c^2*d^3\nconjinv b by a = b*c^-2*d^-3\n")
+    assert p.abelianization.generator_images == (
+        (2, 0, 0), (0, 2, 0), (0, 0, -3), (0, 0, 2))
+    for x in itertools.product(range(-1, 2), range(-1, 2), range(-4, 5), range(-6, 7)):
+        want = x[:2] == (0, 0) and 3 * x[2] == 2 * x[3]
+        assert p.abelianization.in_isolator(x) == want, x
+
+
+def test_abelianized_word_length_is_a_lower_bound():
+    filiform = parse_presentation(FILIFORM.read_text())
+    cases = [(filiform, 5, None),
+             (builtin("heisenberg"), 4, lambda x: abs(x[0]) + abs(x[1])),
+             (builtin("zn", n=3), 4, lambda x: sum(map(abs, x)))]
+    for p, radius, closed_form in cases:
+        S = standard_genset(p)
+        ball = generate_ball(p, S, radius)
+        ab = p.abelianization
+        zn = builtin("zn", n=ab.rank)
+        images = GenSet(zn, {ab.image(s) for s in S} - {zn.identity})
+        image_ball = generate_ball(zn, images, radius)
+        for x, d in zip(ball.vertices, ball.dist_list):
+            image_d = image_ball.distance_from_identity(ab.image(x))
+            assert image_d is not None and image_d <= d, (p.name, x)
+            if closed_form is not None:
+                assert image_d == closed_form(x), (p.name, x)
+    assert filiform.abelianization.rank == 2
+    assert len(generate_ball(filiform, standard_genset(filiform), 5)) == 421
+
+
+# the Heisenberg group with [a, b] = c^9: c and c^3 are not commutators,
+# but every power of c lies in the isolator of the derived subgroup
+HEISENBERG_C9 = """\
+group Heisenberg9
+nilpotent true
+torsion_prefix 0
+gen a order inf
+gen b order inf
+gen c order inf
+conj b by a = b*c^-9
+conjinv b by a = b*c^9
+block a b
+block c
+genset a a^-1 b b^-1 c c^-1
+"""
+
+
+def test_z_dagger_is_exact_on_user_presentations():
+    p = parse_presentation(HEISENBERG_C9)
+    assert p.analytic is None
+    ball = generate_ball(p, standard_genset(p), 5)
+    central = [x for x in ball.vertices if p.is_central(x)]
+    assert len(central) == 17
+    assert z_dagger(p, ball) == tuple(central)
+    witness = structure.commutator_subgroup_witness(p)
+    assert witness.contains((0, 0, 1)) and not witness.contains((0, 1, 0))
+    # c passes the Z-dagger precondition of the central translation law
+    rep = central_translation_check(ball, ball, {v: v for v in ball.vertices},
+                                    (0, 0, 1), 2)
+    assert rep.verdict == "pass" and rep.witnesses[0]["sigma"] == (0, 0, 1)
 
 
 def test_isolator_oracle_z2():
