@@ -36,8 +36,6 @@ class LocalAutomorphism:
     """A vertex self-map of B(r) fixing the identity, stable to margin t."""
 
     mapping: dict
-    radius: int
-    stability: int
 
     def key(self, ball: Ball):
         return tuple(self.mapping[v] for v in ball.vertices)
@@ -218,7 +216,7 @@ def enumerate_local_auts(ball: Ball, stability, cap=10**5):
     t = stability
     if r == 0:
         return [LocalAutomorphism({ball.presentation.identity:
-                                   ball.presentation.identity}, 0, t)]
+                                   ball.presentation.identity})]
     if t < 1:
         raise ValueError("stability margin must be at least 1")
     big = generate_ball(ball.presentation, ball.genset, r + t)
@@ -228,7 +226,7 @@ def enumerate_local_auts(ball: Ball, stability, cap=10**5):
         mapping = {big.vertices[small_order[k]]: big.vertices[prefix[k]]
                    for k in range(len(small_order))}
         seen.setdefault(prefix, mapping)
-    auts = [LocalAutomorphism(m, r, t) for m in seen.values()]
+    auts = [LocalAutomorphism(m) for m in seen.values()]
     auts.sort(key=lambda a: a.key(ball))
     return auts
 

@@ -222,10 +222,8 @@ def cmd_structure(args):
     if args.isolator:
         S = _resolve_genset(p, args.genset)
         ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
-        witness = structure.commutator_subgroup_witness(p)
-        res = structure.isolator_oracle(ball, witness, args.kmax)
         _emit(_envelope(p, "structure.isolator", vars_of(args),
-                        res.report().to_dict()), args)
+                        {"elements": list(structure.isolator(p, ball))}), args)
         return EXIT_OK
     raise SystemExit2("structure needs one of --torsion, --zdagger, "
                       "--conjugator, --rank, --isolator")
@@ -294,15 +292,8 @@ def cmd_autos(args):
                             {"element": g, "orbit": list(orbit)}), args)
             return EXIT_OK
         auts = autlab.enumerate_local_auts(ball, args.stability, cap=args.cap)
-        payload = {"count": len(auts)}
-        if args.out:
-            lines = []
-            for i, aut in enumerate(auts):
-                for u, v in sorted(aut.mapping.items()):
-                    lines.append(f"{i}\t{p.element_to_str(u)}\t{p.element_to_str(v)}")
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        _emit(_envelope(p, "autos.enumerate", vars_of(args), payload), args)
+        _emit(_envelope(p, "autos.enumerate", vars_of(args), {"count": len(auts)}),
+              args)
         return EXIT_OK
     except autlab.EnumerationCapError as exc:
         _emit(_envelope(p, "autos", vars_of(args),

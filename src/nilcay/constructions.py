@@ -112,7 +112,6 @@ def lift_generating_set(presentation, quotient_genset) -> GenSet:
 class FsfResult:
     genset: GenSet
     removed_identity: bool
-    report_note: str = ""
 
 
 def fsf_generating_set(presentation, finite_subgroup: SubgroupWitness,
@@ -132,8 +131,7 @@ def fsf_generating_set(presentation, finite_subgroup: SubgroupWitness,
     out = GenSet(p, products)
     if not out.symmetric:
         raise AssertionError("F*S*F must be symmetric when F and S are")
-    note = "identity produced by F*S*F and removed" if removed else ""
-    return FsfResult(genset=out, removed_identity=removed, report_note=note)
+    return FsfResult(genset=out, removed_identity=removed)
 
 
 # -- twins -------------------------------------------------------------------

@@ -16,12 +16,13 @@ Distortion certification never reports an uncertified distance.  Each value
 - sphere meet-in-the-middle: ``cayley.distance_via_sphere`` certifies any
   distance up to twice the radius of the last ball built.
 
-Balls are rebuilt at radii 4, 8, 16, ...: for dist(e, g) until the sphere
-certifies it, and for g^k only while the proven upper bound k * dist(e, g)
-exceeds twice the radius.  Anything uncertified stays unknown and the
-classification degrades to "inconclusive", with a note naming the vertex
-budget, the ball whose build exceeded it and the largest distance still
-certifiable.
+Word lengths in G and in the abelianization Z^rank come from one growing
+ball (``_GrowingBall``), one instance for each: balls are rebuilt at radii
+4, 8, 16, ... until the sphere certifies the distance asked for, and only
+while the proven upper bound ``k * dist(e, g)`` exceeds twice the radius.
+Anything uncertified stays unknown and the classification degrades to
+"inconclusive", with a note naming the vertex budget, the ball of G whose
+build exceeded it and the largest distance still certifiable.
 
 The profile's shape is a heuristic, not a certificate, so the verdict is
 guarded by the same abelianization (``structure.Abelianization``): an
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from . import cayley
+from . import cayley, pcgroup
 from .cayley import GenSet, count_geodesics, generate_ball, iter_geodesics
 from .reporting import Report
 
@@ -97,9 +98,6 @@ class BiOrder:
                 if d[i] < 0:
                     return GREATER
         return EQUAL
-
-    def less(self, x, y) -> bool:
-        return self.compare(x, y) == LESS
 
     def max_element(self, elements):
         best = None
@@ -174,43 +172,44 @@ def central_label_propagation(ball, geo: cayley.GeodesicPath, s) -> Report:
 # -- distortion ------------------------------------------------------------
 
 
-class _AbelianizedMetric:
-    """Word metric of the abelianized generating set, grown on demand.
+class _GrowingBall:
+    """Balls of one generating set, grown on demand to certify distances.
 
-    The abelianization is a homomorphism, so the distance of an image is a
-    lower bound on the distance of the element, in every presentation.
+    Radii go 4, 8, 16, ..., capped at the proven upper bound, each ball
+    built only when the last one cannot certify the distance asked for; a
+    ball of radius R certifies any distance up to 2R through
+    ``cayley.distance_via_sphere``.
     """
 
-    def __init__(self, presentation, genset, budget):
-        from . import pcgroup
-        ab = presentation.abelianization
-        self.image = ab.image
-        imgs = {ab.image(s) for s in genset.elements} - {(0,) * ab.rank}
-        self._gens = GenSet(pcgroup.builtin("zn", n=ab.rank), imgs) if imgs else None
-        self._budget = budget
-        self._ball = None
-        self._radius = 0
+    def __init__(self, genset, budget):
+        self.genset = genset
+        self.budget = budget
+        self.ball = None
+        self.radius = 0
+        self.failed_radius = None         # radius of the build that broke the budget
 
-    def dist(self, target, upper_hint):
-        """dist(e, target) in the image, or None when it exceeds
-        ``upper_hint`` or the vertex budget."""
-        while self._gens is not None:
-            if self._ball is not None:
-                d = self._ball.distance_from_identity(target)
+    def dist(self, x, upper):
+        """dist(e, x) or None; ``upper`` is a proven upper bound, or None."""
+        while True:
+            if self.ball is not None:
+                d = cayley.distance_via_sphere(self.ball, x)
                 if d is not None:
                     return d
-                if self._radius >= upper_hint:
-                    return None
-            grow = max(4, self._radius * 2, 1)
-            radius = min(max(grow, self._radius + 1), upper_hint)
-            try:
-                self._ball = generate_ball(self._gens.presentation, self._gens,
-                                           radius, max_vertices=self._budget)
-            except cayley.BallBudgetError:
-                self._gens = None         # no larger ball fits; stop trying
+                if max(self.ball.dist_list) < self.radius:
+                    return None           # the ball is all of <S>, and x is outside it
+            if self.failed_radius is not None or (
+                    upper is not None and 2 * self.radius >= upper):
                 return None
-            self._radius = radius
-        return None
+            want = max(4, self.radius * 2)
+            if upper is not None:
+                want = min(upper, want)
+            try:
+                self.ball = generate_ball(self.genset.presentation, self.genset,
+                                          want, max_vertices=self.budget)
+            except cayley.BallBudgetError:
+                self.failed_radius = want
+                return None
+            self.radius = want
 
 
 @dataclass
@@ -220,10 +219,6 @@ class DistortionProfile:
     dists: list        # int or None per k
     ratios: list       # Fraction or None per k
     notes: list
-
-    def rows(self):
-        return [(k, d, None if r is None else float(r))
-                for k, d, r in zip(self.ks, self.dists, self.ratios)]
 
 
 def _profile_ks(kmax):
@@ -247,42 +242,30 @@ def distortion_profile(presentation, genset, g, kmax,
         raise ValueError("kmax must be at least 1")
     budget = cayley.vertex_budget(max_vertices)
     ks = _profile_ks(kmax)
-    ab = _AbelianizedMetric(p, genset, budget)
+    grown = _GrowingBall(genset, budget)
+    # the abelianization is a homomorphism, so the distance of an image is a
+    # lower bound on the distance of the element, in every presentation
+    ab = p.abelianization
+    images = {ab.image(s) for s in genset.elements} - {(0,) * ab.rank}
+    image_ball = (_GrowingBall(GenSet(pcgroup.builtin("zn", n=ab.rank), images), budget)
+                  if images else None)
     notes = []
-    ball = None
-    radius = 0
-    failed_radius = None                  # radius of the build that broke the budget
 
     def dist_of(x, upper):
         """dist(e, x) or None; ``upper`` is a proven upper bound, or None."""
-        nonlocal ball, radius, failed_radius
-        if ball is not None:
-            d = ball.distance_from_identity(x)
+        if grown.ball is not None:
+            d = grown.ball.distance_from_identity(x)
             if d is not None:
                 return d
-        if upper is not None and ab.dist(ab.image(x), upper) == upper:
+        if upper is not None and image_ball is not None \
+                and image_ball.dist(ab.image(x), upper) == upper:
             return upper
-        while True:
-            if ball is not None:
-                d = cayley.distance_via_sphere(ball, x)
-                if d is not None:
-                    return d
-                if max(ball.dist_list) < radius:
-                    return None           # the ball is all of <S>, and x is outside it
-            if failed_radius is not None or (upper is not None and 2 * radius >= upper):
-                return None
-            want = max(4, radius * 2) if upper is None else min(upper, max(4, radius * 2))
-            try:
-                ball = generate_ball(p, genset, want, max_vertices=budget)
-            except cayley.BallBudgetError:
-                failed_radius = want
-                return None
-            radius = want
+        return grown.dist(x, upper)
 
     d1 = dist_of(g, upper=None)
     if d1 is None:
         notes.append("dist(e, g) itself could not be certified within budget"
-                     if failed_radius is not None else
+                     if grown.failed_radius is not None else
                      "g is not in the subgroup generated by the generating set")
     dists = []
     for k in ks:
@@ -290,11 +273,12 @@ def distortion_profile(presentation, genset, g, kmax,
         upper = d1 * k if d1 is not None else None
         d = dist_of(gk, upper) if upper is not None else None
         dists.append(d)
-    if failed_radius is not None:
-        reach = (f"B({radius}) certifies distances up to {2 * radius}" if ball is not None
+    if grown.failed_radius is not None:
+        reach = (f"B({grown.radius}) certifies distances up to {2 * grown.radius}"
+                 if grown.ball is not None
                  else "no ball was built, so no distance is certified from one")
-        notes.append(f"vertex budget {budget} exceeded building B({failed_radius}); "
-                     + reach)
+        notes.append(f"vertex budget {budget} exceeded building "
+                     f"B({grown.failed_radius}); " + reach)
     ratios = [None if d is None else Fraction(d, k) for k, d in zip(ks, dists)]
     return DistortionProfile(element=g, ks=ks, dists=dists, ratios=ratios, notes=notes)
 

@@ -1,10 +1,12 @@
 """Torsion subgroups, torsion quotients, the abelianization, isolators,
 conjugator search.
 
-The free part of the abelianization is read from the presentation's
-relations with exact rational elimination, so membership in the isolator of
-the derived subgroup, and Z-dagger with it, is exact for every presentation.
-Centrality is decided exactly via collection.
+Subgroups are finite element lists (``SubgroupWitness``).  The free part of
+the abelianization is read from the presentation's relations with exact
+rational elimination, so membership in the isolator of the derived
+subgroup is exact for every presentation; ``isolator`` and ``z_dagger``
+return exactly the ball elements in it.  Centrality is decided exactly via
+collection.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import pcgroup
 from .reporting import Report
@@ -25,32 +26,15 @@ class SubgroupError(ValueError):
 
 @dataclass
 class SubgroupWitness:
-    """A subgroup given by generators plus either a full element list or a
-    membership predicate (for infinite subgroups of built-ins)."""
+    """A finite subgroup given by its full element list."""
 
     presentation: object
-    generators: tuple
-    elements: tuple | None = None
-    member: Optional[Callable] = None
+    elements: tuple
     label: str = ""
 
-    def contains(self, x) -> bool:
-        if self.elements is not None:
-            return x in self._element_set()
-        if self.member is not None:
-            return bool(self.member(x))
-        raise SubgroupError("subgroup membership is not decidable for this witness")
-
-    def _element_set(self):
-        if not hasattr(self, "_eset"):
-            self._eset = frozenset(self.elements)
-        return self._eset
-
     def check_closed(self):
-        if self.elements is None:
-            raise SubgroupError("closure check needs a full element list")
         p = self.presentation
-        eset = self._element_set()
+        eset = frozenset(self.elements)
         for x in self.elements:
             if p.inverse(x) not in eset:
                 raise SubgroupError(f"element list is not closed under inverse at {x}")
@@ -62,8 +46,8 @@ class SubgroupWitness:
 
 
 def trivial_subgroup(presentation) -> SubgroupWitness:
-    return SubgroupWitness(presentation, generators=(),
-                           elements=(presentation.identity,), label="trivial")
+    return SubgroupWitness(presentation, elements=(presentation.identity,),
+                           label="trivial")
 
 
 def conjugation_stable(presentation, x, members) -> bool:
@@ -104,8 +88,7 @@ def torsion_subgroup(presentation) -> SubgroupWitness:
         if not conjugation_stable(p, x, eset):
             raise SubgroupError(
                 "declared torsion block is not conjugation-stable; presentation rejected")
-    gens = tuple(p.generator(i) for i in range(free, p.n))
-    return SubgroupWitness(p, generators=gens, elements=tuple(sorted(eset)),
+    return SubgroupWitness(p, elements=tuple(sorted(eset)),
                            label="torsion").check_closed()
 
 
@@ -237,48 +220,16 @@ class Abelianization:
         return not any(self.image(x))
 
 
-@dataclass
-class IsolatorResult:
-    elements: tuple
-    certificates: dict    # element -> smallest k with element^k in H
-    kmax: int
-
-    def report(self, claim="isolator lower approximation inside the ball"):
-        return Report(claim=claim, verdict="computed", ok=None,
-                      witnesses=[{"element": x, "k": self.certificates[x]}
-                                 for x in self.elements],
-                      parameters={"kmax": self.kmax, "count": len(self.elements)},
-                      notes=["certified subset only; truncated at the declared kmax"])
-
-
-def isolator_oracle(ball, subgroup: SubgroupWitness, kmax) -> IsolatorResult:
-    """Ball elements with some power 1 <= k <= kmax inside the subgroup."""
-    p = ball.presentation
-    found = []
-    certs = {}
-    for x in ball.vertices:
-        acc = x
-        for k in range(1, kmax + 1):
-            if subgroup.contains(acc):
-                found.append(x)
-                certs[x] = k
-                break
-            acc = p.multiply(acc, x)
-    return IsolatorResult(elements=tuple(found), certificates=certs, kmax=kmax)
-
-
-def commutator_subgroup_witness(presentation) -> SubgroupWitness:
-    """The isolator of the derived subgroup, with exact membership."""
-    return SubgroupWitness(presentation, generators=(), elements=None,
-                           member=presentation.abelianization.in_isolator,
-                           label="isolator of the derived subgroup")
+def isolator(presentation, ball) -> tuple:
+    """Ball elements in the isolator of the derived subgroup, the elements
+    with a power in [G, G]."""
+    in_isolator = presentation.abelianization.in_isolator
+    return tuple(x for x in ball.vertices if in_isolator(x))
 
 
 def z_dagger(presentation, ball) -> tuple:
     """Ball elements that are central and lie in the isolator of the derived subgroup."""
-    p = presentation
-    in_isolator = p.abelianization.in_isolator
-    return tuple(x for x in ball.vertices if in_isolator(x) and p.is_central(x))
+    return tuple(x for x in isolator(presentation, ball) if presentation.is_central(x))
 
 
 @dataclass
@@ -330,11 +281,10 @@ def rank_report(presentation, subgroup: SubgroupWitness) -> Report:
     """Hirsch rank additivity rank(G) = rank(N) + rank(G/N) for supported N."""
     p = presentation
     total = p.hirsch_rank()
-    if subgroup.elements is not None and set(subgroup.elements) == {p.identity}:
+    if set(subgroup.elements) == {p.identity}:
         rank_n, rank_q, shape = 0, total, "trivial"
-    elif subgroup.label == "torsion" or (
-            subgroup.elements is not None
-            and all(not any(x[:p.n - p.torsion_len]) for x in subgroup.elements)):
+    elif subgroup.label == "torsion" or all(
+            not any(x[:p.n - p.torsion_len]) for x in subgroup.elements):
         rank_n = 0
         rank_q = quotient_by_torsion(p).hirsch_rank()
         shape = "torsion"

@@ -226,3 +226,45 @@ def test_central_translation_check_preconditions():
     with pytest.raises(ValueError, match="torsion-free"):
         central_translation_check(bz, bz, {v: v for v in bz.vertices},
                                   (0, 1), 2)
+
+
+# (group id, explicit generating set or None, radius, stability)
+VF2_CASES = [
+    ("z", None, 4, 2),
+    ("z2", None, 3, 1),
+    ("z2", None, 3, 2),
+    ("z2", "1,0;-1,0;0,1;0,-1;1,1;-1,-1", 2, 2),
+    ("z3", None, 2, 1),
+    ("klein_bottle", None, 3, 1),
+    ("klein_bottle", None, 4, 2),
+    ("zxz2", None, 3, 1),
+    ("zxz2", None, 3, 2),
+]
+
+
+@pytest.mark.parametrize("gid,gens,r,t", VF2_CASES)
+def test_local_auts_agree_with_vf2(gid, gens, r, t):
+    """The search against a second enumerator: networkx VF2 lists every
+    automorphism of the graph on B(r+t) that fixes e, restricted to B(r).
+
+    Heisenberg is left out: boundary twins give its B(4) more than 20,000
+    such automorphisms, and VF2 lists them one by one, far too slowly for a
+    unit test.
+    """
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    p = from_id(gid)
+    S = standard_genset(p) if gens is None else GenSet(
+        p, [tuple(int(e) for e in v.split(",")) for v in gens.split(";")])
+    big = generate_ball(p, S, r + t)
+    graph = nx.Graph()
+    for i, d in enumerate(big.dist_list):
+        graph.add_node(i, dist=d)
+    graph.add_edges_from((i, w) for i, row in enumerate(big.adjacency) for _, w in row)
+    matcher = GraphMatcher(graph, graph, node_match=lambda a, b: a["dist"] == b["dist"])
+    small = [i for i, d in enumerate(big.dist_list) if d <= r]
+    vf2 = {frozenset((big.vertices[i], big.vertices[m[i]]) for i in small)
+           for m in matcher.isomorphisms_iter()}
+    ours = {frozenset(a.mapping.items())
+            for a in enumerate_local_auts(generate_ball(p, S, r), t)}
+    assert ours == vf2

@@ -130,7 +130,6 @@ def test_exported_klein_flip_is_not_affine(tmp_path, capsys):
 
 def test_autos_commands(tmp_path):
     out = tmp_path / "a.json"
-    maps = tmp_path / "auts.tsv"
     assert run(["autos", "--group", "z2", "--radius", "3", "--stability", "2",
                 "--out", str(out)]) == 0
     assert read_json(out)["result"]["count"] == 8

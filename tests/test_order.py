@@ -162,6 +162,23 @@ def test_distortion_profile_pinned_values():
     assert prof.ratios[-1] == Fraction(1)
 
 
+def test_abelianized_bound_reaches_twice_the_radius(monkeypatch):
+    # dist(e, g^8) = 48 in Z^3 is certified from the sphere of the image
+    # ball B(32), without building B(48)
+    radii = []
+    real = order.generate_ball
+
+    def spy(p, S, radius, **kw):
+        radii.append(radius)
+        return real(p, S, radius, **kw)
+
+    monkeypatch.setattr(order, "generate_ball", spy)
+    z3 = builtin("zn", n=3)
+    prof = distortion_profile(z3, standard_genset(z3), (1, 2, 3), 8)
+    assert prof.dists == [6, 12, 24, 48]
+    assert max(radii) == 32
+
+
 def test_classification_matches_analytic_table():
     h = builtin("heisenberg")
     S = standard_genset(h)

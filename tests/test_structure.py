@@ -1,18 +1,19 @@
-"""Torsion subgroups, quotients, the abelianization, isolator oracles,
+"""Torsion subgroups, quotients, the abelianization, isolators,
 conjugator search, ranks."""
 
 import itertools
+import json
 from pathlib import Path
 
 import pytest
 
-from nilcay import structure
+from nilcay import cli, structure
 from nilcay.autlab import central_translation_check
 from nilcay.cayley import GenSet, generate_ball, standard_genset
 from nilcay.pcgroup import PresentationError, builtin, from_id, parse_presentation
 from nilcay.structure import (SubgroupError, SubgroupWitness, find_conjugator,
-                              isolator_oracle, quotient_by_torsion, rank_report,
-                              torsion_subgroup, trivial_subgroup, z_dagger)
+                              quotient_by_torsion, rank_report, torsion_subgroup,
+                              trivial_subgroup, z_dagger)
 
 
 def test_torsion_subgroup_elements():
@@ -130,41 +131,34 @@ def test_z_dagger_is_exact_on_user_presentations():
     central = [x for x in ball.vertices if p.is_central(x)]
     assert len(central) == 17
     assert z_dagger(p, ball) == tuple(central)
-    witness = structure.commutator_subgroup_witness(p)
-    assert witness.contains((0, 0, 1)) and not witness.contains((0, 1, 0))
+    assert p.abelianization.in_isolator((0, 0, 1))
+    assert not p.abelianization.in_isolator((0, 1, 0))
     # c passes the Z-dagger precondition of the central translation law
     rep = central_translation_check(ball, ball, {v: v for v in ball.vertices},
                                     (0, 0, 1), 2)
     assert rep.verdict == "pass" and rep.witnesses[0]["sigma"] == (0, 0, 1)
 
 
-def test_isolator_oracle_z2():
-    z2 = builtin("zn", n=2)
-    ball = generate_ball(z2, standard_genset(z2), 5)
-    H = SubgroupWitness(z2, generators=((2, 0),),
-                        member=lambda x: x[1] == 0 and x[0] % 2 == 0)
-    res = isolator_oracle(ball, H, 6)
-    assert set(res.elements) == {(x, 0) for x in range(-5, 6)}
-    for x in res.elements:
-        k = res.certificates[x]
-        assert 1 <= k <= 6 and H.contains(z2.power(x, k))
-
-
-def test_isolator_trivial_subgroup():
-    z2 = builtin("zn", n=2)
-    ball = generate_ball(z2, standard_genset(z2), 4)
-    res = isolator_oracle(ball, trivial_subgroup(z2), 6)
-    assert res.elements == ((0, 0),)
+def test_isolator_command_is_exact_on_user_presentations(tmp_path):
+    src = tmp_path / "heisenberg9.pc"
+    src.write_text(HEISENBERG_C9)
+    out = tmp_path / "isolator.json"
+    assert cli.main(["structure", "--group", str(src), "--isolator",
+                     "--radius", "5", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    # the whole result is the element list: no approximation claim, no kmax note
+    assert list(result) == ["elements"]
+    p = parse_presentation(HEISENBERG_C9)
+    ball = generate_ball(p, standard_genset(p), 5)
+    want = [list(x) for x in ball.vertices if x[0] == x[1] == 0]
+    assert len(want) == 17 and result["elements"] == want
 
 
 def test_isolator_matches_analytic_sqrt_commutator():
     h = builtin("heisenberg")
     ball = generate_ball(h, standard_genset(h), 4)
-    H = SubgroupWitness(h, generators=((0, 0, 1),),
-                        member=lambda x: x[0] == 0 and x[1] == 0)
-    res = isolator_oracle(ball, H, 8)
     analytic = {x for x in ball.vertices if h.analytic.in_sqrt_commutator(x)}
-    assert set(res.elements) == analytic
+    assert set(structure.isolator(h, ball)) == analytic
 
 
 def test_z_dagger():
@@ -215,6 +209,6 @@ def test_rank_reports():
 
 def test_rank_report_unsupported_shape():
     z2 = builtin("zn", n=2)
-    odd = SubgroupWitness(z2, generators=((1, 0),), elements=((0, 0), (1, 0)))
+    odd = SubgroupWitness(z2, elements=((0, 0), (1, 0)))
     with pytest.raises(SubgroupError):
         rank_report(z2, odd)
