@@ -193,9 +193,12 @@ def cmd_biorder(args):
 
 def cmd_structure(args):
     p = _load_group(args.group)
+    params = vars_of(args)
+    if not args.conjugator:
+        del params["kmax"]  # only the conjugator search reads it
     if args.torsion:
         N = structure.torsion_subgroup(p)
-        _emit(_envelope(p, "structure.torsion", vars_of(args),
+        _emit(_envelope(p, "structure.torsion", params,
                         {"elements": list(N.elements), "order": len(N.elements)}),
               args)
         return EXIT_OK
@@ -203,7 +206,7 @@ def cmd_structure(args):
         S = _resolve_genset(p, args.genset)
         ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
         zd = structure.z_dagger(p, ball)
-        _emit(_envelope(p, "structure.zdagger", vars_of(args),
+        _emit(_envelope(p, "structure.zdagger", params,
                         {"elements": list(zd)}), args)
         return EXIT_OK
     if args.conjugator:
@@ -211,18 +214,18 @@ def cmd_structure(args):
         ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
         a, b = (_element(p, t) for t in args.conjugator)
         res = structure.find_conjugator(ball, a, b, kmax=args.kmax)
-        _emit(_envelope(p, "structure.conjugator", vars_of(args),
+        _emit(_envelope(p, "structure.conjugator", params,
                         res.report.to_dict()), args)
         return EXIT_OK
     if args.rank:
         N = structure.torsion_subgroup(p)
         rep = structure.rank_report(p, N)
-        _emit(_envelope(p, "structure.rank", vars_of(args), rep.to_dict()), args)
+        _emit(_envelope(p, "structure.rank", params, rep.to_dict()), args)
         return EXIT_OK if rep.ok else EXIT_VERDICT
     if args.isolator:
         S = _resolve_genset(p, args.genset)
         ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
-        _emit(_envelope(p, "structure.isolator", vars_of(args),
+        _emit(_envelope(p, "structure.isolator", params,
                         {"elements": list(structure.isolator(p, ball))}), args)
         return EXIT_OK
     raise SystemExit2("structure needs one of --torsion, --zdagger, "

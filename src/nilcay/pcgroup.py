@@ -14,11 +14,24 @@ how a ``g_j`` block moves left past each higher ``g_l`` run: it commutes,
 flips sign, picks up a central correction, or is GENERIC.  Each pair is
 found by collecting ``g_l g_j g_l^{-1}``, reading only the finished rows of
 generators above ``j`` (a pair not yet derived reads as GENERIC, which is
-always correct).  ``_block_mul`` applies whole blocks through this table and
-falls back to the letter-by-letter collector ``_letter_collect``, which is
-also the reference oracle of the test suite.  A fuel bound turns runaway
-rewriting on inconsistent user presentations into a reported error rather
-than a hang.  Built-in families additionally carry an analytic table,
+always correct).  ``_block_mul`` applies whole blocks through this table.
+When a move is GENERIC, it takes one of two slow paths:
+
+- In a presentation declared nilpotent with blocks (whose power words also
+  lie above their generator), an infinite-order ``g_j^f`` passes the whole
+  tail ``t`` in ``<g_{j+1}, ..., g_n>`` at once: ``t g_j^f = g_j^f phi^f(t)``
+  with ``phi(x) = g_j^{-1} x g_j``, applied from cached tables of
+  ``phi^{+-2^k}`` (collection from the left; Vaughan-Lee, "Collection from
+  the left", J. Symb. Comput. 9, 1990).
+- Otherwise (a finite-order ``g_j``, a presentation that is not nilpotent or
+  has no blocks) the letter-by-letter collector ``_letter_collect`` runs; it
+  is also the reference oracle of the test suite.
+
+A fuel bound, charged on both slow paths, turns runaway rewriting on
+inconsistent user presentations into a reported error rather than a hang.
+At load time every pc overlap of a presentation in standard pc form is
+collected both ways, so an inconsistent one is refused before collection
+from the left could give a wrong product.  Built-in families additionally carry an analytic table,
 membership in the isolator of the derived subgroup, which higher layers use
 only as an independent oracle for ``structure.Abelianization``; every
 presentation gets that abelianization, derived from its relations on first
@@ -216,6 +229,18 @@ class PcPresentation:
 
     def _build_tables(self):
         n = self.n
+        # standard pc form: the conjugates by g_j and the power word of g_j
+        # lie in <g_{j+1}, ..., g_n>; the overlap checks presume it
+        words = [(j, w) for (_, j), w in (*self.conj.items(), *self.conjinv.items())]
+        words += self.power_words.items()
+        self._standard = all(k > j for j, w in words for k, _ in w)
+        # collection from the left also needs every conjugate of g_l to lie in
+        # <g_l, ..., g_n>, which _validate checks when a nilpotent
+        # presentation declares blocks
+        self._left = bool(self.nilpotent and self.blocks) and self._standard
+        # (j, +-1) -> [table of phi_j^(+-2^k) for k = 0, 1, ...]; a table
+        # holds the normal form of phi(g_i) for each i > j, None where fixed
+        self._phi = {}
         # a generator is inert when it commutes with every generator
         inert = []
         for i in range(n):
@@ -272,7 +297,12 @@ class PcPresentation:
         return (_GENERIC,)
 
     def _sample_consistency(self):
-        """Fuel-bounded smoke checks: conj/conjinv cancel, small products collect."""
+        """Load-time consistency: conj and conjinv cancel, and, in standard pc
+        form, both bracketings of every pc overlap collect to one normal form
+        (Wamsley; Sims, *Computation with Finitely Presented Groups*, 1994,
+        9.8).  Other presentations only get a smoke test of small products.
+        Fuel-bounded, so a presentation on which collection runs away is
+        rejected too."""
         try:
             fuel = [50000]
             for (l, j), w in self.conj.items():
@@ -286,14 +316,47 @@ class PcPresentation:
                     raise PresentationError(
                         f"conj and conjinv for {self.gens[l]} by {self.gens[j]} "
                         "do not cancel")
-            gens = [tuple(1 if k == i else 0 for k in range(self.n))
-                    for i in range(self.n)]
-            for x in gens:
-                for y in gens:
-                    self.multiply(self.multiply(x, y), self.inverse(y))
+            if self._standard:
+                for (x1, y1), (x2, y2) in self._overlaps():
+                    left = self._word_vector(x1, fuel)
+                    self._mul_into(left, self._word_vector(y1, fuel), fuel)
+                    right = self._word_vector(x2, fuel)
+                    self._mul_into(right, self._word_vector(y2, fuel), fuel)
+                    if left != right:
+                        x1, y1, x2, y2 = (_word_text(w, self.gens)
+                                          for w in (x1, y1, x2, y2))
+                        raise PresentationError(
+                            f"inconsistent presentation: ({x1})*({y1}) and "
+                            f"({x2})*({y2}) collect to {self.element_to_str(left)} "
+                            f"and {self.element_to_str(right)}")
+            else:
+                gens = [tuple(1 if k == i else 0 for k in range(self.n))
+                        for i in range(self.n)]
+                for x in gens:
+                    for y in gens:
+                        self.multiply(self.multiply(x, y), self.inverse(y))
         except CollectionError as exc:
             raise PresentationError(
                 f"collection does not terminate on consistency samples: {exc}")
+
+    def _overlaps(self):
+        """The pc overlap test words, each as two bracketings ((x, y), (x', y'))
+        of the same word: x*y = x'*y' in a consistent presentation."""
+        r = self.orders
+        for i in range(self.n):
+            gi = ((i, 1),)
+            for j in range(i + 1, self.n):
+                gj = ((j, 1),)
+                for k in range(j + 1, self.n):
+                    yield (((k, 1),) + gj, gi), (((k, 1),), gj + gi)
+                if r[j] is not None:
+                    yield (((j, r[j]),), gi), (((j, r[j] - 1),), gj + gi)
+                if r[i] is None:
+                    yield (gj + ((i, -1),), gi), (gj, ())
+                else:
+                    yield (gj + ((i, r[i] - 1),), gi), (gj, ((i, r[i]),))
+            if r[i] is not None:
+                yield (((i, r[i]),), gi), (gi, ((i, r[i]),))
 
     # -- basics --------------------------------------------------------
 
@@ -328,8 +391,10 @@ class PcPresentation:
         """Reference collector: fold (index, +-1) letters into normal form.
 
         Slow but assumption-free.  It is the oracle the fast path in
-        ``_block_mul`` is tested against, and the generic path that
-        ``_block_mul`` falls back to for a GENERIC move or a power word.
+        ``_block_mul`` is tested against, and the path ``_block_mul`` falls
+        back to for a power word, and for a GENERIC move unless
+        ``_left_move`` applies (an infinite-order generator in a nilpotent
+        presentation with blocks).
         """
         n = self.n
         orders = self.orders
@@ -366,11 +431,13 @@ class PcPresentation:
 
     def collect_word(self, word, fuel=None) -> Element:
         """Normal form of a product of (generator index, exponent) factors."""
-        box = [DEFAULT_FUEL if fuel is None else fuel]
-        v = list(self.identity)
+        return tuple(self._word_vector(word, [DEFAULT_FUEL if fuel is None else fuel]))
+
+    def _word_vector(self, word, fuel):
+        v = [0] * self.n
         for i, e in word:
-            self._block_mul(v, i, e, box)
-        return tuple(v)
+            self._block_mul(v, i, e, fuel)
+        return v
 
     def _block_mul(self, v, j, f, fuel):
         """Multiply the normal form in ``v`` by ``g_j^f``, in place."""
@@ -410,12 +477,101 @@ class PcPresentation:
                         e %= m
                     v[idx] = e
             return
+        if self._left and self.orders[j] is None:
+            self._left_move(v, j, f, fuel)
+            return
         s = 1 if f > 0 else -1
         count = abs(f)
         fuel[0] -= count
         if fuel[0] <= 0:
             raise CollectionError("collection fuel exhausted")
         self._letter_collect(v, [(j, s)] * count, fuel)
+
+    def _left_move(self, v, j, f, fuel):
+        """Multiply ``v`` by ``g_j^f`` in one step, for infinite-order g_j.
+
+        With v = (v_<j, v_j, t) and the tail t in G_{j+1} = <g_{j+1}, ...>,
+        v * g_j^f = (v_<j, v_j + f) * phi_j^f(t), where phi_j(x) = g_j^-1 x g_j.
+        phi_j^f is applied as the tables of phi_j^(+-2^k) for the set bits of
+        |f|; the tables are squared on first need and cached.
+        """
+        tables = self._phi_tables(j, 1 if f > 0 else -1)
+        t = [0] * (j + 1) + v[j + 1:]
+        k = abs(f)
+        level = 0
+        while True:
+            if k & 1:
+                t = self._apply_table(tables[level], t, j, fuel)
+            k >>= 1
+            if not k:
+                break
+            level += 1
+            if level == len(tables):
+                last = tables[-1]
+                tables.append([None if img is None
+                               else tuple(self._apply_table(last, img, j, fuel))
+                               for img in last])
+        v[j] += f
+        v[j + 1:] = t[j + 1:]
+
+    def _phi_tables(self, j, sign):
+        tables = self._phi.get((j, sign))
+        if tables is None:
+            table = [None] * self.n
+            for (l, k), w in (self.conj if sign > 0 else self.conjinv).items():
+                if k == j and w != ((l, 1),):
+                    img = [0] * self.n
+                    for i, e in w:
+                        img[i] = e
+                    table[l] = tuple(img)
+            tables = self._phi[(j, sign)] = [table]
+        return tables
+
+    def _apply_table(self, table, x, j, fuel):
+        """phi(x) = prod over i > j of phi(g_i)^(x_i), for x in G_{j+1}."""
+        fuel[0] -= self.n - j
+        if fuel[0] <= 0:
+            raise CollectionError("collection fuel exhausted")
+        out = [0] * self.n
+        for i in range(j + 1, self.n):
+            e = x[i]
+            if not e:
+                continue
+            img = table[i]
+            if img is None:
+                self._block_mul(out, i, e, fuel)
+            else:
+                self._mul_into(out, self._pow_vector(img, e, fuel), fuel)
+        return out
+
+    def _mul_into(self, v, y, fuel):
+        for i, e in enumerate(y):
+            if e:
+                self._block_mul(v, i, e, fuel)
+
+    def _inverse_vector(self, x, fuel):
+        v = [0] * self.n
+        for j in range(self.n - 1, -1, -1):
+            if x[j]:
+                self._block_mul(v, j, -x[j], fuel)
+        return v
+
+    def _pow_vector(self, x, k, fuel):
+        """x^k by binary powering.  ``_left_move`` passes x in G_{j+1} only,
+        so the products it collects involve generators above g_j alone."""
+        if k < 0:
+            x, k = self._inverse_vector(x, fuel), -k
+        result = [0] * self.n
+        base = x
+        while True:
+            if k & 1:
+                self._mul_into(result, base, fuel)
+            k >>= 1
+            if not k:
+                return result
+            square = list(base)
+            self._mul_into(square, base, fuel)
+            base = square
 
     # -- group operations ------------------------------------------------
 
@@ -428,12 +584,7 @@ class PcPresentation:
         return tuple(v)
 
     def inverse(self, x) -> Element:
-        fuel = [DEFAULT_FUEL]
-        v = list(self.identity)
-        for j in range(self.n - 1, -1, -1):
-            if x[j]:
-                self._block_mul(v, j, -x[j], fuel)
-        return tuple(v)
+        return tuple(self._inverse_vector(x, [DEFAULT_FUEL]))
 
     def power(self, x, k) -> Element:
         if k == 0:

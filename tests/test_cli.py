@@ -97,8 +97,28 @@ def test_structure_commands(tmp_path):
     assert run(["structure", "--group", "heisenberg", "--conjugator",
                 "1,0,0", "1,0,1", "--radius", "4", "--out", str(out)]) == 0
     assert read_json(out)["result"]["witnesses"][0]["conjugator"] == [0, 1, 0]
+    assert read_json(out)["parameters"]["kmax"] == 8
     assert run(["structure", "--group", "zxz2", "--rank",
                 "--out", str(out)]) == 0
+    # only the conjugator search reads --kmax, so only its report echoes it
+    for flag in ("--rank", "--torsion", "--zdagger", "--isolator"):
+        assert run(["structure", "--group", "zxz2", flag, "--radius", "2",
+                    "--out", str(out)]) == 0
+        assert "kmax" not in read_json(out)["parameters"]
+
+
+def test_inconsistent_presentation_exits_2(tmp_path, capsys):
+    # [b, a] = c and [c, e] = d, all else commuting, breaks the Jacobi identity
+    src = tmp_path / "jacobi.pc"
+    src.write_text("group J\nnilpotent true\ntorsion_prefix 0\n"
+                   + "".join(f"gen {s} order inf\n" for s in "abecd")
+                   + "conj b by a = b*c\nconjinv b by a = b*c^-1\n"
+                   "conj c by e = c*d\nconjinv c by e = c*d^-1\n"
+                   "block a b e\nblock c\nblock d\ngenset a b e\n")
+    assert run(["ball", "--group", str(src), "--radius", "3"]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err["kind"] == "PresentationError"
+    assert "(e*b)*(a) and (e)*(b*a)" in err["error"]
 
 
 def test_construct_commands(tmp_path, capsys):

@@ -242,6 +242,133 @@ def test_letterwise_reference_agrees_with_fast_path():
             assert tuple(v) == fast
 
 
+# UT(4,Z): x1 = E12, x2 = E23, x3 = E34, y1 = E13, y2 = E24, z = E14, where
+# Eij is the unitriangular matrix with a single 1 above the diagonal
+UT4_SOURCE = """\
+group UT4
+nilpotent true
+torsion_prefix 0
+gen x1 order inf
+gen x2 order inf
+gen x3 order inf
+gen y1 order inf
+gen y2 order inf
+gen z order inf
+conj x2 by x1 = x2*y1^-1
+conjinv x2 by x1 = x2*y1
+conj y2 by x1 = y2*z^-1
+conjinv y2 by x1 = y2*z
+conj x3 by x2 = x3*y2^-1
+conjinv x3 by x2 = x3*y2
+conj y1 by x3 = y1*z
+conjinv y1 by x3 = y1*z^-1
+block x1 x2 x3
+block y1 y2
+block z
+genset x1 x1^-1 x2 x2^-1 x3 x3^-1
+"""
+
+_UT4_ENTRIES = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))
+
+
+def _matmul(m, k):
+    return tuple(tuple(sum(m[r][i] * k[i][c] for i in range(4)) for c in range(4))
+                 for r in range(4))
+
+
+def ut4_matrix(v):
+    """Oracle: the normal form x1^a x2^b ... z^f as a product of 4x4 matrices."""
+    acc = tuple(tuple(int(r == c) for c in range(4)) for r in range(4))
+    for (r0, c0), e in zip(_UT4_ENTRIES, v):
+        elem = tuple(tuple(int(r == c) + (e if (r, c) == (r0, c0) else 0)
+                           for c in range(4)) for r in range(4))
+        acc = _matmul(acc, elem)
+    return acc
+
+
+@pytest.mark.parametrize("span", [3, 20, 1000])
+def test_ut4_matches_matrix_product(span):
+    """Class 3, where (x2 past x1) is GENERIC: collection from the left must
+    give the normal form of the matrix product (the letter collector runs out
+    of fuel on some span-20 pairs)."""
+    p = pcgroup.parse_presentation(UT4_SOURCE)
+    assert any(a[0] == pcgroup._GENERIC for row in p._moves for _, a in row)
+    rng = random.Random(f"ut4:{span}")
+    for _ in range(200):
+        x, y = (tuple(rng.randint(-span, span) for _ in range(6)) for _ in "xy")
+        xy = p.multiply(x, y)
+        assert ut4_matrix(xy) == _matmul(ut4_matrix(x), ut4_matrix(y))
+        assert p.multiply(xy, p.inverse(y)) == x
+
+
+def test_ut4_agrees_with_letter_collector():
+    p = pcgroup.parse_presentation(UT4_SOURCE)
+    rng = random.Random("ut4:letters")
+    for _ in range(300):
+        x, y = (tuple(rng.randint(-3, 3) for _ in range(6)) for _ in "xy")
+        v = list(x)
+        p._letter_collect(v, [(i, 1 if e > 0 else -1)
+                              for i, e in enumerate(y) for _ in range(abs(e))],
+                          [10**6])
+        assert tuple(v) == p.multiply(x, y)
+
+
+@pytest.mark.parametrize("span", [20, 100, 1000])
+def test_filiform_associativity_at_large_spans(span):
+    p = _presentation("filiform")
+    rng = random.Random(f"filiform:{span}")
+    triples = [tuple(tuple(rng.randint(-span, span) for _ in range(4))
+                     for _ in "xyz") for _ in range(100)]
+    if span == 20:
+        # the letter-by-letter collector runs out of fuel on this triple
+        triples.append(((-1, 14, -13, -18), (18, 3, 3, -6), (16, -11, 10, -7)))
+    for x, y, z in triples:
+        assert p.multiply(p.multiply(x, y), z) == p.multiply(x, p.multiply(y, z))
+        assert p.multiply(x, p.inverse(x)) == p.identity
+
+
+def test_collection_from_the_left_still_spends_fuel():
+    p = _presentation("filiform")
+    word = ((1, 50), (0, 50))          # b^50 a^50: a moves past a b-tail
+    assert p.collect_word(word) == p.multiply((0, 50, 0, 0), (50, 0, 0, 0))
+    with pytest.raises(CollectionError):
+        p.collect_word(word, fuel=3)
+
+
+# b, e and a commute except [b, a] = c, and [c, e] = d: the Jacobi identity
+# fails, so (e*b)*a and e*(b*a) collect differently
+JACOBI_BREAKER_SOURCE = """\
+group JacobiBreaker
+nilpotent true
+torsion_prefix 0
+gen a order inf
+gen b order inf
+gen e order inf
+gen c order inf
+gen d order inf
+conj b by a = b*c
+conjinv b by a = b*c^-1
+conj c by e = c*d
+conjinv c by e = c*d^-1
+block a b e
+block c
+block d
+"""
+
+
+def test_inconsistent_overlap_is_rejected_at_load():
+    with pytest.raises(PresentationError, match=r"\(e\*b\)\*\(a\) and \(e\)\*\(b\*a\)"):
+        pcgroup.parse_presentation(JACOBI_BREAKER_SOURCE)
+    # a power relation that disagrees with a conjugation: t^2 = 1, but a
+    # conjugates t to t*s, whose square is s^2 != 1 (s has order 3)
+    bad_power = ("group P\nnilpotent true\ntorsion_prefix 2\n"
+                 "gen a order inf\ngen t order 2\ngen s order 3\n"
+                 "pow t = 1\npow s = 1\nconj t by a = t*s\nconjinv t by a = t*s^2\n"
+                 "block a\n")
+    with pytest.raises(PresentationError, match="inconsistent presentation"):
+        pcgroup.parse_presentation(bad_power)
+
+
 def test_conjugate_and_centrality(heis, klein):
     a, b, c = heis.generator(0), heis.generator(1), heis.generator(2)
     assert heis.conjugate(a, b) == (1, 0, 1)
