@@ -290,11 +290,13 @@ def cmd_autos(args):
     try:
         if args.orbit:
             g = _element(p, args.orbit)
-            orbit = autlab.aut_e_orbit(ball, g, args.stability, cap=args.cap)
+            orbit = autlab.aut_e_orbit(ball, g, args.stability, cap=args.cap,
+                                        max_vertices=args.budget)
             _emit(_envelope(p, "autos.orbit", vars_of(args),
                             {"element": g, "orbit": list(orbit)}), args)
             return EXIT_OK
-        auts = autlab.enumerate_local_auts(ball, args.stability, cap=args.cap)
+        auts = autlab.enumerate_local_auts(ball, args.stability, cap=args.cap,
+                                           max_vertices=args.budget)
         _emit(_envelope(p, "autos.enumerate", vars_of(args), {"count": len(auts)}),
               args)
         return EXIT_OK
@@ -308,7 +310,7 @@ def cmd_normality(args):
     p = _load_group(args.group)
     S = _resolve_genset(p, args.genset)
     rep = autlab.normality_verdict(p, S, args.radius, args.stability,
-                                   cap=args.cap)
+                                   cap=args.cap, max_vertices=args.budget)
     _emit(_envelope(p, "normality", vars_of(args), rep.to_dict()), args)
     return EXIT_OK if rep.verdict != "inconclusive" else EXIT_VERDICT
 

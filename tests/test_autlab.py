@@ -1,5 +1,8 @@
 """Stable local automorphisms, affine verdicts, normality, induced maps."""
 
+import hashlib
+import sys
+
 import pytest
 
 from nilcay import autlab, constructions, structure
@@ -7,6 +10,7 @@ from nilcay.autlab import (aut_e_orbit, central_translation_check,
                            enumerate_local_auts, induced_quotient_check,
                            is_affine_on_ball, normality_verdict)
 from nilcay.cayley import GenSet, check_vertex_map, generate_ball, standard_genset
+from nilcay.cli import _resolve_genset
 from nilcay.pcgroup import builtin, from_id
 
 
@@ -267,4 +271,87 @@ def test_local_auts_agree_with_vf2(gid, gens, r, t):
            for m in matcher.isomorphisms_iter()}
     ours = {frozenset(a.mapping.items())
             for a in enumerate_local_auts(generate_ball(p, S, r), t)}
+    assert ours == vf2
+
+
+# (group id, generating set, radius, stability, search nodes, restrictions,
+#  sha256 of the restriction list in search order)
+SEARCH_PINS = [
+    ("heisenberg", "std", 5, 2, 8520, 8,
+     "9b807fc5475df6a103344bfc1086216b554c0bd10f7c3a4287266d8b5789b070"),
+    ("z3", "std", 4, 2, 17292, 48,
+     "75c388cdfb7e458fbebeb6de20792b42c907e1dc73d98970ab52093dae4aa74d"),
+    ("zxz2", "fsf", 6, 2, 98304, 8192,
+     "c646e8add186cad20b07e869363334c2ddcf4433f12cab2d4512eed6b0275462"),
+    ("klein_bottle", "std", 6, 2, 1120, 8,
+     "528861bb5c1aa8d83fb293e3c247146723d6803a1470d72805b66683e53a0ed4"),
+    ("heisenberg_z3", "std", 3, 2, 8964, 16,
+     "4b04b347688dba21406e31593b5d041daa845b33458f91f2043dfe4a7037aa42"),
+]
+
+
+@pytest.mark.parametrize("gid,gens,r,t,nodes,count,digest", SEARCH_PINS,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in SEARCH_PINS])
+def test_search_nodes_and_order_are_pinned(gid, gens, r, t, nodes, count, digest):
+    """The search's branch order, node count and restrictions, in the order
+    found, as measured before the incremental-domain search replaced the
+    per-node scan of the ball."""
+    p = from_id(gid)
+    big = generate_ball(p, _resolve_genset(p, gens), r + t)
+    small, found, visited = autlab._stable_restrictions(big, r, 10**5)
+    assert small == tuple(i for i, d in enumerate(big.dist_list) if d <= r)
+    assert (visited, len(found)) == (nodes, count)
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
+
+
+def test_search_leaves_the_recursion_limit_alone():
+    p = builtin("heisenberg")
+    ball = generate_ball(p, standard_genset(p), 4)
+    before = sys.getrecursionlimit()
+    # the search assigns all 593 vertices of B(6), one level each; an
+    # explicit stack needs no interpreter frames for that depth
+    sys.setrecursionlimit(250)
+    try:
+        auts = enumerate_local_auts(ball, 2)
+        assert sys.getrecursionlimit() == 250
+    finally:
+        sys.setrecursionlimit(before)
+    assert len(auts) == 8
+
+
+@pytest.mark.parametrize("r,t", [(3, 1), (3, 2)])
+def test_heisenberg_local_auts_agree_with_twin_quotient_vf2(r, t):
+    """VF2 on the twin quotient of the Heisenberg ball B(r+t).
+
+    Twins (equal neighbour sets) are permuted freely by automorphisms, which
+    makes VF2 on the ball itself list far too many maps. Collapsing each
+    twin class to one vertex labelled (distance, class size) leaves a graph
+    whose distance-preserving automorphisms are those of the ball modulo
+    twin permutations. B(r) holds only singleton classes, so each quotient
+    automorphism restricts to one map on B(r).
+    """
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    p = builtin("heisenberg")
+    S = standard_genset(p)
+    big = generate_ball(p, S, r + t)
+    nbrs = [frozenset(w for _, w in row) for row in big.adjacency]
+    classes = {}
+    for i, ns in enumerate(nbrs):
+        classes.setdefault(ns, []).append(i)
+    cls = {i: members[0] for members in classes.values() for i in members}
+    assert all(len(classes[nbrs[i]]) == 1
+               for i, d in enumerate(big.dist_list) if d <= r)
+    quotient = nx.Graph()
+    for members in classes.values():
+        quotient.add_node(members[0], label=(big.dist_list[members[0]], len(members)))
+    quotient.add_edges_from((cls[i], cls[w]) for i, ns in enumerate(nbrs) for w in ns)
+    matcher = GraphMatcher(quotient, quotient,
+                           node_match=lambda a, b: a["label"] == b["label"])
+    small = [i for i, d in enumerate(big.dist_list) if d <= r]
+    vf2 = {frozenset((big.vertices[i], big.vertices[m[i]]) for i in small)
+           for m in matcher.isomorphisms_iter()}
+    ours = {frozenset(a.mapping.items())
+            for a in enumerate_local_auts(generate_ball(p, S, r), t)}
+    assert len(ours) == 8
     assert ours == vf2

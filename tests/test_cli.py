@@ -48,6 +48,40 @@ def test_normality_klein(tmp_path):
     assert doc["tool"]["version"]
 
 
+@pytest.mark.parametrize("budget", ["50", "200"])
+def test_normality_honours_the_budget(capsys, budget):
+    # B(3) has 53 vertices and B(5) 299: 50 stops the first ball, 200 the
+    # stability ball B(r + t)
+    assert run(["normality", "--group", "heisenberg", "--radius", "3",
+                "--stability", "2", "--budget", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.splitlines()[0])
+    assert err["kind"] == "BallBudgetError"
+    assert f"vertex budget {budget}" in err["error"]
+
+
+@pytest.mark.parametrize("orbit", [[], ["--orbit", "1,0,0"]])
+def test_autos_honours_the_budget(capsys, orbit):
+    assert run(["autos", "--group", "heisenberg", "--radius", "3",
+                "--budget", "200", *orbit]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err["kind"] == "BallBudgetError"
+    assert err["error"] == "ball exceeded vertex budget 200 at radius 5"
+
+
+@pytest.mark.parametrize("radius", ["0", "1"])
+def test_normality_below_radius_two_is_inconclusive(capsys, radius):
+    assert run(["normality", "--group", "z2", "--radius", radius,
+                "--stability", "1"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["verdict"] == "inconclusive" and result["ok"] is None
+    assert "stable_automorphisms" not in result["parameters"]
+    assert result["notes"] == [f"radius {radius} is below 2: the interior of "
+                               f"B({radius}) is {{e}}, so the affine check "
+                               "would check nothing"]
+
+
 def test_distance_and_unknown(tmp_path):
     out = tmp_path / "d.json"
     assert run(["distance", "--group", "z2", "--radius", "8",
