@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .pcgroup import (  # noqa: F401
     AnalyticTables,
-    CollectionError,
     PcPresentation,
     PresentationError,
     builtin,

@@ -20,7 +20,7 @@ from .cayley import (DEFAULT_VERTEX_BUDGET, BallBudgetError, GenSet,
                      GeodesicCapError, count_geodesics, enumerate_geodesics,
                      export_distances, export_graph, export_vertex_map,
                      generate_ball, load_vertex_map, standard_genset)
-from .pcgroup import CollectionError, PresentationError
+from .pcgroup import PresentationError
 from .reporting import json_bytes, json_pretty, jsonable
 
 EXIT_OK = 0
@@ -487,8 +487,7 @@ def main(argv=None):
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}),
               file=sys.stderr)
         return EXIT_USAGE
-    except (CollectionError, BallBudgetError, GeodesicCapError,
-            order.AnalyticDisagreement) as exc:
+    except (BallBudgetError, GeodesicCapError, order.AnalyticDisagreement) as exc:
         diag = {"error": str(exc), "kind": type(exc).__name__}
         if isinstance(exc, GeodesicCapError):
             diag["partial_count"] = exc.partial_count

@@ -1,12 +1,16 @@
 """Explicit graph and generating-set constructions: wreath products, FSF sets,
 torsion-lifted generating sets, twin classes, and the Klein-bottle maps.
 
-The Klein-bottle flip interchanges the roles of the two generators: the
-vertex with normal form a^i b^j is sent to the vertex a^j b^i.  Writing the
-swapped word b^i a^j in normal form gives a^((-1)^i j) b^i; that rewriting
-preserves the vertex set but breaks right-multiplication adjacency, so the
-transposed form a^j b^i is the graph automorphism (it still sends the vertex
-a to the vertex b, which no group automorphism can do).
+In the built-in Klein bottle a inverts b (a^-1 b a = b^-1), so the vertex
+a^x b^y has the neighbours a^(x+-1) b^(-y) and a^x b^(y+-1).  The map
+g(x, y) = (x, (-1)^x y) sends them to (x+-1, (-1)^x y) and
+(x, (-1)^x y +- 1), the grid neighbours of g(x, y); g is a bijection of Z^2
+that keeps |x| + |y|, so it is an isomorphism of the whole Cayley graph onto
+the grid, and of each ball onto the grid ball.  Swapping the grid
+coordinates is a grid automorphism, so the flip g^-1 . swap . g, which
+sends a^x b^y to a^((-1)^x y) b^((-1)^y x), is an automorphism of the whole
+Cayley graph.  It fixes e and exchanges the vertices a and b, which no group
+automorphism can do: a^2 is central and b^2 is not.
 """
 
 from __future__ import annotations
@@ -183,34 +187,38 @@ class BallMap:
 
 
 def klein_grid_map(r) -> BallMap:
-    """Vertex map a^i b^j -> (i, j) from the Klein-bottle ball to the grid ball."""
+    """Vertex map a^x b^y -> (x, (-1)^x y) from the Klein-bottle ball to the
+    grid ball (the module docstring proves it an isomorphism)."""
     if r < 1:
         raise ValueError("radius must be at least 1")
     klein = builtin("klein_bottle")
     z2 = builtin("zn", n=2)
     bk = generate_ball(klein, cayley.standard_genset(klein), r)
     bz = generate_ball(z2, cayley.standard_genset(z2), r)
-    mapping = {v: v for v in bk.vertices}
+    mapping = {(x, y): (x, -y if x & 1 else y) for x, y in bk.vertices}
     return BallMap(bk, bz, mapping,
-                   notes=["exponent vectors coincide with grid coordinates"])
+                   notes=["a^x b^y is sent to the grid point (x, (-1)^x y)"])
 
 
 def klein_flip_map(r) -> BallMap:
     """The generator-swapping automorphism of the Klein-bottle ball.
 
-    Sends the vertex a^i b^j to the vertex a^j b^i.  The naive target
-    b^i a^j = a^((-1)^i j) b^i is the same set-level swap but written on the
-    wrong side; it fails right-multiplication adjacency and is rejected by
-    check_vertex_map, so the transposed form is the automorphism used here.
+    Sends the vertex a^x b^y to the vertex a^((-1)^x y) b^((-1)^y x), the
+    grid swap read through ``klein_grid_map`` (proof in the module
+    docstring).  The naive target b^x a^y = a^y b^((-1)^y x), the word with
+    its letters swapped, fails right-multiplication adjacency and is
+    rejected by check_vertex_map.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
     klein = builtin("klein_bottle")
     bk = generate_ball(klein, cayley.standard_genset(klein), r)
-    mapping = {v: (v[1], v[0]) for v in bk.vertices}
+    mapping = {(x, y): (-y if x & 1 else y, -x if y & 1 else x)
+               for x, y in bk.vertices}
     return BallMap(bk, bk, mapping,
-                   notes=["vertex a^i b^j is sent to a^j b^i; fixes the identity",
-                          "b^i a^j rewrites to a^((-1)^i j) b^i in normal form"])
+                   notes=["vertex a^x b^y is sent to a^((-1)^x y) b^((-1)^y x); "
+                          "fixes the identity",
+                          "b^x a^y rewrites to a^y b^((-1)^y x) in normal form"])
 
 
 # -- wreath comparison for torsion lifts --------------------------------------

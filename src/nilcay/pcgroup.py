@@ -1,41 +1,38 @@
-"""Exact arithmetic in finitely generated groups given by power-commutator presentations.
+"""Exact arithmetic in polycyclic groups given by power-commutator presentations.
 
 A presentation lists an ordered generator basis ``g_1 < ... < g_n`` with
 relative orders (positive integer or infinite), power relations
 ``g_i^{m_i} = w`` for finite-order generators, and conjugation relations
 ``g_j^{-1} g_l g_j`` and ``g_j g_l g_j^{-1}`` for pairs ``j < l`` (pairs with
-no declared relation commute).  Group elements are normal-form exponent
-vectors ``(e_1, ..., e_n)`` stored as plain tuples of Python ints, so
-exponents never overflow; at finite-order positions ``0 <= e_i < m_i``.
+no declared relation commute).  It must be in standard pc form: every
+conjugate by ``g_j`` and the power word of ``g_j`` lie in
+``G_{j+1} = <g_{j+1}, ..., g_n>``; the parser refuses anything else, naming
+the relation.  Group elements are normal-form exponent vectors
+``(e_1, ..., e_n)`` stored as plain tuples of Python ints, so exponents never
+overflow; at finite-order positions ``0 <= e_i < m_i``.
 
 Products are computed by collection from the left.  At load time the
 presentation derives, once and by decreasing generator index, a table of
 how a ``g_j`` block moves left past each higher ``g_l`` run: it commutes,
-flips sign, picks up a central correction, or is GENERIC.  Each pair is
-found by collecting ``g_l g_j g_l^{-1}``, reading only the finished rows of
-generators above ``j`` (a pair not yet derived reads as GENERIC, which is
-always correct).  ``_block_mul`` applies whole blocks through this table.
-When a move is GENERIC, it takes one of two slow paths:
+inverts the run (``g_j^{-1} g_l g_j = g_l^{-1}``), picks up a central
+correction, or is GENERIC.  Each pair is found by collecting
+``g_l g_j g_l^{-1}``, which reads only the finished rows of generators above
+``j``.  ``_block_mul`` applies whole blocks through this table.  A GENERIC
+move, and a power word, take ``_left_move``: ``g_j^f`` passes the whole tail
+``t`` in ``G_{j+1}`` at once, ``t g_j^f = g_j^f phi^f(t)`` with
+``phi(x) = g_j^{-1} x g_j``, applied from cached tables of ``phi^{+-2^k}``
+(Vaughan-Lee, "Collection from the left", J. Symb. Comput. 9, 1990; Sims,
+*Computation with Finitely Presented Groups*, 1994, ch. 9).  Every product
+it collects lies in ``G_{j+1}``, so the recursion rises through the
+generator indices and always ends.
 
-- In a presentation declared nilpotent with blocks (whose power words also
-  lie above their generator), an infinite-order ``g_j^f`` passes the whole
-  tail ``t`` in ``<g_{j+1}, ..., g_n>`` at once: ``t g_j^f = g_j^f phi^f(t)``
-  with ``phi(x) = g_j^{-1} x g_j``, applied from cached tables of
-  ``phi^{+-2^k}`` (collection from the left; Vaughan-Lee, "Collection from
-  the left", J. Symb. Comput. 9, 1990).
-- Otherwise (a finite-order ``g_j``, a presentation that is not nilpotent or
-  has no blocks) the letter-by-letter collector ``_letter_collect`` runs; it
-  is also the reference oracle of the test suite.
-
-A fuel bound, charged on both slow paths, turns runaway rewriting on
-inconsistent user presentations into a reported error rather than a hang.
-At load time every pc overlap of a presentation in standard pc form is
-collected both ways, so an inconsistent one is refused before collection
-from the left could give a wrong product.  Built-in families additionally carry an analytic table,
-membership in the isolator of the derived subgroup, which higher layers use
-only as an independent oracle for ``structure.Abelianization``; every
-presentation gets that abelianization, derived from its relations on first
-use.
+At load time conj and conjinv are checked to be inverse maps and every pc
+overlap is collected both ways, so an inconsistent presentation is refused
+before it could give a wrong product.  Built-in families additionally carry
+an analytic table, membership in the isolator of the derived subgroup,
+which higher layers use only as an independent oracle for
+``structure.Abelianization``; every presentation gets that abelianization,
+derived from its relations on first use.
 
 Note on the ``torsion_prefix`` keyword: the declared count refers to the
 contiguous block of finite-order generators at the *end* of the basis, so
@@ -50,8 +47,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
-
-DEFAULT_FUEL = 10**6
 
 Element = tuple  # exponent vector, tuple of int
 Word = tuple     # tuple of (generator index, exponent) factors
@@ -68,35 +63,17 @@ class PresentationError(ValueError):
 
 
 class CollectionError(RuntimeError):
-    """Collection fuel exhausted; the presentation is likely inconsistent."""
+    """Nothing raises this: collection in standard pc form always ends.
+
+    Kept only because the benchmark harness imports it; ROADMAP item 9
+    deletes it with the harness's next change."""
 
 
 # action kinds for moving a generator block left past a higher-index run
 _COMMUTE = 0
-_SIGN = 1      # g_l g_j g_l^{-1} = g_j^{-1}
+_SIGN = 1      # g_j^{-1} g_l g_j = g_l^{-1}, g_l of infinite order
 _CENTRAL = 2   # g_l g_j g_l^{-1} = g_j * z with z central
 _GENERIC = 3
-
-
-def _word_inverse(word):
-    return tuple((i, -e) for i, e in reversed(word))
-
-
-def _word_letters(word, rep, fuel):
-    """Letters of ``word**rep`` as (index, +-1) pairs, charged against fuel."""
-    if rep < 0:
-        word = _word_inverse(word)
-        rep = -rep
-    per = sum(abs(e) for _, e in word)
-    total = per * rep
-    fuel[0] -= total
-    if fuel[0] <= 0:
-        raise CollectionError("collection fuel exhausted while expanding a relation word")
-    block = []
-    for i, e in word:
-        s = 1 if e > 0 else -1
-        block.extend([(i, s)] * abs(e))
-    return block * rep
 
 
 _WORD_FACTOR = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)(?:\^(-?\d+))?$")
@@ -136,7 +113,7 @@ class PcPresentation:
 
     def __init__(self, *, name, gens, orders, power_words, conj, conjinv,
                  torsion_len, blocks, nilpotent, genset, source,
-                 polycyclic_certified=False, family_id=None, analytic=None):
+                 family_id=None, analytic=None):
         self.name = name
         self.gens = tuple(gens)
         self.orders = tuple(orders)
@@ -149,12 +126,11 @@ class PcPresentation:
         self.nilpotent = nilpotent
         self.genset = tuple(genset)
         self.source = source
-        self.polycyclic_certified = polycyclic_certified
         self.family_id = family_id
         self.analytic = analytic
         self._validate()
         self._build_tables()
-        self._sample_consistency()
+        self._check_consistency()
 
     # -- construction -------------------------------------------------
 
@@ -182,21 +158,31 @@ class PcPresentation:
                 raise PresentationError(
                     f"power relation given for infinite-order generator {self.gens[i]!r}")
             self._check_normal_word(w, f"pow {self.gens[i]}")
-        seen_pairs = set()
-        for table, tag in ((self.conj, "conj"), (self.conjinv, "conjinv")):
-            for (l, j), w in table.items():
-                if not 0 <= j < l < n:
-                    raise PresentationError(
-                        f"{tag} must rewrite a later generator by an earlier one")
-                self._check_normal_word(w, f"{tag} {self.gens[l]} by {self.gens[j]}")
-                seen_pairs.add((l, j))
-        for l, j in seen_pairs:
+        relations = [(tag, l, j, w)
+                     for table, tag in ((self.conj, "conj"), (self.conjinv, "conjinv"))
+                     for (l, j), w in table.items()]
+        for tag, l, j, w in relations:
+            if not 0 <= j < l < n:
+                raise PresentationError(
+                    f"{tag} must rewrite a later generator by an earlier one")
+            self._check_normal_word(w, f"{tag} {self.gens[l]} by {self.gens[j]}")
+        for _, l, j, _ in relations:
             a = self.conj.get((l, j), ((l, 1),))
             b = self.conjinv.get((l, j), ((l, 1),))
             if (a == ((l, 1),)) != (b == ((l, 1),)):
                 raise PresentationError(
                     f"conjugation of {self.gens[l]} by {self.gens[j]} needs both "
                     "directions (conj and conjinv)")
+        # standard pc form: every conjugate by g_j and the power word of g_j
+        # lie in <g_{j+1}, ..., g_n>
+        standard = [(f"{tag} {self.gens[l]} by {self.gens[j]}", j, w)
+                    for tag, l, j, w in relations]
+        standard += [(f"pow {self.gens[i]}", i, w) for i, w in self.power_words.items()]
+        for what, j, w in standard:
+            if any(i <= j for i, _ in w):
+                raise PresentationError(
+                    f"{what} = {_word_text(w, self.gens)} is not in standard pc "
+                    f"form: it must be a word in the generators after {self.gens[j]}")
         if self.blocks:
             flat = [i for b in self.blocks for i in b]
             infinite = [i for i in range(n) if self.orders[i] is None]
@@ -204,7 +190,7 @@ class PcPresentation:
                 raise PresentationError(
                     "filtration blocks must partition the infinite-order generators")
         if self.nilpotent and self.blocks:
-            for (l, j), w in list(self.conj.items()) + list(self.conjinv.items()):
+            for _, l, _, w in relations:
                 if any(i < l for i, _ in w):
                     raise PresentationError(
                         f"conjugate of {self.gens[l]} mentions a generator below it; "
@@ -227,20 +213,19 @@ class PcPresentation:
                 raise PresentationError(f"{what}: exponent not reduced mod {m}")
             last = i
 
+    def _vector(self, word):
+        """The exponent vector of a word already in normal form."""
+        v = [0] * self.n
+        for i, e in word:
+            v[i] = e
+        return v
+
     def _build_tables(self):
         n = self.n
-        # standard pc form: the conjugates by g_j and the power word of g_j
-        # lie in <g_{j+1}, ..., g_n>; the overlap checks presume it
-        words = [(j, w) for (_, j), w in (*self.conj.items(), *self.conjinv.items())]
-        words += self.power_words.items()
-        self._standard = all(k > j for j, w in words for k, _ in w)
-        # collection from the left also needs every conjugate of g_l to lie in
-        # <g_l, ..., g_n>, which _validate checks when a nilpotent
-        # presentation declares blocks
-        self._left = bool(self.nilpotent and self.blocks) and self._standard
         # (j, +-1) -> [table of phi_j^(+-2^k) for k = 0, 1, ...]; a table
         # holds the normal form of phi(g_i) for each i > j, None where fixed
         self._phi = {}
+        self._power_vectors = {i: self._vector(w) for i, w in self.power_words.items() if w}
         # a generator is inert when it commutes with every generator
         inert = []
         for i in range(n):
@@ -250,14 +235,12 @@ class PcPresentation:
             inert.append(ok)
         self._inert = tuple(inert)
         self._fast_reduce = tuple(
-            self.orders[i] is None or not self.power_words.get(i)
+            self.orders[i] is None or i not in self._power_vectors
             for i in range(n))
         # _moves[j]: the (l, action) pairs for l > j whose action is not
-        # COMMUTE, in descending l.  Every pair starts GENERIC, which is always
-        # correct; rows are derived by decreasing j, so deriving (l, j) reads
-        # finished rows above j and GENERIC below it.
-        self._moves = [tuple((l, (_GENERIC,)) for l in range(n - 1, j, -1))
-                       for j in range(n)]
+        # COMMUTE, in descending l.  Rows are derived by decreasing j, and
+        # deriving row j collects above g_j only, so it reads finished rows.
+        self._moves = [()] * n
         for j in range(n - 1, -1, -1):
             row = ((l, self._derive_action(l, j)) for l in range(n - 1, j, -1))
             self._moves[j] = tuple((l, a) for l, a in row if a[0] != _COMMUTE)
@@ -271,23 +254,13 @@ class PcPresentation:
         for the recognized patterns, so only the positive direction is collected.
         """
         w = self.conj.get((l, j), ((l, 1),))
-        fuel = [20000]
-        v = [0] * self.n
-        try:
-            self._block_mul(v, j, 1, fuel)
-            for i, c in w:
-                self._block_mul(v, i, c, fuel)
-            self._block_mul(v, l, -1, fuel)
-        except CollectionError:
-            return (_GENERIC,)
-        return self._classify_action(j, tuple(v))
-
-    def _classify_action(self, j, xp):
+        xp = tuple(self._word_vector(((j, 1),) + w + ((l, -1),)))
         n = self.n
-        unit_j = tuple(1 if k == j else 0 for k in range(n))
-        if xp == unit_j:
+        if xp == self.generator(j):
             return (_COMMUTE,)
-        if xp == tuple(-1 if k == j else 0 for k in range(n)):
+        # g_j g_l^-2: g_j inverts g_l, whose normal-form exponent can only be
+        # -2 at infinite order
+        if xp == tuple(1 if k == j else -2 if k == l else 0 for k in range(n)):
             return (_SIGN,)
         if xp[j] == 1:
             zeta = tuple((k, xp[k]) for k in range(n) if k != j and xp[k])
@@ -296,48 +269,27 @@ class PcPresentation:
                 return (_CENTRAL, zeta)
         return (_GENERIC,)
 
-    def _sample_consistency(self):
-        """Load-time consistency: conj and conjinv cancel, and, in standard pc
-        form, both bracketings of every pc overlap collect to one normal form
-        (Wamsley; Sims, *Computation with Finitely Presented Groups*, 1994,
-        9.8).  Other presentations only get a smoke test of small products.
-        Fuel-bounded, so a presentation on which collection runs away is
-        rejected too."""
-        try:
-            fuel = [50000]
-            for (l, j), w in self.conj.items():
-                if w == ((l, 1),):
-                    continue
-                letters = [(j, 1)]
-                letters += _word_letters(w, 1, fuel)
-                letters.append((j, -1))
-                got = self._letters_to_vector(letters, fuel)
-                if got != tuple(1 if k == l else 0 for k in range(self.n)):
-                    raise PresentationError(
-                        f"conj and conjinv for {self.gens[l]} by {self.gens[j]} "
-                        "do not cancel")
-            if self._standard:
-                for (x1, y1), (x2, y2) in self._overlaps():
-                    left = self._word_vector(x1, fuel)
-                    self._mul_into(left, self._word_vector(y1, fuel), fuel)
-                    right = self._word_vector(x2, fuel)
-                    self._mul_into(right, self._word_vector(y2, fuel), fuel)
-                    if left != right:
-                        x1, y1, x2, y2 = (_word_text(w, self.gens)
-                                          for w in (x1, y1, x2, y2))
-                        raise PresentationError(
-                            f"inconsistent presentation: ({x1})*({y1}) and "
-                            f"({x2})*({y2}) collect to {self.element_to_str(left)} "
-                            f"and {self.element_to_str(right)}")
-            else:
-                gens = [tuple(1 if k == i else 0 for k in range(self.n))
-                        for i in range(self.n)]
-                for x in gens:
-                    for y in gens:
-                        self.multiply(self.multiply(x, y), self.inverse(y))
-        except CollectionError as exc:
-            raise PresentationError(
-                f"collection does not terminate on consistency samples: {exc}")
+    def _check_consistency(self):
+        """Load-time consistency: conj and conjinv are inverse maps, and both
+        bracketings of every pc overlap collect to one normal form (Wamsley;
+        Sims, *Computation with Finitely Presented Groups*, 1994, 9.8)."""
+        for (l, j), w in self.conjinv.items():
+            # g_j^-1 (g_j g_l g_j^-1) g_j, where moving g_j applies conj
+            if self._word_vector(((j, -1),) + w + ((j, 1),)) != self._vector(((l, 1),)):
+                raise PresentationError(
+                    f"conj and conjinv for {self.gens[l]} by {self.gens[j]} "
+                    "do not cancel")
+        for (x1, y1), (x2, y2) in self._overlaps():
+            left = self._word_vector(x1)
+            self._mul_into(left, self._word_vector(y1))
+            right = self._word_vector(x2)
+            self._mul_into(right, self._word_vector(y2))
+            if left != right:
+                x1, y1, x2, y2 = (_word_text(w, self.gens) for w in (x1, y1, x2, y2))
+                raise PresentationError(
+                    f"inconsistent presentation: ({x1})*({y1}) and "
+                    f"({x2})*({y2}) collect to {self.element_to_str(left)} "
+                    f"and {self.element_to_str(right)}")
 
     def _overlaps(self):
         """The pc overlap test words, each as two bracketings ((x, y), (x', y'))
@@ -382,118 +334,68 @@ class PcPresentation:
 
     # -- collection ----------------------------------------------------
 
-    def _letters_to_vector(self, letters, fuel):
-        v = [0] * self.n
-        self._letter_collect(v, letters, fuel)
-        return tuple(v)
-
-    def _letter_collect(self, v, letters, fuel):
-        """Reference collector: fold (index, +-1) letters into normal form.
-
-        Slow but assumption-free.  It is the oracle the fast path in
-        ``_block_mul`` is tested against, and the path ``_block_mul`` falls
-        back to for a power word, and for a GENERIC move unless
-        ``_left_move`` applies (an infinite-order generator in a nilpotent
-        presentation with blocks).
-        """
-        n = self.n
-        orders = self.orders
-        todo = list(reversed(list(letters)))
-        while todo:
-            fuel[0] -= 1
-            if fuel[0] <= 0:
-                raise CollectionError("collection fuel exhausted")
-            j, s = todo.pop()
-            l = -1
-            for i in range(n - 1, j, -1):
-                if v[i]:
-                    l = i
-                    break
-            if l < 0:
-                e = v[j] + s
-                m = orders[j]
-                if m is not None and not 0 <= e < m:
-                    q, e = divmod(e, m)
-                    w = self.power_words.get(j, ())
-                    if w and q:
-                        todo.extend(reversed(_word_letters(w, q, fuel)))
-                v[j] = e
-            else:
-                e = v[l]
-                v[l] = 0
-                if s > 0:
-                    u = self.conj.get((l, j), ((l, 1),))
-                else:
-                    u = self.conjinv.get((l, j), ((l, 1),))
-                seq = [(j, s)]
-                seq.extend(_word_letters(u, e, fuel))
-                todo.extend(reversed(seq))
-
-    def collect_word(self, word, fuel=None) -> Element:
+    def collect_word(self, word) -> Element:
         """Normal form of a product of (generator index, exponent) factors."""
-        return tuple(self._word_vector(word, [DEFAULT_FUEL if fuel is None else fuel]))
+        return tuple(self._word_vector(word))
 
-    def _word_vector(self, word, fuel):
+    def _word_vector(self, word):
         v = [0] * self.n
         for i, e in word:
-            self._block_mul(v, i, e, fuel)
+            self._block_mul(v, i, e)
         return v
 
-    def _block_mul(self, v, j, f, fuel):
+    def _block_mul(self, v, j, f):
         """Multiply the normal form in ``v`` by ``g_j^f``, in place."""
         if f == 0:
             return
-        fj = f
-        corr = None
-        fast = self._fast_reduce[j]
-        for l, a in self._moves[j]:
-            e = v[l]
-            if not e:
-                continue
-            kind = a[0]
-            if kind == _SIGN:
-                if e & 1:
-                    fj = -fj
-            elif kind == _CENTRAL:
-                if corr is None:
-                    corr = {}
-                for idx, coef in a[1]:
-                    corr[idx] = corr.get(idx, 0) + coef * e * fj
+        if self._fast_reduce[j]:
+            flips = corr = None
+            for l, a in self._moves[j]:
+                e = v[l]
+                if not e:
+                    continue
+                kind = a[0]
+                if kind == _SIGN:
+                    if f & 1:
+                        if flips is None:
+                            flips = []
+                        flips.append(l)
+                elif kind == _CENTRAL:
+                    if corr is None:
+                        corr = {}
+                    for idx, coef in a[1]:
+                        corr[idx] = corr.get(idx, 0) + coef * e * f
+                else:
+                    break
             else:
-                fast = False
-            if not fast:
-                break
-        if fast:
-            e = v[j] + fj
-            m = self.orders[j]
-            if m is not None:
-                e %= m
-            v[j] = e
-            if corr:
-                for idx, val in corr.items():
-                    e = v[idx] + val
-                    m = self.orders[idx]
-                    if m is not None:
-                        e %= m
-                    v[idx] = e
-            return
-        if self._left and self.orders[j] is None:
-            self._left_move(v, j, f, fuel)
-            return
-        s = 1 if f > 0 else -1
-        count = abs(f)
-        fuel[0] -= count
-        if fuel[0] <= 0:
-            raise CollectionError("collection fuel exhausted")
-        self._letter_collect(v, [(j, s)] * count, fuel)
+                # every move is fast, so v may change now
+                e = v[j] + f
+                m = self.orders[j]
+                if m is not None:
+                    e %= m
+                v[j] = e
+                if flips:
+                    for l in flips:
+                        v[l] = -v[l]
+                if corr:
+                    for idx, val in corr.items():
+                        e = v[idx] + val
+                        m = self.orders[idx]
+                        if m is not None:
+                            e %= m
+                        v[idx] = e
+                return
+        self._left_move(v, j, f)
 
-    def _left_move(self, v, j, f, fuel):
-        """Multiply ``v`` by ``g_j^f`` in one step, for infinite-order g_j.
+    def _left_move(self, v, j, f):
+        """Multiply ``v`` by ``g_j^f`` in one step.
 
         With v = (v_<j, v_j, t) and the tail t in G_{j+1} = <g_{j+1}, ...>,
         v * g_j^f = (v_<j, v_j + f) * phi_j^f(t), where phi_j(x) = g_j^-1 x g_j.
         phi_j^f is applied as the tables of phi_j^(+-2^k) for the set bits of
-        |f|; the tables are squared on first need and cached.
+        |f|; the tables are squared on first need and cached.  For g_j of
+        finite order m_j, v_j + f = q*m_j + e leaves g_j^e, and
+        g_j^(q*m_j) = w_j^q, with w_j the power word, joins the tail in front.
         """
         tables = self._phi_tables(j, 1 if f > 0 else -1)
         t = [0] * (j + 1) + v[j + 1:]
@@ -501,7 +403,7 @@ class PcPresentation:
         level = 0
         while True:
             if k & 1:
-                t = self._apply_table(tables[level], t, j, fuel)
+                t = self._apply_table(tables[level], t, j)
             k >>= 1
             if not k:
                 break
@@ -509,9 +411,17 @@ class PcPresentation:
             if level == len(tables):
                 last = tables[-1]
                 tables.append([None if img is None
-                               else tuple(self._apply_table(last, img, j, fuel))
+                               else tuple(self._apply_table(last, img, j))
                                for img in last])
-        v[j] += f
+        e = v[j] + f
+        m = self.orders[j]
+        if m is not None:
+            q, e = divmod(e, m)
+            w = self._power_vectors.get(j)
+            if q and w:
+                t, tail = self._pow_vector(w, q), t
+                self._mul_into(t, tail)
+        v[j] = e
         v[j + 1:] = t[j + 1:]
 
     def _phi_tables(self, j, sign):
@@ -520,18 +430,12 @@ class PcPresentation:
             table = [None] * self.n
             for (l, k), w in (self.conj if sign > 0 else self.conjinv).items():
                 if k == j and w != ((l, 1),):
-                    img = [0] * self.n
-                    for i, e in w:
-                        img[i] = e
-                    table[l] = tuple(img)
+                    table[l] = tuple(self._vector(w))
             tables = self._phi[(j, sign)] = [table]
         return tables
 
-    def _apply_table(self, table, x, j, fuel):
+    def _apply_table(self, table, x, j):
         """phi(x) = prod over i > j of phi(g_i)^(x_i), for x in G_{j+1}."""
-        fuel[0] -= self.n - j
-        if fuel[0] <= 0:
-            raise CollectionError("collection fuel exhausted")
         out = [0] * self.n
         for i in range(j + 1, self.n):
             e = x[i]
@@ -539,52 +443,51 @@ class PcPresentation:
                 continue
             img = table[i]
             if img is None:
-                self._block_mul(out, i, e, fuel)
+                self._block_mul(out, i, e)
             else:
-                self._mul_into(out, self._pow_vector(img, e, fuel), fuel)
+                self._mul_into(out, self._pow_vector(img, e))
         return out
 
-    def _mul_into(self, v, y, fuel):
+    def _mul_into(self, v, y):
         for i, e in enumerate(y):
             if e:
-                self._block_mul(v, i, e, fuel)
+                self._block_mul(v, i, e)
 
-    def _inverse_vector(self, x, fuel):
+    def _inverse_vector(self, x):
         v = [0] * self.n
         for j in range(self.n - 1, -1, -1):
             if x[j]:
-                self._block_mul(v, j, -x[j], fuel)
+                self._block_mul(v, j, -x[j])
         return v
 
-    def _pow_vector(self, x, k, fuel):
+    def _pow_vector(self, x, k):
         """x^k by binary powering.  ``_left_move`` passes x in G_{j+1} only,
         so the products it collects involve generators above g_j alone."""
         if k < 0:
-            x, k = self._inverse_vector(x, fuel), -k
+            x, k = self._inverse_vector(x), -k
         result = [0] * self.n
         base = x
         while True:
             if k & 1:
-                self._mul_into(result, base, fuel)
+                self._mul_into(result, base)
             k >>= 1
             if not k:
                 return result
             square = list(base)
-            self._mul_into(square, base, fuel)
+            self._mul_into(square, base)
             base = square
 
     # -- group operations ------------------------------------------------
 
     def multiply(self, x, y) -> Element:
-        fuel = [DEFAULT_FUEL]
         v = list(x)
         for j, e in enumerate(y):
             if e:
-                self._block_mul(v, j, e, fuel)
+                self._block_mul(v, j, e)
         return tuple(v)
 
     def inverse(self, x) -> Element:
-        return tuple(self._inverse_vector(x, [DEFAULT_FUEL]))
+        return tuple(self._inverse_vector(x))
 
     def power(self, x, k) -> Element:
         if k == 0:
@@ -623,9 +526,8 @@ class PcPresentation:
         return Abelianization(self)
 
     def hirsch_rank(self) -> int:
-        if not (self.nilpotent or self.polycyclic_certified):
-            raise PresentationError(
-                "Hirsch rank needs a nilpotent flag or a polycyclic certification")
+        """The number of infinite-order generators: a consistent presentation
+        in standard pc form has a series with these cyclic factors."""
         return sum(1 for m in self.orders if m is None)
 
     def order_of(self, x, bound) -> Optional[int]:
@@ -644,8 +546,7 @@ class PcPresentation:
 # -- parsing -----------------------------------------------------------
 
 
-def parse_presentation(text, *, family_id=None, analytic=None,
-                       polycyclic_certified=False) -> PcPresentation:
+def parse_presentation(text, *, family_id=None, analytic=None) -> PcPresentation:
     """Parse UTF-8 presentation source (see the grammar in the README)."""
     name = "unnamed"
     nilpotent = False
@@ -721,7 +622,6 @@ def parse_presentation(text, *, family_id=None, analytic=None,
         name=name, gens=gens, orders=orders, power_words=power_words,
         conj=conj, conjinv=conjinv, torsion_len=torsion_len, blocks=blocks,
         nilpotent=nilpotent, genset=(), source=text,
-        polycyclic_certified=polycyclic_certified or nilpotent,
         family_id=family_id, analytic=analytic)
     if genset_tokens:
         elements = []
@@ -774,8 +674,8 @@ nilpotent false
 torsion_prefix 0
 gen a order inf
 gen b order inf
-conj b by a = a^-2*b
-conjinv b by a = a^2*b
+conj b by a = b^-1
+conjinv b by a = b^-1
 genset a a^-1 b b^-1
 """
 
@@ -804,7 +704,7 @@ def _zn_analytic(n):
 _HEISENBERG_ANALYTIC = AnalyticTables(
     in_sqrt_commutator=lambda x: x[0] == 0 and x[1] == 0)
 
-_KLEIN_ANALYTIC = AnalyticTables(in_sqrt_commutator=lambda x: x[1] == 0)
+_KLEIN_ANALYTIC = AnalyticTables(in_sqrt_commutator=lambda x: x[0] == 0)
 
 
 def _zn_cross_cyclic_analytic(n):
@@ -872,7 +772,7 @@ def direct_product(left, right, name=None) -> PcPresentation:
     src = "\n".join(lines) + "\n"
     fam = f"direct_product({left.family_id},{right.family_id})"
     return parse_presentation(
-        src, family_id=fam, polycyclic_certified=True,
+        src, family_id=fam,
         analytic=_combine_analytic(left.analytic, right.analytic, nl))
 
 
@@ -894,14 +794,13 @@ def builtin(name, **params) -> PcPresentation:
         if not isinstance(n, int) or n < 1:
             raise PresentationError("zn needs n >= 1")
         return parse_presentation(_zn_source(n), family_id=f"zn:{n}",
-                                  polycyclic_certified=True, analytic=_zn_analytic(n))
+                                  analytic=_zn_analytic(n))
     if name == "heisenberg":
         return parse_presentation(_HEISENBERG_SOURCE, family_id="heisenberg",
-                                  polycyclic_certified=True,
                                   analytic=_HEISENBERG_ANALYTIC)
     if name == "klein_bottle":
         return parse_presentation(_KLEIN_SOURCE, family_id="klein_bottle",
-                                  polycyclic_certified=True, analytic=_KLEIN_ANALYTIC)
+                                  analytic=_KLEIN_ANALYTIC)
     if name == "zn_cross_cyclic":
         n = params.get("n", 1)
         m = params.get("m", 2)
@@ -911,7 +810,7 @@ def builtin(name, **params) -> PcPresentation:
             raise PresentationError("zn_cross_cyclic needs m >= 2")
         return parse_presentation(
             _zn_cross_cyclic_source(n, m), family_id=f"zn_cross_cyclic:{n},{m}",
-            polycyclic_certified=True, analytic=_zn_cross_cyclic_analytic(n))
+            analytic=_zn_cross_cyclic_analytic(n))
     if name == "direct_product":
         return direct_product(params["left"], params["right"],
                               name=params.get("name"))

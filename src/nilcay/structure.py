@@ -153,8 +153,7 @@ def quotient_by_torsion(presentation) -> pcgroup.PcPresentation:
     src = "\n".join(lines) + "\n"
     try:
         return pcgroup.parse_presentation(
-            src, family_id=f"quotient({p.family_id})",
-            polycyclic_certified=p.polycyclic_certified, analytic=analytic)
+            src, family_id=f"quotient({p.family_id})", analytic=analytic)
     except pcgroup.PresentationError as exc:
         raise SubgroupError(f"torsion quotient is not presentable: {exc}") from exc
 

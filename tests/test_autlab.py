@@ -284,7 +284,7 @@ SEARCH_PINS = [
     ("zxz2", "fsf", 6, 2, 98304, 8192,
      "c646e8add186cad20b07e869363334c2ddcf4433f12cab2d4512eed6b0275462"),
     ("klein_bottle", "std", 6, 2, 1120, 8,
-     "528861bb5c1aa8d83fb293e3c247146723d6803a1470d72805b66683e53a0ed4"),
+     "e2e4c601675968fb31d5124f230e69cd854bc7d4110ea7d6e3aeaf8c36463420"),
     ("heisenberg_z3", "std", 3, 2, 8964, 16,
      "4b04b347688dba21406e31593b5d041daa845b33458f91f2043dfe4a7037aa42"),
 ]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from nilcay import cli, constructions, pcgroup, structure
 from nilcay.cayley import GenSet, export_vertex_map, generate_ball
 from nilcay.pcgroup import from_id
+from reference import SOL_SOURCE
 
 
 def run(argv):
@@ -139,6 +141,29 @@ def test_structure_commands(tmp_path):
         assert run(["structure", "--group", "zxz2", flag, "--radius", "2",
                     "--out", str(out)]) == 0
         assert "kmax" not in read_json(out)["parameters"]
+
+
+def test_presentation_outside_standard_pc_form_exits_2_at_parse(tmp_path, capsys):
+    # the conjugate of b by a mentions a itself: outside standard pc form
+    src = tmp_path / "x.pc"
+    src.write_text("group X\nnilpotent false\ntorsion_prefix 0\n"
+                   "gen a order inf\ngen b order inf\n"
+                   "conj b by a = a*b\nconjinv b by a = a^-1*b\n"
+                   "genset a a^-1 b b^-1\n")
+    t0 = time.perf_counter()
+    assert run(["ball", "--group", str(src), "--radius", "3"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err["kind"] == "PresentationError"
+    assert "conj b by a = a*b is not in standard pc form" in err["error"]
+
+
+def test_rank_of_a_polycyclic_user_presentation(tmp_path):
+    src = tmp_path / "sol.pc"
+    src.write_text(SOL_SOURCE)
+    out = tmp_path / "rank.json"
+    assert run(["structure", "--group", str(src), "--rank", "--out", str(out)]) == 0
+    assert read_json(out)["result"]["parameters"]["rank_G"] == 3
 
 
 def test_inconsistent_presentation_exits_2(tmp_path, capsys):

@@ -193,8 +193,9 @@ def test_classification_matches_analytic_table():
     S2 = standard_genset(z2)
     assert classify_distorted(z2, S2, (1, 0), kmax=64)[0] == "undistorted"
     assert classify_distorted(z2, S2, (0, 1), kmax=64)[0] == "undistorted"
-    # a lies in the isolator of [K, K] but spans a coordinate of the index-2
-    # subgroup <a, b^2> = Z^2, so it is undistorted: Klein is not nilpotent
+    # b lies in the isolator of [K, K] = <b^2> but spans a coordinate of the
+    # index-2 subgroup <a^2, b> = Z^2, so it is undistorted: Klein is not
+    # nilpotent
     k = builtin("klein_bottle")
     for g in ((1, 0), (0, 1)):
         verdict, prof, _ = classify_distorted(k, standard_genset(k), g, kmax=64)

@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcay import pcgroup
-from nilcay.pcgroup import CollectionError, PresentationError, builtin, from_id
+from nilcay.pcgroup import PresentationError, builtin, from_id
+from reference import (HEISENBERG_MOD3_SOURCE, MIXED_ROW_SOURCE, Q8_SOURCE,
+                       SOL_SOURCE, letter_collect, letters_to_vector,
+                       vector_letters)
 
 
 def heisenberg_mul(x, y):
@@ -20,9 +23,9 @@ def heisenberg_mul(x, y):
 
 
 def klein_mul(x, y):
-    """Oracle: a^i b^j * a^x b^y = a^(i + (-1)^j x) b^(j+y)."""
-    sign = 1 if x[1] % 2 == 0 else -1
-    return (x[0] + sign * y[0], x[1] + y[1])
+    """Oracle: a^i b^j * a^k b^l = a^(i+k) b^((-1)^k j + l), as a inverts b."""
+    sign = 1 if y[0] % 2 == 0 else -1
+    return (x[0] + y[0], sign * x[1] + y[1])
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +44,8 @@ def test_spec_pinned_products(heis, klein):
     assert heis.multiply(b, a) == (1, 1, -1)
     assert heis.commutator(a, b) == (0, 0, 1)
     ka, kb = klein.generator(0), klein.generator(1)
-    assert klein.multiply(kb, ka) == (-1, 1)
-    assert klein.commutator(ka, kb) == (-2, 0)
+    assert klein.multiply(kb, ka) == (1, -1)
+    assert klein.commutator(ka, kb) == (0, 2)
 
 
 def test_identity_laws(heis):
@@ -157,7 +160,9 @@ block d
 genset a a^-1 b b^-1
 """
 
-# the Heisenberg group with its central generator first: c^k a^i b^j
+# the Heisenberg group with its central generator first: c^k a^i b^j.  The
+# conjugate of b by a mentions c, which comes before a, so this is not in
+# standard pc form
 CENTRAL_FIRST_SOURCE = """\
 group HeisenbergCentralFirst
 nilpotent true
@@ -170,11 +175,14 @@ conjinv b by a = c*b
 """
 
 
+_SOURCES = {"filiform": FILIFORM_SOURCE, "q8": Q8_SOURCE,
+            "heisenberg_mod3": HEISENBERG_MOD3_SOURCE, "sol": SOL_SOURCE,
+            "mixed_row": MIXED_ROW_SOURCE}
+
+
 def _presentation(name):
-    if name == "filiform":
-        return pcgroup.parse_presentation(FILIFORM_SOURCE)
-    if name == "central_first":
-        return pcgroup.parse_presentation(CENTRAL_FIRST_SOURCE)
+    if name in _SOURCES:
+        return pcgroup.parse_presentation(_SOURCES[name])
     if name == "heisenberg_x_z2":
         return pcgroup.direct_product(builtin("heisenberg"), builtin("zn", n=2))
     if name == "quotient(heisenberg_z3)":
@@ -195,8 +203,7 @@ _HEIS_MOVE = {(1, 0): (pcgroup._CENTRAL, ((2, -1),))}
     ("klein_bottle", {(1, 0): (pcgroup._SIGN,)}),
     ("filiform", {(1, 0): (pcgroup._GENERIC,),
                   (2, 0): (pcgroup._CENTRAL, ((3, 1),))}),
-    # deriving (2, 1) collects past the pair (1, 0), not derived yet
-    ("central_first", {(2, 1): (pcgroup._CENTRAL, ((0, -1),))}),
+    ("mixed_row", {(2, 0): (pcgroup._SIGN,), (1, 0): (pcgroup._GENERIC,)}),
 ])
 def test_action_table_is_pinned(name, moves):
     """Every non-commuting pair, so a pair that silently falls back to
@@ -209,15 +216,10 @@ def test_action_table_is_pinned(name, moves):
         assert ls == sorted(ls, reverse=True) and all(l > j for l in ls)
 
 
-def test_central_first_heisenberg_matches_closed_form():
-    p = _presentation("central_first")
-    rng = random.Random(19)
-    for _ in range(1000):
-        x = tuple(rng.randint(-20, 20) for _ in range(3))
-        y = tuple(rng.randint(-20, 20) for _ in range(3))
-        (k1, i1, j1), (k2, i2, j2) = x, y
-        assert p.multiply(x, y) == (k1 + k2 - j1 * i2, i1 + i2, j1 + j2)
-        assert p.multiply(x, p.inverse(x)) == p.identity
+def test_central_first_heisenberg_is_refused():
+    with pytest.raises(PresentationError,
+                       match=r"conj b by a = c\^-1\*b is not in standard pc form"):
+        pcgroup.parse_presentation(CENTRAL_FIRST_SOURCE)
 
 
 def test_letterwise_reference_agrees_with_fast_path():
@@ -226,20 +228,13 @@ def test_letterwise_reference_agrees_with_fast_path():
         p = _presentation(fid)
         rng = random.Random(f"ref:{fid}")
         for _ in range(120):
-            letters = []
-            for _ in range(rng.randint(1, 8)):
-                i, s = rng.randrange(p.n), rng.choice((1, -1))
-                # the letter collector does not terminate on the Klein bottle
-                # once b has a negative exponent (a past b^-1 gives b^-1 a^2)
-                if fid == "klein_bottle" and i == 1:
-                    s = 1
-                letters.append((i, s))
-            v = [0] * p.n
-            p._letter_collect(v, letters, [10**5])
+            letters = [(rng.randrange(p.n), rng.choice((1, -1)))
+                       for _ in range(rng.randint(1, 8))]
+            v = letters_to_vector(p, letters)
             fast = p.identity
             for i, s in letters:
                 fast = p.multiply(fast, p.collect_word(((i, s),)))
-            assert tuple(v) == fast
+            assert v == fast
 
 
 # UT(4,Z): x1 = E12, x2 = E23, x3 = E34, y1 = E13, y2 = E24, z = E14, where
@@ -272,8 +267,9 @@ _UT4_ENTRIES = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))
 
 
 def _matmul(m, k):
-    return tuple(tuple(sum(m[r][i] * k[i][c] for i in range(4)) for c in range(4))
-                 for r in range(4))
+    size = range(len(k))
+    return tuple(tuple(sum(m[r][i] * k[i][c] for i in size) for c in size)
+                 for r in size)
 
 
 def ut4_matrix(v):
@@ -290,7 +286,7 @@ def ut4_matrix(v):
 def test_ut4_matches_matrix_product(span):
     """Class 3, where (x2 past x1) is GENERIC: collection from the left must
     give the normal form of the matrix product (the letter collector runs out
-    of fuel on some span-20 pairs)."""
+    of steps on some span-20 pairs)."""
     p = pcgroup.parse_presentation(UT4_SOURCE)
     assert any(a[0] == pcgroup._GENERIC for row in p._moves for _, a in row)
     rng = random.Random(f"ut4:{span}")
@@ -307,10 +303,66 @@ def test_ut4_agrees_with_letter_collector():
     for _ in range(300):
         x, y = (tuple(rng.randint(-3, 3) for _ in range(6)) for _ in "xy")
         v = list(x)
-        p._letter_collect(v, [(i, 1 if e > 0 else -1)
-                              for i, e in enumerate(y) for _ in range(abs(e))],
-                          [10**6])
+        letter_collect(p, v, vector_letters(y))
         assert tuple(v) == p.multiply(x, y)
+
+
+@pytest.mark.parametrize("name", ["q8", "heisenberg_mod3", "sol", "klein_bottle",
+                                  "mixed_row"])
+def test_products_agree_with_letter_collector(name):
+    """Seeded triples, with negative exponents at every infinite-order
+    generator: x*y agrees with letter-by-letter collection, and products
+    are associative and invertible."""
+    p = _presentation(name)
+    rng = random.Random(f"oracle:{name}")
+
+    def element():
+        return tuple(rng.randint(-3, 3) if m is None else rng.randrange(m)
+                     for m in p.orders)
+
+    for _ in range(300):
+        x, y, z = element(), element(), element()
+        v = list(x)
+        letter_collect(p, v, vector_letters(y))
+        assert tuple(v) == p.multiply(x, y)
+        assert p.multiply(p.multiply(x, y), z) == p.multiply(x, p.multiply(y, z))
+        assert p.multiply(x, p.inverse(x)) == p.identity
+
+
+def _matpow(m, k):
+    acc = ((1, 0), (0, 1))
+    for _ in range(k):
+        acc = _matmul(acc, m)
+    return acc
+
+
+def sol_matrix(v):
+    """Oracle: t^k x^p y^q acts on Z^2 as u -> M^-k (u + (p, q)), where
+    t^-1 x^p y^q t = x^p' y^q' with (p', q') = M (p, q), M = [[2, 1], [1, 1]]."""
+    k, p, q = v
+    a = _matpow(((1, -1), (-1, 2)) if k > 0 else ((2, 1), (1, 1)), abs(k))
+    shift = [a[r][0] * p + a[r][1] * q for r in range(2)]
+    return ((a[0][0], a[0][1], shift[0]), (a[1][0], a[1][1], shift[1]), (0, 0, 1))
+
+
+@pytest.mark.parametrize("span", [3, 20])
+def test_sol_matches_matrix_product(span):
+    """Not nilpotent, and both moves past t are GENERIC: collection from the
+    left must give the normal form of the affine-matrix product."""
+    p = pcgroup.parse_presentation(SOL_SOURCE)
+    assert p._moves[0] == ((2, (pcgroup._GENERIC,)), (1, (pcgroup._GENERIC,)))
+    rng = random.Random(f"sol:{span}")
+    for _ in range(200):
+        x, y = (tuple(rng.randint(-span, span) for _ in range(3)) for _ in "xy")
+        xy = p.multiply(x, y)
+        assert sol_matrix(xy) == _matmul(sol_matrix(x), sol_matrix(y))
+        assert p.multiply(xy, p.inverse(y)) == x
+
+
+def test_sol_ball_of_radius_8():
+    from nilcay.cayley import generate_ball, standard_genset
+    p = pcgroup.parse_presentation(SOL_SOURCE)
+    assert len(generate_ball(p, standard_genset(p), 8).vertices) == 7277
 
 
 @pytest.mark.parametrize("span", [20, 100, 1000])
@@ -320,19 +372,11 @@ def test_filiform_associativity_at_large_spans(span):
     triples = [tuple(tuple(rng.randint(-span, span) for _ in range(4))
                      for _ in "xyz") for _ in range(100)]
     if span == 20:
-        # the letter-by-letter collector runs out of fuel on this triple
+        # the letter-by-letter collector runs out of steps on this triple
         triples.append(((-1, 14, -13, -18), (18, 3, 3, -6), (16, -11, 10, -7)))
     for x, y, z in triples:
         assert p.multiply(p.multiply(x, y), z) == p.multiply(x, p.multiply(y, z))
         assert p.multiply(x, p.inverse(x)) == p.identity
-
-
-def test_collection_from_the_left_still_spends_fuel():
-    p = _presentation("filiform")
-    word = ((1, 50), (0, 50))          # b^50 a^50: a moves past a b-tail
-    assert p.collect_word(word) == p.multiply((0, 50, 0, 0), (50, 0, 0, 0))
-    with pytest.raises(CollectionError):
-        p.collect_word(word, fuel=3)
 
 
 # b, e and a commute except [b, a] = c, and [c, e] = d: the Jacobi identity
@@ -369,13 +413,23 @@ def test_inconsistent_overlap_is_rejected_at_load():
         pcgroup.parse_presentation(bad_power)
 
 
+def test_conj_and_conjinv_must_cancel():
+    # conjinv should be b*c^-1; the overlap checks alone accept this file
+    src = ("group H\nnilpotent true\ntorsion_prefix 0\n"
+           "gen a order inf\ngen b order inf\ngen c order inf\n"
+           "conj b by a = b*c\nconjinv b by a = b*c\nblock a b\nblock c\n")
+    with pytest.raises(PresentationError, match="conj and conjinv for b by a do not cancel"):
+        pcgroup.parse_presentation(src)
+
+
 def test_conjugate_and_centrality(heis, klein):
     a, b, c = heis.generator(0), heis.generator(1), heis.generator(2)
     assert heis.conjugate(a, b) == (1, 0, 1)
     assert heis.is_central(c)
     assert not heis.is_central(a)
-    assert klein.is_central((0, 2))
+    assert klein.is_central((2, 0))
     assert not klein.is_central((1, 0))
+    assert not klein.is_central((0, 2))
     z2 = builtin("zn", n=2)
     assert z2.is_central((5, -3))
 
@@ -394,14 +448,14 @@ def test_hirsch_rank():
     assert builtin("heisenberg").hirsch_rank() == 3
     assert from_id("zxz2").hirsch_rank() == 1
     assert from_id("heisenberg_z3").hirsch_rank() == 3
-    # refusal without nilpotent flag or certification
+    assert builtin("klein_bottle").hirsch_rank() == 2
+    assert pcgroup.parse_presentation(SOL_SOURCE).hirsch_rank() == 3
+    # the Klein bottle with b inverting a is outside standard pc form
     src = ("group W\nnilpotent false\ntorsion_prefix 0\n"
            "gen a order inf\ngen b order inf\n"
            "conj b by a = a^-2*b\nconjinv b by a = a^2*b\n")
-    p = pcgroup.parse_presentation(src)
-    with pytest.raises(PresentationError):
-        p.hirsch_rank()
-    assert builtin("klein_bottle").hirsch_rank() == 2  # certified built-in
+    with pytest.raises(PresentationError, match="conj b by a = a\\^-2\\*b is not"):
+        pcgroup.parse_presentation(src)
 
 
 def test_parse_roundtrip_of_builtin_sources():
@@ -434,14 +488,15 @@ def test_element_serialization(heis):
 
 
 def test_collection_fuel_exhaustion():
-    # exponent-doubling conjugation: c b = b^2 c^2, letterwise collection of
-    # c * b^20 explodes and must hit the fuel bound instead of hanging
+    # exponent-doubling conjugation: c b = b^2 c^2, on which letterwise
+    # collection of c * b^20 explodes; it is outside standard pc form, so the
+    # parser refuses it
     src = ("group Doubler\nnilpotent false\ntorsion_prefix 0\n"
            "gen b order inf\ngen c order inf\n"
            "conj c by b = b*c^2\nconjinv c by b = b^-1*c^2\n")
-    with pytest.raises((PresentationError, CollectionError)):
-        p = pcgroup.parse_presentation(src)
-        p.collect_word(((1, 1), (0, 20)), fuel=2000)
+    with pytest.raises(PresentationError,
+                       match=r"conj c by b = b\*c\^2 is not in standard pc form"):
+        pcgroup.parse_presentation(src)
 
 
 def test_unknown_family_and_bad_params():

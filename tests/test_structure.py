@@ -36,13 +36,14 @@ def test_torsion_subgroup_closure_checked():
 
 
 def test_non_stable_torsion_block_rejected():
-    # conjugation pushes the declared torsion generator outside its block
+    # conjugation pushes the declared torsion generator outside its block;
+    # that is outside standard pc form, so the parser refuses it before
+    # torsion_subgroup's own stability check could
     src = ("group Bad\nnilpotent false\ntorsion_prefix 1\n"
            "gen x order inf\ngen t order 2\npow t = 1\n"
            "conj t by x = x^2*t\nconjinv t by x = x^-2*t\n")
-    p = parse_presentation(src)
-    with pytest.raises(SubgroupError, match="not conjugation-stable"):
-        torsion_subgroup(p)
+    with pytest.raises(PresentationError, match=r"conj t by x = x\^2\*t is not in standard"):
+        parse_presentation(src)
 
 
 def test_quotient_by_torsion():
