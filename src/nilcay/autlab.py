@@ -12,6 +12,15 @@ the whole graph only once it is known to extend beyond B(r+t).  Below radius
 2 the interior of B(r) is {e}, where the affine check checks nothing, so
 ``normality_verdict`` answers inconclusive there.
 
+The affine check splits a map as m(x) = h alpha(x) with h = m(e) and
+certifies alpha in time linear in the ball.  If the images of the source's
+pc generators satisfy every relation of the source presentation, von Dyck's
+theorem gives a homomorphism phi that extends them, and one product per
+interior vertex, along a BFS parent edge, confirms alpha = phi on the
+interior.  Only when a pc generator is outside the map's domain or the
+certificate fails does the quadratic scan over interior pairs run, to name
+the failing pair.
+
 The backtracking search assigns images one vertex at a time, drawing
 candidates from stable Weisfeiler-Leman colour classes.  It keeps the
 candidate domains of the frontier (unassigned vertices with an assigned
@@ -57,6 +66,8 @@ class AffineVerdict:
     alpha_on_generators: dict | None
     witness: tuple | None = None
     reason: str = ""
+    #: the images of the source pc generators when the certificate holds
+    alpha_on_pc_generators: tuple | None = None
 
     def __bool__(self):
         return self.affine
@@ -273,36 +284,103 @@ def enumerate_local_auts(ball: Ball, stability, cap=10**5, max_vertices=None):
     return auts
 
 
-def is_affine_on_ball(ball_a: Ball, ball_b: Ball, mapping) -> AffineVerdict:
-    """Split the map as translation * alpha and certify alpha on the window.
-
-    alpha(x) = m(e)^{-1} m(x) must be multiplicative on every in-ball pair
-    with x, y, xy all interior, and must map the source generating set
-    bijectively onto the target generating set.
-    """
-    pa, pb = ball_a.presentation, ball_b.presentation
-    e = pa.identity
+def _split_translation(ball_a, ball_b, mapping):
+    """(h, alpha on S, failure): h = m(e), alpha(s) = h^{-1} m(s) for s in S,
+    and the verdict when alpha does not map S bijectively onto S'."""
+    e, pb = ball_a.presentation.identity, ball_b.presentation
     if e not in mapping:
         raise ValueError("map must be defined at the identity")
     h = mapping[e]
     hinv = pb.inverse(h)
-    alpha = {}
-    for x, mx in mapping.items():
-        alpha[x] = pb.multiply(hinv, mx)
     gens_a = ball_a.genset.elements
     gens_b = set(ball_b.genset.elements)
     alpha_gens = {}
     for s in gens_a:
-        if s not in alpha:
-            return AffineVerdict(False, h, None,
-                                 reason=f"generator {s} outside the map domain")
-        alpha_gens[s] = alpha[s]
+        if s not in mapping:
+            return h, None, AffineVerdict(
+                False, h, None, reason=f"generator {s} outside the map domain")
+        alpha_gens[s] = pb.multiply(hinv, mapping[s])
     images = set(alpha_gens.values())
     if not images <= gens_b or len(images) != len(gens_b):
         bad = next((s for s in gens_a if alpha_gens[s] not in gens_b), gens_a[0])
-        return AffineVerdict(False, h, alpha_gens, witness=(bad,),
-                             reason="generators are not mapped bijectively onto "
-                                    "the target generating set")
+        return h, alpha_gens, AffineVerdict(
+            False, h, alpha_gens, witness=(bad,),
+            reason="generators are not mapped bijectively onto the target "
+                   "generating set")
+    return h, alpha_gens, None
+
+
+def _evaluate(pb, imgs, word):
+    """The product of imgs[i]^k over the factors (i, k) of a word."""
+    x = pb.identity
+    for i, k in word:
+        x = pb.multiply(x, pb.power(imgs[i], k))
+    return x
+
+
+def _pc_homomorphism(pa, pb, mapping, hinv):
+    """The images alpha(g_i) of the source pc generators when they satisfy
+    every relation of the source presentation, collected in the target;
+    None when one fails or some g_i is outside the map's domain."""
+    imgs = []
+    for i in range(pa.n):
+        g = pa.generator(i)
+        if g not in mapping:
+            return None
+        imgs.append(pb.multiply(hinv, mapping[g]))
+    for j, gj in enumerate(imgs):
+        gj_inv = pb.inverse(gj)
+        for l in range(j + 1, pa.n):
+            fixed = ((l, 1),)             # a missing entry: the pair commutes
+            if (pb.multiply(pb.multiply(gj_inv, imgs[l]), gj)
+                    != _evaluate(pb, imgs, pa.conj.get((l, j), fixed))):
+                return None
+            if (pb.multiply(pb.multiply(gj, imgs[l]), gj_inv)
+                    != _evaluate(pb, imgs, pa.conjinv.get((l, j), fixed))):
+                return None
+        m = pa.orders[j]
+        if m is not None and pb.power(gj, m) != _evaluate(
+                pb, imgs, pa.power_words.get(j, ())):
+            return None
+    return tuple(imgs)
+
+
+def _agrees_on_interior(ball_a, pb, mapping, imgs):
+    """m(u s) = m(u) phi(s) along one BFS parent edge into each interior
+    vertex; with m(e) = h this gives m = h phi on the interior, by induction
+    on the distance."""
+    phi = [_evaluate(pb, imgs, tuple((i, k) for i, k in enumerate(s) if k))
+           for s in ball_a.genset.elements]
+    verts, dist, adjacency = ball_a.vertices, ball_a.dist_list, ball_a.adjacency
+    cut = ball_a.radius - 1
+    reached = [False] * len(verts)
+    for u in ball_a.interior_ids():
+        d = dist[u] + 1
+        if d > cut:
+            continue
+        mu = mapping.get(verts[u])
+        if mu is None:
+            return False
+        for sid, w in adjacency[u]:
+            if dist[w] != d or reached[w]:
+                continue
+            reached[w] = True
+            if mapping.get(verts[w]) != pb.multiply(mu, phi[sid]):
+                return False
+    return True
+
+
+def _pairwise_scan(ball_a: Ball, ball_b: Ball, mapping) -> AffineVerdict:
+    """The quadratic check: alpha(xy) = alpha(x) alpha(y) on every pair of
+    interior vertices with xy interior.  ``is_affine_on_ball`` falls back to
+    it, for its witness, when the certificate fails; the tests use it as the
+    certificate's oracle."""
+    h, alpha_gens, failure = _split_translation(ball_a, ball_b, mapping)
+    if failure is not None:
+        return failure
+    pa, pb = ball_a.presentation, ball_b.presentation
+    hinv = pb.inverse(h)
+    alpha = {x: pb.multiply(hinv, mx) for x, mx in mapping.items()}
     interior = ball_a.interior_vertices()
     iset = set(interior)
     for x in interior:
@@ -315,6 +393,36 @@ def is_affine_on_ball(ball_a: Ball, ball_b: Ball, mapping) -> AffineVerdict:
                 return AffineVerdict(False, h, alpha_gens, witness=(x, y),
                                      reason="alpha is not multiplicative")
     return AffineVerdict(True, h, alpha_gens)
+
+
+def is_affine_on_ball(ball_a: Ball, ball_b: Ball, mapping) -> AffineVerdict:
+    """Split the map as translation * alpha and certify alpha on the window.
+
+    alpha(x) = m(e)^{-1} m(x) must map the source generating set bijectively
+    onto the target generating set, and must be multiplicative on every
+    in-ball pair with x, y, xy all interior.
+
+    Multiplicativity is certified in linear time.  The images alpha(g_i) of
+    the source pc generators, read wherever g_i is in the map's domain, are
+    checked against every relation of the source presentation (``conj`` and
+    ``conjinv`` of each pair, ``pow`` of each finite-order g_i), collected in
+    the target.  By von Dyck's theorem they then define a homomorphism phi
+    with phi(g_i) = alpha(g_i) (Sims, *Computation with Finitely Presented
+    Groups*, 1994, ch. 9).  One product per interior vertex, along a BFS
+    parent edge, confirms alpha = phi on the interior, and then every
+    interior pair is multiplicative.  The certified verdict carries the
+    images in ``alpha_on_pc_generators``.  When some g_i is outside the
+    domain, a relation fails or alpha differs from phi, the quadratic
+    ``_pairwise_scan`` decides instead, with its witness pair.
+    """
+    h, alpha_gens, failure = _split_translation(ball_a, ball_b, mapping)
+    if failure is not None:
+        return failure
+    pb = ball_b.presentation
+    imgs = _pc_homomorphism(ball_a.presentation, pb, mapping, pb.inverse(h))
+    if imgs is not None and _agrees_on_interior(ball_a, pb, mapping, imgs):
+        return AffineVerdict(True, h, alpha_gens, alpha_on_pc_generators=imgs)
+    return _pairwise_scan(ball_a, ball_b, mapping)
 
 
 def normality_verdict(presentation, genset, r, t, cap=10**5,

@@ -1,6 +1,7 @@
 """Stable local automorphisms, affine verdicts, normality, induced maps."""
 
 import hashlib
+import random
 import sys
 
 import pytest
@@ -107,6 +108,181 @@ def test_affine_composition(z2_setup):
         v1.translation, v1.translation)) if v1.translation != p.identity \
         else v2.translation
     assert vc.translation == want_h == p.identity  # e-fixing maps compose
+
+
+def _heisenberg_automorphism(m, v):
+    """(a, b) -> m (a, b), c -> c^det m, on normal forms a^x b^y c^z.
+
+    The built-in product is (x, y, z)(x', y', z') = (x + x', y + y',
+    z + z' - x'y); in the coordinates (x, y, z + xy/2) it is the symplectic
+    product, which a linear map of determinant d scales by d.
+    """
+    (p, q), (r, s) = m
+    d = p * s - q * r
+    x, y, z = v
+    x2, y2 = p * x + q * y, r * x + s * y
+    return (x2, y2, d * z + (d * x * y - x2 * y2) // 2)
+
+
+SIGNED_PERMUTATIONS = [m for s in (1, -1) for t in (1, -1)
+                       for m in (((s, 0), (0, t)), ((0, s), (t, 0)))]
+
+
+@pytest.mark.parametrize("m", SIGNED_PERMUTATIONS)
+def test_certificate_reports_pc_generator_images(m):
+    p = builtin("heisenberg")
+    ball = generate_ball(p, standard_genset(p), 6)
+    rng = random.Random(repr(m))
+    h = tuple(rng.randint(-5, 5) for _ in range(3))
+    mapping = {v: p.multiply(h, _heisenberg_automorphism(m, v))
+               for v in ball.vertices}
+    verdict = is_affine_on_ball(ball, ball, mapping)
+    (a, b), (c, d) = m
+    assert verdict.affine and verdict.translation == h
+    assert verdict.alpha_on_pc_generators == ((a, c, 0), (b, d, 0),
+                                              (0, 0, a * d - b * c))
+    assert verdict.alpha_on_generators == {
+        s: _heisenberg_automorphism(m, s) for s in ball.genset.elements}
+    assert "alpha_on_pc_generators" not in verdict.to_witness_dict()
+
+
+def _stable_cases(gid):
+    p = from_id(gid)
+    ball = generate_ball(p, standard_genset(p), 4)
+    return [(ball, ball, aut.mapping) for aut in enumerate_local_auts(ball, 2)]
+
+
+def _klein_flip_case(r):
+    flip = constructions.klein_flip_map(r)
+    return [(flip.source, flip.source, flip.mapping)]
+
+
+def _twin_swap_case():
+    zx = from_id("zxz2")
+    fsf = constructions.fsf_generating_set(
+        zx, structure.torsion_subgroup(zx), GenSet(zx, [(1, 0), (-1, 0)])).genset
+    ball = generate_ball(zx, fsf, 5)
+    return [(ball, ball, constructions.twin_swap_map(ball, (3, 0), (3, 1)))]
+
+
+def _induced_quotient_cases():
+    """The quotient balls and maps that ``induced_quotient_check`` hands to
+    the affine check, for the twin swap and a fibre permutation of zxz2."""
+    zx = from_id("zxz2")
+    N = structure.torsion_subgroup(zx)
+    fsf = constructions.fsf_generating_set(
+        zx, N, GenSet(zx, [(1, 0), (-1, 0)])).genset
+    ball = generate_ball(zx, fsf, 5)
+    lifted = generate_ball(zx, constructions.lift_generating_set(
+        zx, [(1,), (-1,)]), 5)
+    fibres = {v: (v[0], 1 - v[1]) if v[0] % 3 == 1 else v
+              for v in lifted.vertices}
+    calls = []
+
+    def capture(qa, qb, qmap):
+        calls.append((qa, qb, qmap))
+        return is_affine_on_ball(qa, qb, qmap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autlab, "is_affine_on_ball", capture)
+        for b, mapping in ((ball, constructions.twin_swap_map(ball, (3, 0), (3, 1))),
+                           (lifted, fibres)):
+            assert induced_quotient_check(b, b, mapping, N, N).verdict == "pass"
+    assert len(calls) == 2
+    return calls
+
+
+def _broken_on_last_shell_case():
+    """An affine map of Heisenberg B(5) with the images of two vertices of
+    the last interior shell exchanged."""
+    p = builtin("heisenberg")
+    ball = generate_ball(p, standard_genset(p), 5)
+    m = ((0, 1), (-1, 0))
+    mapping = {v: p.multiply((1, 2, -3), _heisenberg_automorphism(m, v))
+               for v in ball.vertices}
+    u, w = [v for v in ball.interior_vertices()
+            if ball.distance_from_identity(v) == 4][:2]
+    mapping[u], mapping[w] = mapping[w], mapping[u]
+    return [(ball, ball, mapping)]
+
+
+ORACLE_CASES = {
+    "z2-stable-(4,2)": lambda: _stable_cases("z2"),
+    "z3-stable-(4,2)": lambda: _stable_cases("z3"),
+    "heisenberg-stable-(4,2)": lambda: _stable_cases("heisenberg"),
+    "klein-flip-B4": lambda: _klein_flip_case(4),
+    "klein-flip-B5": lambda: _klein_flip_case(5),
+    "klein-flip-B6": lambda: _klein_flip_case(6),
+    "zxz2-fsf-twin-swap": _twin_swap_case,
+    "induced-quotient-maps": _induced_quotient_cases,
+    "heisenberg-broken-on-last-shell": _broken_on_last_shell_case,
+}
+
+
+def _verdict_key(v):
+    return (v.affine, v.translation, v.alpha_on_generators, v.witness, v.reason)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_certificate_agrees_with_pairwise_scan(case):
+    for ball_a, ball_b, mapping in ORACLE_CASES[case]():
+        fast = is_affine_on_ball(ball_a, ball_b, mapping)
+        assert _verdict_key(fast) == _verdict_key(
+            autlab._pairwise_scan(ball_a, ball_b, mapping))
+        # every pc generator is in these domains: certified exactly when affine
+        assert (fast.alpha_on_pc_generators is not None) == fast.affine
+
+
+def test_pc_generator_outside_the_domain_falls_back_to_the_scan():
+    p = builtin("heisenberg")
+    ball = generate_ball(p, standard_genset(p), 3)
+    assert (0, 0, 1) not in ball
+    mapping = {v: p.multiply((2, -1, 3), v) for v in ball.vertices}
+    verdict = is_affine_on_ball(ball, ball, mapping)
+    assert verdict.affine and verdict.alpha_on_pc_generators is None
+    assert _verdict_key(verdict) == _verdict_key(
+        autlab._pairwise_scan(ball, ball, mapping))
+
+
+def test_broken_relation_falls_back_to_the_scan_witness():
+    p = builtin("heisenberg")
+    ball = generate_ball(p, standard_genset(p), 4)
+    # swaps a and b, so S is fixed setwise, but breaks a^-1 b a = b c^-1
+    mapping = {(x, y, z): (y, x, z) for x, y, z in ball.vertices}
+    assert autlab._pc_homomorphism(p, p, mapping, p.identity) is None
+    verdict = is_affine_on_ball(ball, ball, mapping)
+    assert not verdict.affine and verdict.alpha_on_pc_generators is None
+    assert verdict.reason == "alpha is not multiplicative"
+    assert verdict.witness is not None
+    assert _verdict_key(verdict) == _verdict_key(
+        autlab._pairwise_scan(ball, ball, mapping))
+
+
+def test_relation_check_reads_the_power_relations():
+    zx = from_id("zxz2")
+    x, t = zx.generator(0), zx.generator(1)
+    assert autlab._pc_homomorphism(zx, zx, {x: x, t: t}, zx.identity) == (x, t)
+    # x commutes with x, but x^2 = t^2 = e fails
+    assert autlab._pc_homomorphism(zx, zx, {x: x, t: x}, zx.identity) is None
+
+
+def test_certificate_costs_linearly_many_products(monkeypatch):
+    p = builtin("heisenberg")
+    ball = generate_ball(p, standard_genset(p), 8)
+    mapping = {v: p.multiply((3, -2, 5), v) for v in ball.vertices}
+    calls = 0
+    multiply = p.multiply
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return multiply(x, y)
+
+    monkeypatch.setattr(p, "multiply", counting)
+    verdict = is_affine_on_ball(ball, ball, mapping)
+    assert verdict.affine and verdict.alpha_on_pc_generators is not None
+    # the scan takes |interior|^2, over a million products, here
+    assert calls <= 2 * len(ball)
 
 
 def test_normality_verdicts():
