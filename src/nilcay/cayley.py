@@ -54,6 +54,13 @@ class GenSet:
     def __init__(self, presentation, elements):
         self.presentation = presentation
         canon = sorted(set(tuple(v) for v in elements))
+        for v in canon:
+            for i, m in enumerate(presentation.orders):
+                if m is not None and not 0 <= v[i] < m:
+                    raise ValueError(
+                        f"generating-set element {presentation.element_to_str(v)} "
+                        f"is not a normal form: coordinate {i} "
+                        f"({presentation.gens[i]}) must lie in [0, {m})")
         if presentation.identity in canon:
             raise ValueError("generating set must not contain the identity")
         self.elements = tuple(canon)

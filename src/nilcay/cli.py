@@ -342,8 +342,11 @@ def cmd_verify(args):
               file=sys.stderr)
     _emit(envelope, args)
     if args.timings:
+        paths = {fid: pcgroup.from_id(fid).product_path
+                 for fid in pcgroup.ACCEPTANCE_FAMILY_IDS}
         with open(args.timings, "w", encoding="utf-8") as fh:
-            fh.write(json_pretty({"per_suite_ms": per_suite_ms}))
+            fh.write(json_pretty({"per_suite_ms": per_suite_ms,
+                                  "product_paths": paths}))
     return EXIT_OK if envelope["all_passed"] else EXIT_VERDICT
 
 

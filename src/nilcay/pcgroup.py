@@ -11,7 +11,7 @@ the relation.  Group elements are normal-form exponent vectors
 ``(e_1, ..., e_n)`` stored as plain tuples of Python ints, so exponents never
 overflow; at finite-order positions ``0 <= e_i < m_i``.
 
-Products are computed by collection from the left.  At load time the
+The general product path is collection from the left.  At load time the
 presentation derives, once and by decreasing generator index, a table of
 how a ``g_j`` block moves left past each higher ``g_l`` run: it commutes,
 inverts the run (``g_j^{-1} g_l g_j = g_l^{-1}``), picks up a central
@@ -25,6 +25,30 @@ move, and a power word, take ``_left_move``: ``g_j^f`` passes the whole tail
 *Computation with Finitely Presented Groups*, 1994, ch. 9).  Every product
 it collects lies in ``G_{j+1}``, so the recursion rises through the
 generator indices and always ends.
+
+Torsion-free nilpotent groups take a second path, made of polynomials.  In
+such a group the coordinates of x*y and of x^-1 are polynomials in the
+coordinates of x and y (P. Hall, *Nilpotent groups*, 1957).  The path
+applies when the presentation is declared nilpotent, has blocks and no
+finite-order generator, and its weights are admissible: g_i in the k-th
+block has weight w_i = k, and every conj/conjinv word of ``l by j`` is g_l
+followed only by generators of weight >= w_j + w_l.  The subgroups
+generated by the generators of weight >= k then form a series with
+[G_a, G_b] <= G_{a+b}, and coordinate i of x*y and of x^-1 has weighted
+degree at most w_i, x_j and y_j weighing w_j (Leedham-Green and Soicher,
+"Symbolic collection using Deep Thought", LMS J. Comput. Math. 1, 1998), so
+total degree at most w_i.  It depends only on the coordinates j <= i of
+weight <= w_i, as every conjugate of g_l lies in <g_l, ..., g_n>, which makes
+<g_{i+1}, ..., g_n> normal.  Each such polynomial is interpolated over the simplex grid
+of total degree <= w_i in those variables, evaluated with the collector, in
+the binomial basis by forward differences (Newton), with exact integer
+coefficients.  The coefficients become one generated function per
+operation, compiled with ``compile()`` from integer literals and
+synthesized identifiers only.  Derivation runs on the first product or
+inverse, not at load, and ``multiply`` and ``inverse`` dispatch to the
+result.  Every other presentation, and one whose grids would exceed
+``_MAX_GRID_POINTS`` collector products, keeps the collector, which also
+stays the source the polynomials are derived from.
 
 At load time conj and conjinv are checked to be inverse maps and every pc
 overlap is collected both ways, so an inconsistent presentation is refused
@@ -43,9 +67,11 @@ quotient.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 Element = tuple  # exponent vector, tuple of int
@@ -480,14 +506,86 @@ class PcPresentation:
     # -- group operations ------------------------------------------------
 
     def multiply(self, x, y) -> Element:
+        return self._product(x, y)
+
+    def inverse(self, x) -> Element:
+        return self._inverter(x)
+
+    def _collect_product(self, x, y) -> Element:
         v = list(x)
         for j, e in enumerate(y):
             if e:
                 self._block_mul(v, j, e)
         return tuple(v)
 
-    def inverse(self, x) -> Element:
+    def _collect_inverse(self, x) -> Element:
         return tuple(self._inverse_vector(x))
+
+    # -- polynomial paths ----------------------------------------------
+
+    @cached_property
+    def _product(self):
+        poly = self._polynomials
+        return self._collect_product if poly is None else poly.multiply
+
+    @cached_property
+    def _inverter(self):
+        poly = self._polynomials
+        return self._collect_inverse if poly is None else poly.inverse
+
+    @property
+    def product_path(self) -> str:
+        """Which path ``multiply`` takes: ``"polynomial, degree d"`` or
+        ``"collector"``."""
+        poly = self._polynomials
+        return "collector" if poly is None else f"polynomial, degree {poly.degree}"
+
+    def _weights(self):
+        """The weights w_i, g_i in the k-th block having weight k, when they
+        make products polynomial: the presentation is nilpotent with blocks,
+        has no finite-order generator, and every ``conj``/``conjinv`` word of
+        ``l by j`` is g_l followed by generators of weight >= w_j + w_l.
+        Otherwise None."""
+        if not (self.nilpotent and self.blocks) or \
+                any(m is not None for m in self.orders):
+            return None
+        w = [0] * self.n
+        for k, block in enumerate(self.blocks, start=1):
+            for i in block:
+                w[i] = k
+        for table in (self.conj, self.conjinv):
+            for (l, j), word in table.items():
+                if word[:1] != ((l, 1),) or \
+                        any(w[i] < w[j] + w[l] for i, _ in word[1:]):
+                    return None
+        return tuple(w)
+
+    @cached_property
+    def _polynomials(self):
+        """The compiled product and inverse polynomials, derived on first
+        use; None where the collector stays (see the module docstring)."""
+        weights = self._weights()
+        if weights is None:
+            return None
+        # coordinate i depends on the g_j with j <= i (H_{i+1} is normal) of
+        # weight <= w_i (its weighted degree is at most w_i)
+        support = [tuple(j for j in range(i + 1) if weights[j] <= weights[i])
+                   for i in range(self.n)]
+        points = sum(math.comb(2 * len(js) + weights[i], weights[i])
+                     + math.comb(len(js) + weights[i], weights[i])
+                     for i, js in enumerate(support))
+        if points > _MAX_GRID_POINTS:
+            return None
+        products, inverses = {}, {}
+        mul_terms, inv_terms = [], []
+        for i, js in enumerate(support):
+            names = [f"x{j}" for j in js] + [f"y{j}" for j in js]
+            mul_terms.append(_terms(_fit(
+                self._collect_product, products, self.n, i, js, weights[i], 2), names))
+            inv_terms.append(_terms(_fit(
+                self._collect_inverse, inverses, self.n, i, js, weights[i], 1),
+                names[:len(js)]))
+        return _compile_polynomials(self.n, mul_terms, inv_terms)
 
     def power(self, x, k) -> Element:
         if k == 0:
@@ -541,6 +639,112 @@ class PcPresentation:
 
     def __repr__(self):
         return f"PcPresentation({self.name!r}, gens={self.gens})"
+
+
+# -- polynomial products -------------------------------------------------
+
+# the most collector products a derivation evaluates; a presentation whose
+# grids are larger keeps the collector
+_MAX_GRID_POINTS = 20000
+
+
+def _simplex(m, d):
+    """Every a in N^m with a_1 + ... + a_m <= d."""
+    if m == 0:
+        yield ()
+        return
+    for a0 in range(d + 1):
+        for rest in _simplex(m - 1, d - a0):
+            yield (a0,) + rest
+
+
+def _newton_coefficients(values, m, d):
+    """The coefficients c_a of f = sum c_a prod_k binomial(z_k, a_k), the
+    polynomial of total degree <= d in m variables that takes ``values[a]``
+    at every point a of the simplex grid: c_a is the forward difference
+    Delta^a f(0), taken one variable at a time.  The grid is closed under
+    these differences, and an integer-valued f has integer c_a."""
+    c = dict(values)
+    for k in range(m):
+        line = sorted(c, key=lambda a: -a[k])
+        for level in range(1, d + 1):
+            # Delta_k once more at every a_k >= level, highest first, so each
+            # step reads the previous level's value below it
+            for a in line:
+                if a[k] < level:
+                    break
+                c[a] -= c[a[:k] + (a[k] - 1,) + a[k + 1:]]
+    return {a: v for a, v in c.items() if v}
+
+
+def _fit(evaluate, cache, n, i, js, d, arity):
+    """Binomial-basis coefficients of coordinate i of ``evaluate``, a map of
+    ``arity`` elements, as a polynomial of total degree <= d in their
+    coordinates js (the others held at 0).  ``cache`` keeps the values
+    across coordinates."""
+    m = len(js)
+    values = {}
+    for a in _simplex(arity * m, d):
+        args = []
+        for r in range(arity):
+            v = [0] * n
+            for t, j in enumerate(js):
+                v[j] = a[r * m + t]
+            args.append(tuple(v))
+        args = tuple(args)
+        if args not in cache:
+            cache[args] = evaluate(*args)
+        values[a] = cache[args][i]
+    return _newton_coefficients(values, arity * m, d)
+
+
+def _terms(coefficients, names):
+    """Coefficients by exponent tuple -> sorted (coefficient, factors) terms,
+    a factor (name, k) standing for binomial(name, k)."""
+    terms = [(sum(a), tuple((names[t], k) for t, k in enumerate(a) if k), c)
+             for a, c in coefficients.items()]
+    return [(c, factors) for _, factors, c in sorted(terms)]
+
+
+def _factor_identifier(name, k):
+    return name if k == 1 else f"{name}_{k}"
+
+
+def _compile_polynomials(n, mul_terms, inv_terms):
+    """One generated function per operation, as ``multiply``, ``inverse``
+    and the product's ``degree``.  The source holds integer literals and
+    identifiers made here (x0, y3, x2_2 = binomial(x2, 2)), nothing from the
+    presentation's text."""
+
+    def body(args, per_coordinate):
+        lines = [f"    {', '.join(f'{v}{i}' for i in range(n))}, = {v}"
+                 for v in args]
+        binomials = sorted({f for terms in per_coordinate
+                            for _, factors in terms for f in factors if f[1] > 1})
+        for name, k in binomials:
+            falling = " * ".join([name] + [f"({name} - {t})" for t in range(1, k)])
+            lines.append(f"    {_factor_identifier(name, k)} = "
+                         f"{falling} // {math.factorial(k)}")
+        coords = []
+        for terms in per_coordinate:
+            parts = []
+            for c, factors in terms:
+                product = [_factor_identifier(*f) for f in factors]
+                if abs(c) != 1 or not product:
+                    product.insert(0, str(abs(c)))
+                parts.append(("- " if c < 0 else "+ ") + " * ".join(product))
+            coords.append(" ".join(parts).removeprefix("+ ") or "0")
+        lines.append(f"    return ({', '.join(coords)},)")
+        return lines
+
+    source = "\n".join(["def multiply(x, y):", *body("xy", mul_terms),
+                        "def inverse(x):", *body("x", inv_terms)]) + "\n"
+    namespace = {"__builtins__": {}}
+    exec(compile(source, "<nilcay product polynomials>", "exec"), namespace)
+    degree = max((sum(k for _, k in factors)
+                  for terms in mul_terms for _, factors in terms), default=0)
+    return SimpleNamespace(multiply=namespace["multiply"],
+                           inverse=namespace["inverse"], degree=degree)
 
 
 # -- parsing -----------------------------------------------------------

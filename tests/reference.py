@@ -1,8 +1,11 @@
 """Reference oracles and extra presentations for the test suite.
 
 ``letter_collect`` is the letter-by-letter collector: slow but free of the
-assumptions behind ``PcPresentation``'s action table and collection from the
-left, so the tests compare products against it.
+assumptions behind ``PcPresentation``'s action table, collection from the
+left and the product polynomials, so the tests compare products against it.
+It runs out of steps at exponents much beyond 3 in class 3, so products at
+larger exponents are checked against closed forms and matrices, each read
+off the relations: ``heisenberg_mul``, ``filiform_mul`` and ``ut4_matrix``.
 """
 
 # the quaternion group: i^2 = j^2 = z, z^2 = 1, i^-1 j i = j z
@@ -67,6 +70,111 @@ conj y by t = y^-1
 conjinv y by t = y^-1
 genset t t^-1 x x^-1 y y^-1
 """
+
+# the class-3 filiform group: [b, a] = c, [c, a] = d, with [x, y] = x^-1 y^-1 x y
+FILIFORM_SOURCE = """\
+group Filiform4
+nilpotent true
+torsion_prefix 0
+gen a order inf
+gen b order inf
+gen c order inf
+gen d order inf
+conj b by a = b*c
+conjinv b by a = b*c^-1*d
+conj c by a = c*d
+conjinv c by a = c*d^-1
+block a b
+block c
+block d
+genset a a^-1 b b^-1
+"""
+
+# UT(4,Z): x1 = E12, x2 = E23, x3 = E34, y1 = E13, y2 = E24, z = E14, where
+# Eij is the unitriangular matrix with a single 1 above the diagonal
+UT4_SOURCE = """\
+group UT4
+nilpotent true
+torsion_prefix 0
+gen x1 order inf
+gen x2 order inf
+gen x3 order inf
+gen y1 order inf
+gen y2 order inf
+gen z order inf
+conj x2 by x1 = x2*y1^-1
+conjinv x2 by x1 = x2*y1
+conj y2 by x1 = y2*z^-1
+conjinv y2 by x1 = y2*z
+conj x3 by x2 = x3*y2^-1
+conjinv x3 by x2 = x3*y2
+conj y1 by x3 = y1*z
+conjinv y1 by x3 = y1*z^-1
+block x1 x2 x3
+block y1 y2
+block z
+genset x1 x1^-1 x2 x2^-1 x3 x3^-1
+"""
+
+# the built-in Heisenberg group with one block: c = [a, b] then has weight 1,
+# below the weight 2 of a commutator of a and b
+HEISENBERG_ONE_BLOCK_SOURCE = """\
+group HeisenbergOneBlock
+nilpotent true
+torsion_prefix 0
+gen a order inf
+gen b order inf
+gen c order inf
+conj b by a = b*c^-1
+conjinv b by a = b*c
+block a b c
+genset a a^-1 b b^-1
+"""
+
+
+def heisenberg_mul(x, y):
+    """a^i b^j c^k in the built-in Heisenberg group, where b a = a b c^-1:
+    (i1+i2, j1+j2, k1+k2 - j1*i2)."""
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2] - x[1] * y[0])
+
+
+def filiform_mul(x, y):
+    """a^i b^j c^k d^l in the filiform group.  <b, c, d> is Z^3, on which
+    u -> a^-1 u a acts by M = I + N with N b = c, N c = d, N d = 0, so
+    a^i u a^i' v = a^(i+i') (M^i' u + v) with M^k = I + k N + binomial(k, 2) N^2
+    for every integer k."""
+    k = y[0]
+    return (x[0] + k, x[1] + y[1], x[2] + y[2] + k * x[1],
+            x[3] + y[3] + k * x[2] + k * (k - 1) // 2 * x[1])
+
+
+_UT4_ENTRIES = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))
+
+
+def matmul(m, k):
+    size = range(len(k))
+    return tuple(tuple(sum(m[r][i] * k[i][c] for i in size) for c in size)
+                 for r in size)
+
+
+def ut4_matrix(v):
+    """The normal form x1^a x2^b ... z^f of UT(4,Z) as a product of 4x4
+    matrices."""
+    acc = tuple(tuple(int(r == c) for c in range(4)) for r in range(4))
+    for (r0, c0), e in zip(_UT4_ENTRIES, v):
+        elem = tuple(tuple(int(r == c) + (e if (r, c) == (r0, c0) else 0)
+                           for c in range(4)) for r in range(4))
+        acc = matmul(acc, elem)
+    return acc
+
+
+def ut4_normal_form(m):
+    """The inverse of ``ut4_matrix``: the product above has entries a, b, c
+    on the first superdiagonal, ab + d and bc + e on the second, and
+    abc + ae + f in the corner."""
+    a, b, c = m[0][1], m[1][2], m[2][3]
+    d, e = m[0][2] - a * b, m[1][3] - b * c
+    return (a, b, c, d, e, m[0][3] - a * b * c - a * e)
 
 
 def _letters(word, rep):

@@ -166,6 +166,16 @@ def test_rank_of_a_polycyclic_user_presentation(tmp_path):
     assert read_json(out)["result"]["parameters"]["rank_G"] == 3
 
 
+def test_genset_vector_outside_the_normal_form_exits_2(capsys):
+    # t has order 2, so 0,3 is no normal form; its inverse, collected, is 0,1
+    assert run(["ball", "--group", "zxz2", "--genset", "1,0;-1,0;0,3",
+                "--radius", "2"]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err == {"kind": "ValueError",
+                   "error": "generating-set element 0,3 is not a normal form: "
+                            "coordinate 1 (t) must lie in [0, 2)"}
+
+
 def test_inconsistent_presentation_exits_2(tmp_path, capsys):
     # [b, a] = c and [c, e] = d, all else commuting, breaks the Jacobi identity
     src = tmp_path / "jacobi.pc"
@@ -316,5 +326,15 @@ def test_verify_timings_sidecar(tmp_path):
                 "--timings", str(side)]) == 0
     timing = read_json(side)
     assert "induced_and_wreath" in timing["per_suite_ms"]
-    # the stable report itself carries no wall-clock field
-    assert "runtime_ms" not in out.read_text()
+    # each acceptance family's product path, in the sidecar only
+    assert timing["product_paths"] == {
+        "z": "polynomial, degree 1", "z2": "polynomial, degree 1",
+        "z3": "polynomial, degree 1", "heisenberg": "polynomial, degree 2",
+        "klein_bottle": "collector", "zxz2": "collector",
+        "heisenberg_z3": "collector"}
+    plain = tmp_path / "plain.json"
+    assert run(["verify", "--suite", "induced_and_wreath",
+                "--out", str(plain)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    for word in ("runtime_ms", "polynomial", "collector"):
+        assert word not in out.read_text()

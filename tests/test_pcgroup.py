@@ -12,14 +12,11 @@ from hypothesis import strategies as st
 
 from nilcay import pcgroup
 from nilcay.pcgroup import PresentationError, builtin, from_id
-from reference import (HEISENBERG_MOD3_SOURCE, MIXED_ROW_SOURCE, Q8_SOURCE,
-                       SOL_SOURCE, letter_collect, letters_to_vector,
-                       vector_letters)
-
-
-def heisenberg_mul(x, y):
-    """Oracle: (i1+i2, j1+j2, k1+k2 - j1*i2) for a^i b^j c^k with ab = ba*c."""
-    return (x[0] + y[0], x[1] + y[1], x[2] + y[2] - x[1] * y[0])
+from reference import (FILIFORM_SOURCE, HEISENBERG_MOD3_SOURCE,
+                       HEISENBERG_ONE_BLOCK_SOURCE, MIXED_ROW_SOURCE,
+                       Q8_SOURCE, SOL_SOURCE, UT4_SOURCE, filiform_mul,
+                       heisenberg_mul, letter_collect, letters_to_vector,
+                       matmul, ut4_matrix, ut4_normal_form, vector_letters)
 
 
 def klein_mul(x, y):
@@ -142,24 +139,6 @@ def test_normal_form_idempotence(heis):
         assert heis.collect_word(word) == x
 
 
-FILIFORM_SOURCE = """\
-group Filiform4
-nilpotent true
-torsion_prefix 0
-gen a order inf
-gen b order inf
-gen c order inf
-gen d order inf
-conj b by a = b*c
-conjinv b by a = b*c^-1*d
-conj c by a = c*d
-conjinv c by a = c*d^-1
-block a b
-block c
-block d
-genset a a^-1 b b^-1
-"""
-
 # the Heisenberg group with its central generator first: c^k a^i b^j.  The
 # conjugate of b by a mentions c, which comes before a, so this is not in
 # standard pc form
@@ -175,9 +154,10 @@ conjinv b by a = c*b
 """
 
 
-_SOURCES = {"filiform": FILIFORM_SOURCE, "q8": Q8_SOURCE,
+_SOURCES = {"filiform": FILIFORM_SOURCE, "ut4": UT4_SOURCE, "q8": Q8_SOURCE,
             "heisenberg_mod3": HEISENBERG_MOD3_SOURCE, "sol": SOL_SOURCE,
-            "mixed_row": MIXED_ROW_SOURCE}
+            "mixed_row": MIXED_ROW_SOURCE,
+            "heisenberg_one_block": HEISENBERG_ONE_BLOCK_SOURCE}
 
 
 def _presentation(name):
@@ -237,54 +217,9 @@ def test_letterwise_reference_agrees_with_fast_path():
             assert v == fast
 
 
-# UT(4,Z): x1 = E12, x2 = E23, x3 = E34, y1 = E13, y2 = E24, z = E14, where
-# Eij is the unitriangular matrix with a single 1 above the diagonal
-UT4_SOURCE = """\
-group UT4
-nilpotent true
-torsion_prefix 0
-gen x1 order inf
-gen x2 order inf
-gen x3 order inf
-gen y1 order inf
-gen y2 order inf
-gen z order inf
-conj x2 by x1 = x2*y1^-1
-conjinv x2 by x1 = x2*y1
-conj y2 by x1 = y2*z^-1
-conjinv y2 by x1 = y2*z
-conj x3 by x2 = x3*y2^-1
-conjinv x3 by x2 = x3*y2
-conj y1 by x3 = y1*z
-conjinv y1 by x3 = y1*z^-1
-block x1 x2 x3
-block y1 y2
-block z
-genset x1 x1^-1 x2 x2^-1 x3 x3^-1
-"""
-
-_UT4_ENTRIES = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))
-
-
-def _matmul(m, k):
-    size = range(len(k))
-    return tuple(tuple(sum(m[r][i] * k[i][c] for i in size) for c in size)
-                 for r in size)
-
-
-def ut4_matrix(v):
-    """Oracle: the normal form x1^a x2^b ... z^f as a product of 4x4 matrices."""
-    acc = tuple(tuple(int(r == c) for c in range(4)) for r in range(4))
-    for (r0, c0), e in zip(_UT4_ENTRIES, v):
-        elem = tuple(tuple(int(r == c) + (e if (r, c) == (r0, c0) else 0)
-                           for c in range(4)) for r in range(4))
-        acc = _matmul(acc, elem)
-    return acc
-
-
 @pytest.mark.parametrize("span", [3, 20, 1000])
 def test_ut4_matches_matrix_product(span):
-    """Class 3, where (x2 past x1) is GENERIC: collection from the left must
+    """Class 3, where (x2 past x1) is GENERIC: the product polynomials must
     give the normal form of the matrix product (the letter collector runs out
     of steps on some span-20 pairs)."""
     p = pcgroup.parse_presentation(UT4_SOURCE)
@@ -293,7 +228,7 @@ def test_ut4_matches_matrix_product(span):
     for _ in range(200):
         x, y = (tuple(rng.randint(-span, span) for _ in range(6)) for _ in "xy")
         xy = p.multiply(x, y)
-        assert ut4_matrix(xy) == _matmul(ut4_matrix(x), ut4_matrix(y))
+        assert ut4_matrix(xy) == matmul(ut4_matrix(x), ut4_matrix(y))
         assert p.multiply(xy, p.inverse(y)) == x
 
 
@@ -305,6 +240,136 @@ def test_ut4_agrees_with_letter_collector():
         v = list(x)
         letter_collect(p, v, vector_letters(y))
         assert tuple(v) == p.multiply(x, y)
+
+
+# -- product polynomials ---------------------------------------------------
+
+
+def _additive(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _ut4_mul(x, y):
+    return ut4_normal_form(matmul(ut4_matrix(x), ut4_matrix(y)))
+
+
+POLYNOMIAL_ORACLES = {
+    "z": _additive,
+    "z3": _additive,
+    "heisenberg": heisenberg_mul,
+    "heisenberg_z": lambda x, y: heisenberg_mul(x, y) + (x[3] + y[3],),
+    "filiform": filiform_mul,
+    "ut4": _ut4_mul,
+}
+
+
+@pytest.mark.parametrize("span", [3, 20, 1000])
+@pytest.mark.parametrize("name", sorted(POLYNOMIAL_ORACLES))
+def test_polynomials_agree_with_the_oracles(name, span):
+    """Products and inverses on the polynomial path, negative exponents
+    included, against closed forms and matrices, and at span 3 against the
+    letter collector too."""
+    p = _presentation(name)
+    assert p.product_path.startswith("polynomial")
+    oracle = POLYNOMIAL_ORACLES[name]
+    e = p.identity
+    rng = random.Random(f"polynomials:{name}:{span}")
+    for _ in range(200):
+        x, y = (tuple(rng.randint(-span, span) for _ in range(p.n)) for _ in "xy")
+        xy, inv = p.multiply(x, y), p.inverse(x)
+        assert xy == oracle(x, y)
+        assert oracle(x, inv) == e == oracle(inv, x)
+        if span == 3:
+            assert xy == letters_to_vector(p, vector_letters(x) + vector_letters(y))
+            assert inv == letters_to_vector(
+                p, [(i, -s) for i, s in reversed(vector_letters(x))])
+
+
+@pytest.mark.parametrize("name,path", [
+    ("z", "polynomial, degree 1"), ("z2", "polynomial, degree 1"),
+    ("z3", "polynomial, degree 1"), ("zn:5", "polynomial, degree 1"),
+    ("heisenberg", "polynomial, degree 2"),
+    ("heisenberg_z", "polynomial, degree 2"),
+    ("heisenberg_x_z2", "polynomial, degree 2"),
+    ("quotient(heisenberg_z3)", "polynomial, degree 2"),
+    ("filiform", "polynomial, degree 3"), ("ut4", "polynomial, degree 3"),
+    # finite-order generators
+    ("zxz2", "collector"), ("heisenberg_z3", "collector"), ("q8", "collector"),
+    ("heisenberg_mod3", "collector"), ("zn_cross_cyclic:0,3", "collector"),
+    # not nilpotent
+    ("klein_bottle", "collector"), ("sol", "collector"), ("mixed_row", "collector"),
+    # c = [a, b] in the block of a and b
+    ("heisenberg_one_block", "collector"),
+])
+def test_product_path_is_pinned(name, path):
+    assert _presentation(name).product_path == path
+
+
+def test_polynomials_are_derived_on_first_use_and_bypass_the_collector():
+    p = _presentation("filiform")
+    assert "_polynomials" not in vars(p)
+    x, y = (3, -1, 4, 1), (-5, 9, -2, 6)
+    want = p._collect_product(x, y), p._collect_inverse(x)
+
+    def collector(*args):
+        raise AssertionError("the collector ran")
+
+    p.product_path  # derives
+    p._block_mul = collector
+    assert (p.multiply(x, y), p.inverse(x)) == want
+    # the entry points stay methods of the class, where tracers count calls
+    assert "multiply" not in vars(p) and "inverse" not in vars(p)
+
+
+@pytest.mark.parametrize("name", ["filiform", "ut4"])
+@pytest.mark.parametrize("span", [20, 1000])
+def test_collector_still_agrees_with_the_polynomials(name, span):
+    """The collector stays the source of the polynomials and the path of
+    every other presentation."""
+    p = _presentation(name)
+    rng = random.Random(f"collector:{name}:{span}")
+    for _ in range(50):
+        x, y = (tuple(rng.randint(-span, span) for _ in range(p.n)) for _ in "xy")
+        assert p._collect_product(x, y) == p.multiply(x, y)
+        assert p._collect_inverse(x) == p.inverse(x)
+
+
+@pytest.mark.parametrize("span", [20, 1000])
+def test_one_block_heisenberg_collects_the_same_products(span):
+    """With c in the block of a and b the weight rule fails, so the
+    collector runs, and it gives the built-in group's products."""
+    p, heis = _presentation("heisenberg_one_block"), builtin("heisenberg")
+    assert p._weights() is None and heis._weights() == (1, 1, 2)
+    rng = random.Random(f"one_block:{span}")
+    for _ in range(200):
+        x, y = (tuple(rng.randint(-span, span) for _ in range(3)) for _ in "xy")
+        assert p.multiply(x, y) == heis.multiply(x, y) == heisenberg_mul(x, y)
+        assert p.inverse(x) == heis.inverse(x)
+
+
+def test_a_relation_that_does_not_start_with_its_generator_keeps_the_collector():
+    """The Klein bottle declared nilpotent, with a block for each generator:
+    a^-1 b a = b^-1 breaks the weight rule, and its products are not
+    polynomial, since the sign of b alternates with the exponent of a."""
+    src = ("group K\nnilpotent true\ntorsion_prefix 0\n"
+           "gen a order inf\ngen b order inf\n"
+           "conj b by a = b^-1\nconjinv b by a = b^-1\nblock a\nblock b\n")
+    p = pcgroup.parse_presentation(src)
+    assert p.product_path == "collector"
+    rng = random.Random("klein_declared_nilpotent")
+    for _ in range(200):
+        x, y = (tuple(rng.randint(-20, 20) for _ in range(2)) for _ in "xy")
+        assert p.multiply(x, y) == klein_mul(x, y)
+
+
+def test_a_grid_above_the_cap_keeps_the_collector(monkeypatch):
+    # the filiform grids hold 251 points, the Heisenberg grids 51
+    monkeypatch.setattr(pcgroup, "_MAX_GRID_POINTS", 100)
+    fil, heis = _presentation("filiform"), builtin("heisenberg")
+    assert fil.product_path == "collector"
+    assert heis.product_path == "polynomial, degree 2"
+    x, y = (7, -3, 2, 5), (-4, 6, 1, -9)
+    assert fil.multiply(x, y) == filiform_mul(x, y)
 
 
 @pytest.mark.parametrize("name", ["q8", "heisenberg_mod3", "sol", "klein_bottle",
@@ -332,7 +397,7 @@ def test_products_agree_with_letter_collector(name):
 def _matpow(m, k):
     acc = ((1, 0), (0, 1))
     for _ in range(k):
-        acc = _matmul(acc, m)
+        acc = matmul(acc, m)
     return acc
 
 
@@ -355,7 +420,7 @@ def test_sol_matches_matrix_product(span):
     for _ in range(200):
         x, y = (tuple(rng.randint(-span, span) for _ in range(3)) for _ in "xy")
         xy = p.multiply(x, y)
-        assert sol_matrix(xy) == _matmul(sol_matrix(x), sol_matrix(y))
+        assert sol_matrix(xy) == matmul(sol_matrix(x), sol_matrix(y))
         assert p.multiply(xy, p.inverse(y)) == x
 
 
