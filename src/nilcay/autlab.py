@@ -21,7 +21,20 @@ interior.  Only when a pc generator is outside the map's domain or the
 certificate fails does the quadratic scan over interior pairs run, to name
 the failing pair.
 
-The backtracking search assigns images one vertex at a time, drawing
+The search runs on the twin quotient Q of the induced graph X on B(r+t).
+Vertices with the same neighbour set are twins; their classes are
+independent sets, joined to each other all or nothing, and e is kept a class
+of its own (its twins, at distance 2, form another).  So every automorphism
+of X fixing e permutes the classes, and Aut(X)_e = (prod_C Sym(C))
+semidirect Aut(Q)_{e}, Q's vertices labelled by distance and class size.
+Twins other than e share their distance, so each class lies wholly inside
+or wholly outside B(r), and the restrictions to B(r) are the restrictions
+of Aut(Q) to the small classes, each multiplied out by every bijection
+between a small class and its image.  So the twin swaps of an FSF
+generating set are counted as a product, not reached leaf by leaf, and the
+cap is decided on that count before the expansion.
+
+The backtracking search assigns images one vertex of Q at a time, drawing
 candidates from stable Weisfeiler-Leman colour classes.  It keeps the
 candidate domains of the frontier (unassigned vertices with an assigned
 neighbour) incrementally, with a trail for backtracking, and checks each
@@ -34,9 +47,12 @@ interpreter's recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, permutations, product
+from math import factorial
 
 from . import structure
-from .cayley import Ball, check_vertex_map, generate_ball, require_total
+from .cayley import (Ball, check_vertex_map, generate_ball, require_total,
+                     twin_partition)
 from .reporting import Report
 
 #: search nodes the stable-restriction backtracking may visit before giving up
@@ -54,9 +70,6 @@ class LocalAutomorphism:
     """A vertex self-map of B(r) fixing the identity, stable to margin t."""
 
     mapping: dict
-
-    def key(self, ball: Ball):
-        return tuple(self.mapping[v] for v in ball.vertices)
 
 
 @dataclass
@@ -83,13 +96,13 @@ class AffineVerdict:
         }
 
 
-def _wl_colors(big: Ball, nbr):
-    """Stable Weisfeiler-Leman colors seeded with (distance, degree).
+def _wl_colors(seed, nbr):
+    """Stable Weisfeiler-Leman colours refined from the seed keys.
 
-    Any distance-preserving automorphism of the induced ball graph preserves
-    these colors, so color classes are sound candidate pools.
+    Any automorphism of the graph that keeps the seed keys keeps these
+    colours, so colour classes are sound candidate pools.
     """
-    n = len(big.vertices)
+    n = len(seed)
 
     def canon(raw):
         palette = {}
@@ -101,7 +114,7 @@ def _wl_colors(big: Ball, nbr):
             out[i] = palette[key]
         return out
 
-    cur = canon([(big.dist_list[i], len(nbr[i])) for i in range(n)])
+    cur = canon(seed)
     while True:
         new = canon([(cur[i], tuple(sorted(cur[j] for j in nbr[i])))
                      for i in range(n)])
@@ -110,14 +123,52 @@ def _wl_colors(big: Ball, nbr):
         cur = new
 
 
+def _twin_quotient(big: Ball):
+    """The twin classes of the induced graph on the big ball, with e split
+    off into a class of its own, sorted by least member; the quotient's
+    neighbour rows, in class indices; and the index of e's class."""
+    e_id = big.index[big.presentation.identity]
+    nbr_sets = [frozenset(w for _, w in row) for row in big.adjacency]
+    classes = twin_partition([i for i in range(len(big.vertices)) if i != e_id],
+                             nbr_sets.__getitem__)
+    classes.append([e_id])
+    classes.sort()
+    cls = [0] * len(big.vertices)
+    for q, members in enumerate(classes):
+        for v in members:
+            cls[v] = q
+    # adjacency between two classes is all or nothing: any member stands in
+    nbrs = [tuple(dict.fromkeys(cls[w] for _, w in big.adjacency[members[0]]))
+            for members in classes]
+    return classes, nbrs, cls[e_id]
+
+
 def _stable_restrictions(big: Ball, small_radius, cap):
     """Restrictions to B(small_radius) of distance-preserving automorphisms of
-    the induced graph on the big ball, fixing the identity.
+    the induced graph X on the big ball, fixing the identity.
 
-    Returns (small ids, restrictions in the order found, search nodes).
-    While unassigned small-ball vertices remain every branch is explored;
-    beyond the small ball one completion per prefix is sought, which prunes
-    the factorial freedom among boundary twins of the big ball.
+    Returns (small ids, restrictions, search nodes), a restriction being
+    the tuple of images of the small ids.
+
+    The search runs on the twin quotient Q of X (``_twin_quotient``): one
+    vertex per class of vertices with equal neighbour sets, e in a class of
+    its own and e's twins in another.  A class is an independent set, since
+    u ~ v with N(u) = N(v) would make v its own neighbour, and adjacency
+    between two classes is all or nothing.  So an automorphism of Q that
+    fixes {e} and keeps distances and class sizes, with any bijection from
+    each class onto its image, is one of X, and every automorphism of X
+    fixing e arises so: Aut(X)_e = (prod_C Sym(C)) semidirect Aut(Q)_{e}.
+    Twins other than e share their distance, so every class lies wholly
+    inside B(small_radius) or wholly outside it.  Each restriction of
+    Aut(Q) to the small classes therefore stands for prod |C|! restrictions
+    of Aut(X)_e, over the small classes C; the cap is tested on that
+    product count, and only then is each one expanded (``_expand``).  A
+    ball without twins is its own quotient, with the same vertex ids.
+
+    On Q, while unassigned small classes remain every branch is explored;
+    beyond them one completion per prefix is sought, which prunes the
+    freedom among the boundary vertices of the big ball.  Candidates come
+    from stable WL colours seeded with (distance, class size, degree).
 
     The frontier holds every unassigned vertex with an assigned neighbour,
     with its domain: the unused vertices of its WL colour adjacent to the
@@ -127,17 +178,21 @@ def _stable_restrictions(big: Ball, small_radius, cap):
     that can hold c; a trail undoes both on backtrack.  The next vertex is
     the lowest-ranked frontier vertex with at most one candidate (a dead end
     when it has none), else the frontier vertex of least (domain size,
-    rank), small-ball vertices first, where rank is the (distance,
-    lexicographic) scan order.  Each frontier entry carries a key whose
-    order is that rule, so one min() picks.
+    rank), small-ball vertices first, where rank is the (distance, least
+    member) scan order.  Each frontier entry carries a key whose order is
+    that rule, so one min() picks.
     """
-    n = len(big.vertices)
-    nbrs = [tuple(w for _, w in row) for row in big.adjacency]
+    classes, nbrs, e_q = _twin_quotient(big)
+    n = len(classes)
     nbr_sets = [frozenset(row) for row in nbrs]
-    colors = _wl_colors(big, nbr_sets)
-    dist = big.dist_list
+    dist = [big.dist_list[members[0]] for members in classes]
+    colors = _wl_colors([(dist[q], len(classes[q]), len(nbrs[q]))
+                         for q in range(n)], nbr_sets)
     is_small = [d <= small_radius for d in dist]
-    small_ids = tuple(i for i in range(n) if is_small[i])
+    small_q = [q for q in range(n) if is_small[q]]
+    multiplicity = 1
+    for q in small_q:
+        multiplicity *= factorial(len(classes[q]))
     scan_order = sorted(range(n), key=lambda i: (dist[i], i))
     rank = [0] * n
     for k, v in enumerate(scan_order):
@@ -211,10 +266,11 @@ def _stable_restrictions(big: Ball, small_radius, cap):
     def enter(small_left):
         """Record a leaf (True), fail (False), or open the node's frame."""
         if not frontier:                  # the ball is connected: all assigned
-            results.append(tuple(img[i] for i in small_ids))
-            if len(results) > cap:
+            results.append(tuple(img[q] for q in small_q))
+            if len(results) * multiplicity > cap:
+                # the count at which a one-by-one listing would stop
                 raise EnumerationCapError(
-                    f"automorphism cap {cap} exceeded", found=len(results))
+                    f"automorphism cap {cap} exceeded", found=cap + 1)
             return True
         u = scan_order[min(keys.values()) % n]
         dom = frontier[u]
@@ -225,10 +281,9 @@ def _stable_restrictions(big: Ball, small_radius, cap):
         return [u, sorted(dom), 0, small_left > 0, small_left - is_small[u],
                 False, len(trail)]
 
-    e_id = big.index[big.presentation.identity]
-    assign(e_id, e_id)
+    assign(e_q, e_q)
     stack = []
-    ret = enter(len(small_ids) - 1)
+    ret = enter(len(small_q) - 1)
     while True:
         if ret is True or ret is False:
             if not stack:
@@ -253,14 +308,35 @@ def _stable_restrictions(big: Ball, small_radius, cap):
         frame[2] = i + 1
         nodes += 1
         if nodes > SEARCH_NODE_GUARD:
-            raise EnumerationCapError("search node guard exceeded", len(results))
+            raise EnumerationCapError("search node guard exceeded",
+                                      len(results) * multiplicity)
         assign(u, cands[i])
         ret = enter(frame[4])
-    return small_ids, results, nodes
+    small_ids = tuple(i for i, d in enumerate(big.dist_list) if d <= small_radius)
+    return small_ids, _expand(classes, small_q, small_ids, results), nodes
+
+
+def _expand(classes, small_q, small_ids, restrictions):
+    """The restrictions to the small ball over each quotient restriction:
+    the images of the small ids, for every choice of bijections from the
+    small classes onto their image classes."""
+    slot = {v: k for k, v in enumerate(small_ids)}
+    # a choice lists the images of the small classes' members, class by
+    # class; position k of the restriction reads entry where[k] of it
+    where = [0] * len(small_ids)
+    for i, v in enumerate(v for q in small_q for v in classes[q]):
+        where[slot[v]] = i
+    out = []
+    for images in restrictions:
+        for picks in product(*(permutations(classes[c]) for c in images)):
+            values = tuple(chain.from_iterable(picks))
+            out.append(tuple(map(values.__getitem__, where)))
+    return out
 
 
 def enumerate_local_auts(ball: Ball, stability, cap=10**5, max_vertices=None):
-    """All stable local automorphisms of the ball, in canonical order.
+    """All stable local automorphisms of the ball, in canonical order: by
+    the images of the ball's vertices, taken in lexicographic order.
 
     B(r + stability) is built within the vertex budget ``max_vertices``.
     """
@@ -274,14 +350,12 @@ def enumerate_local_auts(ball: Ball, stability, cap=10**5, max_vertices=None):
     big = generate_ball(ball.presentation, ball.genset, r + t,
                         max_vertices=max_vertices)
     small_order, prefixes, _ = _stable_restrictions(big, r, cap)
-    seen = {}
-    for prefix in prefixes:
-        mapping = {big.vertices[small_order[k]]: big.vertices[prefix[k]]
-                   for k in range(len(small_order))}
-        seen.setdefault(prefix, mapping)
-    auts = [LocalAutomorphism(m) for m in seen.values()]
-    auts.sort(key=lambda a: a.key(ball))
-    return auts
+    verts = big.vertices
+    small = [verts[i] for i in small_order]
+    # vertex ids follow the lexicographic order of the vertices, so sorting
+    # the restrictions as id tuples is the canonical order
+    return [LocalAutomorphism(dict(zip(small, [verts[x] for x in prefix])))
+            for prefix in sorted(set(prefixes))]
 
 
 def _split_translation(ball_a, ball_b, mapping):

@@ -48,6 +48,21 @@ class MapError(ValueError):
     """Vertex map violates a structural precondition (totality, bijectivity, radius)."""
 
 
+def require_normal_form(presentation, v, what):
+    """Raise ValueError, naming the vector as ``what`` and the coordinate,
+    unless v has one coordinate per generator and each finite-order
+    coordinate lies in [0, order)."""
+    if len(v) != presentation.n:
+        raise ValueError(f"{what} {presentation.element_to_str(v)} has length "
+                         f"{len(v)}, expected {presentation.n}")
+    for i, m in enumerate(presentation.orders):
+        if m is not None and not 0 <= v[i] < m:
+            raise ValueError(
+                f"{what} {presentation.element_to_str(v)} is not a normal "
+                f"form: coordinate {i} ({presentation.gens[i]}) must lie in "
+                f"[0, {m})")
+
+
 class GenSet:
     """A deduplicated, identity-free generating set over one presentation."""
 
@@ -55,12 +70,7 @@ class GenSet:
         self.presentation = presentation
         canon = sorted(set(tuple(v) for v in elements))
         for v in canon:
-            for i, m in enumerate(presentation.orders):
-                if m is not None and not 0 <= v[i] < m:
-                    raise ValueError(
-                        f"generating-set element {presentation.element_to_str(v)} "
-                        f"is not a normal form: coordinate {i} "
-                        f"({presentation.gens[i]}) must lie in [0, {m})")
+            require_normal_form(presentation, v, "generating-set element")
         if presentation.identity in canon:
             raise ValueError("generating set must not contain the identity")
         self.elements = tuple(canon)
@@ -416,16 +426,21 @@ def export_vertex_map(mapping, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_vertex_map(path):
+def load_vertex_map(path, source, target):
+    """The map in a TSV file of `vertex<TAB>image` lines; every vertex must
+    be a normal form of the ``source`` presentation and every image one of
+    ``target``, else ValueError."""
     mapping = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            src, dst = line.split("\t")
-            mapping[tuple(int(x) for x in src.split(","))] = \
-                tuple(int(x) for x in dst.split(","))
+            src, dst = (tuple(int(x) for x in part.split(","))
+                        for part in line.split("\t"))
+            require_normal_form(source, src, "map vertex")
+            require_normal_form(target, dst, "map image")
+            mapping[src] = dst
     return mapping
 
 
@@ -440,6 +455,17 @@ class MapVerdict:
 
     def __bool__(self):
         return self.ok
+
+
+def twin_partition(items, neighbours):
+    """The items grouped by equal neighbour set, ``neighbours(v)`` being v's
+    set: each group in item order, the groups in the order of their first
+    items.  A group is an independent set, since u ~ v with N(u) = N(v)
+    would put v in its own neighbour set."""
+    groups = {}
+    for v in items:
+        groups.setdefault(neighbours(v), []).append(v)
+    return list(groups.values())
 
 
 def require_total(mapping, interior):

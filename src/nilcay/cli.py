@@ -322,7 +322,7 @@ def cmd_induced(args):
     T = _resolve_genset(q, args.target_genset or args.genset)
     ball_a = generate_ball(p, S, args.radius, max_vertices=args.budget)
     ball_b = generate_ball(q, T, args.radius, max_vertices=args.budget)
-    mapping = load_vertex_map(args.map)
+    mapping = load_vertex_map(args.map, p, q)
     n1 = structure.torsion_subgroup(p)
     n2 = structure.torsion_subgroup(q)
     rep = autlab.induced_quotient_check(ball_a, ball_b, mapping, n1, n2)

@@ -149,11 +149,8 @@ def twin_classes(ball_or_graph):
     else:
         verts = sorted(ball_or_graph.vertices)
         nbrs = ball_or_graph.neighbor_set
-    groups = {}
-    for v in verts:
-        groups.setdefault(nbrs(v), []).append(v)
-    classes = [tuple(sorted(members)) for members in groups.values()]
-    return tuple(sorted(classes))
+    return tuple(sorted(tuple(members)
+                        for members in cayley.twin_partition(verts, nbrs)))
 
 
 def twin_swap_map(ball: Ball, g, h):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+import time
 
 import pytest
 
@@ -10,7 +11,8 @@ from nilcay import autlab, constructions, structure
 from nilcay.autlab import (aut_e_orbit, central_translation_check,
                            enumerate_local_auts, induced_quotient_check,
                            is_affine_on_ball, normality_verdict)
-from nilcay.cayley import GenSet, check_vertex_map, generate_ball, standard_genset
+from nilcay.cayley import (Ball, GenSet, check_vertex_map, generate_ball,
+                           standard_genset)
 from nilcay.cli import _resolve_genset
 from nilcay.pcgroup import builtin, from_id
 
@@ -47,6 +49,15 @@ def test_every_enumerated_aut_passes_vertex_map_check(z2_setup):
     for aut in auts:
         assert check_vertex_map(ball, ball, aut.mapping)
         assert aut.mapping[p.identity] == p.identity
+
+
+@pytest.mark.parametrize("gid,gens", [("klein_bottle", "std"), ("zxz2", "fsf")])
+def test_auts_come_in_canonical_order(gid, gens):
+    p = from_id(gid)
+    ball = generate_ball(p, _resolve_genset(p, gens), 4)
+    keys = [tuple(a.mapping[v] for v in ball.vertices)
+            for a in enumerate_local_auts(ball, 2)]
+    assert keys == sorted(set(keys))
 
 
 def test_klein_stable_auts_include_flip_restriction():
@@ -317,6 +328,24 @@ def test_normality_cap_gives_inconclusive():
     assert rep.verdict == "inconclusive" and rep.ok is None
 
 
+def test_cap_is_decided_from_the_product_count():
+    """zxz2 FSF (8,2) has 2 * 2^16 = 131,072 stable maps: two quotient maps
+    times the bijections of 16 twin pairs.  Listing them one by one takes
+    seconds; the product count passes the default cap of 10^5 at the
+    second quotient map."""
+    zx = from_id("zxz2")
+    fsf = _resolve_genset(zx, "fsf")
+    start = time.perf_counter()
+    rep = normality_verdict(zx, fsf, 8, 2)
+    assert time.perf_counter() - start < 1.0
+    assert rep.verdict == "inconclusive" and rep.ok is None
+    assert rep.notes == ["automorphism cap 100000 exceeded"]
+    ball = generate_ball(zx, fsf, 4)
+    with pytest.raises(autlab.EnumerationCapError) as exc:
+        enumerate_local_auts(ball, 2, cap=5)
+    assert exc.value.found == 6
+
+
 def test_aut_e_orbits(z2_setup):
     p, ball, _ = z2_setup
     orbit = aut_e_orbit(ball, (1, 0), 2)
@@ -419,6 +448,11 @@ VF2_CASES = [
     ("klein_bottle", None, 4, 2),
     ("zxz2", None, 3, 1),
     ("zxz2", None, 3, 2),
+    # twin-rich: 128, 128 and 512 maps, and 72 maps with classes of size 3
+    ("zxz2", "fsf", 3, 1),
+    ("zxz2", "fsf", 3, 2),
+    ("zxz2", "fsf", 4, 1),
+    ("zn_cross_cyclic:1,3", "fsf", 1, 1),
 ]
 
 
@@ -426,6 +460,8 @@ VF2_CASES = [
 def test_local_auts_agree_with_vf2(gid, gens, r, t):
     """The search against a second enumerator: networkx VF2 lists every
     automorphism of the graph on B(r+t) that fixes e, restricted to B(r).
+    VF2 runs on the ball itself, with no twin collapse, so the FSF cases
+    check the search's twin quotient and its expansion.
 
     Heisenberg is left out: boundary twins give its B(4) more than 20,000
     such automorphisms, and VF2 lists them one by one, far too slowly for a
@@ -434,8 +470,7 @@ def test_local_auts_agree_with_vf2(gid, gens, r, t):
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
     p = from_id(gid)
-    S = standard_genset(p) if gens is None else GenSet(
-        p, [tuple(int(e) for e in v.split(",")) for v in gens.split(";")])
+    S = _resolve_genset(p, gens)
     big = generate_ball(p, S, r + t)
     graph = nx.Graph()
     for i, d in enumerate(big.dist_list):
@@ -450,33 +485,73 @@ def test_local_auts_agree_with_vf2(gid, gens, r, t):
     assert ours == vf2
 
 
+def test_twin_quotient_keeps_e_apart_from_its_twins():
+    zx = from_id("zxz2")
+    big = generate_ball(zx, _resolve_genset(zx, "fsf"), 3)
+    classes, nbrs, e_q = autlab._twin_quotient(big)
+    assert classes[e_q] == [big.index[zx.identity]]
+    assert sorted(tuple(big.vertices[i] for i in c) for c in classes) == sorted(
+        [((0, 0),), ((0, 1),)] + [((x, 0), (x, 1)) for x in (-3, -2, -1, 1, 2, 3)])
+    # twin_classes keeps e with its twin (0,1), a class of the whole ball
+    assert ((0, 0), (0, 1)) in constructions.twin_classes(big)
+    # the quotient of a path: x^k joined to x^(k+-1), e and (0,1) to x^+-1
+    named = {tuple(big.vertices[i] for i in classes[q]):
+             sorted(big.vertices[classes[w][0]] for w in row)
+             for q, row in enumerate(nbrs)}
+    assert named[((0, 0),)] == named[((0, 1),)] == [(-1, 0), (1, 0)]
+    assert named[((2, 0), (2, 1))] == [(1, 0), (3, 0)]
+
+
+def test_twin_quotient_keeps_class_sizes():
+    """A hand-made graph in the shape of a ball: e joined to a and b, a to
+    the twins x1, x2 and b to y alone.  On the quotient, A-X and B-Y look
+    alike; only the class sizes keep the search from exchanging them."""
+    p = builtin("zn", n=1)
+    edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]
+    rows = [[] for _ in range(6)]
+    for u, w in edges:
+        rows[u].append((0, w))
+        rows[w].append((0, u))
+    verts = tuple((i,) for i in range(6))
+    graph = Ball(p, None, 2, verts, {v: i for i, v in enumerate(verts)},
+                 [0, 1, 1, 2, 2, 2], [tuple(row) for row in rows])
+    small, found, _ = autlab._stable_restrictions(graph, 2, 100)
+    assert small == tuple(range(6))
+    assert sorted(found) == [(0, 1, 2, 3, 4, 5), (0, 1, 2, 4, 3, 5)]
+
+
 # (group id, generating set, radius, stability, search nodes, restrictions,
-#  sha256 of the restriction list in search order)
+#  sha256 of the restriction list in search order, or sorted where the
+#  search runs on a twin quotient smaller than the ball)
 SEARCH_PINS = [
-    ("heisenberg", "std", 5, 2, 8520, 8,
+    ("heisenberg", "std", 5, 2, 8132, 8, "sorted",
      "9b807fc5475df6a103344bfc1086216b554c0bd10f7c3a4287266d8b5789b070"),
-    ("z3", "std", 4, 2, 17292, 48,
+    ("z3", "std", 4, 2, 17292, 48, "found",
      "75c388cdfb7e458fbebeb6de20792b42c907e1dc73d98970ab52093dae4aa74d"),
-    ("zxz2", "fsf", 6, 2, 98304, 8192,
-     "c646e8add186cad20b07e869363334c2ddcf4433f12cab2d4512eed6b0275462"),
-    ("klein_bottle", "std", 6, 2, 1120, 8,
+    ("zxz2", "fsf", 6, 2, 34, 8192, "sorted",
+     "1d7554555cc151017b9c974d16a31c5c7aead57b62fa6c4ba20cd8ce77bc86c6"),
+    ("klein_bottle", "std", 6, 2, 1120, 8, "found",
      "e2e4c601675968fb31d5124f230e69cd854bc7d4110ea7d6e3aeaf8c36463420"),
-    ("heisenberg_z3", "std", 3, 2, 8964, 16,
-     "4b04b347688dba21406e31593b5d041daa845b33458f91f2043dfe4a7037aa42"),
+    ("heisenberg_z3", "std", 3, 2, 8252, 16, "sorted",
+     "a89bb380d584ea9df5511112fd9b4e9774fa421f6ce9cc8acc71799cd149fcec"),
 ]
 
 
-@pytest.mark.parametrize("gid,gens,r,t,nodes,count,digest", SEARCH_PINS,
+@pytest.mark.parametrize("gid,gens,r,t,nodes,count,order,digest", SEARCH_PINS,
                          ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in SEARCH_PINS])
-def test_search_nodes_and_order_are_pinned(gid, gens, r, t, nodes, count, digest):
-    """The search's branch order, node count and restrictions, in the order
-    found, as measured before the incremental-domain search replaced the
-    per-node scan of the ball."""
+def test_search_nodes_and_order_are_pinned(gid, gens, r, t, nodes, count,
+                                           order, digest):
+    """The search's node count and restrictions.  The digests are those of
+    the search on the whole ball, before the twin quotient: z3 and the Klein
+    bottle have no twins in B(r+t), so their quotient is the ball and the
+    search order is pinned too; elsewhere the set of restrictions is."""
     p = from_id(gid)
     big = generate_ball(p, _resolve_genset(p, gens), r + t)
     small, found, visited = autlab._stable_restrictions(big, r, 10**5)
     assert small == tuple(i for i, d in enumerate(big.dist_list) if d <= r)
     assert (visited, len(found)) == (nodes, count)
+    if order == "sorted":
+        found = sorted(found)
     assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
 

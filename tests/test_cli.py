@@ -251,6 +251,23 @@ def test_induced_partial_map_is_usage_error(tmp_path, capsys):
     assert err["kind"] == "MapError" and "not total" in err["error"]
 
 
+def test_map_vector_outside_the_normal_form_exits_2(tmp_path, capsys):
+    # t has order 2, so 0,3 is no element; the map must not reach a verdict
+    mp = tmp_path / "m.tsv"
+    mp.write_text("0,1\t0,3\n")
+    assert run(["induced", "--group", "zxz2", "--radius", "1",
+                "--map", str(mp)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err == {"kind": "ValueError",
+                   "error": "map image 0,3 is not a normal form: "
+                            "coordinate 1 (t) must lie in [0, 2)"}
+    mp.write_text("0,1\t0,1\n0,1,0\t0,1\n")
+    assert run(["induced", "--group", "zxz2", "--radius", "1",
+                "--map", str(mp)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err["error"] == "map vertex 0,1,0 has length 3, expected 2"
+
+
 def test_usage_errors():
     assert run(["distance", "--group", "no_such_group", "--radius", "2",
                 "--from", "0", "--to", "1"]) == 2
