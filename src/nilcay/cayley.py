@@ -429,15 +429,21 @@ def export_vertex_map(mapping, path):
 def load_vertex_map(path, source, target):
     """The map in a TSV file of `vertex<TAB>image` lines; every vertex must
     be a normal form of the ``source`` presentation and every image one of
-    ``target``, else ValueError."""
+    ``target``, else ValueError.  A line of any other shape is a ValueError
+    naming its line number."""
     mapping = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            src, dst = (tuple(int(x) for x in part.split(","))
-                        for part in line.split("\t"))
+            try:
+                src, dst = (tuple(int(x) for x in part.split(","))
+                            for part in line.split("\t"))
+            except ValueError:
+                raise ValueError(
+                    f"map line {line_no}: expected vertex<TAB>image, each a "
+                    f"comma-separated list of integers, got {line!r}") from None
             require_normal_form(source, src, "map vertex")
             require_normal_form(target, dst, "map image")
             mapping[src] = dst

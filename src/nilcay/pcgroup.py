@@ -46,9 +46,24 @@ coefficients.  The coefficients become one generated function per
 operation, compiled with ``compile()`` from integer literals and
 synthesized identifiers only.  Derivation runs on the first product or
 inverse, not at load, and ``multiply`` and ``inverse`` dispatch to the
-result.  Every other presentation, and one whose grids would exceed
-``_MAX_GRID_POINTS`` collector products, keeps the collector, which also
-stays the source the polynomials are derived from.
+result.
+
+A presentation with finite-order generators takes the same path through its
+lift L when it is declared nilpotent with blocks and every finite-order
+generator t is central with a trivial power word (``t^m = 1``).  L is the
+presentation with every finite order made infinite, the power words dropped
+and the finite-order generators added as one more, top block; it must load,
+overlap check included, and satisfy the weight rule.  Each t^m is then
+central in L, so G is L modulo the central subgroup they generate, and
+reducing the t coordinates mod m is the quotient map L -> G, a
+homomorphism: the product and inverse in G are those of L with these
+coordinates taken mod m, which the generated functions do.  A torsion
+correction whose lift is refused (``a^-1 b a = a b a^-1 = b t`` with t of
+order 2, which cancels in G only) keeps the collector.  So does the Klein
+bottle, whose sign alternates with the exponent of a, as no polynomial
+does; so does every other presentation, and one whose grids would exceed
+``_MAX_GRID_POINTS`` collector products.  The collector also stays the
+source the polynomials are derived from.
 
 At load time conj and conjinv are checked to be inverse maps and every pc
 overlap is collected both ways, so an inconsistent presentation is refused
@@ -560,11 +575,34 @@ class PcPresentation:
                     return None
         return tuple(w)
 
+    def _lift(self):
+        """The presentation whose polynomials this one's products reduce:
+        itself without finite-order generators, else its lift L (every
+        finite order made infinite, the power words dropped, the
+        finite-order generators one more, top block) when it is nilpotent
+        with blocks, every finite-order generator is central with a trivial
+        power word, and L loads.  Otherwise None."""
+        finite = tuple(i for i, m in enumerate(self.orders) if m is not None)
+        if not finite:
+            return self
+        if not (self.nilpotent and self.blocks) or \
+                any(not self._inert[i] or self.power_words.get(i) for i in finite):
+            return None
+        try:
+            return PcPresentation(
+                name=self.name, gens=self.gens, orders=(None,) * self.n,
+                power_words={}, conj=self.conj, conjinv=self.conjinv,
+                torsion_len=0, blocks=self.blocks + (finite,), nilpotent=True,
+                genset=(), source=self.source)
+        except PresentationError:
+            return None
+
     @cached_property
     def _polynomials(self):
         """The compiled product and inverse polynomials, derived on first
         use; None where the collector stays (see the module docstring)."""
-        weights = self._weights()
+        lift = self._lift()
+        weights = None if lift is None else lift._weights()
         if weights is None:
             return None
         # coordinate i depends on the g_j with j <= i (H_{i+1} is normal) of
@@ -581,11 +619,11 @@ class PcPresentation:
         for i, js in enumerate(support):
             names = [f"x{j}" for j in js] + [f"y{j}" for j in js]
             mul_terms.append(_terms(_fit(
-                self._collect_product, products, self.n, i, js, weights[i], 2), names))
+                lift._collect_product, products, self.n, i, js, weights[i], 2), names))
             inv_terms.append(_terms(_fit(
-                self._collect_inverse, inverses, self.n, i, js, weights[i], 1),
+                lift._collect_inverse, inverses, self.n, i, js, weights[i], 1),
                 names[:len(js)]))
-        return _compile_polynomials(self.n, mul_terms, inv_terms)
+        return _compile_polynomials(self.n, mul_terms, inv_terms, self.orders)
 
     def power(self, x, k) -> Element:
         if k == 0:
@@ -710,11 +748,12 @@ def _factor_identifier(name, k):
     return name if k == 1 else f"{name}_{k}"
 
 
-def _compile_polynomials(n, mul_terms, inv_terms):
+def _compile_polynomials(n, mul_terms, inv_terms, orders):
     """One generated function per operation, as ``multiply``, ``inverse``
-    and the product's ``degree``.  The source holds integer literals and
-    identifiers made here (x0, y3, x2_2 = binomial(x2, 2)), nothing from the
-    presentation's text."""
+    and the product's ``degree``; a coordinate of finite order m is taken
+    mod m.  The source holds integer literals and identifiers made here
+    (x0, y3, x2_2 = binomial(x2, 2)), nothing from the presentation's
+    text."""
 
     def body(args, per_coordinate):
         lines = [f"    {', '.join(f'{v}{i}' for i in range(n))}, = {v}"
@@ -726,14 +765,15 @@ def _compile_polynomials(n, mul_terms, inv_terms):
             lines.append(f"    {_factor_identifier(name, k)} = "
                          f"{falling} // {math.factorial(k)}")
         coords = []
-        for terms in per_coordinate:
+        for terms, m in zip(per_coordinate, orders):
             parts = []
             for c, factors in terms:
                 product = [_factor_identifier(*f) for f in factors]
                 if abs(c) != 1 or not product:
                     product.insert(0, str(abs(c)))
                 parts.append(("- " if c < 0 else "+ ") + " * ".join(product))
-            coords.append(" ".join(parts).removeprefix("+ ") or "0")
+            coord = " ".join(parts).removeprefix("+ ") or "0"
+            coords.append(coord if m is None else f"({coord}) % {m}")
         lines.append(f"    return ({', '.join(coords)},)")
         return lines
 

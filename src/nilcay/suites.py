@@ -4,6 +4,13 @@
 Each suite returns a Report that is deterministic for a fixed seed.
 `run_verify` runs suites one after another and keeps their wall-clock times
 apart from the envelope, so report bytes are reproducible across runs.
+
+The seeded suites draw random elements from one ``random.Random`` per suite
+and family, named by the seed.  ``_random_elements`` draws them through
+``getrandbits`` with the standard library's own rejection rule, in rounds,
+and yields exactly the elements that one ``randint(-span, span)`` or
+``randrange(m)`` call per coordinate would, leaving the generator in the
+same state.
 """
 
 from __future__ import annotations
@@ -16,11 +23,49 @@ from .cayley import (GenSet, count_geodesics, generate_ball, standard_genset)
 from .reporting import Report, json_bytes
 
 
-def _random_element(presentation, rng, span=20):
-    v = []
-    for m in presentation.orders:
-        v.append(rng.randint(-span, span) if m is None else rng.randrange(m))
-    return tuple(v)
+# elements per round of ``_random_elements``, which holds one round's draws
+_CHUNK = 256
+
+
+def _random_elements(presentation, rng, count, span=20):
+    """Yield ``count`` random elements, coordinate i uniform in
+    [-span, span] at infinite order and in [0, m_i) at order m_i.
+
+    The elements, and the state ``rng`` is left in, are those of ``count``
+    successive ``tuple(rng.randint(-span, span) if m is None else
+    rng.randrange(m) for m in orders)``: randint and randrange(b) draw
+    ``getrandbits(b.bit_length())`` until the value is below b, and so does
+    this.  When every coordinate has one bound, the accepted values are the
+    filtered stream, drawn a round of at most ``_CHUNK`` elements at a time;
+    a round draws only as many values as it still needs, so it never draws
+    past the last element."""
+    getrandbits = rng.getrandbits
+    coords = [(2 * span + 1, -span) if m is None else (m, 0)
+              for m in presentation.orders]
+    if len(set(coords)) > 1:
+        coords = [(bound, bound.bit_length(), offset) for bound, offset in coords]
+        for _ in range(count):
+            v = []
+            for bound, k, offset in coords:
+                r = getrandbits(k)
+                while r >= bound:
+                    r = getrandbits(k)
+                v.append(r + offset)
+            yield tuple(v)
+        return
+    (bound, offset), n = coords[0], len(coords)
+    k = bound.bit_length()
+    while count:
+        size = min(count, _CHUNK)
+        count -= size
+        values = []
+        need = size * n
+        while need:
+            drawn = [r + offset for r in [getrandbits(k) for _ in range(need)]
+                     if r < bound]
+            values += drawn
+            need -= len(drawn)
+        yield from zip(*[iter(values)] * n)
 
 
 def _families(group_filter):
@@ -45,10 +90,8 @@ def group_laws(seed=0, samples=10**4, group_filter=None) -> Report:
         hashes[fid] = p.sha256()
         rng = random.Random(f"{seed}:laws:{fid}")
         e = p.identity
-        for _ in range(samples):
-            x = _random_element(p, rng)
-            y = _random_element(p, rng)
-            z = _random_element(p, rng)
+        draws = _random_elements(p, rng, 3 * samples)
+        for x, y, z in zip(draws, draws, draws):
             xy = p.multiply(x, y)
             if p.multiply(xy, z) != p.multiply(x, p.multiply(y, z)):
                 failures.append({"family": fid, "law": "associativity",
@@ -237,11 +280,8 @@ def biorder_shadow(seed=0, samples=10**4, kmax=6) -> Report:
         if rep.verdict != "pass":
             problems.append({"family": fid, "convexity": rep.witnesses})
         rng = random.Random(f"{seed}:biorder:{fid}")
-        for _ in range(samples):
-            a = _random_element(p, rng, span=10)
-            b = _random_element(p, rng, span=10)
-            x = _random_element(p, rng, span=10)
-            y = _random_element(p, rng, span=10)
+        draws = _random_elements(p, rng, 4 * samples, span=10)
+        for a, b, x, y in zip(draws, draws, draws, draws):
             cmp_xy = o.compare(x, y)
             if cmp_xy == order.EQUAL:
                 continue

@@ -131,6 +131,24 @@ block a b c
 genset a a^-1 b b^-1
 """
 
+# class 2 with a central torsion correction: a^-1 b a = a b a^-1 = b t, t of
+# order 2.  In the lift, where t has infinite order, conj and conjinv no
+# longer cancel (b t t != b), so the lift is refused
+CENTRAL_TORSION_SOURCE = """\
+group CentralTorsion
+nilpotent true
+torsion_prefix 1
+gen a order inf
+gen b order inf
+gen t order 2
+pow t = 1
+conj b by a = b*t
+conjinv b by a = b*t
+block a
+block b
+genset a a^-1 b b^-1 t
+"""
+
 
 def heisenberg_mul(x, y):
     """a^i b^j c^k in the built-in Heisenberg group, where b a = a b c^-1:

@@ -268,6 +268,21 @@ def test_map_vector_outside_the_normal_form_exits_2(tmp_path, capsys):
     assert err["error"] == "map vertex 0,1,0 has length 3, expected 2"
 
 
+@pytest.mark.parametrize("line,shown", [
+    ("0,1\t0,1\t3", "'0,1\\t0,1\\t3'"),  # three fields
+    ("0,1\t0,x", "'0,1\\t0,x'"),         # a field that is no integer
+])
+def test_malformed_map_line_exits_2_naming_the_line(tmp_path, capsys, line, shown):
+    mp = tmp_path / "m.tsv"
+    mp.write_text(f"# a comment\n0,0\t0,0\n{line}\n")
+    assert run(["induced", "--group", "zxz2", "--radius", "1",
+                "--map", str(mp)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err == {"kind": "ValueError",
+                   "error": "map line 3: expected vertex<TAB>image, each a "
+                            f"comma-separated list of integers, got {shown}"}
+
+
 def test_usage_errors():
     assert run(["distance", "--group", "no_such_group", "--radius", "2",
                 "--from", "0", "--to", "1"]) == 2
@@ -347,8 +362,8 @@ def test_verify_timings_sidecar(tmp_path):
     assert timing["product_paths"] == {
         "z": "polynomial, degree 1", "z2": "polynomial, degree 1",
         "z3": "polynomial, degree 1", "heisenberg": "polynomial, degree 2",
-        "klein_bottle": "collector", "zxz2": "collector",
-        "heisenberg_z3": "collector"}
+        "klein_bottle": "collector", "zxz2": "polynomial, degree 1",
+        "heisenberg_z3": "polynomial, degree 2"}
     plain = tmp_path / "plain.json"
     assert run(["verify", "--suite", "induced_and_wreath",
                 "--out", str(plain)]) == 0

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from nilcay import pcgroup
 from nilcay.pcgroup import PresentationError, builtin, from_id
-from reference import (FILIFORM_SOURCE, HEISENBERG_MOD3_SOURCE,
+from reference import (CENTRAL_TORSION_SOURCE, FILIFORM_SOURCE,
+                       HEISENBERG_MOD3_SOURCE,
                        HEISENBERG_ONE_BLOCK_SOURCE, MIXED_ROW_SOURCE,
                        Q8_SOURCE, SOL_SOURCE, UT4_SOURCE, filiform_mul,
                        heisenberg_mul, letter_collect, letters_to_vector,
@@ -157,7 +158,8 @@ conjinv b by a = c*b
 _SOURCES = {"filiform": FILIFORM_SOURCE, "ut4": UT4_SOURCE, "q8": Q8_SOURCE,
             "heisenberg_mod3": HEISENBERG_MOD3_SOURCE, "sol": SOL_SOURCE,
             "mixed_row": MIXED_ROW_SOURCE,
-            "heisenberg_one_block": HEISENBERG_ONE_BLOCK_SOURCE}
+            "heisenberg_one_block": HEISENBERG_ONE_BLOCK_SOURCE,
+            "central_torsion": CENTRAL_TORSION_SOURCE}
 
 
 def _presentation(name):
@@ -260,6 +262,10 @@ POLYNOMIAL_ORACLES = {
     "heisenberg_z": lambda x, y: heisenberg_mul(x, y) + (x[3] + y[3],),
     "filiform": filiform_mul,
     "ut4": _ut4_mul,
+    # central torsion with trivial power words: the lift's products mod m
+    "zxz2": lambda x, y: (x[0] + y[0], (x[1] + y[1]) % 2),
+    "zn_cross_cyclic:1,3": lambda x, y: (x[0] + y[0], (x[1] + y[1]) % 3),
+    "heisenberg_z3": lambda x, y: heisenberg_mul(x, y) + ((x[3] + y[3]) % 3,),
 }
 
 
@@ -267,15 +273,16 @@ POLYNOMIAL_ORACLES = {
 @pytest.mark.parametrize("name", sorted(POLYNOMIAL_ORACLES))
 def test_polynomials_agree_with_the_oracles(name, span):
     """Products and inverses on the polynomial path, negative exponents
-    included, against closed forms and matrices, and at span 3 against the
-    letter collector too."""
+    included at every infinite-order generator, against closed forms and
+    matrices, and at span 3 against the letter collector too."""
     p = _presentation(name)
     assert p.product_path.startswith("polynomial")
     oracle = POLYNOMIAL_ORACLES[name]
     e = p.identity
     rng = random.Random(f"polynomials:{name}:{span}")
     for _ in range(200):
-        x, y = (tuple(rng.randint(-span, span) for _ in range(p.n)) for _ in "xy")
+        x, y = (tuple(rng.randint(-span, span) if m is None else rng.randrange(m)
+                      for m in p.orders) for _ in "xy")
         xy, inv = p.multiply(x, y), p.inverse(x)
         assert xy == oracle(x, y)
         assert oracle(x, inv) == e == oracle(inv, x)
@@ -293,9 +300,15 @@ def test_polynomials_agree_with_the_oracles(name, span):
     ("heisenberg_x_z2", "polynomial, degree 2"),
     ("quotient(heisenberg_z3)", "polynomial, degree 2"),
     ("filiform", "polynomial, degree 3"), ("ut4", "polynomial, degree 3"),
-    # finite-order generators
-    ("zxz2", "collector"), ("heisenberg_z3", "collector"), ("q8", "collector"),
-    ("heisenberg_mod3", "collector"), ("zn_cross_cyclic:0,3", "collector"),
+    # central finite-order generators with trivial power words, by the lift
+    ("zxz2", "polynomial, degree 1"), ("heisenberg_z3", "polynomial, degree 2"),
+    ("zn_cross_cyclic:1,3", "polynomial, degree 1"),
+    # finite-order generators with power words, or not central
+    ("q8", "collector"), ("heisenberg_mod3", "collector"),
+    # no blocks: Z/3 alone declares none, so it keeps the collector
+    ("zn_cross_cyclic:0,3", "collector"),
+    # a torsion correction whose lift is refused
+    ("central_torsion", "collector"),
     # not nilpotent
     ("klein_bottle", "collector"), ("sol", "collector"), ("mixed_row", "collector"),
     # c = [a, b] in the block of a and b
@@ -321,7 +334,33 @@ def test_polynomials_are_derived_on_first_use_and_bypass_the_collector():
     assert "multiply" not in vars(p) and "inverse" not in vars(p)
 
 
-@pytest.mark.parametrize("name", ["filiform", "ut4"])
+def test_the_lift_is_loaded_on_first_use_and_bypasses_the_collector(monkeypatch):
+    """Loading heisenberg_z3 builds no lift; its first product does, once,
+    and then no product or inverse collects."""
+    lifts = []
+    lift = pcgroup.PcPresentation._lift
+
+    def counted(self):
+        lifts.append(self.name)
+        return lift(self)
+
+    monkeypatch.setattr(pcgroup.PcPresentation, "_lift", counted)
+    p = _presentation("heisenberg_z3")
+    assert lifts == [] and "_polynomials" not in vars(p)
+    x, y = (3, -1, 4, 2), (-5, 9, -2, 2)
+    want = p._collect_product(x, y), p._collect_inverse(x)
+    assert p.product_path == "polynomial, degree 2" and len(lifts) == 1
+
+    def collector(*args):
+        raise AssertionError("the collector ran")
+
+    p._block_mul = collector
+    assert (p.multiply(x, y), p.inverse(x)) == want == ((-2, 8, -3, 1), (-3, 1, -1, 1))
+    assert len(lifts) == 1
+
+
+@pytest.mark.parametrize("name", ["filiform", "ut4", "zxz2", "heisenberg_z3",
+                                  "zn_cross_cyclic:1,3"])
 @pytest.mark.parametrize("span", [20, 1000])
 def test_collector_still_agrees_with_the_polynomials(name, span):
     """The collector stays the source of the polynomials and the path of
@@ -329,7 +368,8 @@ def test_collector_still_agrees_with_the_polynomials(name, span):
     p = _presentation(name)
     rng = random.Random(f"collector:{name}:{span}")
     for _ in range(50):
-        x, y = (tuple(rng.randint(-span, span) for _ in range(p.n)) for _ in "xy")
+        x, y = (tuple(rng.randint(-span, span) if m is None else rng.randrange(m)
+                      for m in p.orders) for _ in "xy")
         assert p._collect_product(x, y) == p.multiply(x, y)
         assert p._collect_inverse(x) == p.inverse(x)
 
@@ -362,6 +402,15 @@ def test_a_relation_that_does_not_start_with_its_generator_keeps_the_collector()
         assert p.multiply(x, y) == klein_mul(x, y)
 
 
+def test_a_refused_lift_keeps_the_collector():
+    """t is central with a trivial power word, but in the lift, where t
+    has infinite order, conj and conjinv of b by a no longer cancel."""
+    p = _presentation("central_torsion")
+    assert p._inert[2] and not p.power_words[2]
+    assert p._lift() is None
+    assert p.multiply((0, 1, 0), (1, 0, 0)) == (1, 1, 1)
+
+
 def test_a_grid_above_the_cap_keeps_the_collector(monkeypatch):
     # the filiform grids hold 251 points, the Heisenberg grids 51
     monkeypatch.setattr(pcgroup, "_MAX_GRID_POINTS", 100)
@@ -373,7 +422,7 @@ def test_a_grid_above_the_cap_keeps_the_collector(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["q8", "heisenberg_mod3", "sol", "klein_bottle",
-                                  "mixed_row"])
+                                  "mixed_row", "central_torsion"])
 def test_products_agree_with_letter_collector(name):
     """Seeded triples, with negative exponents at every infinite-order
     generator: x*y agrees with letter-by-letter collection, and products
