@@ -21,18 +21,21 @@ interior.  Only when a pc generator is outside the map's domain or the
 certificate fails does the quadratic scan over interior pairs run, to name
 the failing pair.
 
-The search runs on the twin quotient Q of the induced graph X on B(r+t).
-Vertices with the same neighbour set are twins; their classes are
-independent sets, joined to each other all or nothing, and e is kept a class
-of its own (its twins, at distance 2, form another).  So every automorphism
-of X fixing e permutes the classes, and Aut(X)_e = (prod_C Sym(C))
-semidirect Aut(Q)_{e}, Q's vertices labelled by distance and class size.
-Twins other than e share their distance, so each class lies wholly inside
-or wholly outside B(r), and the restrictions to B(r) are the restrictions
-of Aut(Q) to the small classes, each multiplied out by every bijection
-between a small class and its image.  So the twin swaps of an FSF
-generating set are counted as a product, not reached leaf by leaf, and the
-cap is decided on that count before the expansion.
+The survivors form a group: an automorphism of X, the induced graph on
+B(r+t), that fixes e keeps distances from e, hence B(r), and restriction to
+B(r) is a homomorphism whose image is the survivors.  The search runs on
+the twin quotient Q of X (``_stable_restrictions``), where Aut(X)_e =
+(prod_C Sym(C)) semidirect Aut(Q)_{e} over the classes C of twins, and each
+class lies wholly inside or wholly outside B(r).  ``StableAutomorphisms``
+holds the group as the classes inside B(r) and the distinct restrictions
+sigma of Aut(Q)_e to them, never as a list of maps.  A survivor with
+quotient map sigma is the lift of sigma, which maps each class onto its
+image member by member, after a permutation inside each class.  So the
+order is (number of sigma) * prod |C|!, which the cap is decided on, and
+the lifts with the transpositions of neighbouring members of a class
+generate the group.  A map affine on the interior keeps the interior, so
+composites of such maps are affine there: every survivor is affine exactly
+when every generator is, and ``normality_verdict`` checks the generators.
 
 The backtracking search assigns images one vertex of Q at a time, drawing
 candidates from stable Weisfeiler-Leman colour classes.  It keeps the
@@ -47,8 +50,7 @@ interpreter's recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations, product
-from math import factorial
+from math import factorial, prod
 
 from . import structure
 from .cayley import (Ball, check_vertex_map, generate_ball, require_total,
@@ -65,11 +67,39 @@ class EnumerationCapError(RuntimeError):
         self.found = found
 
 
-@dataclass
-class LocalAutomorphism:
-    """A vertex self-map of B(r) fixing the identity, stable to margin t."""
+@dataclass(frozen=True)
+class StableAutomorphisms:
+    """The stable local automorphisms of B(r), as one group.
 
-    mapping: dict
+    ``classes`` are the twin classes inside B(r), each a tuple of vertices in
+    lexicographic order, and ``restrictions`` the sorted, distinct quotient
+    restrictions, each giving the index of every class's image class.
+    """
+
+    classes: tuple
+    restrictions: tuple
+
+    def __len__(self):
+        """The order, exact: distinct choices give distinct maps."""
+        return len(self.restrictions) * prod(
+            factorial(len(members)) for members in self.classes)
+
+    def generators(self):
+        """The lift of each restriction, in order, then the transposition of
+        each pair of neighbouring members of a class; each is a survivor."""
+        for images in self.restrictions:
+            yield {v: w for members, k in zip(self.classes, images)
+                   for v, w in zip(members, self.classes[k])}
+        identity = {v: v for members in self.classes for v in members}
+        for members in self.classes:
+            for u, w in zip(members, members[1:]):
+                yield {**identity, u: w, w: u}
+
+    def orbit(self, g):
+        """The members of sigma(C_g) over every restriction sigma, sorted."""
+        k = next(k for k, members in enumerate(self.classes) if g in members)
+        return tuple(sorted({v for images in self.restrictions
+                             for v in self.classes[images[k]]}))
 
 
 @dataclass
@@ -147,8 +177,9 @@ def _stable_restrictions(big: Ball, small_radius, cap):
     """Restrictions to B(small_radius) of distance-preserving automorphisms of
     the induced graph X on the big ball, fixing the identity.
 
-    Returns (small ids, restrictions, search nodes), a restriction being
-    the tuple of images of the small ids.
+    Returns (small classes, restrictions, search nodes): the twin classes
+    inside B(small_radius), as id lists sorted by least member, and the
+    restrictions in search order, each the image class index of each class.
 
     The search runs on the twin quotient Q of X (``_twin_quotient``): one
     vertex per class of vertices with equal neighbour sets, e in a class of
@@ -159,11 +190,9 @@ def _stable_restrictions(big: Ball, small_radius, cap):
     each class onto its image, is one of X, and every automorphism of X
     fixing e arises so: Aut(X)_e = (prod_C Sym(C)) semidirect Aut(Q)_{e}.
     Twins other than e share their distance, so every class lies wholly
-    inside B(small_radius) or wholly outside it.  Each restriction of
-    Aut(Q) to the small classes therefore stands for prod |C|! restrictions
-    of Aut(X)_e, over the small classes C; the cap is tested on that
-    product count, and only then is each one expanded (``_expand``).  A
-    ball without twins is its own quotient, with the same vertex ids.
+    inside B(small_radius) or wholly outside it, and each restriction
+    found stands for prod |C|! maps over the small classes C; the cap is
+    tested on that product count.
 
     On Q, while unassigned small classes remain every branch is explored;
     beyond them one completion per prefix is sought, which prunes the
@@ -190,9 +219,8 @@ def _stable_restrictions(big: Ball, small_radius, cap):
                          for q in range(n)], nbr_sets)
     is_small = [d <= small_radius for d in dist]
     small_q = [q for q in range(n) if is_small[q]]
-    multiplicity = 1
-    for q in small_q:
-        multiplicity *= factorial(len(classes[q]))
+    slot = {q: k for k, q in enumerate(small_q)}
+    multiplicity = prod(factorial(len(classes[q])) for q in small_q)
     scan_order = sorted(range(n), key=lambda i: (dist[i], i))
     rank = [0] * n
     for k, v in enumerate(scan_order):
@@ -266,7 +294,7 @@ def _stable_restrictions(big: Ball, small_radius, cap):
     def enter(small_left):
         """Record a leaf (True), fail (False), or open the node's frame."""
         if not frontier:                  # the ball is connected: all assigned
-            results.append(tuple(img[q] for q in small_q))
+            results.append(tuple(slot[img[q]] for q in small_q))
             if len(results) * multiplicity > cap:
                 # the count at which a one-by-one listing would stop
                 raise EnumerationCapError(
@@ -312,50 +340,26 @@ def _stable_restrictions(big: Ball, small_radius, cap):
                                       len(results) * multiplicity)
         assign(u, cands[i])
         ret = enter(frame[4])
-    small_ids = tuple(i for i, d in enumerate(big.dist_list) if d <= small_radius)
-    return small_ids, _expand(classes, small_q, small_ids, results), nodes
+    return [classes[q] for q in small_q], results, nodes
 
 
-def _expand(classes, small_q, small_ids, restrictions):
-    """The restrictions to the small ball over each quotient restriction:
-    the images of the small ids, for every choice of bijections from the
-    small classes onto their image classes."""
-    slot = {v: k for k, v in enumerate(small_ids)}
-    # a choice lists the images of the small classes' members, class by
-    # class; position k of the restriction reads entry where[k] of it
-    where = [0] * len(small_ids)
-    for i, v in enumerate(v for q in small_q for v in classes[q]):
-        where[slot[v]] = i
-    out = []
-    for images in restrictions:
-        for picks in product(*(permutations(classes[c]) for c in images)):
-            values = tuple(chain.from_iterable(picks))
-            out.append(tuple(map(values.__getitem__, where)))
-    return out
-
-
-def enumerate_local_auts(ball: Ball, stability, cap=10**5, max_vertices=None):
-    """All stable local automorphisms of the ball, in canonical order: by
-    the images of the ball's vertices, taken in lexicographic order.
+def enumerate_local_auts(ball: Ball, stability, cap=10**5,
+                         max_vertices=None) -> StableAutomorphisms:
+    """The stable local automorphisms of the ball, as one group.
 
     B(r + stability) is built within the vertex budget ``max_vertices``.
     """
-    r = ball.radius
-    t = stability
-    if r == 0:
-        return [LocalAutomorphism({ball.presentation.identity:
-                                   ball.presentation.identity})]
-    if t < 1:
+    if stability < 1:
         raise ValueError("stability margin must be at least 1")
-    big = generate_ball(ball.presentation, ball.genset, r + t,
-                        max_vertices=max_vertices)
-    small_order, prefixes, _ = _stable_restrictions(big, r, cap)
-    verts = big.vertices
-    small = [verts[i] for i in small_order]
-    # vertex ids follow the lexicographic order of the vertices, so sorting
-    # the restrictions as id tuples is the canonical order
-    return [LocalAutomorphism(dict(zip(small, [verts[x] for x in prefix])))
-            for prefix in sorted(set(prefixes))]
+    if ball.radius == 0:
+        return StableAutomorphisms(((ball.presentation.identity,),), ((0,),))
+    big = generate_ball(ball.presentation, ball.genset,
+                        ball.radius + stability, max_vertices=max_vertices)
+    classes, restrictions, _ = _stable_restrictions(big, ball.radius, cap)
+    # vertex ids follow the lexicographic order of the vertices
+    return StableAutomorphisms(
+        tuple(tuple(big.vertices[i] for i in members) for members in classes),
+        tuple(sorted(set(restrictions))))
 
 
 def _split_translation(ball_a, ball_b, mapping):
@@ -501,54 +505,53 @@ def is_affine_on_ball(ball_a: Ball, ball_b: Ball, mapping) -> AffineVerdict:
 
 def normality_verdict(presentation, genset, r, t, cap=10**5,
                       max_vertices=None) -> Report:
-    """Run the affine check over every stable local automorphism of B(r).
+    """Run the affine check over the generators of the stable local
+    automorphisms of B(r), in order, up to the first that fails; every
+    survivor is affine exactly when every generator is.
 
     Below radius 2 the interior of B(r) is {e}, where the affine check
     checks nothing, so the verdict is inconclusive.
     """
+    if t < 1:
+        raise ValueError("stability margin must be at least 1")
     ball = generate_ball(presentation, genset, r, max_vertices=max_vertices)
     params = {"group": presentation.name, "radius": r, "stability": t,
               "genset": list(genset.elements), "cap": cap}
+    claim = "every stable local automorphism is an affine bijection"
     if r < 2:
-        return Report(claim="every stable local automorphism is an affine bijection",
-                      verdict="inconclusive", ok=None, parameters=params,
+        return Report(claim, "inconclusive", parameters=params,
                       notes=[f"radius {r} is below 2: the interior of B({r}) is "
                              "{e}, so the affine check would check nothing"])
     try:
         auts = enumerate_local_auts(ball, t, cap=cap, max_vertices=max_vertices)
     except EnumerationCapError as exc:
-        return Report(claim="every stable local automorphism is an affine bijection",
-                      verdict="inconclusive", ok=None, parameters=params,
-                      notes=[str(exc)])
-    non_affine = None
-    for aut in auts:
-        verdict = is_affine_on_ball(ball, ball, aut.mapping)
-        if not verdict.affine:
-            non_affine = (aut, verdict)
-            break
+        return Report(claim, "inconclusive", parameters=params, notes=[str(exc)])
     params["stable_automorphisms"] = len(auts)
-    if non_affine is None:
-        return Report(
-            claim="every stable local automorphism is an affine bijection",
-            verdict=f"normal-at-({r},{t})", ok=True, parameters=params,
-            notes=["verdict is qualified by the checked radius and stability; "
-                   "it is evidence, not a proof for the infinite graph"])
-    aut, verdict = non_affine
-    return Report(
-        claim="every stable local automorphism is an affine bijection",
-        verdict="non-normal", ok=True, parameters=params,
-        witnesses=[{"map": sorted(aut.mapping.items()),
-                    "affine_failure": verdict.to_witness_dict()}],
-        notes=["a non-affine stable automorphism is a conclusive witness"])
+    for mapping in auts.generators():
+        verdict = is_affine_on_ball(ball, ball, mapping)
+        if not verdict.affine:
+            return Report(
+                claim, "non-normal", True, parameters=params,
+                witnesses=[{"map": sorted(mapping.items()),
+                            "affine_failure": verdict.to_witness_dict()}],
+                notes=[f"the witness is the first non-affine generator: it is "
+                       f"not affine on B({r}), and shows a non-affine "
+                       f"automorphism of the whole graph only if it extends "
+                       f"beyond B({r + t})"])
+    return Report(claim, f"normal-at-({r},{t})", True, parameters=params,
+                  notes=["verdict is qualified by the checked radius and stability; "
+                         "it is evidence, not a proof for the infinite graph"])
 
 
 def aut_e_orbit(ball: Ball, g, stability, cap=10**5, max_vertices=None):
-    """Orbit of a vertex under the enumerated stable local automorphisms."""
+    """The orbit of a vertex under the stable local automorphisms.  It
+    contains the vertex's orbit under the automorphisms of the whole graph
+    that fix e, and may be larger: a survivor need not extend beyond
+    B(r + stability)."""
     if g not in ball.index:
         raise ValueError("element is not in the ball")
-    auts = enumerate_local_auts(ball, stability, cap=cap,
-                                max_vertices=max_vertices)
-    return tuple(sorted({aut.mapping[g] for aut in auts}))
+    return enumerate_local_auts(ball, stability, cap=cap,
+                                max_vertices=max_vertices).orbit(g)
 
 
 def induced_quotient_check(ball_a: Ball, ball_b: Ball, mapping,

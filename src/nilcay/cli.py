@@ -292,18 +292,15 @@ def cmd_autos(args):
             g = _element(p, args.orbit)
             orbit = autlab.aut_e_orbit(ball, g, args.stability, cap=args.cap,
                                         max_vertices=args.budget)
-            _emit(_envelope(p, "autos.orbit", vars_of(args),
-                            {"element": g, "orbit": list(orbit)}), args)
-            return EXIT_OK
-        auts = autlab.enumerate_local_auts(ball, args.stability, cap=args.cap,
-                                           max_vertices=args.budget)
-        _emit(_envelope(p, "autos.enumerate", vars_of(args), {"count": len(auts)}),
-              args)
-        return EXIT_OK
+            command, result = "autos.orbit", {"element": g, "orbit": list(orbit)}
+        else:
+            auts = autlab.enumerate_local_auts(ball, args.stability, cap=args.cap,
+                                               max_vertices=args.budget)
+            command, result = "autos.enumerate", {"count": len(auts)}
     except autlab.EnumerationCapError as exc:
-        _emit(_envelope(p, "autos", vars_of(args),
-                        {"error": str(exc), "found": exc.found}), args)
-        return EXIT_VERDICT
+        command, result = "autos", {"error": str(exc), "found": exc.found}
+    _emit(_envelope(p, command, vars_of(args), result), args)
+    return EXIT_VERDICT if "error" in result else EXIT_OK
 
 
 def cmd_normality(args):

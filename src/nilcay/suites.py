@@ -246,8 +246,8 @@ def affine_shadow(r=3, t=2) -> Report:
         ball = generate_ball(p, standard_genset(p), r)
         auts = autlab.enumerate_local_auts(ball, t)
         counts[fid] = len(auts)
-        for aut in auts:
-            verdict = autlab.is_affine_on_ball(ball, ball, aut.mapping)
+        for mapping in auts.generators():
+            verdict = autlab.is_affine_on_ball(ball, ball, mapping)
             if not verdict.affine:
                 problems.append({"family": fid,
                                  "witness": verdict.to_witness_dict()})

@@ -84,6 +84,20 @@ def test_normality_below_radius_two_is_inconclusive(capsys, radius):
                                "would check nothing"]
 
 
+@pytest.mark.parametrize("command", [["autos"], ["autos", "--orbit", "0,0"],
+                                     ["normality"]])
+@pytest.mark.parametrize("radius", ["0", "1", "2"])
+@pytest.mark.parametrize("stability", ["0", "-3"])
+def test_stability_below_one_exits_two(capsys, command, radius, stability):
+    assert run([*command, "--group", "z2", "--radius", radius,
+                "--stability", stability]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.splitlines()[0])
+    assert err == {"error": "stability margin must be at least 1",
+                   "kind": "ValueError"}
+
+
 def test_distance_and_unknown(tmp_path):
     out = tmp_path / "d.json"
     assert run(["distance", "--group", "z2", "--radius", "8",
