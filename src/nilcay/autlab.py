@@ -23,28 +23,17 @@ the failing pair.
 
 The survivors form a group: an automorphism of X, the induced graph on
 B(r+t), that fixes e keeps distances from e, hence B(r), and restriction to
-B(r) is a homomorphism whose image is the survivors.  The search runs on
-the twin quotient Q of X (``_stable_restrictions``), where Aut(X)_e =
-(prod_C Sym(C)) semidirect Aut(Q)_{e} over the classes C of twins, and each
-class lies wholly inside or wholly outside B(r).  ``StableAutomorphisms``
-holds the group as the classes inside B(r) and the distinct restrictions
-sigma of Aut(Q)_e to them, never as a list of maps.  A survivor with
-quotient map sigma is the lift of sigma, which maps each class onto its
-image member by member, after a permutation inside each class.  So the
-order is (number of sigma) * prod |C|!, which the cap is decided on, and
-the lifts with the transpositions of neighbouring members of a class
-generate the group.  A map affine on the interior keeps the interior, so
-composites of such maps are affine there: every survivor is affine exactly
-when every generator is, and ``normality_verdict`` checks the generators.
-
-The backtracking search assigns images one vertex of Q at a time, drawing
-candidates from stable Weisfeiler-Leman colour classes.  It keeps the
-candidate domains of the frontier (unassigned vertices with an assigned
-neighbour) incrementally, with a trail for backtracking, and checks each
-candidate against the candidate's own neighbours.  A search node costs
-O(degree^2) updates and one min() over the frontier's pick keys; no node
-scans the whole ball.  The search runs on an explicit stack, not on the
-interpreter's recursion.
+B(r) is a homomorphism whose image is the survivors.  ``StableAutomorphisms``
+holds the group, never as a list of maps, as the twin classes inside B(r)
+and a base and strong generating set for its action on them, which a
+backtracking search on the twin quotient of X (``_stable_restrictions``)
+finds with one completion per candidate image of each base point.  Its
+order is the product of the basic orbit lengths times prod |C|! over the
+classes C, exact however large, and the lifts of the strong generators with
+the transpositions of neighbouring twins generate it.  A map affine on the
+interior keeps the interior, so composites of such maps are affine there:
+every survivor is affine exactly when every generator is, and
+``normality_verdict`` checks the generators.
 """
 
 from __future__ import annotations
@@ -62,9 +51,19 @@ SEARCH_NODE_GUARD = 10**8
 
 
 class EnumerationCapError(RuntimeError):
-    def __init__(self, message, found):
-        super().__init__(message)
-        self.found = found
+    """The search visited more than ``SEARCH_NODE_GUARD`` nodes."""
+
+
+def _orbit(points, maps):
+    """The images of the points under the group the maps generate, each map
+    a sequence indexed by point."""
+    seen, todo = set(points), list(points)
+    while todo:
+        x = todo.pop()
+        new = {m[x] for m in maps} - seen
+        seen |= new
+        todo += new
+    return seen
 
 
 @dataclass(frozen=True)
@@ -72,22 +71,28 @@ class StableAutomorphisms:
     """The stable local automorphisms of B(r), as one group.
 
     ``classes`` are the twin classes inside B(r), each a tuple of vertices in
-    lexicographic order, and ``restrictions`` the sorted, distinct quotient
-    restrictions, each giving the index of every class's image class.
+    lexicographic order.  ``strong_generators`` generate the group's action
+    on the classes, each giving the index of every class's image class, and
+    ``orbit_lengths`` are the action's basic orbit lengths |Delta_i|.
     """
 
     classes: tuple
-    restrictions: tuple
+    strong_generators: tuple
+    orbit_lengths: tuple
 
-    def __len__(self):
-        """The order, exact: distinct choices give distinct maps."""
-        return len(self.restrictions) * prod(
+    @property
+    def order(self):
+        """The order, exact: prod |Delta_i| * prod |C|!."""
+        return prod(self.orbit_lengths) * prod(
             factorial(len(members)) for members in self.classes)
 
+    def __len__(self):
+        return self.order
+
     def generators(self):
-        """The lift of each restriction, in order, then the transposition of
+        """The lift of each strong generator, in order, then the swap of
         each pair of neighbouring members of a class; each is a survivor."""
-        for images in self.restrictions:
+        for images in self.strong_generators:
             yield {v: w for members, k in zip(self.classes, images)
                    for v, w in zip(members, self.classes[k])}
         identity = {v: v for members in self.classes for v in members}
@@ -96,10 +101,10 @@ class StableAutomorphisms:
                 yield {**identity, u: w, w: u}
 
     def orbit(self, g):
-        """The members of sigma(C_g) over every restriction sigma, sorted."""
+        """The members of the classes in the orbit of g's class, sorted."""
         k = next(k for k, members in enumerate(self.classes) if g in members)
-        return tuple(sorted({v for images in self.restrictions
-                             for v in self.classes[images[k]]}))
+        return tuple(sorted(v for j in _orbit({k}, self.strong_generators)
+                            for v in self.classes[j]))
 
 
 @dataclass
@@ -173,13 +178,14 @@ def _twin_quotient(big: Ball):
     return classes, nbrs, cls[e_id]
 
 
-def _stable_restrictions(big: Ball, small_radius, cap):
-    """Restrictions to B(small_radius) of distance-preserving automorphisms of
-    the induced graph X on the big ball, fixing the identity.
+def _stable_restrictions(big: Ball, small_radius):
+    """A base and strong generating set for the restrictions to
+    B(small_radius) of the distance-preserving automorphisms of the induced
+    graph X on the big ball that fix the identity.
 
-    Returns (small classes, restrictions, search nodes): the twin classes
-    inside B(small_radius), as id lists sorted by least member, and the
-    restrictions in search order, each the image class index of each class.
+    Returns (small classes, generators, orbit lengths, search nodes): the
+    twin classes inside B(small_radius) as id lists sorted by least member,
+    and the strong generators, each the image class index of each class.
 
     The search runs on the twin quotient Q of X (``_twin_quotient``): one
     vertex per class of vertices with equal neighbour sets, e in a class of
@@ -190,28 +196,33 @@ def _stable_restrictions(big: Ball, small_radius, cap):
     each class onto its image, is one of X, and every automorphism of X
     fixing e arises so: Aut(X)_e = (prod_C Sym(C)) semidirect Aut(Q)_{e}.
     Twins other than e share their distance, so every class lies wholly
-    inside B(small_radius) or wholly outside it, and each restriction
-    found stands for prod |C|! maps over the small classes C; the cap is
-    tested on that product count.
+    inside B(small_radius) or wholly outside it.
 
-    On Q, while unassigned small classes remain every branch is explored;
-    beyond them one completion per prefix is sought, which prunes the
-    freedom among the boundary vertices of the big ball.  Candidates come
-    from stable WL colours seeded with (distance, class size, degree).
+    The restrictions of Aut(Q)_e form a group H on the small classes.  Its
+    base b_1, ..., b_k is the small classes other than {e}, in scan order;
+    only 1 fixes it, so |H| = prod |Delta_i|, where Delta_i is the orbit of
+    b_i under H_i, the stabiliser of b_1, ..., b_{i-1} (Seress, *Permutation
+    Group Algorithms*, 2003).  With every b_j assigned to itself, from the
+    last base point up, b_i is unassigned and each candidate c in its domain
+    gets one search for a completion with b_i -> c, which adds a generator.
+    The generators so far lie in H_i, and c is skipped in their orbit of b_i
+    or of a failed candidate (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014).  So the generators found from b_i on generate H_i.
 
-    The frontier holds every unassigned vertex with an assigned neighbour,
-    with its domain: the unused vertices of its WL colour adjacent to the
-    images of all its assigned neighbours.  Assigning u -> c updates only
-    u's unassigned neighbours, and drops c from the domains of the
-    neighbours of the preimages of c's used neighbours, the only domains
-    that can hold c; a trail undoes both on backtrack.  The next vertex is
-    the lowest-ranked frontier vertex with at most one candidate (a dead end
-    when it has none), else the frontier vertex of least (domain size,
-    rank), small-ball vertices first, where rank is the (distance, least
-    member) scan order.  Each frontier entry carries a key whose order is
-    that rule, so one min() picks.
+    Candidates come from stable WL colours seeded with (distance, class
+    size, degree).  The frontier holds every unassigned vertex with an
+    assigned neighbour, with its domain: the unused vertices of its WL
+    colour adjacent to the images of all its assigned neighbours.
+    Assigning u -> c updates only u's unassigned neighbours, and drops c
+    from the domains of the neighbours of the preimages of c's used
+    neighbours, the only domains that can hold c; a trail undoes both on
+    backtrack.  The next vertex is the lowest-ranked frontier vertex with
+    at most one candidate (a dead end when it has none), else the frontier
+    vertex of least (domain size, rank), small-ball vertices first, where
+    rank is the (distance, least member) scan order.  Each frontier entry
+    carries a key whose order is that rule, so one min() picks.
     """
-    classes, nbrs, e_q = _twin_quotient(big)
+    classes, nbrs, _ = _twin_quotient(big)
     n = len(classes)
     nbr_sets = [frozenset(row) for row in nbrs]
     dist = [big.dist_list[members[0]] for members in classes]
@@ -220,7 +231,6 @@ def _stable_restrictions(big: Ball, small_radius, cap):
     is_small = [d <= small_radius for d in dist]
     small_q = [q for q in range(n) if is_small[q]]
     slot = {q: k for k, q in enumerate(small_q)}
-    multiplicity = prod(factorial(len(classes[q])) for q in small_q)
     scan_order = sorted(range(n), key=lambda i: (dist[i], i))
     rank = [0] * n
     for k, v in enumerate(scan_order):
@@ -233,7 +243,6 @@ def _stable_restrictions(big: Ball, small_radius, cap):
     frontier = {}                         # vertex -> domain
     keys = {}                             # vertex -> pick key
     trail = []                            # (vertex, previous domain or None)
-    results = []
     nodes = 0
 
     def put(v, dom):
@@ -271,15 +280,15 @@ def _stable_restrictions(big: Ball, small_radius, cap):
                     trail.append((v, old))
                     put(v, old - {c})
 
-    def unassign(u, c, mark):
+    def unassign(u, mark):
         while len(trail) > mark:
             v, old = trail.pop()
             if old is None:
                 del frontier[v], keys[v]
             else:
                 put(v, old)
+        pre[img[u]] = -1
         img[u] = -1
-        pre[c] = -1
 
     def consistent(u, c):
         """Every used neighbour of c is the image of a neighbour of u; with
@@ -291,59 +300,56 @@ def _stable_restrictions(big: Ball, small_radius, cap):
                 return False
         return True
 
-    def enter(small_left):
-        """Record a leaf (True), fail (False), or open the node's frame."""
-        if not frontier:                  # the ball is connected: all assigned
-            results.append(tuple(slot[img[q]] for q in small_q))
-            if len(results) * multiplicity > cap:
-                # the count at which a one-by-one listing would stop
-                raise EnumerationCapError(
-                    f"automorphism cap {cap} exceeded", found=cap + 1)
-            return True
-        u = scan_order[min(keys.values()) % n]
-        dom = frontier[u]
-        if not dom:
-            return False
-        # vertex, candidates, next index, exhaustive, small left after it,
-        # found, trail mark
-        return [u, sorted(dom), 0, small_left > 0, small_left - is_small[u],
-                False, len(trail)]
-
-    assign(e_q, e_q)
-    stack = []
-    ret = enter(len(small_q) - 1)
-    while True:
-        if ret is True or ret is False:
-            if not stack:
-                break
-            frame = stack[-1]
-            u, cands, i, exhaustive, _, found, mark = frame
-            unassign(u, cands[i - 1], mark)
-            if ret and not exhaustive:
+    def complete(u, cands):
+        """The first completion of the assignment with u sent to one of the
+        candidates, as a map of Q, or None; the assignment is left as is."""
+        nonlocal nodes
+        stack = [(u, iter(cands), len(trail))]    # vertex, candidates, mark
+        while stack:
+            u, todo, mark = stack[-1]
+            if img[u] >= 0:
+                unassign(u, mark)
+            c = next((c for c in todo if consistent(u, c)), None)
+            if c is None:
                 stack.pop()
                 continue
-            frame[5] = found or ret
-        else:
-            stack.append(ret)
-        frame = stack[-1]
-        u, cands, i = frame[0], frame[1], frame[2]
-        while i < len(cands) and not consistent(u, cands[i]):
-            i += 1
-        if i == len(cands):
-            stack.pop()
-            ret = frame[5]
-            continue
-        frame[2] = i + 1
-        nodes += 1
-        if nodes > SEARCH_NODE_GUARD:
-            raise EnumerationCapError("search node guard exceeded",
-                                      len(results) * multiplicity)
-        assign(u, cands[i])
-        ret = enter(frame[4])
-    return [classes[q] for q in small_q], results, nodes
+            nodes += 1
+            if nodes > SEARCH_NODE_GUARD:
+                raise EnumerationCapError("search node guard exceeded")
+            assign(u, c)
+            if not frontier:              # the ball is connected: all assigned
+                found = img[:]
+                for u, _, mark in reversed(stack):
+                    unassign(u, mark)
+                return found
+            v = scan_order[min(keys.values()) % n]
+            stack.append((v, iter(sorted(frontier[v])), len(trail)))
+        return None
+
+    marks = {}                            # small class -> trail mark, e first
+    for b in sorted(small_q, key=rank.__getitem__):
+        marks[b] = len(trail)
+        assign(b, b)
+    gens, lengths = [], []
+    for b in reversed(list(marks)[1:]):   # the base, from its last point
+        unassign(b, marks[b])
+        reached, dead = {b}, set()
+        for c in sorted(frontier[b]):
+            if c in reached or c in dead:
+                continue
+            found = complete(b, [c])
+            if found is None:
+                dead = _orbit(dead | {c}, gens)
+            else:
+                gens.append(found)
+                reached, dead = _orbit({b}, gens), _orbit(dead, gens)
+        lengths.append(len(reached))
+    return ([classes[q] for q in small_q],
+            tuple(tuple(slot[g[q]] for q in small_q) for g in gens),
+            tuple(reversed(lengths)), nodes)
 
 
-def enumerate_local_auts(ball: Ball, stability, cap=10**5,
+def enumerate_local_auts(ball: Ball, stability,
                          max_vertices=None) -> StableAutomorphisms:
     """The stable local automorphisms of the ball, as one group.
 
@@ -351,15 +357,12 @@ def enumerate_local_auts(ball: Ball, stability, cap=10**5,
     """
     if stability < 1:
         raise ValueError("stability margin must be at least 1")
-    if ball.radius == 0:
-        return StableAutomorphisms(((ball.presentation.identity,),), ((0,),))
     big = generate_ball(ball.presentation, ball.genset,
                         ball.radius + stability, max_vertices=max_vertices)
-    classes, restrictions, _ = _stable_restrictions(big, ball.radius, cap)
+    classes, gens, lengths, _ = _stable_restrictions(big, ball.radius)
     # vertex ids follow the lexicographic order of the vertices
-    return StableAutomorphisms(
-        tuple(tuple(big.vertices[i] for i in members) for members in classes),
-        tuple(sorted(set(restrictions))))
+    return StableAutomorphisms(tuple(tuple(big.vertices[i] for i in members)
+                                     for members in classes), gens, lengths)
 
 
 def _split_translation(ball_a, ball_b, mapping):
@@ -503,8 +506,7 @@ def is_affine_on_ball(ball_a: Ball, ball_b: Ball, mapping) -> AffineVerdict:
     return _pairwise_scan(ball_a, ball_b, mapping)
 
 
-def normality_verdict(presentation, genset, r, t, cap=10**5,
-                      max_vertices=None) -> Report:
+def normality_verdict(presentation, genset, r, t, max_vertices=None) -> Report:
     """Run the affine check over the generators of the stable local
     automorphisms of B(r), in order, up to the first that fails; every
     survivor is affine exactly when every generator is.
@@ -516,17 +518,17 @@ def normality_verdict(presentation, genset, r, t, cap=10**5,
         raise ValueError("stability margin must be at least 1")
     ball = generate_ball(presentation, genset, r, max_vertices=max_vertices)
     params = {"group": presentation.name, "radius": r, "stability": t,
-              "genset": list(genset.elements), "cap": cap}
+              "genset": list(genset.elements)}
     claim = "every stable local automorphism is an affine bijection"
     if r < 2:
         return Report(claim, "inconclusive", parameters=params,
                       notes=[f"radius {r} is below 2: the interior of B({r}) is "
                              "{e}, so the affine check would check nothing"])
     try:
-        auts = enumerate_local_auts(ball, t, cap=cap, max_vertices=max_vertices)
+        auts = enumerate_local_auts(ball, t, max_vertices=max_vertices)
     except EnumerationCapError as exc:
         return Report(claim, "inconclusive", parameters=params, notes=[str(exc)])
-    params["stable_automorphisms"] = len(auts)
+    params["stable_automorphisms"] = auts.order
     for mapping in auts.generators():
         verdict = is_affine_on_ball(ball, ball, mapping)
         if not verdict.affine:
@@ -543,14 +545,14 @@ def normality_verdict(presentation, genset, r, t, cap=10**5,
                          "it is evidence, not a proof for the infinite graph"])
 
 
-def aut_e_orbit(ball: Ball, g, stability, cap=10**5, max_vertices=None):
+def aut_e_orbit(ball: Ball, g, stability, max_vertices=None):
     """The orbit of a vertex under the stable local automorphisms.  It
     contains the vertex's orbit under the automorphisms of the whole graph
     that fix e, and may be larger: a survivor need not extend beyond
     B(r + stability)."""
     if g not in ball.index:
         raise ValueError("element is not in the ball")
-    return enumerate_local_auts(ball, stability, cap=cap,
+    return enumerate_local_auts(ball, stability,
                                 max_vertices=max_vertices).orbit(g)
 
 

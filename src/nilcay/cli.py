@@ -290,15 +290,15 @@ def cmd_autos(args):
     try:
         if args.orbit:
             g = _element(p, args.orbit)
-            orbit = autlab.aut_e_orbit(ball, g, args.stability, cap=args.cap,
+            orbit = autlab.aut_e_orbit(ball, g, args.stability,
                                         max_vertices=args.budget)
             command, result = "autos.orbit", {"element": g, "orbit": list(orbit)}
         else:
-            auts = autlab.enumerate_local_auts(ball, args.stability, cap=args.cap,
+            auts = autlab.enumerate_local_auts(ball, args.stability,
                                                max_vertices=args.budget)
-            command, result = "autos.enumerate", {"count": len(auts)}
+            command, result = "autos.enumerate", {"count": auts.order}
     except autlab.EnumerationCapError as exc:
-        command, result = "autos", {"error": str(exc), "found": exc.found}
+        command, result = "autos", {"error": str(exc)}
     _emit(_envelope(p, command, vars_of(args), result), args)
     return EXIT_VERDICT if "error" in result else EXIT_OK
 
@@ -307,7 +307,7 @@ def cmd_normality(args):
     p = _load_group(args.group)
     S = _resolve_genset(p, args.genset)
     rep = autlab.normality_verdict(p, S, args.radius, args.stability,
-                                   cap=args.cap, max_vertices=args.budget)
+                                   max_vertices=args.budget)
     _emit(_envelope(p, "normality", vars_of(args), rep.to_dict()), args)
     return EXIT_OK if rep.verdict != "inconclusive" else EXIT_VERDICT
 
@@ -440,13 +440,11 @@ def build_parser():
     _add_common(sp)
     sp.add_argument("--stability", type=int, default=2)
     sp.add_argument("--orbit", metavar="ELEMENT")
-    sp.add_argument("--cap", type=int, default=10**5)
     sp.set_defaults(func=cmd_autos)
 
     sp = sub.add_parser("normality", help="ball-level normality verdict")
     _add_common(sp)
     sp.add_argument("--stability", type=int, default=2)
-    sp.add_argument("--cap", type=int, default=10**5)
     sp.set_defaults(func=cmd_normality)
 
     sp = sub.add_parser("induced", help="torsion-quotient induced-map check")

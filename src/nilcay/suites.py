@@ -245,7 +245,7 @@ def affine_shadow(r=3, t=2) -> Report:
         p = pcgroup.from_id(fid)
         ball = generate_ball(p, standard_genset(p), r)
         auts = autlab.enumerate_local_auts(ball, t)
-        counts[fid] = len(auts)
+        counts[fid] = auts.order
         for mapping in auts.generators():
             verdict = autlab.is_affine_on_ball(ball, ball, mapping)
             if not verdict.affine:

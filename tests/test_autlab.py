@@ -4,14 +4,15 @@ import hashlib
 import random
 import sys
 import time
-from itertools import chain, permutations, product
+from itertools import chain
 
 import pytest
 
 from nilcay import autlab, constructions, structure
-from nilcay.autlab import (aut_e_orbit, central_translation_check,
-                           enumerate_local_auts, induced_quotient_check,
-                           is_affine_on_ball, normality_verdict)
+from nilcay.autlab import (StableAutomorphisms, aut_e_orbit,
+                           central_translation_check, enumerate_local_auts,
+                           induced_quotient_check, is_affine_on_ball,
+                           normality_verdict)
 from nilcay.cayley import (Ball, GenSet, check_vertex_map, generate_ball,
                            standard_genset)
 from nilcay.cli import _resolve_genset
@@ -30,7 +31,7 @@ def _closure(auts):
     image) pairs: every product of generators, built by composing maps
     rather than read off the twin quotient."""
     gens = list(auts.generators())
-    identity = {v: v for v in gens[0]}
+    identity = {v: v for members in auts.classes for v in members}
     seen = {frozenset(identity.items())}
     todo = [identity]
     while todo:
@@ -77,22 +78,31 @@ def test_every_enumerated_aut_passes_vertex_map_check(z2_setup):
 
 @pytest.mark.parametrize("gid,gens", [("klein_bottle", "std"), ("zxz2", "fsf")])
 def test_auts_come_in_canonical_order(gid, gens):
-    """The generators come in one fixed order: the lifts of the sorted,
-    distinct restrictions, each mapping a class onto its image member by
-    member, then the transpositions of neighbouring members, class by
-    class; the classes and their members are in vertex order."""
+    """The generators come in one fixed order: the lifts of the strong
+    generators in the order found, each mapping a class onto its image
+    member by member, then the transpositions of neighbouring members,
+    class by class; the classes and their members are in vertex order.
+    The base is the classes other than {e} by (distance, least member),
+    searched from the last base point up, so each strong generator fixes
+    the base points before the first it moves, and that point comes no
+    later in the base than the previous generator's."""
     p = from_id(gid)
     ball = generate_ball(p, _resolve_genset(p, gens), 4)
     auts = enumerate_local_auts(ball, 2)
-    classes, restrictions = auts.classes, auts.restrictions
-    assert list(restrictions) == sorted(set(restrictions))
+    classes, strong = auts.classes, auts.strong_generators
     assert all(list(c) == sorted(c) for c in classes)
     assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    base = sorted((k for k, c in enumerate(classes) if c != (p.identity,)),
+                  key=lambda k: (ball.dist_list[ball.index[classes[k][0]]], k))
+    moved = [next(i for i, b in enumerate(base) if images[b] != b)
+             for images in strong]
+    assert moved == sorted(moved, reverse=True)
+    assert len(auts.orbit_lengths) == len(base)
     gens = [sorted(m.items()) for m in auts.generators()]
     assert gens == [sorted(m.items())
                     for m in enumerate_local_auts(ball, 2).generators()]
     lifts = [sorted((v, w) for c, k in zip(classes, images)
-                    for v, w in zip(c, classes[k])) for images in restrictions]
+                    for v, w in zip(c, classes[k])) for images in strong]
     swaps = [[(u, w), (w, u)] for c in classes for u, w in zip(c, c[1:])]
     assert gens[:len(lifts)] == lifts
     assert [[(v, w) for v, w in m if v != w]
@@ -148,8 +158,8 @@ def test_twin_swap_is_not_affine():
 
 def test_affine_composition(z2_setup):
     p, ball, auts = z2_setup
-    # B(5) of Z^2 has no twins, so each generator is the lift of a restriction
-    m1, m2 = list(auts.generators())[1:3]
+    # B(5) of Z^2 has no twins, so each generator is a strong generator's lift
+    m1, m2 = auts.generators()
     v1 = is_affine_on_ball(ball, ball, m1)
     v2 = is_affine_on_ball(ball, ball, m2)
     composed = {v: m2[m1[v]] for v in ball.vertices}
@@ -394,31 +404,51 @@ def test_non_normal_witness_persists_at_larger_radius():
         assert not is_affine_on_ball(bm.source, bm.source, bm.mapping).affine
 
 
-def test_normality_cap_gives_inconclusive():
+@pytest.mark.parametrize("r", range(4, 9))
+def test_zxz2_fsf_order_has_its_closed_form(r):
+    """zxz2 FSF (r,2) has 2 * 2^(2r) stable maps: x -> x^-1 on the twin
+    quotient times the bijections of the 2r twin pairs (x^k, x^k t),
+    0 < |k| <= r; a swap of one pair is not affine."""
     zx = from_id("zxz2")
-    fsf = constructions.fsf_generating_set(
-        zx, structure.torsion_subgroup(zx),
-        GenSet(zx, [(1, 0), (-1, 0)])).genset
-    rep = normality_verdict(zx, fsf, 4, 2, cap=5)
-    assert rep.verdict == "inconclusive" and rep.ok is None
+    rep = normality_verdict(zx, _resolve_genset(zx, "fsf"), r, 2)
+    assert rep.verdict == "non-normal" and rep.ok
+    assert rep.parameters["stable_automorphisms"] == 2 ** (2 * r + 1)
 
 
-def test_cap_is_decided_from_the_product_count():
-    """zxz2 FSF (8,2) has 2 * 2^16 = 131,072 stable maps: two quotient maps
-    times the bijections of 16 twin pairs.  Listing them one by one takes
-    seconds; the product count passes the default cap of 10^5 at the
-    second quotient map."""
-    zx = from_id("zxz2")
-    fsf = _resolve_genset(zx, "fsf")
+# heisenberg_z3 FSF (3,1), past 2^63
+HEISENBERG_Z3_FSF_ORDER = 465_570_015_819_704_098_930_448_409_862_964_904_984_576
+
+
+@pytest.mark.parametrize("gid,r,t,order", [
+    ("zn_cross_cyclic:1,3", 3, 1, 186_624),
+    ("heisenberg_z3", 3, 1, HEISENBERG_Z3_FSF_ORDER),
+])
+def test_fsf_orders_are_exact(gid, r, t, order):
+    """Twin classes of size 3 make these orders far larger than any list of
+    maps; the order is read off the basic orbits and the class sizes."""
+    p = from_id(gid)
+    ball = generate_ball(p, _resolve_genset(p, "fsf"), r)
     start = time.perf_counter()
-    rep = normality_verdict(zx, fsf, 8, 2)
-    assert time.perf_counter() - start < 1.0
-    assert rep.verdict == "inconclusive" and rep.ok is None
-    assert rep.notes == ["automorphism cap 100000 exceeded"]
-    ball = generate_ball(zx, fsf, 4)
-    with pytest.raises(autlab.EnumerationCapError) as exc:
-        enumerate_local_auts(ball, 2, cap=5)
-    assert exc.value.found == 6
+    auts = enumerate_local_auts(ball, t)
+    assert time.perf_counter() - start < 2.0
+    assert auts.order == order
+
+
+@pytest.mark.parametrize("gid,genset,r,t,order", [
+    ("heisenberg", "std", 2, 1, 31_104),
+    *(("heisenberg", g, 2, 1, 1_024) for g in HEISENBERG_SWEEP_SETS),
+    ("heisenberg_z3", "fsf", 3, 1, HEISENBERG_Z3_FSF_ORDER),
+])
+def test_order_agrees_with_sympy(gid, genset, r, t, order):
+    """sympy's Schreier-Sims order of the group the generators generate, as
+    permutations of the ball, against the order from the basic orbits."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    p = from_id(gid)
+    ball = generate_ball(p, _resolve_genset(p, genset), r)
+    auts = enumerate_local_auts(ball, t)
+    perms = [combinatorics.Permutation([ball.index[m[v]] for v in ball.vertices])
+             for m in auts.generators()]
+    assert combinatorics.PermutationGroup(perms).order() == auts.order == order
 
 
 def test_aut_e_orbits(z2_setup):
@@ -605,62 +635,50 @@ def test_twin_quotient_keeps_class_sizes():
     verts = tuple((i,) for i in range(6))
     graph = Ball(p, None, 2, verts, {v: i for i, v in enumerate(verts)},
                  [0, 1, 1, 2, 2, 2], [tuple(row) for row in rows])
-    classes, found, _ = autlab._stable_restrictions(graph, 2, 100)
+    classes, gens, lengths, _ = autlab._stable_restrictions(graph, 2)
     assert sorted(chain.from_iterable(classes)) == list(range(6))
-    assert sorted(_expanded(classes, found)) == [(0, 1, 2, 3, 4, 5),
-                                                 (0, 1, 2, 4, 3, 5)]
+    assert gens == () and lengths == (1, 1, 1, 1)
+    assert _as_tuples(_closure(StableAutomorphisms(classes, gens, lengths))) == [
+        (0, 1, 2, 3, 4, 5), (0, 1, 2, 4, 3, 5)]
 
 
-def _expanded(classes, restrictions):
-    """The maps each quotient restriction stands for, as tuples of the
-    images of the small ids in id order: every choice of bijections from
-    the small classes onto their image classes, restriction by
-    restriction."""
-    members = list(chain.from_iterable(classes))
-    where = sorted(range(len(members)), key=members.__getitem__)
-    out = []
-    for images in restrictions:
-        for picks in product(*(permutations(classes[k]) for k in images)):
-            values = list(chain.from_iterable(picks))
-            out.append(tuple(values[i] for i in where))
-    return out
+def _as_tuples(maps):
+    """The maps as tuples of images in vertex order, sorted."""
+    return sorted(tuple(w for _, w in sorted(m)) for m in maps)
 
 
-# (group id, generating set, radius, stability, search nodes, restrictions,
-#  sha256 of the restriction list in search order, or sorted where the
-#  search runs on a twin quotient smaller than the ball)
+# (group id, generating set, radius, stability, search nodes, order, sha256
+#  of the sorted maps of the group)
 SEARCH_PINS = [
-    ("heisenberg", "std", 5, 2, 8132, 8, "sorted",
+    ("heisenberg", "std", 5, 2, 4597, 8,
      "9b807fc5475df6a103344bfc1086216b554c0bd10f7c3a4287266d8b5789b070"),
-    ("z3", "std", 4, 2, 17292, 48, "found",
+    ("z3", "std", 4, 2, 1155, 48,
      "75c388cdfb7e458fbebeb6de20792b42c907e1dc73d98970ab52093dae4aa74d"),
-    ("zxz2", "fsf", 6, 2, 34, 8192, "sorted",
+    ("zxz2", "fsf", 6, 2, 17, 8192,
      "1d7554555cc151017b9c974d16a31c5c7aead57b62fa6c4ba20cd8ce77bc86c6"),
-    ("klein_bottle", "std", 6, 2, 1120, 8, "found",
+    ("klein_bottle", "std", 6, 2, 292, 8,
      "e2e4c601675968fb31d5124f230e69cd854bc7d4110ea7d6e3aeaf8c36463420"),
-    ("heisenberg_z3", "std", 3, 2, 8252, 16, "sorted",
+    ("heisenberg_z3", "std", 3, 2, 2581, 16,
      "a89bb380d584ea9df5511112fd9b4e9774fa421f6ce9cc8acc71799cd149fcec"),
 ]
 
 
-@pytest.mark.parametrize("gid,gens,r,t,nodes,count,order,digest", SEARCH_PINS,
+@pytest.mark.parametrize("gid,gens,r,t,nodes,count,digest", SEARCH_PINS,
                          ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in SEARCH_PINS])
 def test_search_nodes_and_order_are_pinned(gid, gens, r, t, nodes, count,
-                                           order, digest):
-    """The search's node count and restrictions.  The digests are those of
-    the search on the whole ball, before the twin quotient, over the maps
-    as tuples of vertex ids: z3 and the Klein bottle have no twins in
-    B(r+t), so their quotient is the ball and the search order is pinned
-    too; elsewhere the set of restrictions is."""
+                                           digest):
+    """The search's node count, and the group its generators generate: the
+    digest is over the group's maps as tuples of vertex ids, sorted, so it
+    pins the group whatever generators the search finds."""
     p = from_id(gid)
     big = generate_ball(p, _resolve_genset(p, gens), r + t)
-    classes, restrictions, visited = autlab._stable_restrictions(big, r, 10**5)
+    classes, gens, lengths, visited = autlab._stable_restrictions(big, r)
     assert sorted(chain.from_iterable(classes)) == [
         i for i, d in enumerate(big.dist_list) if d <= r]
-    found = _expanded(classes, restrictions)
-    assert (visited, len(found)) == (nodes, count)
-    if order == "sorted":
-        found = sorted(found)
+    auts = StableAutomorphisms(classes, gens, lengths)
+    found = _as_tuples(_closure(auts))
+    assert visited == nodes
+    assert len(found) == count == auts.order
     assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
 

@@ -241,6 +241,15 @@ def test_autos_commands(tmp_path):
     assert len(read_json(out)["result"]["orbit"]) == 4
 
 
+def test_autos_reports_an_order_past_two_to_the_63(capsys):
+    """heisenberg_z3 FSF (3,1): twin classes of size 3 make the order a
+    42-digit integer, which the report carries exactly."""
+    assert run(["autos", "--group", "heisenberg_z3", "--genset", "fsf",
+                "--radius", "3", "--stability", "1"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == {"count": 465570015819704098930448409862964904984576}
+
+
 def test_induced_command(tmp_path):
     zx = from_id("zxz2")
     F = structure.torsion_subgroup(zx)
