@@ -11,7 +11,6 @@ explicit counterexample constructions.
 __version__ = "0.1.0"
 
 from .pcgroup import (  # noqa: F401
-    AnalyticTables,
     PcPresentation,
     PresentationError,
     builtin,

@@ -562,7 +562,10 @@ def induced_quotient_check(ball_a: Ball, ball_b: Ball, mapping,
     """Coset containment m(g N1) inside N2 m(g), then the induced quotient map.
 
     On success the induced map on torsion quotients is extracted and run
-    through the adjacency and affine checks on the quotient balls.
+    through the adjacency and affine checks on the quotient balls.  Below
+    radius 2 the interior of the quotient ball is at most {e}, where the
+    affine check checks nothing, so after the containment check the verdict
+    is inconclusive.
     """
     pa, pb = ball_a.presentation, ball_b.presentation
     params = {"radius": ball_a.radius, "n1": len(n1.elements), "n2": len(n2.elements)}
@@ -582,6 +585,12 @@ def induced_quotient_check(ball_a: Ball, ball_b: Ball, mapping,
                               verdict="fail", ok=False, parameters=params,
                               witnesses=[{"coset_of": g, "offender": gn,
                                           "ratio": co}])
+    r = ball_a.radius
+    if r < 2:
+        return Report("the map induces a well-defined affine bijection on "
+                      "torsion quotients", "inconclusive", parameters=params,
+                      notes=[f"radius {r} is below 2: the interior of B({r}) is "
+                             "at most {e}, so the affine check would check nothing"])
     qa = structure.quotient_by_torsion(pa)
     qb = structure.quotient_by_torsion(pb)
     qmap = {}

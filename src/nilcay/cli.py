@@ -485,7 +485,7 @@ def main(argv=None):
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}),
               file=sys.stderr)
         return EXIT_USAGE
-    except (BallBudgetError, GeodesicCapError, order.AnalyticDisagreement) as exc:
+    except (BallBudgetError, GeodesicCapError) as exc:
         diag = {"error": str(exc), "kind": type(exc).__name__}
         if isinstance(exc, GeodesicCapError):
             diag["partial_count"] = exc.partial_count

@@ -28,7 +28,8 @@ The profile's shape is a heuristic, not a certificate, so the verdict is
 guarded by the same abelianization (``structure.Abelianization``): an
 element with a nonzero image there is undistorted in any group, and an
 element of infinite order without one is distorted in a nilpotent group
-(Osin).
+(Osin, "Subgroup distortions in nilpotent groups", Comm. Algebra 29, 2001).
+An element of finite order is never undistorted: its powers are bounded.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ CLASSIFY_TOL = Fraction(1, 2)
 
 class BiOrderUnavailable(ValueError):
     """The presentation does not support the filtration bi-order."""
-
-
-class AnalyticDisagreement(RuntimeError):
-    """A certified distortion verdict contradicts the analytic membership table."""
 
 
 class NotAGeneratorError(ValueError):
@@ -285,12 +282,14 @@ def distortion_profile(presentation, genset, g, kmax,
 
 def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
                        max_vertices=None):
-    """Three-valued distortion verdict with an analytic cross-check for built-ins.
+    """Three-valued distortion verdict, guarded by the rational abelianization.
 
-    The profile's verdict is overridden, with a note, where the rational
-    abelianization contradicts it: "distorted" becomes "undistorted" for g
-    outside the isolator of [G, G], and "undistorted" becomes "inconclusive"
-    for g of infinite order inside it in a nilpotent-flagged presentation.
+    The profile's verdict is overridden, with a note, where a certified fact
+    contradicts it: "distorted" becomes "undistorted" for g outside the
+    isolator of [G, G]; "undistorted" becomes "inconclusive" for g of finite
+    order, and for g inside that isolator in a nilpotent-flagged
+    presentation.  An element whose infinite-order coordinates are all 0 has
+    finite order, as G/N is poly-Z and so torsion-free.
 
     Returns (verdict, profile, report); verdict is one of "distorted",
     "undistorted", "inconclusive".
@@ -312,24 +311,16 @@ def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
         verdict = "undistorted"
         guard.append("certified undistorted: g has a nonzero image in the rational "
                      "abelianization of the presentation, so |g^k| grows linearly")
-    elif (verdict == "undistorted" and rational and p.nilpotent
-          and any(g[:p.n - p.torsion_len])):
+    elif verdict == "undistorted" and not any(g[:p.n - p.torsion_len]):
+        verdict = "inconclusive"
+        guard.append("the profile looks undistorted, but g has finite order, so "
+                     "its powers are bounded; kmax is too small to show it")
+    elif verdict == "undistorted" and rational and p.nilpotent:
         verdict = "inconclusive"
         guard.append("the profile looks undistorted, but g has infinite order and "
                      "lies in the isolator of the derived subgroup of a "
                      "nilpotent-flagged presentation, so it is distorted (Osin); "
                      "kmax is too small to show it")
-    analytic = None
-    if p.analytic is not None:
-        # g in the isolator of [G, G] means distorted only in nilpotent groups
-        if not p.analytic.in_sqrt_commutator(g):
-            analytic = "undistorted"
-        elif p.nilpotent:
-            analytic = "distorted"
-        if analytic is not None and verdict != "inconclusive" and verdict != analytic:
-            raise AnalyticDisagreement(
-                f"distortion verdict {verdict!r} disagrees with the analytic "
-                f"membership table ({analytic!r}) for {g}")
     report = Report(
         claim="power distortion classification of the element",
         verdict=verdict,
@@ -337,7 +328,6 @@ def classify_distorted(presentation, genset, g, kmax=DEFAULT_CLASSIFY_KMAX,
         parameters={"element": g, "kmax": kmax, "tol": str(CLASSIFY_TOL),
                     "ks": profile.ks, "dists": profile.dists,
                     "ratios": [None if r is None else str(r) for r in profile.ratios]},
-        notes=profile.notes + guard
-        + ([f"analytic verdict: {analytic}"] if analytic else []))
+        notes=profile.notes + guard)
     return verdict, profile, report
 

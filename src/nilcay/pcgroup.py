@@ -67,11 +67,9 @@ source the polynomials are derived from.
 
 At load time conj and conjinv are checked to be inverse maps and every pc
 overlap is collected both ways, so an inconsistent presentation is refused
-before it could give a wrong product.  Built-in families additionally carry
-an analytic table, membership in the isolator of the derived subgroup,
-which higher layers use only as an independent oracle for
-``structure.Abelianization``; every presentation gets that abelianization,
-derived from its relations on first use.
+before it could give a wrong product.  Every presentation, built-in or
+parsed, gets its abelianization (``structure.Abelianization``) derived from
+its relations on first use; no family carries knowledge of its own.
 
 Note on the ``torsion_prefix`` keyword: the declared count refers to the
 contiguous block of finite-order generators at the *end* of the basis, so
@@ -84,10 +82,9 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Optional
 
 Element = tuple  # exponent vector, tuple of int
 Word = tuple     # tuple of (generator index, exponent) factors
@@ -138,23 +135,11 @@ def _parse_word(token, index_of, line):
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class AnalyticTables:
-    """Exact family knowledge for built-in groups, used as an oracle.
-
-    ``in_sqrt_commutator`` decides membership in the isolator of the derived
-    subgroup from the family's closed form.
-    """
-
-    in_sqrt_commutator: Callable[[Element], bool]
-
-
 class PcPresentation:
     """A validated power-commutator presentation with derived collection tables."""
 
     def __init__(self, *, name, gens, orders, power_words, conj, conjinv,
-                 torsion_len, blocks, nilpotent, genset, source,
-                 family_id=None, analytic=None):
+                 torsion_len, blocks, nilpotent, genset, source):
         self.name = name
         self.gens = tuple(gens)
         self.orders = tuple(orders)
@@ -167,8 +152,6 @@ class PcPresentation:
         self.nilpotent = nilpotent
         self.genset = tuple(genset)
         self.source = source
-        self.family_id = family_id
-        self.analytic = analytic
         self._validate()
         self._build_tables()
         self._check_consistency()
@@ -790,7 +773,7 @@ def _compile_polynomials(n, mul_terms, inv_terms, orders):
 # -- parsing -----------------------------------------------------------
 
 
-def parse_presentation(text, *, family_id=None, analytic=None) -> PcPresentation:
+def parse_presentation(text) -> PcPresentation:
     """Parse UTF-8 presentation source (see the grammar in the README)."""
     name = "unnamed"
     nilpotent = False
@@ -865,8 +848,7 @@ def parse_presentation(text, *, family_id=None, analytic=None) -> PcPresentation
     pres = PcPresentation(
         name=name, gens=gens, orders=orders, power_words=power_words,
         conj=conj, conjinv=conjinv, torsion_len=torsion_len, blocks=blocks,
-        nilpotent=nilpotent, genset=(), source=text,
-        family_id=family_id, analytic=analytic)
+        nilpotent=nilpotent, genset=(), source=text)
     if genset_tokens:
         elements = []
         for tok, line_no in genset_tokens:
@@ -940,30 +922,6 @@ def _zn_cross_cyclic_source(n, m):
     return "\n".join(lines) + "\n"
 
 
-def _zn_analytic(n):
-    zero = (0,) * n
-    return AnalyticTables(in_sqrt_commutator=lambda x: tuple(x) == zero)
-
-
-_HEISENBERG_ANALYTIC = AnalyticTables(
-    in_sqrt_commutator=lambda x: x[0] == 0 and x[1] == 0)
-
-_KLEIN_ANALYTIC = AnalyticTables(in_sqrt_commutator=lambda x: x[0] == 0)
-
-
-def _zn_cross_cyclic_analytic(n):
-    return AnalyticTables(
-        in_sqrt_commutator=lambda x: all(e == 0 for e in x[:n]))
-
-
-def _combine_analytic(left, right, nl):
-    if left is None or right is None:
-        return None
-    return AnalyticTables(
-        in_sqrt_commutator=lambda x: (left.in_sqrt_commutator(x[:nl])
-                                      and right.in_sqrt_commutator(x[nl:])))
-
-
 def direct_product(left, right, name=None) -> PcPresentation:
     """Direct product of two presentations; the torsion block must stay trailing."""
     if isinstance(left, str):
@@ -983,16 +941,15 @@ def direct_product(left, right, name=None) -> PcPresentation:
             new += "_b"
         rename[s] = new
         taken.add(new)
-    nl = left.n
+    rnames = [rename[s] for s in right.gens]
     lines = [f"group {name or left.name + 'x' + right.name}",
              f"nilpotent {'true' if left.nilpotent and right.nilpotent else 'false'}",
              f"torsion_prefix {left.torsion_len + right.torsion_len}"]
-    for p, names in ((left, dict(zip(left.gens, left.gens))),
-                     (right, rename)):
-        for i, s in enumerate(p.gens):
-            m = p.orders[i]
-            lines.append(f"gen {names[s]} order {'inf' if m is None else m}")
-    for p, names, off in ((left, left.gens, 0), (right, [rename[s] for s in right.gens], nl)):
+    factors = ((left, left.gens), (right, rnames))
+    for p, names in factors:
+        for s, m in zip(names, p.orders):
+            lines.append(f"gen {s} order {'inf' if m is None else m}")
+    for p, names in factors:
         for i, w in p.power_words.items():
             lines.append(f"pow {names[i]} = {_word_text(w, names)}")
         for (l, j), w in p.conj.items():
@@ -1002,22 +959,17 @@ def direct_product(left, right, name=None) -> PcPresentation:
     # blocks must cover every infinite-order generator, so only when each
     # factor with one declares them
     if all(p.blocks or None not in p.orders for p in (left, right)):
-        for p, names in ((left, left.gens), (right, [rename[s] for s in right.gens])):
+        for p, names in factors:
             for b in p.blocks:
                 lines.append("block " + " ".join(names[i] for i in b))
     words = []
     for v in left.genset:
         words.append(_vector_text(v, left.gens))
-    rnames = [rename[s] for s in right.gens]
     for v in right.genset:
         words.append(_vector_text(v, rnames))
     if words:
         lines.append("genset " + " ".join(words))
-    src = "\n".join(lines) + "\n"
-    fam = f"direct_product({left.family_id},{right.family_id})"
-    return parse_presentation(
-        src, family_id=fam,
-        analytic=_combine_analytic(left.analytic, right.analytic, nl))
+    return parse_presentation("\n".join(lines) + "\n")
 
 
 def _word_text(word, names):
@@ -1037,14 +989,11 @@ def builtin(name, **params) -> PcPresentation:
         n = params.get("n", 1)
         if not isinstance(n, int) or n < 1:
             raise PresentationError("zn needs n >= 1")
-        return parse_presentation(_zn_source(n), family_id=f"zn:{n}",
-                                  analytic=_zn_analytic(n))
+        return parse_presentation(_zn_source(n))
     if name == "heisenberg":
-        return parse_presentation(_HEISENBERG_SOURCE, family_id="heisenberg",
-                                  analytic=_HEISENBERG_ANALYTIC)
+        return parse_presentation(_HEISENBERG_SOURCE)
     if name == "klein_bottle":
-        return parse_presentation(_KLEIN_SOURCE, family_id="klein_bottle",
-                                  analytic=_KLEIN_ANALYTIC)
+        return parse_presentation(_KLEIN_SOURCE)
     if name == "zn_cross_cyclic":
         n = params.get("n", 1)
         m = params.get("m", 2)
@@ -1052,9 +1001,7 @@ def builtin(name, **params) -> PcPresentation:
             raise PresentationError("zn_cross_cyclic needs n >= 0")
         if not isinstance(m, int) or m < 2:
             raise PresentationError("zn_cross_cyclic needs m >= 2")
-        return parse_presentation(
-            _zn_cross_cyclic_source(n, m), family_id=f"zn_cross_cyclic:{n},{m}",
-            analytic=_zn_cross_cyclic_analytic(n))
+        return parse_presentation(_zn_cross_cyclic_source(n, m))
     if name == "direct_product":
         return direct_product(params["left"], params["right"],
                               name=params.get("name"))

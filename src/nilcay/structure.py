@@ -145,15 +145,8 @@ def quotient_by_torsion(presentation) -> pcgroup.PcPresentation:
     if seen:
         lines.append("genset " + " ".join(
             pcgroup._vector_text(v, names) for v in seen))
-    analytic = None
-    if p.analytic is not None:
-        member = p.analytic.in_sqrt_commutator
-        analytic = pcgroup.AnalyticTables(
-            in_sqrt_commutator=lambda x: member(tuple(x) + (0,) * t))
-    src = "\n".join(lines) + "\n"
     try:
-        return pcgroup.parse_presentation(
-            src, family_id=f"quotient({p.family_id})", analytic=analytic)
+        return pcgroup.parse_presentation("\n".join(lines) + "\n")
     except pcgroup.PresentationError as exc:
         raise SubgroupError(f"torsion quotient is not presentable: {exc}") from exc
 
@@ -284,8 +277,11 @@ def rank_report(presentation, subgroup: SubgroupWitness) -> Report:
         rank_n, rank_q, shape = 0, total, "trivial"
     elif subgroup.label == "torsion" or all(
             not any(x[:p.n - p.torsion_len]) for x in subgroup.elements):
+        # with every generator of finite order G/N is trivial, of rank 0,
+        # and a presentation needs at least one generator
         rank_n = 0
-        rank_q = quotient_by_torsion(p).hirsch_rank()
+        rank_q = (quotient_by_torsion(p).hirsch_rank()
+                  if p.n > p.torsion_len else 0)
         shape = "torsion"
     else:
         raise SubgroupError("rank report supports the trivial and torsion subgroups")

@@ -6,6 +6,11 @@ left and the product polynomials, so the tests compare products against it.
 It runs out of steps at exponents much beyond 3 in class 3, so products at
 larger exponents are checked against closed forms and matrices, each read
 off the relations: ``heisenberg_mul``, ``filiform_mul`` and ``ut4_matrix``.
+
+``isolator_closed_form`` decides membership in the isolator of the derived
+subgroup of each built-in family from the family's closed form, with no
+call into ``nilcay``, so the tests check ``structure.Abelianization`` and
+the distortion verdicts against it.
 """
 
 # the quaternion group: i^2 = j^2 = z, z^2 = 1, i^-1 j i = j z
@@ -239,3 +244,59 @@ def letters_to_vector(p, letters, steps=10**6):
 def vector_letters(x):
     """The letters of the normal-form word of the exponent vector ``x``."""
     return _letters(tuple((i, e) for i, e in enumerate(x) if e), 1)
+
+
+# -- isolators of the derived subgroup, from each family's closed form -------
+#
+# x lies in the isolator when some power of x is a product of commutators.
+# Z^n is abelian, so only e does.  In the Heisenberg group [b, a] = c^-1, so
+# it is {c^k}.  In the Klein bottle [b, a] = b^-2, so it is {b^k}.  In
+# Z^n x C_m it is the torsion C_m.  The isolator of a direct product is the
+# product of the isolators, and the torsion quotient of a built-in family
+# with torsion is the family with the C_m factor dropped, its vectors padded
+# with zeros for the dropped coordinates.
+
+
+def zn_isolator(n):
+    return lambda x: not any(x[:n])
+
+
+def heisenberg_isolator(x):
+    return x[0] == 0 and x[1] == 0
+
+
+def klein_isolator(x):
+    return x[0] == 0
+
+
+def product_isolator(left, right, left_n):
+    """The isolator of G1 x G2, G1 with ``left_n`` coordinates."""
+    return lambda x: left(x[:left_n]) and right(x[left_n:])
+
+
+def quotient_isolator(member, torsion_len):
+    """The isolator of G/N for N the torsion block of ``torsion_len``
+    trailing coordinates, read from that of G."""
+    return lambda x: member(tuple(x) + (0,) * torsion_len)
+
+
+def isolator_closed_form(group_id):
+    """The isolator membership test of the built-in family ``group_id``, for
+    the ids that ``pcgroup.from_id`` resolves."""
+    gid = group_id.strip().lower()
+    gid = {"z": "zn:1", "z1": "zn:1", "z2": "zn:2", "z3": "zn:3",
+           "klein": "klein_bottle", "zxz2": "zn_cross_cyclic:1,2"}.get(gid, gid)
+    if gid == "heisenberg":
+        return heisenberg_isolator
+    if gid == "klein_bottle":
+        return klein_isolator
+    if gid.startswith("zn:"):
+        return zn_isolator(int(gid[3:]))
+    if gid.startswith("zn_cross_cyclic:"):
+        # the torsion coordinate is free: C_m is its own isolator
+        return zn_isolator(int(gid.split(":")[1].split(",")[0]))
+    if gid == "heisenberg_z":
+        return product_isolator(heisenberg_isolator, zn_isolator(1), 3)
+    if gid.startswith("heisenberg_z"):
+        return product_isolator(heisenberg_isolator, zn_isolator(0), 3)
+    raise KeyError(f"no closed form for {group_id!r}")

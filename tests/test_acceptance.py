@@ -57,7 +57,7 @@ def test_criterion_06_biorder_shadow():
 
 
 def test_criterion_07_distortion():
-    report = _check(7, "Heisenberg distortion verdicts match the analytic table",
+    report = _check(7, "Heisenberg distortion verdicts match the closed-form isolator",
                     suites.distortion, 60, kmax=16)
     profile = dict(report.parameters["profile_c"])
     assert profile[1] == 4 and profile[16] <= 16

@@ -508,6 +508,14 @@ def test_induced_quotient_check_catches_coset_breaker():
     bad[(2, 0)], bad[(3, 0)] = (3, 0), (2, 0)  # crosses cosets
     rep = induced_quotient_check(ball, ball, bad, N, N)
     assert rep.verdict == "fail" and rep.witnesses
+    # below radius 2 the containment check still runs: t and x swapped on
+    # B(1) send the coset {e, t} to {e, x}
+    ball = generate_ball(zx, standard_genset(zx), 1)
+    bad = {v: v for v in ball.vertices}
+    bad[(0, 1)], bad[(1, 0)] = (1, 0), (0, 1)
+    rep = induced_quotient_check(ball, ball, bad, N, N)
+    assert (rep.verdict, rep.ok) == ("fail", False)
+    assert rep.witnesses == [{"coset_of": (0, 0), "offender": (0, 1), "ratio": (1, 0)}]
 
 
 def test_central_translation_check_sigma_values():

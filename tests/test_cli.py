@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nilcay import cli, constructions, pcgroup, structure
+from nilcay import cli, constructions, structure
 from nilcay.cayley import GenSet, export_vertex_map, generate_ball
 from nilcay.pcgroup import from_id
 from reference import SOL_SOURCE
@@ -124,6 +124,15 @@ def test_distortion_verdict_and_table(tmp_path):
     rows = table.read_text().splitlines()
     assert rows[0] == "k\tdist\tratio"
     assert rows[1] == "1\t4\t4"
+    # at kmax 1 the profile of t (order 2) is one ratio 1, which looks
+    # undistorted; powers of t are bounded, so no run can certify that
+    assert run(["distortion", "--group", "zxz2", "--element", "0,1",
+                "--kmax", "1", "--out", str(out)]) == 1
+    result = read_json(out)["result"]
+    assert (result["verdict"], result["ok"]) == ("inconclusive", None)
+    assert result["notes"] == [
+        "the profile looks undistorted, but g has finite order, so its powers "
+        "are bounded; kmax is too small to show it"]
 
 
 def test_biorder_commands(tmp_path):
@@ -150,6 +159,11 @@ def test_structure_commands(tmp_path):
     assert read_json(out)["parameters"]["kmax"] == 8
     assert run(["structure", "--group", "zxz2", "--rank",
                 "--out", str(out)]) == 0
+    # a finite group: G/N is trivial, of rank 0
+    assert run(["structure", "--group", "zn_cross_cyclic:0,3", "--rank",
+                "--out", str(out)]) == 0
+    assert [read_json(out)["result"]["parameters"][k]
+            for k in ("rank_G", "rank_N", "rank_quotient")] == [0, 0, 0]
     # only the conjugator search reads --kmax, so only its report echoes it
     for flag in ("--rank", "--torsion", "--zdagger", "--isolator"):
         assert run(["structure", "--group", "zxz2", flag, "--radius", "2",
@@ -265,6 +279,26 @@ def test_induced_command(tmp_path):
     assert read_json(out)["result"]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("group,radius", [
+    ("zxz2", 0), ("zxz2", 1), ("heisenberg_z3", 0), ("heisenberg_z3", 1)])
+def test_induced_below_radius_2_is_inconclusive(tmp_path, group, radius):
+    # the interior of B(r) is at most {e}: the affine check on the torsion
+    # quotients would check nothing
+    p = from_id(group)
+    ball = generate_ball(p, GenSet(p, p.genset), radius)
+    mp = tmp_path / "identity.tsv"
+    export_vertex_map({v: v for v in ball.vertices}, mp)
+    out = tmp_path / "ind.json"
+    assert run(["induced", "--group", group, "--radius", str(radius),
+                "--map", str(mp), "--out", str(out)]) == 1
+    result = read_json(out)["result"]
+    assert (result["verdict"], result["ok"], result["witnesses"]) == \
+        ("inconclusive", None, [])
+    assert result["notes"] == [
+        f"radius {radius} is below 2: the interior of B({radius}) is at most "
+        "{e}, so the affine check would check nothing"]
+
+
 def test_induced_partial_map_is_usage_error(tmp_path, capsys):
     mp = tmp_path / "partial.tsv"
     mp.write_text("0\t0\n")
@@ -312,17 +346,6 @@ def test_usage_errors():
     assert run(["biorder", "--group", "klein_bottle", "--max"]) == 2
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["frobnicate"])
-
-
-def test_distortion_analytic_disagreement_is_a_verdict_error(capsys, monkeypatch):
-    # a table that calls the central c undistorted contradicts the certified
-    # profile; the CLI reports the conflict instead of raising
-    wrong = pcgroup.AnalyticTables(in_sqrt_commutator=lambda x: False)
-    monkeypatch.setattr(pcgroup, "_HEISENBERG_ANALYTIC", wrong)
-    assert run(["distortion", "--group", "heisenberg", "--element", "0,0,1",
-                "--kmax", "16"]) == 1
-    err = json.loads(capsys.readouterr().err.splitlines()[0])
-    assert err["kind"] == "AnalyticDisagreement" and "disagrees" in err["error"]
 
 
 def test_budget_exhaustion_exit_code(tmp_path):

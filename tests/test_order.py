@@ -14,6 +14,7 @@ from nilcay.order import (BiOrder, BiOrderUnavailable, NotAGeneratorError,
                           central_label_propagation, classify_distorted,
                           convexity_check, distortion_profile, max_generator)
 from nilcay.pcgroup import builtin, direct_product, from_id
+from reference import isolator_closed_form
 
 FILIFORM = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "filiform4.pc"
 
@@ -201,8 +202,8 @@ def test_classification_matches_analytic_table():
         verdict, prof, _ = classify_distorted(k, standard_genset(k), g, kmax=64)
         assert verdict == "undistorted"
         assert prof.dists == [1, 2, 4, 8, 16, 32, 64]
-    # user presentations, without analytic tables: the profile's shape alone
-    # would say the opposite verdict; the rational abelianization overrides it
+    # user presentations: the profile's shape alone would say the opposite
+    # verdict; the rational abelianization overrides it
     heis = pcgroup._HEISENBERG_SOURCE
     every_coordinate = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                         (0, 0, 1), (0, 0, -1)]
@@ -225,6 +226,50 @@ def test_classification_matches_analytic_table():
                                             (1,), kmax=4)
     assert (verdict, prof.dists) == ("undistorted", [11, 2, 4])
     assert "certified undistorted" in rep.notes[0]
+
+
+# every element of B(2) other than e in each of these built-ins, at each kmax
+SWEEP_IDS = ("z", "z2", "z3", "zn:4", "heisenberg", "klein_bottle", "zxz2",
+             "heisenberg_z3", "zn_cross_cyclic:0,3", "zn_cross_cyclic:1,4")
+SWEEP_KMAX = (1, 2, 3, 4, 8)
+# elements of finite order whose profile at this kmax is a run of equal
+# ratios >= 1, so it looks undistorted
+FINITE_ORDER_LOOKALIKES = {
+    ("zxz2", (0, 1), 1),
+    ("heisenberg_z3", (0, 0, 0, 1), 1),
+    ("heisenberg_z3", (0, 0, 0, 2), 1),
+    ("zn_cross_cyclic:0,3", (1,), 1),
+    ("zn_cross_cyclic:0,3", (2,), 1),
+    ("zn_cross_cyclic:1,4", (0, 1), 1),
+    ("zn_cross_cyclic:1,4", (0, 1), 2),
+    ("zn_cross_cyclic:1,4", (0, 2), 1),
+    ("zn_cross_cyclic:1,4", (0, 3), 1),
+    ("zn_cross_cyclic:1,4", (0, 3), 2),
+}
+
+
+def test_distortion_verdicts_agree_with_the_closed_form_isolator():
+    calls, lookalikes = 0, set()
+    for gid in SWEEP_IDS:
+        p = from_id(gid)
+        S = standard_genset(p)
+        in_isolator = isolator_closed_form(gid)
+        for g in generate_ball(p, S, 2).vertices:
+            if g == p.identity:
+                continue
+            # outside the isolator g is undistorted in any group, inside it
+            # distorted in a nilpotent group (Osin); the Klein bottle has both
+            want = ("undistorted" if not in_isolator(g)
+                    else "distorted" if p.nilpotent else None)
+            for kmax in SWEEP_KMAX:
+                calls += 1
+                verdict, _, rep = classify_distorted(p, S, g, kmax=kmax)
+                assert verdict in ("inconclusive", want) or want is None, \
+                    (gid, g, kmax, verdict)
+                if any("g has finite order" in note for note in rep.notes):
+                    lookalikes.add((gid, g, kmax))
+    assert calls == 770
+    assert lookalikes == FINITE_ORDER_LOOKALIKES
 
 
 def test_abelianized_bound_certifies_user_presentations():

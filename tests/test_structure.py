@@ -15,6 +15,9 @@ from nilcay.structure import (SubgroupError, SubgroupWitness, find_conjugator,
                               quotient_by_torsion, rank_report, torsion_subgroup,
                               trivial_subgroup, z_dagger)
 
+from reference import (Q8_SOURCE, heisenberg_isolator, isolator_closed_form,
+                       quotient_isolator)
+
 
 def test_torsion_subgroup_elements():
     zx = from_id("zxz2")
@@ -68,13 +71,15 @@ ABELIAN_RANKS = {"z": 1, "z2": 2, "z3": 3, "heisenberg": 2, "klein_bottle": 1,
 
 
 def test_abelianization_matches_the_analytic_isolator():
-    groups = [(gid, from_id(gid)) for gid in ABELIAN_RANKS]
-    groups.append(("heisenberg", quotient_by_torsion(from_id("heisenberg_z3"))))
-    for gid, p in groups:
+    groups = [(gid, from_id(gid), isolator_closed_form(gid)) for gid in ABELIAN_RANKS]
+    # the torsion quotient of heisenberg_z3 is the Heisenberg group
+    groups.append(("heisenberg", quotient_by_torsion(from_id("heisenberg_z3")),
+                   quotient_isolator(isolator_closed_form("heisenberg_z3"), 1)))
+    for gid, p, closed_form in groups:
         ab = p.abelianization
         assert ab.rank == ABELIAN_RANKS[gid], gid
         for x in generate_ball(p, standard_genset(p), 4).vertices:
-            assert ab.in_isolator(x) == p.analytic.in_sqrt_commutator(x), (gid, x)
+            assert ab.in_isolator(x) == closed_form(x), (gid, x)
     # [b, a] = c^2 d^3: the isolator of [G, G] is {c^i d^j : 3i = 2j}, and
     # the images need the common denominator 2
     p = parse_presentation(
@@ -127,7 +132,6 @@ genset a a^-1 b b^-1 c c^-1
 
 def test_z_dagger_is_exact_on_user_presentations():
     p = parse_presentation(HEISENBERG_C9)
-    assert p.analytic is None
     ball = generate_ball(p, standard_genset(p), 5)
     central = [x for x in ball.vertices if p.is_central(x)]
     assert len(central) == 17
@@ -158,8 +162,8 @@ def test_isolator_command_is_exact_on_user_presentations(tmp_path):
 def test_isolator_matches_analytic_sqrt_commutator():
     h = builtin("heisenberg")
     ball = generate_ball(h, standard_genset(h), 4)
-    analytic = {x for x in ball.vertices if h.analytic.in_sqrt_commutator(x)}
-    assert set(structure.isolator(h, ball)) == analytic
+    closed_form = {x for x in ball.vertices if heisenberg_isolator(x)}
+    assert set(structure.isolator(h, ball)) == closed_form
 
 
 def test_z_dagger():
@@ -206,6 +210,12 @@ def test_rank_reports():
     rep3 = rank_report(h3, torsion_subgroup(h3))
     assert rep3.ok and (rep3.parameters["rank_G"],
                         rep3.parameters["rank_quotient"]) == (3, 3)
+    # every generator has finite order, so G/N is trivial: nothing to parse
+    for p in (from_id("zn_cross_cyclic:0,3"), parse_presentation(Q8_SOURCE)):
+        rep = rank_report(p, torsion_subgroup(p))
+        assert (rep.verdict, rep.ok) == ("pass", True), p.name
+        assert (rep.parameters["rank_G"], rep.parameters["rank_N"],
+                rep.parameters["rank_quotient"]) == (0, 0, 0), p.name
 
 
 def test_rank_report_unsupported_shape():
