@@ -37,11 +37,11 @@ class BallBudgetError(RuntimeError):
 
 
 class GeodesicCapError(RuntimeError):
-    """Geodesic enumeration cap exceeded; carries the partial count."""
+    """Geodesic enumeration cap exceeded; carries the exact geodesic count."""
 
-    def __init__(self, message, partial_count):
+    def __init__(self, message, count):
         super().__init__(message)
-        self.partial_count = partial_count
+        self.count = count
 
 
 class MapError(ValueError):
@@ -306,8 +306,9 @@ def iter_geodesics(ball, u, v):
 def enumerate_geodesics(ball, u, v, cap=DEFAULT_GEODESIC_CAP):
     """All geodesic segments from u to v, as label sequences in canonical order."""
     wid, _ = _certified_remainder(ball, u, v)
-    if _geodesic_counts(ball)[wid] > cap:
-        raise GeodesicCapError(f"geodesic cap {cap} exceeded", partial_count=cap)
+    count = _geodesic_counts(ball)[wid]
+    if count > cap:
+        raise GeodesicCapError(f"geodesic cap {cap} exceeded", count)
     return list(iter_geodesics(ball, u, v))
 
 

@@ -62,6 +62,12 @@ def _resolve_genset(p, selector):
     return GenSet(p, _parse_vectors(selector, p.n))
 
 
+def _ball(p, args):
+    """B(--radius) of ``p`` over the --genset selection, within --budget."""
+    return generate_ball(p, _resolve_genset(p, args.genset), args.radius,
+                         max_vertices=args.budget)
+
+
 def _envelope(p, command, params, payload):
     return {
         "tool": {"name": "nilcay", "version": __version__},
@@ -94,14 +100,13 @@ def _element(p, text):
 
 def cmd_ball(args):
     p = _load_group(args.group)
-    S = _resolve_genset(p, args.genset)
-    ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
+    ball = _ball(p, args)
     if args.out:
         export_graph(ball, args.out)
     if args.distances:
         export_distances(ball, args.distances)
     payload = {"vertices": len(ball), "radius": args.radius,
-               "genset_size": len(S.elements)}
+               "genset_size": len(ball.genset.elements)}
     if not args.out and not args.distances:
         _emit(_envelope(p, "ball", vars_of(args), payload), args)
     else:
@@ -111,8 +116,7 @@ def cmd_ball(args):
 
 def cmd_distance(args):
     p = _load_group(args.group)
-    S = _resolve_genset(p, args.genset)
-    ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
+    ball = _ball(p, args)
     u = _element(p, getattr(args, "from"))
     v = _element(p, args.to)
     d = ball.distance(u, v)
@@ -127,8 +131,7 @@ def cmd_distance(args):
 
 def cmd_geodesics(args):
     p = _load_group(args.group)
-    S = _resolve_genset(p, args.genset)
-    ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
+    ball = _ball(p, args)
     u = _element(p, getattr(args, "from"))
     v = _element(p, args.to)
     count = count_geodesics(ball, u, v)
@@ -180,22 +183,18 @@ def cmd_biorder(args):
         _emit(_envelope(p, "biorder.max", vars_of(args),
                         {"max_generator": s}), args)
         return EXIT_OK
-    if args.convexity:
-        S = _resolve_genset(p, args.genset)
-        s = _element(p, args.convexity)
-        ball = generate_ball(p, S, max(args.kmax, 1), max_vertices=args.budget)
-        rep = order.convexity_check(ball, s, args.kmax)
-        _emit(_envelope(p, "biorder.convexity", vars_of(args), rep.to_dict()),
-              args)
-        return EXIT_OK if rep.ok else EXIT_VERDICT
-    raise SystemExit2("biorder needs one of --compare, --max, --convexity")
+    # --convexity
+    S = _resolve_genset(p, args.genset)
+    s = _element(p, args.convexity)
+    ball = generate_ball(p, S, max(args.kmax, 1), max_vertices=args.budget)
+    rep = order.convexity_check(ball, s, args.kmax)
+    _emit(_envelope(p, "biorder.convexity", vars_of(args), rep.to_dict()), args)
+    return EXIT_OK if rep.ok else EXIT_VERDICT
 
 
 def cmd_structure(args):
     p = _load_group(args.group)
     params = vars_of(args)
-    if not args.conjugator:
-        del params["kmax"]  # only the conjugator search reads it
     if args.torsion:
         N = structure.torsion_subgroup(p)
         _emit(_envelope(p, "structure.torsion", params,
@@ -203,17 +202,14 @@ def cmd_structure(args):
               args)
         return EXIT_OK
     if args.zdagger:
-        S = _resolve_genset(p, args.genset)
-        ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
-        zd = structure.z_dagger(p, ball)
+        zd = structure.z_dagger(p, _ball(p, args))
         _emit(_envelope(p, "structure.zdagger", params,
                         {"elements": list(zd)}), args)
         return EXIT_OK
     if args.conjugator:
-        S = _resolve_genset(p, args.genset)
-        ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
+        ball = _ball(p, args)
         a, b = (_element(p, t) for t in args.conjugator)
-        res = structure.find_conjugator(ball, a, b, kmax=args.kmax)
+        res = structure.find_conjugator(ball, a, b)
         _emit(_envelope(p, "structure.conjugator", params,
                         res.report.to_dict()), args)
         return EXIT_OK
@@ -222,14 +218,11 @@ def cmd_structure(args):
         rep = structure.rank_report(p, N)
         _emit(_envelope(p, "structure.rank", params, rep.to_dict()), args)
         return EXIT_OK if rep.ok else EXIT_VERDICT
-    if args.isolator:
-        S = _resolve_genset(p, args.genset)
-        ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
-        _emit(_envelope(p, "structure.isolator", params,
-                        {"elements": list(structure.isolator(p, ball))}), args)
-        return EXIT_OK
-    raise SystemExit2("structure needs one of --torsion, --zdagger, "
-                      "--conjugator, --rank, --isolator")
+    # --isolator
+    isolator = structure.isolator(p, _ball(p, args))
+    _emit(_envelope(p, "structure.isolator", params,
+                    {"elements": list(isolator)}), args)
+    return EXIT_OK
 
 
 def cmd_construct(args):
@@ -269,34 +262,27 @@ def cmd_construct(args):
                         {"genset": list(lifted.elements),
                          "quotient": quotient.name}), args)
         return EXIT_OK
-    if args.wreath_fibers is not None:
-        S = _resolve_genset(p, args.genset)
-        ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
-        g = constructions.graph_from_ball(ball)
-        w = constructions.wreath_product(
-            g, constructions.edgeless_graph(args.wreath_fibers))
-        _emit(_envelope(p, "construct.wreath", vars_of(args),
-                        {"vertices": len(w.vertices), "edges": w.edge_count()}),
-              args)
-        return EXIT_OK
-    raise SystemExit2("construct needs one of --klein-grid, --klein-flip, "
-                      "--fsf, --lift, --wreath-fibers")
+    # --wreath-fibers
+    g = constructions.graph_from_ball(_ball(p, args))
+    w = constructions.wreath_product(
+        g, constructions.edgeless_graph(args.wreath_fibers))
+    _emit(_envelope(p, "construct.wreath", vars_of(args),
+                    {"vertices": len(w.vertices), "edges": w.edge_count()}), args)
+    return EXIT_OK
 
 
 def cmd_autos(args):
     p = _load_group(args.group)
-    S = _resolve_genset(p, args.genset)
-    ball = generate_ball(p, S, args.radius, max_vertices=args.budget)
+    ball = _ball(p, args)
+    g = _element(p, args.orbit) if args.orbit else None
     try:
-        if args.orbit:
-            g = _element(p, args.orbit)
-            orbit = autlab.aut_e_orbit(ball, g, args.stability,
-                                        max_vertices=args.budget)
-            command, result = "autos.orbit", {"element": g, "orbit": list(orbit)}
-        else:
-            auts = autlab.enumerate_local_auts(ball, args.stability,
-                                               max_vertices=args.budget)
+        auts = autlab.enumerate_local_auts(ball, args.stability,
+                                           max_vertices=args.budget)
+        if g is None:
             command, result = "autos.enumerate", {"count": auts.order}
+        else:
+            command, result = "autos.orbit", {"element": g,
+                                              "orbit": list(auts.orbit(g))}
     except autlab.EnumerationCapError as exc:
         command, result = "autos", {"error": str(exc)}
     _emit(_envelope(p, command, vars_of(args), result), args)
@@ -320,9 +306,7 @@ def cmd_induced(args):
     ball_a = generate_ball(p, S, args.radius, max_vertices=args.budget)
     ball_b = generate_ball(q, T, args.radius, max_vertices=args.budget)
     mapping = load_vertex_map(args.map, p, q)
-    n1 = structure.torsion_subgroup(p)
-    n2 = structure.torsion_subgroup(q)
-    rep = autlab.induced_quotient_check(ball_a, ball_b, mapping, n1, n2)
+    rep = autlab.induced_quotient_check(ball_a, ball_b, mapping)
     _emit(_envelope(p, "induced", vars_of(args), rep.to_dict()), args)
     return EXIT_OK if rep.ok else EXIT_VERDICT
 
@@ -375,7 +359,6 @@ def _add_common(sp, genset=True, radius=True, budget=True):
                              f"(default {DEFAULT_VERTEX_BUDGET:,})")
     sp.add_argument("--out", help="write the JSON report or export here")
     sp.add_argument("--pretty", action="store_true", help="indented JSON")
-    sp.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
 def build_parser():
@@ -390,12 +373,14 @@ def build_parser():
 
     sp = sub.add_parser("distance", help="certified word distance")
     _add_common(sp)
+    sp.add_argument("--format", choices=("json", "tsv"), default="json")
     sp.add_argument("--from", required=True)
     sp.add_argument("--to", required=True)
     sp.set_defaults(func=cmd_distance)
 
     sp = sub.add_parser("geodesics", help="enumerate or count geodesics")
     _add_common(sp)
+    sp.add_argument("--format", choices=("json", "tsv"), default="json")
     sp.add_argument("--from", required=True)
     sp.add_argument("--to", required=True)
     sp.add_argument("--count-only", action="store_true")
@@ -411,29 +396,31 @@ def build_parser():
 
     sp = sub.add_parser("biorder", help="bi-order comparisons and convexity")
     _add_common(sp, radius=False)
-    sp.add_argument("--compare", nargs=2, metavar=("X", "Y"))
-    sp.add_argument("--max", action="store_true")
-    sp.add_argument("--convexity", metavar="GEN")
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--compare", nargs=2, metavar=("X", "Y"))
+    mode.add_argument("--max", action="store_true")
+    mode.add_argument("--convexity", metavar="GEN")
     sp.add_argument("--kmax", type=int, default=6)
     sp.set_defaults(func=cmd_biorder)
 
     sp = sub.add_parser("structure", help="torsion, isolators, conjugators, ranks")
     _add_common(sp)
-    sp.add_argument("--torsion", action="store_true")
-    sp.add_argument("--zdagger", action="store_true")
-    sp.add_argument("--isolator", action="store_true")
-    sp.add_argument("--conjugator", nargs=2, metavar=("A", "B"))
-    sp.add_argument("--rank", action="store_true")
-    sp.add_argument("--kmax", type=int, default=8)
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--torsion", action="store_true")
+    mode.add_argument("--zdagger", action="store_true")
+    mode.add_argument("--isolator", action="store_true")
+    mode.add_argument("--conjugator", nargs=2, metavar=("A", "B"))
+    mode.add_argument("--rank", action="store_true")
     sp.set_defaults(func=cmd_structure)
 
     sp = sub.add_parser("construct", help="wreath/FSF/lift/Klein constructions")
     _add_common(sp)
-    sp.add_argument("--klein-grid", type=int, metavar="R")
-    sp.add_argument("--klein-flip", type=int, metavar="R")
-    sp.add_argument("--fsf", action="store_true")
-    sp.add_argument("--lift", action="store_true")
-    sp.add_argument("--wreath-fibers", type=int, metavar="N")
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--klein-grid", type=int, metavar="R")
+    mode.add_argument("--klein-flip", type=int, metavar="R")
+    mode.add_argument("--fsf", action="store_true")
+    mode.add_argument("--lift", action="store_true")
+    mode.add_argument("--wreath-fibers", type=int, metavar="N")
     sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("autos", help="stable local automorphisms and orbits")
@@ -488,7 +475,7 @@ def main(argv=None):
     except (BallBudgetError, GeodesicCapError) as exc:
         diag = {"error": str(exc), "kind": type(exc).__name__}
         if isinstance(exc, GeodesicCapError):
-            diag["partial_count"] = exc.partial_count
+            diag["count"] = exc.count
         print(json.dumps(diag), file=sys.stderr)
         return EXIT_VERDICT
     finally:

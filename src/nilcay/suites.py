@@ -374,7 +374,7 @@ def torsion_geodesics(seed=0, radius=4, pairs=100) -> Report:
         checked += 1
         if count_geodesics(ball, u, v) > sized ** d:
             problems.append({"pair": [u, v], "count_exceeds": sized ** d})
-    orbit = autlab.aut_e_orbit(ball, (0, 1), 2)
+    orbit = autlab.enumerate_local_auts(ball, 2).orbit((0, 1))
     if not set(orbit) <= set(N.elements):
         problems.append({"orbit": orbit})
     ok = not problems
@@ -398,7 +398,7 @@ def induced_and_wreath(radius=5) -> Report:
     fsf = constructions.fsf_generating_set(zx, N, S).genset
     ball = generate_ball(zx, fsf, radius)
     swap = constructions.twin_swap_map(ball, (3, 0), (3, 1))
-    rep = autlab.induced_quotient_check(ball, ball, swap, N, N)
+    rep = autlab.induced_quotient_check(ball, ball, swap)
     if rep.verdict != "pass":
         problems.append({"induced_quotient_check": rep.witnesses})
     if "induced translation part: (0,)" not in rep.notes[0]:

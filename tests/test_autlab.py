@@ -9,10 +9,9 @@ from itertools import chain
 import pytest
 
 from nilcay import autlab, constructions, structure
-from nilcay.autlab import (StableAutomorphisms, aut_e_orbit,
-                           central_translation_check, enumerate_local_auts,
-                           induced_quotient_check, is_affine_on_ball,
-                           normality_verdict)
+from nilcay.autlab import (StableAutomorphisms, central_translation_check,
+                           enumerate_local_auts, induced_quotient_check,
+                           is_affine_on_ball, normality_verdict)
 from nilcay.cayley import (Ball, GenSet, check_vertex_map, generate_ball,
                            standard_genset)
 from nilcay.cli import _resolve_genset
@@ -248,7 +247,7 @@ def _induced_quotient_cases():
         mp.setattr(autlab, "is_affine_on_ball", capture)
         for b, mapping in ((ball, constructions.twin_swap_map(ball, (3, 0), (3, 1))),
                            (lifted, fibres)):
-            assert induced_quotient_check(b, b, mapping, N, N).verdict == "pass"
+            assert induced_quotient_check(b, b, mapping).verdict == "pass"
     assert len(calls) == 2
     return calls
 
@@ -452,20 +451,20 @@ def test_order_agrees_with_sympy(gid, genset, r, t, order):
 
 
 def test_aut_e_orbits(z2_setup):
-    p, ball, _ = z2_setup
-    orbit = aut_e_orbit(ball, (1, 0), 2)
-    assert set(orbit) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
-    assert aut_e_orbit(ball, p.identity, 2) == (p.identity,)
+    p, ball, auts = z2_setup
+    assert set(auts.orbit((1, 0))) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert auts.orbit(p.identity) == (p.identity,)
+    with pytest.raises(ValueError, match="element is not in the ball"):
+        auts.orbit((ball.radius + 1, 0))
     zx = from_id("zxz2")
     S = GenSet(zx, [(1, 0), (-1, 0), (0, 1)])
-    bn = generate_ball(zx, S, 4)
-    orb = aut_e_orbit(bn, (0, 1), 2)
+    orb = enumerate_local_auts(generate_ball(zx, S, 4), 2).orbit((0, 1))
     assert set(orb) <= {(0, 0), (0, 1)}
 
 
 def test_orbit_is_stable_under_every_aut(z2_setup):
     p, ball, auts = z2_setup
-    orbit = set(aut_e_orbit(ball, (1, 0), 2))
+    orbit = set(auts.orbit((1, 0)))
     for mapping in _closure_maps(auts):
         assert {mapping[v] for v in orbit} == orbit
 
@@ -477,10 +476,10 @@ def test_induced_quotient_check_identity_and_swap():
         zx, N, GenSet(zx, [(1, 0), (-1, 0)])).genset
     ball = generate_ball(zx, fsf, 5)
     ident = {v: v for v in ball.vertices}
-    rep = induced_quotient_check(ball, ball, ident, N, N)
+    rep = induced_quotient_check(ball, ball, ident)
     assert rep.verdict == "pass"
     swap = constructions.twin_swap_map(ball, (3, 0), (3, 1))
-    rep2 = induced_quotient_check(ball, ball, swap, N, N)
+    rep2 = induced_quotient_check(ball, ball, swap)
     assert rep2.verdict == "pass"
     assert "induced translation part: (0,)" in rep2.notes[0]
 
@@ -488,32 +487,30 @@ def test_induced_quotient_check_identity_and_swap():
 def test_induced_quotient_check_fiber_permutation():
     # permute torsion fibers independently over each base point
     zx = from_id("zxz2")
-    N = structure.torsion_subgroup(zx)
     lifted = constructions.lift_generating_set(zx, [(1,), (-1,)])
     ball = generate_ball(zx, lifted, 5)
     mapping = {}
     for v in ball.vertices:
         flip = v[0] % 3 == 1
         mapping[v] = (v[0], 1 - v[1]) if flip and v[0] != 0 else v
-    rep = induced_quotient_check(ball, ball, mapping, N, N)
+    rep = induced_quotient_check(ball, ball, mapping)
     assert rep.verdict == "pass"
 
 
 def test_induced_quotient_check_catches_coset_breaker():
     zx = from_id("zxz2")
-    N = structure.torsion_subgroup(zx)
     lifted = constructions.lift_generating_set(zx, [(1,), (-1,)])
     ball = generate_ball(zx, lifted, 5)
     bad = {v: v for v in ball.vertices}
     bad[(2, 0)], bad[(3, 0)] = (3, 0), (2, 0)  # crosses cosets
-    rep = induced_quotient_check(ball, ball, bad, N, N)
+    rep = induced_quotient_check(ball, ball, bad)
     assert rep.verdict == "fail" and rep.witnesses
     # below radius 2 the containment check still runs: t and x swapped on
     # B(1) send the coset {e, t} to {e, x}
     ball = generate_ball(zx, standard_genset(zx), 1)
     bad = {v: v for v in ball.vertices}
     bad[(0, 1)], bad[(1, 0)] = (1, 0), (0, 1)
-    rep = induced_quotient_check(ball, ball, bad, N, N)
+    rep = induced_quotient_check(ball, ball, bad)
     assert (rep.verdict, rep.ok) == ("fail", False)
     assert rep.witnesses == [{"coset_of": (0, 0), "offender": (0, 1), "ratio": (1, 0)}]
 

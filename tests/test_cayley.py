@@ -186,7 +186,7 @@ def test_count_agrees_with_enumeration_on_random_pairs():
 def test_geodesic_cap(z2_ball8):
     with pytest.raises(GeodesicCapError) as exc:
         enumerate_geodesics(z2_ball8, (0, 0), (4, 4), cap=3)
-    assert exc.value.partial_count == 3
+    assert exc.value.count == 70  # binomial(8, 4)
 
 
 def _geodesic_words(p, S, radius):

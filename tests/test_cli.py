@@ -155,8 +155,11 @@ def test_structure_commands(tmp_path):
     assert read_json(out)["result"]["order"] == 2
     assert run(["structure", "--group", "heisenberg", "--conjugator",
                 "1,0,0", "1,0,1", "--radius", "4", "--out", str(out)]) == 0
-    assert read_json(out)["result"]["witnesses"][0]["conjugator"] == [0, 1, 0]
-    assert read_json(out)["parameters"]["kmax"] == 8
+    doc = read_json(out)
+    assert doc["result"]["witnesses"][0]["conjugator"] == [0, 1, 0]
+    # a^-k g b^k = g for every k: no power is checked, so nothing echoes kmax
+    assert "kmax" not in doc["parameters"]
+    assert doc["result"]["parameters"] == {"a": [1, 0, 0], "b": [1, 0, 1]}
     assert run(["structure", "--group", "zxz2", "--rank",
                 "--out", str(out)]) == 0
     # a finite group: G/N is trivial, of rank 0
@@ -164,11 +167,11 @@ def test_structure_commands(tmp_path):
                 "--out", str(out)]) == 0
     assert [read_json(out)["result"]["parameters"][k]
             for k in ("rank_G", "rank_N", "rank_quotient")] == [0, 0, 0]
-    # only the conjugator search reads --kmax, so only its report echoes it
+    # each mode runs its own handler
     for flag in ("--rank", "--torsion", "--zdagger", "--isolator"):
         assert run(["structure", "--group", "zxz2", flag, "--radius", "2",
                     "--out", str(out)]) == 0
-        assert "kmax" not in read_json(out)["parameters"]
+        assert read_json(out)["command"] == "structure." + flag[2:]
 
 
 def test_presentation_outside_standard_pc_form_exits_2_at_parse(tmp_path, capsys):
@@ -232,6 +235,11 @@ def test_construct_commands(tmp_path, capsys):
                 "--out", str(out)]) == 0
     assert sorted(read_json(out)["result"]["genset"]) == [
         [-1, 0], [-1, 1], [1, 0], [1, 1]]
+    assert run(["construct", "--group", "zxz2", "--wreath-fibers", "2",
+                "--radius", "2", "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert (doc["command"], doc["result"]) == (
+        "construct.wreath", {"edges": 36, "vertices": 16})
 
 
 def test_exported_klein_flip_is_not_affine(tmp_path, capsys):
@@ -338,6 +346,56 @@ def test_malformed_map_line_exits_2_naming_the_line(tmp_path, capsys, line, show
     assert err == {"kind": "ValueError",
                    "error": "map line 3: expected vertex<TAB>image, each a "
                             f"comma-separated list of integers, got {shown}"}
+
+
+# one argv per command that writes no TSV; each parses without --format
+NO_FORMAT = (
+    ["ball", "--group", "z2"],
+    ["distortion", "--group", "z2", "--element", "1,0"],
+    ["biorder", "--group", "z2", "--max"],
+    ["structure", "--group", "zxz2", "--torsion"],
+    ["construct", "--klein-grid", "2"],
+    ["autos", "--group", "z2"],
+    ["normality", "--group", "z2"],
+    ["induced", "--group", "z", "--map", "m.tsv"],
+)
+
+
+@pytest.mark.parametrize("argv,code,text", [
+    *[([*argv, "--format", "json"], 2, "unrecognized arguments: --format json")
+      for argv in NO_FORMAT],
+    (["distance", "--group", "z2", "--radius", "8", "--from", "0,0",
+      "--to", "3,4", "--format", "tsv"], 0, "0,0\t3,4\t7\n"),
+    (["geodesics", "--group", "z2", "--radius", "4", "--from", "0,0",
+      "--to", "2,1", "--format", "tsv"], 0,
+     "count\t3\n0,1\t1,0\t1,0\n1,0\t0,1\t1,0\n1,0\t1,0\t0,1\n"),
+    (["biorder", "--group", "heisenberg"], 2,
+     "one of the arguments --compare --max --convexity is required"),
+    (["biorder", "--group", "heisenberg", "--max", "--compare", "1,0,0",
+      "0,1,0"], 2, "argument --compare: not allowed with argument --max"),
+    (["structure", "--group", "zxz2"], 2, "one of the arguments --torsion "
+     "--zdagger --isolator --conjugator --rank is required"),
+    (["structure", "--group", "zxz2", "--torsion", "--rank"], 2,
+     "argument --rank: not allowed with argument --torsion"),
+    (["structure", "--group", "heisenberg", "--conjugator", "1,0,0", "1,0,1",
+      "--kmax", "8"], 2, "unrecognized arguments: --kmax 8"),
+    (["construct"], 2, "one of the arguments --klein-grid --klein-flip --fsf "
+     "--lift --wreath-fibers is required"),
+    (["construct", "--klein-grid", "2", "--klein-flip", "2"], 2,
+     "argument --klein-flip: not allowed with argument --klein-grid"),
+])
+def test_every_accepted_option_is_read(capsys, argv, code, text):
+    """--format only where a TSV is written, and one mode per command; the
+    rest exits 2 at parse time with argparse's message."""
+    if argv[-2:] == ["--format", "json"]:
+        cli.build_parser().parse_args(argv[:-2])
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out == text
+    else:
+        assert captured.out == ""
+        assert captured.err.endswith(f" error: {text}\n")
 
 
 def test_usage_errors():

@@ -184,7 +184,7 @@ def test_find_conjugator():
     res = find_conjugator(ball, (1, 0, 0), (1, 0, 1))
     assert res.witness == (0, 1, 0)
     assert res.report.verdict == "found"
-    assert all(row["dist"] == 1 for row in res.distance_profile)
+    assert res.report.parameters == {"a": (1, 0, 0), "b": (1, 0, 1)}
     assert find_conjugator(ball, (1, 0, 0), (1, 0, 0)).witness == (0, 0, 0)
     none = find_conjugator(ball, (1, 0, 0), (0, 1, 0))
     assert none.witness is None
