@@ -12,14 +12,16 @@ the whole graph only once it is known to extend beyond B(r+t).  Below radius
 2 the interior of B(r) is {e}, where the affine check checks nothing, so
 ``normality_verdict`` answers inconclusive there.
 
-The affine check splits a map as m(x) = h alpha(x) with h = m(e) and
-certifies alpha in time linear in the ball.  If the images of the source's
-pc generators satisfy every relation of the source presentation, von Dyck's
-theorem gives a homomorphism phi that extends them, and one product per
-interior vertex, along a BFS parent edge, confirms alpha = phi on the
-interior.  Only when a pc generator is outside the map's domain or the
-certificate fails does the quadratic scan over interior pairs run, to name
-the failing pair.
+The affine check splits a map as m(x) = h alpha(x) with h = m(e), and
+"affine on B(r)" means one thing: alpha agrees on the interior with a
+homomorphism phi of the whole group.  alpha is evaluated on one fixed
+S-word for each pc generator, computed once per generating set; if these
+images satisfy every relation of the source presentation, von Dyck's
+theorem gives phi, and one product per interior vertex, along an edge
+toward e, confirms m = h phi on the interior.  The check is linear in the
+ball, and a failure names the broken relation or the first interior vertex
+where m differs from h phi.  A map multiplicative on every interior pair
+can still fail it: the Klein flip on B(2) is, and breaks a relation.
 
 The survivors form a group: an automorphism of X, the induced graph on
 B(r+t), that fixes e keeps distances from e, hence B(r), and restriction to
@@ -42,8 +44,8 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from . import structure
-from .cayley import (Ball, check_vertex_map, generate_ball, require_total,
-                     twin_partition)
+from .cayley import (Ball, GenerationError, check_vertex_map, generate_ball,
+                     require_total, twin_partition)
 from .reporting import Report
 
 #: search nodes the stable-restriction backtracking may visit before giving up
@@ -375,7 +377,9 @@ def enumerate_local_auts(ball: Ball, stability,
 
 def _split_translation(ball_a, ball_b, mapping):
     """(h, alpha on S, failure): h = m(e), alpha(s) = h^{-1} m(s) for s in S,
-    and the verdict when alpha does not map S bijectively onto S'."""
+    and the verdict when alpha does not map S bijectively onto S'.  The
+    failure names a generator whose image is outside S', or two generators
+    that share an image."""
     e, pb = ball_a.presentation.identity, ball_b.presentation
     if e not in mapping:
         raise ValueError("map must be defined at the identity")
@@ -389,13 +393,24 @@ def _split_translation(ball_a, ball_b, mapping):
             return h, None, AffineVerdict(
                 False, h, None, reason=f"generator {s} outside the map domain")
         alpha_gens[s] = pb.multiply(hinv, mapping[s])
-    images = set(alpha_gens.values())
-    if not images <= gens_b or len(images) != len(gens_b):
-        bad = next((s for s in gens_a if alpha_gens[s] not in gens_b), gens_a[0])
+    if len(gens_a) != len(gens_b):
         return h, alpha_gens, AffineVerdict(
-            False, h, alpha_gens, witness=(bad,),
-            reason="generators are not mapped bijectively onto the target "
-                   "generating set")
+            False, h, alpha_gens,
+            reason=f"the generating sets differ in size: {len(gens_a)} source "
+                   f"and {len(gens_b)} target generators")
+    source_of = {}                        # image -> the first generator sent there
+    for s in gens_a:
+        image = alpha_gens[s]
+        if image not in gens_b:
+            return h, alpha_gens, AffineVerdict(
+                False, h, alpha_gens, witness=(s,),
+                reason="the generator's image is outside the target "
+                       "generating set")
+        if image in source_of:
+            return h, alpha_gens, AffineVerdict(
+                False, h, alpha_gens, witness=(source_of[image], s),
+                reason="the two generators share an image")
+        source_of[image] = s
     return h, alpha_gens, None
 
 
@@ -407,111 +422,98 @@ def _evaluate(pb, imgs, word):
     return x
 
 
-def _pc_homomorphism(pa, pb, mapping, hinv):
-    """The images alpha(g_i) of the source pc generators when they satisfy
-    every relation of the source presentation, collected in the target;
-    None when one fails or some g_i is outside the map's domain."""
-    imgs = []
-    for i in range(pa.n):
-        g = pa.generator(i)
-        if g not in mapping:
-            return None
-        imgs.append(pb.multiply(hinv, mapping[g]))
+def _broken_relation(pa, pb, imgs):
+    """The first relation of the source presentation that the images of its
+    pc generators break, collected in the target, as ("conj", l, j),
+    ("conjinv", l, j) or ("pow", j); None when they satisfy every one."""
     for j, gj in enumerate(imgs):
         gj_inv = pb.inverse(gj)
         for l in range(j + 1, pa.n):
             fixed = ((l, 1),)             # a missing entry: the pair commutes
             if (pb.multiply(pb.multiply(gj_inv, imgs[l]), gj)
                     != _evaluate(pb, imgs, pa.conj.get((l, j), fixed))):
-                return None
+                return ("conj", l, j)
             if (pb.multiply(pb.multiply(gj, imgs[l]), gj_inv)
                     != _evaluate(pb, imgs, pa.conjinv.get((l, j), fixed))):
-                return None
+                return ("conjinv", l, j)
         m = pa.orders[j]
         if m is not None and pb.power(gj, m) != _evaluate(
                 pb, imgs, pa.power_words.get(j, ())):
-            return None
-    return tuple(imgs)
+            return ("pow", j)
+    return None
 
 
-def _agrees_on_interior(ball_a, pb, mapping, imgs):
-    """m(u s) = m(u) phi(s) along one BFS parent edge into each interior
-    vertex; with m(e) = h this gives m = h phi on the interior, by induction
-    on the distance."""
-    phi = [_evaluate(pb, imgs, tuple((i, k) for i, k in enumerate(s) if k))
-           for s in ball_a.genset.elements]
+def _first_disagreement(ball_a, pb, mapping, imgs):
+    """The first interior vertex v, in (distance, lexicographic) order, with
+    m(v) != h phi(v), or None.
+
+    Each vertex w at distance d >= 1 is checked along one edge to a vertex
+    u = w s at distance d - 1, as m(w) = m(u) phi(s)^-1.  Vertices nearer
+    to e come first, so m(u) = h phi(u) is already confirmed, and the check
+    fails exactly when m(w) != h phi(w).
+    """
+    phi_inv = []
+    for s in ball_a.genset.elements:
+        phi_s = _evaluate(pb, imgs, tuple((i, k) for i, k in enumerate(s) if k))
+        phi_inv.append(pb.inverse(phi_s))
     verts, dist, adjacency = ball_a.vertices, ball_a.dist_list, ball_a.adjacency
-    cut = ball_a.radius - 1
-    reached = [False] * len(verts)
-    for u in ball_a.interior_ids():
-        d = dist[u] + 1
-        if d > cut:
-            continue
-        mu = mapping.get(verts[u])
-        if mu is None:
-            return False
-        for sid, w in adjacency[u]:
-            if dist[w] != d or reached[w]:
-                continue
-            reached[w] = True
-            if mapping.get(verts[w]) != pb.multiply(mu, phi[sid]):
-                return False
-    return True
-
-
-def _pairwise_scan(ball_a: Ball, ball_b: Ball, mapping) -> AffineVerdict:
-    """The quadratic check: alpha(xy) = alpha(x) alpha(y) on every pair of
-    interior vertices with xy interior.  ``is_affine_on_ball`` falls back to
-    it, for its witness, when the certificate fails; the tests use it as the
-    certificate's oracle."""
-    h, alpha_gens, failure = _split_translation(ball_a, ball_b, mapping)
-    if failure is not None:
-        return failure
-    pa, pb = ball_a.presentation, ball_b.presentation
-    hinv = pb.inverse(h)
-    alpha = {x: pb.multiply(hinv, mx) for x, mx in mapping.items()}
-    interior = ball_a.interior_vertices()
-    iset = set(interior)
-    for x in interior:
-        ax = alpha[x]
-        for y in interior:
-            xy = pa.multiply(x, y)
-            if xy not in iset:
-                continue
-            if alpha[xy] != pb.multiply(ax, alpha[y]):
-                return AffineVerdict(False, h, alpha_gens, witness=(x, y),
-                                     reason="alpha is not multiplicative")
-    return AffineVerdict(True, h, alpha_gens)
+    # vertex ids are lexicographic, and the sort is stable
+    for w in sorted((w for w in ball_a.interior_ids() if dist[w]),
+                    key=dist.__getitem__):
+        d = dist[w]
+        sid, u = next((sid, u) for sid, u in adjacency[w] if dist[u] == d - 1)
+        if mapping.get(verts[w]) != pb.multiply(mapping[verts[u]], phi_inv[sid]):
+            return verts[w]
+    return None
 
 
 def is_affine_on_ball(ball_a: Ball, ball_b: Ball, mapping) -> AffineVerdict:
-    """Split the map as translation * alpha and certify alpha on the window.
+    """Split the map as m(x) = h alpha(x) and certify that alpha agrees on
+    the interior B(r - 1) with a homomorphism phi of the whole group.
 
-    alpha(x) = m(e)^{-1} m(x) must map the source generating set bijectively
-    onto the target generating set, and must be multiplicative on every
-    in-ball pair with x, y, xy all interior.
-
-    Multiplicativity is certified in linear time.  The images alpha(g_i) of
-    the source pc generators, read wherever g_i is in the map's domain, are
-    checked against every relation of the source presentation (``conj`` and
+    h = m(e), and alpha(s) = h^{-1} m(s) must map the source generating set
+    S bijectively onto the target's.  alpha(g_i) is then alpha evaluated on
+    the fixed S-word of each source pc generator g_i (``GenSet.pc_words``),
+    so only S needs to be in the map's domain.  These images are checked
+    against every relation of the source presentation (``conj`` and
     ``conjinv`` of each pair, ``pow`` of each finite-order g_i), collected in
     the target.  By von Dyck's theorem they then define a homomorphism phi
     with phi(g_i) = alpha(g_i) (Sims, *Computation with Finitely Presented
-    Groups*, 1994, ch. 9).  One product per interior vertex, along a BFS
-    parent edge, confirms alpha = phi on the interior, and then every
-    interior pair is multiplicative.  The certified verdict carries the
-    images in ``alpha_on_pc_generators``.  When some g_i is outside the
-    domain, a relation fails or alpha differs from phi, the quadratic
-    ``_pairwise_scan`` decides instead, with its witness pair.
+    Groups*, 1994, ch. 9).  One product per interior vertex, along an edge
+    toward e, confirms m = h phi on the interior, so m agrees there with the
+    global affine map x -> h phi(x).  The cost is linear in the ball.
+
+    A failure names its witness: the relation the images break, as
+    ("conj", l, j), ("conjinv", l, j) or ("pow", j) in pc generator indices,
+    or the first interior vertex where m differs from h phi.  The certified
+    verdict carries the images in ``alpha_on_pc_generators``.  Raises
+    GenerationError when S does not generate the source group, whose pc
+    relations then say nothing about the map.
     """
     h, alpha_gens, failure = _split_translation(ball_a, ball_b, mapping)
     if failure is not None:
         return failure
-    pb = ball_b.presentation
-    imgs = _pc_homomorphism(ball_a.presentation, pb, mapping, pb.inverse(h))
-    if imgs is not None and _agrees_on_interior(ball_a, pb, mapping, imgs):
-        return AffineVerdict(True, h, alpha_gens, alpha_on_pc_generators=imgs)
-    return _pairwise_scan(ball_a, ball_b, mapping)
+    pa, pb = ball_a.presentation, ball_b.presentation
+    gens = ball_a.genset.elements
+    imgs = []
+    for word in ball_a.genset.pc_words():
+        x = pb.identity
+        for sid in word:
+            x = pb.multiply(x, alpha_gens[gens[sid]])
+        imgs.append(x)
+    broken = _broken_relation(pa, pb, imgs)
+    if broken is not None:
+        kind, *at = broken
+        names = " by ".join(pa.gens[i] for i in at)
+        return AffineVerdict(False, h, alpha_gens, witness=broken,
+                             reason=f"the images of the pc generators break "
+                                    f"the relation {kind} {names}")
+    v = _first_disagreement(ball_a, pb, mapping, imgs)
+    if v is not None:
+        return AffineVerdict(False, h, alpha_gens, witness=(v,),
+                             reason="the map differs from h phi at this "
+                                    "interior vertex")
+    return AffineVerdict(True, h, alpha_gens, alpha_on_pc_generators=tuple(imgs))
 
 
 def normality_verdict(presentation, genset, r, t, max_vertices=None) -> Report:
@@ -520,7 +522,9 @@ def normality_verdict(presentation, genset, r, t, max_vertices=None) -> Report:
     survivor is affine exactly when every generator is.
 
     Below radius 2 the interior of B(r) is {e}, where the affine check
-    checks nothing, so the verdict is inconclusive.
+    checks nothing, so the verdict is inconclusive.  So it is when S
+    generates a proper subgroup, which is found before the search, from the
+    S-words of the pc generators (``GenSet.pc_words``).
     """
     if t < 1:
         raise ValueError("stability margin must be at least 1")
@@ -532,6 +536,12 @@ def normality_verdict(presentation, genset, r, t, max_vertices=None) -> Report:
         return Report(claim, "inconclusive", parameters=params,
                       notes=[f"radius {r} is below 2: the interior of B({r}) is "
                              "{e}, so the affine check would check nothing"])
+    try:
+        genset.pc_words(max_vertices)
+    except GenerationError as exc:
+        return Report(claim, "inconclusive", parameters=params,
+                      notes=[f"{exc}; the affine check reads the relations of "
+                             f"the whole group, so it cannot decide here"])
     try:
         auts = enumerate_local_auts(ball, t, max_vertices=max_vertices)
     except EnumerationCapError as exc:
@@ -562,7 +572,8 @@ def induced_quotient_check(ball_a: Ball, ball_b: Ball, mapping) -> Report:
     through the adjacency and affine checks on the quotient balls.  Below
     radius 2 the interior of the quotient ball is at most {e}, where the
     affine check checks nothing, so after the containment check the verdict
-    is inconclusive.
+    is inconclusive.  So it is when the quotient generating set generates a
+    proper subgroup of the source quotient.
     """
     pa, pb = ball_a.presentation, ball_b.presentation
     n1, n2 = structure.torsion_subgroup(pa), structure.torsion_subgroup(pb)
@@ -583,10 +594,10 @@ def induced_quotient_check(ball_a: Ball, ball_b: Ball, mapping) -> Report:
                               verdict="fail", ok=False, parameters=params,
                               witnesses=[{"coset_of": g, "offender": gn,
                                           "ratio": co}])
+    claim = "the map induces a well-defined affine bijection on torsion quotients"
     r = ball_a.radius
     if r < 2:
-        return Report("the map induces a well-defined affine bijection on "
-                      "torsion quotients", "inconclusive", parameters=params,
+        return Report(claim, "inconclusive", parameters=params,
                       notes=[f"radius {r} is below 2: the interior of B({r}) is "
                              "at most {e}, so the affine check would check nothing"])
     qa = structure.quotient_by_torsion(pa)
@@ -606,10 +617,13 @@ def induced_quotient_check(ball_a: Ball, ball_b: Ball, mapping) -> Report:
                       verdict="fail", ok=False, parameters=params,
                       witnesses=[{"edge": adjacency.witness,
                                   "reason": adjacency.reason}])
-    affine = is_affine_on_ball(qball_a, qball_b, qmap)
+    try:
+        affine = is_affine_on_ball(qball_a, qball_b, qmap)
+    except GenerationError as exc:
+        return Report(claim, "inconclusive", parameters=params, notes=[str(exc)])
     ok = bool(affine)
     return Report(
-        claim="the map induces a well-defined affine bijection on torsion quotients",
+        claim=claim,
         verdict="pass" if ok else "fail", ok=ok, parameters=params,
         witnesses=[] if ok else [affine.to_witness_dict()],
         notes=[f"induced translation part: {affine.translation}",

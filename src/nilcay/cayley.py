@@ -48,6 +48,11 @@ class MapError(ValueError):
     """Vertex map violates a structural precondition (totality, bijectivity, radius)."""
 
 
+class GenerationError(ValueError):
+    """The generating set generates a proper subgroup; names a pc generator
+    outside it."""
+
+
 def require_normal_form(presentation, v, what):
     """Raise ValueError, naming the vector as ``what`` and the coordinate,
     unless v has one coordinate per generator and each finite-order
@@ -76,6 +81,7 @@ class GenSet:
         self.elements = tuple(canon)
         inv = {presentation.inverse(s) for s in self.elements}
         self.symmetric = inv == set(self.elements)
+        self._pc_words = None
 
     def __len__(self):
         return len(self.elements)
@@ -88,8 +94,69 @@ class GenSet:
             raise ValueError("generating set is not symmetric (closed under inverses)")
         return self
 
+    def pc_words(self, max_vertices=None):
+        """One S-word for each pc generator g_i, a tuple of indices into
+        ``elements``, computed on the first call and kept.
+
+        Each word spells the path from e to g_i along BFS parents in
+        B_S(R), for the least R whose ball holds every g_i, so it is a
+        geodesic; the BFS runs within the vertex budget ``max_vertices``.  A
+        nilpotent presentation first gets the exact test that S generates G
+        (``Abelianization.span_index``), so that the BFS is sure to stop.
+        Raises GenerationError, naming a pc generator outside <S>, when the
+        test fails or the BFS exhausts a finite <S>, and BallBudgetError
+        past the budget.
+        """
+        if self._pc_words is None:
+            self._pc_words = _pc_words(self.require_symmetric(),
+                                       vertex_budget(max_vertices))
+        return self._pc_words
+
     def __repr__(self):
         return f"GenSet({list(self.elements)})"
+
+
+def _pc_words(genset, budget):
+    p = genset.presentation
+    if p.nilpotent:
+        index, missing = p.abelianization.span_index(genset.elements)
+        if missing is not None:
+            where = "infinite index" if index is None else f"index {index}"
+            raise GenerationError(
+                f"the generating set generates a proper subgroup of {p.name}: "
+                f"pc generator {p.gens[missing]} is outside <S>[G, G], which "
+                f"has {where} in G")
+    gens = [p.generator(i) for i in range(p.n)]
+    parent = {p.identity: None}           # element -> (BFS parent, sid)
+    shell, d = [p.identity], 0
+    while not all(g in parent for g in gens):
+        if not shell:
+            missing = next(i for i, g in enumerate(gens) if g not in parent)
+            raise GenerationError(
+                f"the generating set generates a finite proper subgroup of "
+                f"{p.name}, of order {len(parent)}: pc generator "
+                f"{p.gens[missing]} is outside it")
+        d += 1
+        last, shell = shell, []
+        for u in last:
+            for sid, s in enumerate(genset.elements):
+                w = p.multiply(u, s)
+                if w in parent:
+                    continue
+                parent[w] = (u, sid)
+                shell.append(w)
+                if len(parent) > budget:
+                    raise BallBudgetError(
+                        f"ball exceeded vertex budget {budget} at radius {d} "
+                        f"before reaching every pc generator")
+    words = []
+    for g in gens:
+        word = []
+        while parent[g] is not None:
+            g, sid = parent[g]
+            word.append(sid)
+        words.append(tuple(reversed(word)))
+    return tuple(words)
 
 
 def standard_genset(presentation) -> GenSet:

@@ -83,10 +83,15 @@ def _emit(obj, args, exported=False):
     or it already holds the command's export."""
     text = json_pretty(obj) if getattr(args, "pretty", False) else \
         json_bytes(obj).decode("utf-8")
-    if getattr(args, "out", None) and not exported:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    _write(text, None if exported else getattr(args, "out", None))
+
+
+def _write(text, path):
+    """Write the text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
+        print(f"wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(text)
 
@@ -121,8 +126,8 @@ def cmd_distance(args):
     v = _element(p, args.to)
     d = ball.distance(u, v)
     if args.format == "tsv":
-        sys.stdout.write(f"{p.element_to_str(u)}\t{p.element_to_str(v)}\t"
-                         f"{'unknown' if d is None else d}\n")
+        _write(f"{p.element_to_str(u)}\t{p.element_to_str(v)}\t"
+               f"{'unknown' if d is None else d}\n", args.out)
     else:
         _emit(_envelope(p, "distance", vars_of(args),
                         {"dist": d, "certified": d is not None}), args)
@@ -141,9 +146,8 @@ def cmd_geodesics(args):
         payload["paths"] = [[p.element_to_str(s) for s in path.labels]
                             for path in paths]
     if args.format == "tsv":
-        sys.stdout.write(f"count\t{count}\n")
-        for path in payload.get("paths", []):
-            sys.stdout.write("\t".join(path) + "\n")
+        _write("".join([f"count\t{count}\n"] + ["\t".join(path) + "\n"
+                        for path in payload.get("paths", [])]), args.out)
     else:
         _emit(_envelope(p, "geodesics", vars_of(args), payload), args)
     return EXIT_OK
@@ -459,6 +463,8 @@ def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if getattr(args, "format", None) == "tsv" and args.pretty:
+            ap.error("argument --pretty: not allowed with argument --format tsv")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     t0 = time.perf_counter()

@@ -178,6 +178,9 @@ class Abelianization:
                      for (l, _j), w in table.items()]
         relations += [relation(i, m, p.power_words.get(i, ()))
                       for i, m in enumerate(p.orders) if m is not None]
+        self.n = p.n
+        #: the relation vectors, which span the kernel of Z^n -> G/[G, G]
+        self.relations = tuple(tuple(v) for v in relations)
         basis = []                      # (pivot, row with 1 at the pivot)
 
         def reduce(v):
@@ -210,6 +213,52 @@ class Abelianization:
     def in_isolator(self, x) -> bool:
         """Whether some power of x lies in [G, G]."""
         return not any(self.image(x))
+
+    def span_index(self, elements):
+        """(index, missing) for H = <elements>: the index of H[G, G] in G,
+        None when infinite, and the least i with g_i outside H[G, G], None
+        when H[G, G] = G.
+
+        H[G, G]/[G, G] is the image of H in Z^n modulo the relation vectors,
+        so H[G, G] corresponds to the integer span L of the relation vectors
+        and the normal forms of the elements.  Row operations by Euclid's
+        algorithm reduce them to an echelon basis of L with positive pivots;
+        the index of L in Z^n is the product of the pivots when there are n
+        of them.  A vector is in L exactly when reducing it against the
+        basis leaves zero, each pivot dividing the entry it clears.  For
+        nilpotent G, H[G, G] = G implies H = G, so the elements generate G
+        exactly when ``missing`` is None.
+        """
+        n = self.n
+        rows = {}                       # pivot -> row with a positive pivot
+        for v in (*self.relations, *elements):
+            v = list(v)
+            for i in range(n):
+                if not v[i]:
+                    continue
+                r = rows.get(i)
+                if r is None:
+                    rows[i] = v if v[i] > 0 else [-a for a in v]
+                    break
+                while v[i]:             # Euclid on column i: v[i] ends at 0
+                    q = r[i] // v[i]
+                    r, v = v, [a - q * b for a, b in zip(r, v)]
+                rows[i] = r if r[i] > 0 else [-a for a in r]
+
+        def in_span(v):
+            for i in range(n):
+                if v[i]:
+                    r = rows.get(i)
+                    if r is None or v[i] % r[i]:
+                        return False
+                    q = v[i] // r[i]
+                    v = [a - q * b for a, b in zip(v, r)]
+            return True
+
+        index = math.prod(r[i] for i, r in rows.items()) if len(rows) == n else None
+        missing = next((i for i in range(n)
+                        if not in_span([int(j == i) for j in range(n)])), None)
+        return index, missing
 
 
 def isolator(presentation, ball) -> tuple:

@@ -11,7 +11,16 @@ off the relations: ``heisenberg_mul``, ``filiform_mul`` and ``ut4_matrix``.
 subgroup of each built-in family from the family's closed form, with no
 call into ``nilcay``, so the tests check ``structure.Abelianization`` and
 the distortion verdicts against it.
+
+``pairwise_scan`` is the quadratic affine check: alpha(xy) = alpha(x)
+alpha(y) on every pair of interior vertices.  It is weaker than the von
+Dyck certificate of ``autlab.is_affine_on_ball`` (a map can be
+multiplicative on the interior pairs without agreeing with any
+homomorphism of the whole group), so the tests use it as a one-way oracle:
+whatever the certificate passes, the scan passes.
 """
+
+from nilcay.autlab import AffineVerdict, _split_translation
 
 # the quaternion group: i^2 = j^2 = z, z^2 = 1, i^-1 j i = j z
 Q8_SOURCE = """\
@@ -300,3 +309,26 @@ def isolator_closed_form(group_id):
     if gid.startswith("heisenberg_z"):
         return product_isolator(heisenberg_isolator, zn_isolator(0), 3)
     raise KeyError(f"no closed form for {group_id!r}")
+
+
+def pairwise_scan(ball_a, ball_b, mapping):
+    """The quadratic check: alpha(xy) = alpha(x) alpha(y) on every pair of
+    interior vertices with xy interior."""
+    h, alpha_gens, failure = _split_translation(ball_a, ball_b, mapping)
+    if failure is not None:
+        return failure
+    pa, pb = ball_a.presentation, ball_b.presentation
+    hinv = pb.inverse(h)
+    alpha = {x: pb.multiply(hinv, mx) for x, mx in mapping.items()}
+    interior = ball_a.interior_vertices()
+    iset = set(interior)
+    for x in interior:
+        ax = alpha[x]
+        for y in interior:
+            xy = pa.multiply(x, y)
+            if xy not in iset:
+                continue
+            if alpha[xy] != pb.multiply(ax, alpha[y]):
+                return AffineVerdict(False, h, alpha_gens, witness=(x, y),
+                                     reason="alpha is not multiplicative")
+    return AffineVerdict(True, h, alpha_gens)

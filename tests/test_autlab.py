@@ -12,10 +12,11 @@ from nilcay import autlab, constructions, structure
 from nilcay.autlab import (StableAutomorphisms, central_translation_check,
                            enumerate_local_auts, induced_quotient_check,
                            is_affine_on_ball, normality_verdict)
-from nilcay.cayley import (Ball, GenSet, check_vertex_map, generate_ball,
-                           standard_genset)
+from nilcay.cayley import (Ball, GenerationError, GenSet, check_vertex_map,
+                           generate_ball, standard_genset)
 from nilcay.cli import _resolve_genset
 from nilcay.pcgroup import builtin, from_id
+from reference import pairwise_scan
 
 
 @pytest.fixture(scope="module")
@@ -151,8 +152,38 @@ def test_twin_swap_is_not_affine():
     swap = constructions.twin_swap_map(ball, (3, 0), (3, 1))
     verdict = is_affine_on_ball(ball, ball, swap)
     assert not verdict.affine
-    # the swap fixes every generator vertex, so only multiplicativity fails
-    assert verdict.reason == "alpha is not multiplicative"
+    # the swap fixes every generator vertex, so phi is the identity, and
+    # (3, 0), at distance 3, is the first vertex the swap moves
+    assert verdict.witness == ((3, 0),)
+    assert verdict.reason == "the map differs from h phi at this interior vertex"
+
+
+@pytest.mark.parametrize("image,witness,reason", [
+    # b and b^-1 both go to b
+    ({(0, -1, 0): (0, 1, 0)}, ((0, -1, 0), (0, 1, 0)),
+     "the two generators share an image"),
+    ({(0, -1, 0): (1, 1, 0)}, ((0, -1, 0),),
+     "the generator's image is outside the target generating set"),
+])
+def test_generators_not_mapped_bijectively_name_their_witness(image, witness,
+                                                              reason):
+    p = builtin("heisenberg")
+    ball = generate_ball(p, standard_genset(p), 3)
+    mapping = {v: image.get(v, v) for v in ball.vertices}
+    verdict = is_affine_on_ball(ball, ball, mapping)
+    assert not verdict.affine
+    assert (verdict.witness, verdict.reason) == (witness, reason)
+
+
+def test_generating_sets_of_different_sizes_are_not_affine():
+    p = builtin("zn", n=2)
+    ball = generate_ball(p, standard_genset(p), 2)
+    big = GenSet(p, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
+    verdict = is_affine_on_ball(ball, generate_ball(p, big, 2),
+                                {v: v for v in ball.vertices})
+    assert not verdict.affine and verdict.witness is None
+    assert verdict.reason == ("the generating sets differ in size: 4 source "
+                              "and 6 target generators")
 
 
 def test_affine_composition(z2_setup):
@@ -280,56 +311,145 @@ ORACLE_CASES = {
 
 
 def _verdict_key(v):
-    return (v.affine, v.translation, v.alpha_on_generators, v.witness, v.reason)
+    return (v.affine, v.translation, v.alpha_on_generators)
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_certificate_agrees_with_pairwise_scan(case):
+    """On these maps the certificate and the scan agree on the verdict; the
+    witnesses differ, a relation or vertex against a pair."""
     for ball_a, ball_b, mapping in ORACLE_CASES[case]():
         fast = is_affine_on_ball(ball_a, ball_b, mapping)
-        assert _verdict_key(fast) == _verdict_key(
-            autlab._pairwise_scan(ball_a, ball_b, mapping))
-        # every pc generator is in these domains: certified exactly when affine
+        scan = pairwise_scan(ball_a, ball_b, mapping)
+        assert _verdict_key(fast) == _verdict_key(scan)
+        assert scan.affine or not fast.affine
         assert (fast.alpha_on_pc_generators is not None) == fast.affine
+        assert fast.affine or fast.witness is not None
 
 
-def test_pc_generator_outside_the_domain_falls_back_to_the_scan():
+# generating sets of torsion-free subgroups of the Heisenberg group, from a
+# seeded sweep, whose (2,1) survivors include non-affine maps: set A, every
+# first coordinate even, generates a subgroup of index 2; set B generates G
+HEISENBERG_SWEEP_SETS = [
+    "-2,0,0;-2,1,0;0,-2,-1;0,2,1;2,-1,2;2,0,0",
+    "-2,1,1;-2,2,-1;-1,2,1;1,-2,1;2,-2,5;2,-1,1",
+]
+
+
+def _survivor_generator_cases(gid, genset, r, t):
+    p = from_id(gid)
+    ball = generate_ball(p, _resolve_genset(p, genset), r)
+    return [(ball, ball, m) for m in enumerate_local_auts(ball, t).generators()]
+
+
+# (group, generating set, radius, stability, the certificate's witnesses on
+#  the generators the scan passes and the certificate refutes)
+SCAN_IS_WEAKER = [
+    # the Klein flip: no global affine map extends it
+    ("klein_bottle", "std", 2, 2, [("conj", 1, 0)]),
+    ("heisenberg", HEISENBERG_SWEEP_SETS[1], 2, 1,
+     [("conj", 1, 0), ((-2, 1, 1),)]),
+]
+
+
+@pytest.mark.parametrize("gid,genset,r,t,witnesses", SCAN_IS_WEAKER,
+                         ids=["klein-(2,2)", "sweep-set-B-(2,1)"])
+def test_certificate_refutes_maps_the_scan_passes(gid, genset, r, t, witnesses):
+    """The scan asks only that alpha be multiplicative on interior pairs,
+    which these survivor generators are, though no homomorphism of the whole
+    group agrees with them on the interior: a relation fails, or alpha
+    differs from phi at an interior vertex."""
+    refuted = []
+    for ball_a, ball_b, mapping in _survivor_generator_cases(gid, genset, r, t):
+        fast = is_affine_on_ball(ball_a, ball_b, mapping)
+        scan = pairwise_scan(ball_a, ball_b, mapping)
+        assert scan.affine or not fast.affine
+        if scan.affine and not fast.affine:
+            refuted.append(fast.witness)
+    assert refuted == witnesses
+
+
+def test_pc_generator_outside_the_ball_is_certified_through_words():
     p = builtin("heisenberg")
     ball = generate_ball(p, standard_genset(p), 3)
     assert (0, 0, 1) not in ball
+    # c = [a, b] = a^-1 b^-1 a b, a word of length 4
+    assert [[ball.genset.elements[i] for i in w]
+            for w in ball.genset.pc_words()] == [
+        [(1, 0, 0)], [(0, 1, 0)],
+        [(-1, 0, 0), (0, -1, 0), (1, 0, 0), (0, 1, 0)]]
     mapping = {v: p.multiply((2, -1, 3), v) for v in ball.vertices}
     verdict = is_affine_on_ball(ball, ball, mapping)
-    assert verdict.affine and verdict.alpha_on_pc_generators is None
+    assert verdict.affine
+    assert verdict.alpha_on_pc_generators == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert _verdict_key(verdict) == _verdict_key(
-        autlab._pairwise_scan(ball, ball, mapping))
+        pairwise_scan(ball, ball, mapping))
 
 
-def test_broken_relation_falls_back_to_the_scan_witness():
+def test_broken_relation_is_the_witness():
+    # the Klein flip: a -> b, b -> a breaks a^-1 b a = b^-1
+    flip = constructions.klein_flip_map(4)
+    verdict = is_affine_on_ball(flip.source, flip.source, flip.mapping)
+    assert not verdict.affine and verdict.alpha_on_pc_generators is None
+    assert verdict.witness == ("conj", 1, 0)
+    assert verdict.reason == ("the images of the pc generators break the "
+                              "relation conj b by a")
+    assert not pairwise_scan(flip.source, flip.source, flip.mapping).affine
+    # zxz2: x <-> t keeps S = {x, x^-1, t}, but x^2 != e breaks t^2 = e
+    zx = from_id("zxz2")
+    ball = generate_ball(zx, standard_genset(zx), 3)
+    mapping = {v: {(1, 0): (0, 1), (0, 1): (1, 0)}.get(v, v)
+               for v in ball.vertices}
+    verdict = is_affine_on_ball(ball, ball, mapping)
+    assert (verdict.affine, verdict.witness) == (False, ("pow", 1))
+    assert verdict.reason == ("the images of the pc generators break the "
+                              "relation pow t")
+
+
+def _swap_a_and_b_case():
+    """(x, y, z) -> (y, x, z) on Heisenberg B(4): on S it agrees with the
+    automorphism a <-> b, c -> c^-1, which the relations allow, and not
+    beyond."""
     p = builtin("heisenberg")
     ball = generate_ball(p, standard_genset(p), 4)
-    # swaps a and b, so S is fixed setwise, but breaks a^-1 b a = b c^-1
-    mapping = {(x, y, z): (y, x, z) for x, y, z in ball.vertices}
-    assert autlab._pc_homomorphism(p, p, mapping, p.identity) is None
+    return ball, {(x, y, z): (y, x, z) for x, y, z in ball.vertices}, \
+        (0, 0, 0), ((0, 1), (1, 0)), (-1, -1, -1)
+
+
+def _shell_broken_case():
+    (ball, _, mapping), = _broken_on_last_shell_case()
+    return ball, mapping, (1, 2, -3), ((0, 1), (-1, 0)), None
+
+
+@pytest.mark.parametrize("case", [_swap_a_and_b_case, _shell_broken_case])
+def test_first_disagreement_is_the_least_vertex_off_h_phi(case):
+    """Against a brute force: h phi(v) for every interior v from phi's
+    closed form, and the least v by (distance, vertex) where m differs."""
+    ball, mapping, h, m, want = case()
+    p = ball.presentation
     verdict = is_affine_on_ball(ball, ball, mapping)
-    assert not verdict.affine and verdict.alpha_on_pc_generators is None
-    assert verdict.reason == "alpha is not multiplicative"
-    assert verdict.witness is not None
-    assert _verdict_key(verdict) == _verdict_key(
-        autlab._pairwise_scan(ball, ball, mapping))
+    assert verdict.translation == h
+    affine = {v: p.multiply(h, _heisenberg_automorphism(m, v))
+              for v in ball.interior_vertices()}
+    off = min((ball.distance_from_identity(v), v)
+              for v in ball.interior_vertices() if mapping[v] != affine[v])
+    assert verdict.witness == (off[1],)
+    assert want is None or off[1] == want
+    assert verdict.reason == "the map differs from h phi at this interior vertex"
 
 
 def test_relation_check_reads_the_power_relations():
     zx = from_id("zxz2")
     x, t = zx.generator(0), zx.generator(1)
-    assert autlab._pc_homomorphism(zx, zx, {x: x, t: t}, zx.identity) == (x, t)
+    assert autlab._broken_relation(zx, zx, (x, t)) is None
     # x commutes with x, but x^2 = t^2 = e fails
-    assert autlab._pc_homomorphism(zx, zx, {x: x, t: x}, zx.identity) is None
+    assert autlab._broken_relation(zx, zx, (x, x)) == ("pow", 1)
 
 
 def test_certificate_costs_linearly_many_products(monkeypatch):
+    """B(8) holds c; B(3) does not, and reaches it through its S-word.  The
+    words are computed once per generating set, before the count."""
     p = builtin("heisenberg")
-    ball = generate_ball(p, standard_genset(p), 8)
-    mapping = {v: p.multiply((3, -2, 5), v) for v in ball.vertices}
     calls = 0
     multiply = p.multiply
 
@@ -338,11 +458,17 @@ def test_certificate_costs_linearly_many_products(monkeypatch):
         calls += 1
         return multiply(x, y)
 
-    monkeypatch.setattr(p, "multiply", counting)
-    verdict = is_affine_on_ball(ball, ball, mapping)
-    assert verdict.affine and verdict.alpha_on_pc_generators is not None
-    # the scan takes |interior|^2, over a million products, here
-    assert calls <= 2 * len(ball)
+    for r in (8, 3):
+        ball = generate_ball(p, standard_genset(p), r)
+        mapping = {v: p.multiply((3, -2, 5), v) for v in ball.vertices}
+        ball.genset.pc_words()
+        calls = 0
+        with monkeypatch.context() as mp:
+            mp.setattr(p, "multiply", counting)
+            verdict = is_affine_on_ball(ball, ball, mapping)
+        assert verdict.affine and verdict.alpha_on_pc_generators is not None
+        # the scan takes |interior|^2, over a million products at r = 8
+        assert calls <= 2 * len(ball)
 
 
 def test_normality_verdicts():
@@ -375,24 +501,51 @@ def test_non_normal_witness_is_the_first_non_affine_generator():
         "it extends beyond B(6)"]
 
 
-# generating sets of torsion-free subgroups of the Heisenberg group, from a
-# seeded sweep, whose (2,1) survivors include non-affine maps
-HEISENBERG_SWEEP_SETS = [
-    "-2,0,0;-2,1,0;0,-2,-1;0,2,1;2,-1,2;2,0,0",
-    "-2,1,1;-2,2,-1;-1,2,1;1,-2,1;2,-2,5;2,-1,1",
-]
-
-
-@pytest.mark.xfail(strict=True, reason="a non-affine survivor is reported as "
-                   "non-normal without a certificate that it extends to an "
-                   "automorphism of the whole graph")
-@pytest.mark.parametrize("genset", HEISENBERG_SWEEP_SETS)
+@pytest.mark.parametrize("genset", [
+    HEISENBERG_SWEEP_SETS[0],
+    pytest.param(HEISENBERG_SWEEP_SETS[1], marks=pytest.mark.xfail(
+        strict=True, reason="a non-affine survivor is reported as non-normal "
+        "without a certificate that it extends to an automorphism of the "
+        "whole graph")),
+])
 def test_torsion_free_sweep_sets_are_not_non_normal(genset):
     """By the paper every automorphism of a Cayley graph of a torsion-free
     nilpotent group is affine, so no verdict here may be non-normal."""
     p = builtin("heisenberg")
     rep = normality_verdict(p, _resolve_genset(p, genset), 2, 1)
     assert rep.verdict != "non-normal"
+
+
+def test_a_proper_subgroup_is_inconclusive_before_the_search(monkeypatch):
+    """Set A generates a subgroup of index 2, which the exact test finds
+    before any ball beyond B(2) is built: the search never runs."""
+    p = builtin("heisenberg")
+    radii = []
+
+    def recording(presentation, genset, radius, max_vertices=None):
+        radii.append(radius)
+        return generate_ball(presentation, genset, radius, max_vertices)
+
+    monkeypatch.setattr(autlab, "generate_ball", recording)
+    rep = normality_verdict(p, _resolve_genset(p, HEISENBERG_SWEEP_SETS[0]), 2, 1)
+    assert (rep.verdict, rep.ok, rep.witnesses) == ("inconclusive", None, [])
+    assert radii == [2]
+    assert "stable_automorphisms" not in rep.parameters
+    assert rep.notes == [
+        "the generating set generates a proper subgroup of Heisenberg: pc "
+        "generator a is outside <S>[G, G], which has index 2 in G; the affine "
+        "check reads the relations of the whole group, so it cannot decide "
+        "here"]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_klein_is_non_normal_at_radius_two(t):
+    """The Klein flip is a global automorphism that no affine map extends;
+    the certificate names the relation it breaks at every window."""
+    k = builtin("klein_bottle")
+    rep = normality_verdict(k, standard_genset(k), 2, t)
+    assert (rep.verdict, rep.ok) == ("non-normal", True)
+    assert rep.witnesses[0]["affine_failure"]["witness"] == ("conj", 1, 0)
 
 
 def test_non_normal_witness_persists_at_larger_radius():

@@ -1,12 +1,15 @@
 """Ball generation, word metrics, geodesics, and vertex-map checks."""
 
+import math
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from nilcay import cayley, constructions, pcgroup, structure
-from nilcay.cayley import (GenSet, GeodesicCapError, GeodesicPath,
+from nilcay.cayley import (GenerationError, GenSet, GeodesicCapError,
+                           GeodesicPath,
                            check_vertex_map, count_geodesics,
                            distance_via_sphere, enumerate_geodesics,
                            export_distances, export_graph,
@@ -353,3 +356,151 @@ def test_check_vertex_map_cases(z2_ball8):
     other = generate_ball(p, standard_genset(p), 3)
     with pytest.raises(cayley.MapError):
         check_vertex_map(z2_ball8, other, ident)
+
+
+# -- generation: S-words for the pc generators ---------------------------------
+
+
+def _det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+# G/[G, G] of each family as Z^k modulo its torsion: the projection of a
+# normal form, and the vectors that the relations add (t^2 = e in zxz2)
+ABELIANIZATION_CLOSED_FORM = {
+    "z2": (lambda v: list(v), []),
+    "z3": (lambda v: list(v), []),
+    "heisenberg": (lambda v: list(v[:2]), []),   # [G, G] = <c>
+    "zxz2": (lambda v: list(v), [[0, 2]]),
+    "klein_bottle": None,
+}
+
+
+def _index_closed_form(gid, vectors):
+    """[G : <S>[G, G]] as the gcd of the maximal minors of the projected
+    vectors and the torsion relations, None when they have lower rank."""
+    project, extra = ABELIANIZATION_CLOSED_FORM[gid]
+    rows = [project(v) for v in vectors] + extra
+    k = len(rows[0])
+    g = 0
+    for minor in combinations(rows, k):
+        g = math.gcd(g, _det([list(r) for r in minor]))
+    return g or None
+
+
+@pytest.mark.parametrize("gid,vectors,index,missing", [
+    # sweep set A: every first coordinate is even
+    ("heisenberg", "-2,0,0;-2,1,0;0,-2,-1;0,2,1;2,-1,2;2,0,0", 2, 0),
+    ("z2", "2,1;0,3;-2,-1;0,-3", 6, 0),
+    ("zxz2", "1,0;-1,0", 2, 1),                  # <x> < Z x Z2
+    ("z3", "1,0,0;-1,0,0;0,1,0;0,-1,0", None, 2),
+    ("heisenberg", "1,0,0;-1,0,0;0,1,0;0,-1,0", 1, None),
+])
+def test_generation_test_has_closed_forms(gid, vectors, index, missing):
+    p = from_id(gid)
+    S = GenSet(p, [tuple(map(int, v.split(","))) for v in vectors.split(";")])
+    assert p.abelianization.span_index(S.elements) == (index, missing)
+    assert _index_closed_form(gid, S.elements) == index
+    if missing is None:
+        S.pc_words()
+    else:
+        with pytest.raises(GenerationError, match=f"pc generator "
+                           f"{p.gens[missing]} is outside <S>"):
+            S.pc_words()
+
+
+def _check_words(S):
+    """Each word multiplies out to its pc generator and is a geodesic."""
+    p = S.presentation
+    words = S.pc_words()
+    ball = generate_ball(p, S, max(map(len, words)))
+    for i, word in enumerate(words):
+        x = p.identity
+        for sid in word:
+            x = p.multiply(x, S.elements[sid])
+        assert x == p.generator(i)
+        assert len(word) == ball.distance_from_identity(x)
+
+
+def _sweep_sets(seed, count):
+    """Seeded symmetric sets: 2-4 nonzero elements with free coordinates in
+    [-2, 2], plus their inverses, over the closed-form families."""
+    rng = random.Random(seed)
+    families = ["z2", "z3", "heisenberg", "zxz2"]
+    for k in range(count):
+        p = from_id(families[k % len(families)])
+        vectors = []
+        for _ in range(rng.randint(2, 4)):
+            v = p.identity
+            while v == p.identity:
+                v = tuple(rng.randrange(m) if m else rng.randint(-2, 2)
+                          for m in p.orders)
+            vectors += [v, p.inverse(v)]
+        yield families[k % len(families)], GenSet(p, vectors)
+
+
+def test_generation_test_agrees_with_closed_forms_and_the_bfs():
+    """On a seeded sweep: the index against the minors, and whenever the
+    test says S generates G, the BFS reaches every pc generator."""
+    outcomes = set()
+    for gid, S in _sweep_sets(0, 52):
+        p = S.presentation
+        index, missing = p.abelianization.span_index(S.elements)
+        assert index == _index_closed_form(gid, S.elements)
+        assert (index == 1) == (missing is None)
+        if missing is None:
+            _check_words(S)
+        else:
+            with pytest.raises(GenerationError):
+                S.pc_words()
+        outcomes.add((gid, missing is None))
+    # the sweep reaches both answers on every family but z3
+    assert outcomes >= {("z2", True), ("z2", False), ("heisenberg", True),
+                        ("heisenberg", False), ("zxz2", True),
+                        ("zxz2", False), ("z3", False)}
+
+
+@pytest.mark.parametrize("gid,genset", [
+    (gid, genset) for gid in pcgroup.ACCEPTANCE_FAMILY_IDS
+    for genset in ("std", "fsf", "lifted")
+    if genset == "std" or from_id(gid).torsion_len])
+def test_acceptance_sets_generate_and_reach_every_pc_generator(gid, genset):
+    from nilcay.cli import _resolve_genset
+    p = from_id(gid)
+    S = _resolve_genset(p, genset)
+    if p.nilpotent:
+        assert p.abelianization.span_index(S.elements) == (1, None)
+    _check_words(S)
+
+
+def test_words_are_computed_once_per_generating_set(monkeypatch):
+    p = builtin("heisenberg")
+    S = standard_genset(p)
+    words = S.pc_words()
+    monkeypatch.setattr(cayley, "_pc_words", None)
+    assert S.pc_words() is words
+
+
+def test_a_finite_subgroup_ends_the_bfs():
+    """Without ``nilpotent true`` no exact test runs first.  A finite <S>
+    ends the BFS when a shell comes out empty; an infinite proper one, <a^2>
+    in the Klein bottle, runs into the vertex budget."""
+    src = """group C2xZ
+nilpotent false
+torsion_prefix 1
+gen x order inf
+gen t order 2
+pow t = 1
+genset x x^-1 t
+"""
+    p = pcgroup.parse_presentation(src)
+    with pytest.raises(GenerationError, match="finite proper subgroup of "
+                       "C2xZ, of order 2: pc generator x is outside it"):
+        GenSet(p, [(0, 1)]).pc_words()
+    k = builtin("klein_bottle")
+    with pytest.raises(cayley.BallBudgetError, match="before reaching every "
+                       "pc generator"):
+        GenSet(k, [(2, 0), (-2, 0)]).pc_words(max_vertices=100)

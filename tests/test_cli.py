@@ -50,6 +50,26 @@ def test_normality_klein(tmp_path):
     assert doc["tool"]["version"]
 
 
+def test_normality_klein_at_radius_two_is_non_normal(capsys):
+    assert run(["normality", "--group", "klein_bottle", "--radius", "2",
+                "--stability", "2"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["verdict"], result["ok"]) == ("non-normal", True)
+    assert result["witnesses"][0]["affine_failure"]["witness"] == [
+        "conj", 1, 0]
+
+
+def test_normality_on_a_proper_subgroup_is_inconclusive(capsys):
+    """Every first coordinate is even: S generates a subgroup of index 2."""
+    assert run(["normality", "--group", "heisenberg", "--radius", "2",
+                "--stability", "1",
+                "--genset=-2,0,0;-2,1,0;0,-2,-1;0,2,1;2,-1,2;2,0,0"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["verdict"], result["ok"]) == ("inconclusive", None)
+    assert "pc generator a is outside <S>[G, G], which has index 2" in \
+        result["notes"][0]
+
+
 @pytest.mark.parametrize("budget", ["50", "200"])
 def test_normality_honours_the_budget(capsys, budget):
     # B(3) has 53 vertices and B(5) 299: 50 stops the first ball, 200 the
@@ -106,6 +126,20 @@ def test_distance_and_unknown(tmp_path):
     assert run(["distance", "--group", "z2", "--radius", "2",
                 "--from", "0,0", "--to", "5,5", "--out", str(out)]) == 0
     assert read_json(out)["result"]["dist"] is None
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["distance", "--group", "z2", "--radius", "8", "--from", "0,0",
+      "--to", "3,4"], "0,0\t3,4\t7\n"),
+    (["geodesics", "--group", "z2", "--radius", "4", "--from", "0,0",
+      "--to", "2,1"], "count\t3\n0,1\t1,0\t1,0\n1,0\t0,1\t1,0\n"
+                     "1,0\t1,0\t0,1\n"),
+])
+def test_tsv_goes_to_out(tmp_path, capsys, argv, text):
+    out = tmp_path / "out.tsv"
+    assert run([*argv, "--format", "tsv", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == text
 
 
 def test_geodesics_count(tmp_path):
@@ -250,7 +284,9 @@ def test_exported_klein_flip_is_not_affine(tmp_path, capsys):
                 "--map", str(flip)]) == 1
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["verdict"] == "fail"
-    assert result["witnesses"][0]["reason"] == "alpha is not multiplicative"
+    assert result["witnesses"][0]["witness"] == ["conj", 1, 0]
+    assert result["witnesses"][0]["reason"] == (
+        "the images of the pc generators break the relation conj b by a")
 
 
 def test_autos_commands(tmp_path):
@@ -285,6 +321,23 @@ def test_induced_command(tmp_path):
     assert run(["induced", "--group", "zxz2", "--genset", "fsf",
                 "--radius", "5", "--map", str(mp), "--out", str(out)]) == 0
     assert read_json(out)["result"]["verdict"] == "pass"
+
+
+def test_induced_on_a_proper_subgroup_is_inconclusive(tmp_path):
+    """<x^2, t> has index 2 in zxz2, and so has its image in the quotient Z."""
+    zx = from_id("zxz2")
+    S = GenSet(zx, [(2, 0), (-2, 0), (0, 1)])
+    ball = generate_ball(zx, S, 3)
+    mp = tmp_path / "identity.tsv"
+    export_vertex_map({v: v for v in ball.vertices}, mp)
+    out = tmp_path / "ind.json"
+    assert run(["induced", "--group", "zxz2", "--genset", "2,0;-2,0;0,1",
+                "--radius", "3", "--map", str(mp), "--out", str(out)]) == 1
+    result = read_json(out)["result"]
+    assert (result["verdict"], result["ok"]) == ("inconclusive", None)
+    assert result["notes"] == [
+        "the generating set generates a proper subgroup of Z^1xC2/torsion: pc "
+        "generator x1 is outside <S>[G, G], which has index 2 in G"]
 
 
 @pytest.mark.parametrize("group,radius", [
@@ -383,10 +436,15 @@ NO_FORMAT = (
      "--lift --wreath-fibers is required"),
     (["construct", "--klein-grid", "2", "--klein-flip", "2"], 2,
      "argument --klein-flip: not allowed with argument --klein-grid"),
+    *(([command, "--group", "z2", "--from", "0,0", "--to", "1,0",
+        "--format", "tsv", "--pretty"], 2,
+       "argument --pretty: not allowed with argument --format tsv")
+      for command in ("distance", "geodesics")),
 ])
 def test_every_accepted_option_is_read(capsys, argv, code, text):
-    """--format only where a TSV is written, and one mode per command; the
-    rest exits 2 at parse time with argparse's message."""
+    """--format only where a TSV is written, --pretty only with JSON, and
+    one mode per command; the rest exits 2 at parse time with argparse's
+    message."""
     if argv[-2:] == ["--format", "json"]:
         cli.build_parser().parse_args(argv[:-2])
     assert run(argv) == code
