@@ -173,7 +173,7 @@ def _twin_quotient(big: Ball):
     off into a class of its own, sorted by least member; the quotient's
     neighbour rows, in class indices; and the index of e's class."""
     e_id = big.index[big.presentation.identity]
-    nbr_sets = [frozenset(w for _, w in row) for row in big.adjacency]
+    nbr_sets = [frozenset(big.neighbor_ids(v)) for v in range(len(big.vertices))]
     classes = twin_partition([i for i in range(len(big.vertices)) if i != e_id],
                              nbr_sets.__getitem__)
     classes.append([e_id])
@@ -183,7 +183,7 @@ def _twin_quotient(big: Ball):
         for v in members:
             cls[v] = q
     # adjacency between two classes is all or nothing: any member stands in
-    nbrs = [tuple(dict.fromkeys(cls[w] for _, w in big.adjacency[members[0]]))
+    nbrs = [tuple(dict.fromkeys(cls[w] for w in big.neighbor_ids(members[0])))
             for members in classes]
     return classes, nbrs, cls[e_id]
 
@@ -456,12 +456,14 @@ def _first_disagreement(ball_a, pb, mapping, imgs):
     for s in ball_a.genset.elements:
         phi_s = _evaluate(pb, imgs, tuple((i, k) for i, k in enumerate(s) if k))
         phi_inv.append(pb.inverse(phi_s))
-    verts, dist, adjacency = ball_a.vertices, ball_a.dist_list, ball_a.adjacency
+    verts, dist = ball_a.vertices, ball_a.dist_list
     # vertex ids are lexicographic, and the sort is stable
     for w in sorted((w for w in ball_a.interior_ids() if dist[w]),
                     key=dist.__getitem__):
         d = dist[w]
-        sid, u = next((sid, u) for sid, u in adjacency[w] if dist[u] == d - 1)
+        # an interior vertex has every neighbour in the ball, so no -1 here
+        sid, u = next((sid, u) for sid, u in enumerate(ball_a.row(w))
+                      if dist[u] == d - 1)
         if mapping.get(verts[w]) != pb.multiply(mapping[verts[u]], phi_inv[sid]):
             return verts[w]
     return None

@@ -2,12 +2,15 @@
 
 A ball ``B(r)`` of ``Cay(G;S)`` holds every element at distance at most ``r``
 from the identity, with exact BFS distances.  It is built in one BFS pass
-that multiplies each vertex by each generator once: the products discover
-the next shell and are the vertex's adjacency row, from which the last
-shell drops the products outside the ball.  The rows are then relabelled
-once into lexicographic order on exponent vectors, so all derived
-artifacts are deterministic; the BFS dict, re-valued in place, becomes the
-index.  Distance queries answer ``None`` ("unknown") rather than ever
+that calls the generating set's step kernel
+(``PcPresentation.right_multiplier``) once per vertex, which gives the
+vertex's products by all of S in one compiled call: they discover the next
+shell and fill the vertex's slice of one flat neighbour list, the last
+shell's products outside the ball as -1.  The vertices are then relabelled
+once into lexicographic order on exponent vectors, so all derived artifacts
+are deterministic; the BFS dict, re-valued in place, becomes the index, and
+the relabel list, the lexicographic ids in BFS order, is kept as the shell
+order.  Distance queries answer ``None`` ("unknown") rather than ever
 returning a wrong number: ``dist(u,v)`` is certified exactly when
 ``u^{-1}v`` lies in the ball.  ``distance_via_sphere`` reaches twice as far
 from the identity, meeting in the middle on the ball's outer sphere.
@@ -127,6 +130,7 @@ def _pc_words(genset, budget):
                 f"pc generator {p.gens[missing]} is outside <S>[G, G], which "
                 f"has {where} in G")
     gens = [p.generator(i) for i in range(p.n)]
+    step = p.right_multiplier(genset.elements)
     parent = {p.identity: None}           # element -> (BFS parent, sid)
     shell, d = [p.identity], 0
     while not all(g in parent for g in gens):
@@ -139,8 +143,7 @@ def _pc_words(genset, budget):
         d += 1
         last, shell = shell, []
         for u in last:
-            for sid, s in enumerate(genset.elements):
-                w = p.multiply(u, s)
+            for sid, w in enumerate(step(u)):
                 if w in parent:
                     continue
                 parent[w] = (u, sid)
@@ -187,16 +190,28 @@ class GeodesicPath:
 
 
 class Ball:
-    """The radius-r metric ball with oriented labelled edges."""
+    """The radius-r metric ball with oriented labelled edges, as flat lists
+    over lexicographic vertex ids.
 
-    def __init__(self, presentation, genset, radius, vertices, index, dist_list, adjacency):
+    ``targets[u * width + sid]`` is the id of u * s_sid, or -1 when that
+    product lies outside the ball (only for u on the last shell); ``width``
+    is |S|.  ``shell_order`` lists the ids in BFS order, so by distance, and
+    ``depth`` is the largest distance, which is below the radius only when
+    the ball is all of <S>.
+    """
+
+    def __init__(self, presentation, genset, radius, vertices, index, dist_list,
+                 targets, shell_order):
         self.presentation = presentation
         self.genset = genset
         self.radius = radius
         self.vertices = vertices          # tuple of elements, lexicographic
         self.index = index                # element -> vid
         self.dist_list = dist_list        # vid -> distance
-        self.adjacency = adjacency        # vid -> tuple of (sid, vid)
+        self.targets = targets            # vid * width + sid -> vid of v*s, or -1
+        self.width = len(targets) // len(vertices)
+        self.shell_order = shell_order    # vids in BFS order
+        self.depth = dist_list[shell_order[-1]]
         self._nbr_sets = None
         self._interior_ids = None
         self._geo_counts = None           # vid -> geodesics from e, built lazily
@@ -220,10 +235,22 @@ class Ball:
         w = p.multiply(p.inverse(u), v)
         return self.distance_from_identity(w)
 
+    def row(self, vid):
+        """The id of v*s for each s in S, in order, -1 where it lies outside
+        the ball."""
+        k = self.width
+        return self.targets[vid * k:vid * k + k]
+
+    def neighbor_ids(self, vid):
+        """The ids of the vertex's neighbours v*s inside the ball, in the
+        order of S."""
+        return [w for w in self.row(vid) if w >= 0]
+
     def neighbor_set(self, v):
         if self._nbr_sets is None:
-            self._nbr_sets = [frozenset(self.vertices[w] for _, w in adj)
-                              for adj in self.adjacency]
+            verts = self.vertices
+            self._nbr_sets = [frozenset(verts[w] for w in self.neighbor_ids(i))
+                              for i in range(len(verts))]
         return self._nbr_sets[self.index[v]]
 
     def vertex_set(self):
@@ -240,10 +267,11 @@ class Ball:
 
     def edges(self):
         """Oriented labelled edges (u, s, u*s) in canonical order."""
-        gens = self.genset.elements
-        for uid, adj in enumerate(self.adjacency):
-            for sid, vid in adj:
-                yield (self.vertices[uid], gens[sid], self.vertices[vid])
+        gens, verts = self.genset.elements, self.vertices
+        for uid, u in enumerate(verts):
+            for sid, vid in enumerate(self.row(uid)):
+                if vid >= 0:
+                    yield (u, gens[sid], verts[vid])
 
 
 def generate_ball(presentation, genset, radius, max_vertices=None) -> Ball:
@@ -252,38 +280,39 @@ def generate_ball(presentation, genset, radius, max_vertices=None) -> Ball:
         raise ValueError("radius must be nonnegative")
     genset.require_symmetric()
     budget = vertex_budget(max_vertices)
-    multiply = presentation.multiply
+    step = presentation.right_multiplier(genset.elements)
+    k = len(genset)
+    outside = (-1,) * k
     index = {presentation.identity: 0}    # element -> BFS id, until the relabel
+    get = index.get
     order = [presentation.identity]       # BFS id -> element
     dist = [0]                            # BFS id -> distance
-    rows = []                             # BFS id -> tuple of (sid, BFS id)
+    flat = []                             # BFS id * k + sid -> BFS id of u*s, or -1
     for bid, u in enumerate(order):    # order grows while it is walked
         d = dist[bid] + 1
-        row = []
-        for sid, s in enumerate(genset.elements):
-            w = multiply(u, s)
-            wid = index.get(w)
+        if d > radius:
+            # the last shell: every product is in the ball already or outside
+            flat.extend(map(get, step(u), outside))
+            continue
+        for w in step(u):
+            wid = get(w)
             if wid is None:
-                if d > radius:
-                    continue
                 wid = index[w] = len(order)
                 order.append(w)
                 dist.append(d)
                 if len(order) > budget:
                     raise BallBudgetError(
                         f"ball exceeded vertex budget {budget} at radius {d}")
-            row.append((sid, wid))
-        rows.append(tuple(row))
+            flat.append(wid)
     lex = sorted(range(len(order)), key=order.__getitem__)
     relabel = [0] * len(lex)              # BFS id -> lexicographic id
     for i, b in enumerate(lex):
         relabel[b] = index[order[b]] = i
-    adjacency = []
-    for b in lex:
-        adjacency.append(tuple((sid, relabel[w]) for sid, w in rows[b]))
-        rows[b] = None                    # free each BFS row once relabelled
+    relabel.append(-1)                    # so that -1, outside the ball, stays -1
+    targets = [relabel[w] for b in lex for w in flat[b * k:b * k + k]]
+    relabel.pop()
     return Ball(presentation, genset, radius, tuple(order[b] for b in lex), index,
-                [dist[b] for b in lex], tuple(adjacency))
+                [dist[b] for b in lex], targets, relabel)
 
 
 def distance_via_sphere(ball, x):
@@ -305,7 +334,7 @@ def distance_via_sphere(ball, x):
     if ball._sphere is None:
         ball._sphere = [y for y, dy in zip(ball.vertices, ball.dist_list)
                         if dy == ball.radius]
-    multiply = ball.presentation.multiply
+    multiply = ball.presentation._product
     within = (ball.distance_from_identity(multiply(y_inv, x)) for y_inv in ball._sphere)
     best = min((r for r in within if r is not None), default=None)
     return None if best is None else ball.radius + best
@@ -326,9 +355,10 @@ def _certified_remainder(ball, u, v):
 def _dag_edges(ball):
     """Edges (u, sid, u*s) of the BFS DAG, with the sources u in shell order."""
     dist = ball.dist_list
-    for u in sorted(range(len(dist)), key=dist.__getitem__):
-        for sid, w in ball.adjacency[u]:
-            if dist[w] == dist[u] + 1:
+    for u in ball.shell_order:
+        du = dist[u] + 1
+        for sid, w in enumerate(ball.row(u)):
+            if w >= 0 and dist[w] == du:
                 yield u, sid, w
 
 
@@ -350,10 +380,10 @@ def iter_geodesics(ball, u, v):
     symmetric.
     """
     wid, d = _certified_remainder(ball, u, v)
-    dist, adj, gens = ball.dist_list, ball.adjacency, ball.genset.elements
+    dist, gens = ball.dist_list, ball.genset.elements
     ancestors = shell = {wid}
     for _ in range(d):
-        shell = {y for x in shell for _, y in adj[x] if dist[y] == dist[x] - 1}
+        shell = {y for x in shell for y in ball.neighbor_ids(x) if dist[y] == dist[x] - 1}
         ancestors = ancestors | shell
     labels = []
 
@@ -361,7 +391,8 @@ def iter_geodesics(ball, u, v):
         if x == wid:
             yield GeodesicPath(u, tuple(labels))
             return
-        for sid, y in adj[x]:
+        # -1, outside the ball, is never an ancestor
+        for sid, y in enumerate(ball.row(x)):
             if y in ancestors and dist[y] == dist[x] + 1:
                 labels.append(gens[sid])
                 yield from walk(y)

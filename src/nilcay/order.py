@@ -192,7 +192,7 @@ class _GrowingBall:
                 d = cayley.distance_via_sphere(self.ball, x)
                 if d is not None:
                     return d
-                if max(self.ball.dist_list) < self.radius:
+                if self.ball.depth < self.radius:
                     return None           # the ball is all of <S>, and x is outside it
             if self.failed_radius is not None or (
                     upper is not None and 2 * self.radius >= upper):

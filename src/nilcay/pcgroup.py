@@ -46,7 +46,19 @@ coefficients.  The coefficients become one generated function per
 operation, compiled with ``compile()`` from integer literals and
 synthesized identifiers only.  Derivation runs on the first product or
 inverse, not at load, and ``multiply`` and ``inverse`` dispatch to the
-result.
+result.  It is kept once per process for each set of relations, so every
+presentation object with the same generators, orders, power words,
+conjugates, blocks and nilpotency flag shares one derivation.
+
+A ball multiplies every vertex by the same generating set S, so
+``right_multiplier(S)`` gives a step kernel u -> (u*s for s in S).  On the
+polynomial path it is the product polynomial with y fixed to each s: every
+binomial(s_j, k) folds into an integer constant (the falling factorial over
+k!, exact for negative s_j too), the x-binomials are computed once per call
+and shared by all of S, and a coordinate that s leaves alone is returned as
+``x_i`` itself, with no new int.  It is compiled on first use for each S and
+kept with the derivation.  On the collector path the kernel is a closure
+over the collector product.
 
 A presentation with finite-order generators takes the same path through its
 lift L when it is declared nilpotent with blocks and every finite-order
@@ -580,10 +592,38 @@ class PcPresentation:
         except PresentationError:
             return None
 
+    def right_multiplier(self, elements):
+        """The step kernel of the generating set ``elements``: a function
+        u -> (u*s for s in elements), for u in normal form.
+
+        On the polynomial path it is the product polynomials with y := s
+        folded in, compiled on the first call for these elements and kept
+        with the derivation (see the module docstring); otherwise a closure
+        over the collector product."""
+        elements = tuple(elements)
+        poly = self._polynomials
+        if poly is None:
+            product = self._collect_product
+            return lambda u: [product(u, s) for s in elements]
+        step = poly.kernels.get(elements)
+        if step is None:
+            step = poly.kernels[elements] = _compile_step(
+                poly.mul_terms, self.orders, elements)
+        return step
+
     @cached_property
     def _polynomials(self):
         """The compiled product and inverse polynomials, derived on first
-        use; None where the collector stays (see the module docstring)."""
+        use and shared by every presentation with the same relations; None
+        where the collector stays (see the module docstring)."""
+        key = (self.gens, self.orders, tuple(sorted(self.power_words.items())),
+               tuple(sorted(self.conj.items())), tuple(sorted(self.conjinv.items())),
+               self.blocks, self.nilpotent)
+        if key not in _DERIVED:
+            _DERIVED[key] = self._derive_polynomials()
+        return _DERIVED[key]
+
+    def _derive_polynomials(self):
         lift = self._lift()
         weights = None if lift is None else lift._weights()
         if weights is None:
@@ -668,6 +708,10 @@ class PcPresentation:
 # grids are larger keeps the collector
 _MAX_GRID_POINTS = 20000
 
+# relations -> compiled polynomials (None for the collector), one derivation
+# per process for presentations that differ only in name, source or genset
+_DERIVED = {}
+
 
 def _simplex(m, d):
     """Every a in N^m with a_1 + ... + a_m <= d."""
@@ -731,43 +775,100 @@ def _factor_identifier(name, k):
     return name if k == 1 else f"{name}_{k}"
 
 
+def _binomial(a, k):
+    """binomial(a, k) for any integer a: the falling factorial over k!,
+    exact for negative a too."""
+    return math.prod(range(a - k + 1, a + 1)) // math.factorial(k)
+
+
+def _binomial_lines(factors):
+    """Lines computing each binomial factor (name, k), k > 1, by its
+    falling factorial."""
+    lines = []
+    for name, k in sorted(f for f in factors if f[1] > 1):
+        falling = " * ".join([name] + [f"({name} - {t})" for t in range(1, k)])
+        lines.append(f"    {_factor_identifier(name, k)} = "
+                     f"{falling} // {math.factorial(k)}")
+    return lines
+
+
+def _expression(terms, m):
+    """Source of sum c * prod factors over (c, factors) terms, taken mod m
+    when m is not None."""
+    parts = []
+    for c, factors in terms:
+        product = [_factor_identifier(*f) for f in factors]
+        if abs(c) != 1 or not product:
+            product.insert(0, str(abs(c)))
+        parts.append(("- " if c < 0 else "+ ") + " * ".join(product))
+    coord = " ".join(parts).removeprefix("+ ") or "0"
+    return coord if m is None else f"({coord}) % {m}"
+
+
+def _unpack(v, n):
+    return f"    {', '.join(f'{v}{i}' for i in range(n))}, = {v}"
+
+
+def _compile(source):
+    namespace = {"__builtins__": {}}
+    exec(compile(source, "<nilcay product polynomials>", "exec"), namespace)
+    return namespace
+
+
 def _compile_polynomials(n, mul_terms, inv_terms, orders):
     """One generated function per operation, as ``multiply``, ``inverse``
-    and the product's ``degree``; a coordinate of finite order m is taken
-    mod m.  The source holds integer literals and identifiers made here
-    (x0, y3, x2_2 = binomial(x2, 2)), nothing from the presentation's
-    text."""
+    and the product's ``degree``, with the product terms and an empty dict
+    of step kernels kept for ``_compile_step``; a coordinate of finite order
+    m is taken mod m.  The source holds integer literals and
+    identifiers made here (x0, y3, x2_2 = binomial(x2, 2)), nothing from the
+    presentation's text."""
 
     def body(args, per_coordinate):
-        lines = [f"    {', '.join(f'{v}{i}' for i in range(n))}, = {v}"
-                 for v in args]
-        binomials = sorted({f for terms in per_coordinate
-                            for _, factors in terms for f in factors if f[1] > 1})
-        for name, k in binomials:
-            falling = " * ".join([name] + [f"({name} - {t})" for t in range(1, k)])
-            lines.append(f"    {_factor_identifier(name, k)} = "
-                         f"{falling} // {math.factorial(k)}")
-        coords = []
-        for terms, m in zip(per_coordinate, orders):
-            parts = []
-            for c, factors in terms:
-                product = [_factor_identifier(*f) for f in factors]
-                if abs(c) != 1 or not product:
-                    product.insert(0, str(abs(c)))
-                parts.append(("- " if c < 0 else "+ ") + " * ".join(product))
-            coord = " ".join(parts).removeprefix("+ ") or "0"
-            coords.append(coord if m is None else f"({coord}) % {m}")
+        lines = [_unpack(v, n) for v in args]
+        lines += _binomial_lines({f for terms in per_coordinate
+                                  for _, factors in terms for f in factors})
+        coords = [_expression(terms, m) for terms, m in zip(per_coordinate, orders)]
         lines.append(f"    return ({', '.join(coords)},)")
         return lines
 
     source = "\n".join(["def multiply(x, y):", *body("xy", mul_terms),
                         "def inverse(x):", *body("x", inv_terms)]) + "\n"
-    namespace = {"__builtins__": {}}
-    exec(compile(source, "<nilcay product polynomials>", "exec"), namespace)
     degree = max((sum(k for _, k in factors)
                   for terms in mul_terms for _, factors in terms), default=0)
+    namespace = _compile(source)
     return SimpleNamespace(multiply=namespace["multiply"],
-                           inverse=namespace["inverse"], degree=degree)
+                           inverse=namespace["inverse"], degree=degree,
+                           mul_terms=mul_terms, kernels={})
+
+
+def _compile_step(mul_terms, orders, elements):
+    """The step kernel u -> (u*s for s in elements): the product polynomials
+    with every y_j := s_j, each binomial(s_j, k) folded into the integer
+    coefficient.  A coordinate that is x_i alone after folding is returned
+    as ``x_i``, unreduced, since u is a normal form."""
+    n = len(orders)
+    rows, used = [], set()
+    for s in elements:
+        coords = []
+        for i, (terms, m) in enumerate(zip(mul_terms, orders)):
+            folded = {}
+            for c, factors in terms:
+                xs = tuple(f for f in factors if f[0][0] == "x")
+                for name, k in factors:
+                    if name[0] == "y":
+                        c *= _binomial(s[int(name[1:])], k)
+                folded[xs] = folded.get(xs, 0) + c
+            poly = [(c, xs) for _, xs, c in sorted(
+                (sum(k for _, k in xs), xs, c) for xs, c in folded.items() if c)]
+            if poly == [(1, ((f"x{i}", 1),))]:
+                coords.append(f"x{i}")
+                continue
+            used.update(f for _, xs in poly for f in xs)
+            coords.append(_expression(poly, m))
+        rows.append(f"({', '.join(coords)},)")
+    source = "\n".join(["def step(x):", _unpack("x", n), *_binomial_lines(used),
+                        f"    return ({''.join(r + ', ' for r in rows)})"]) + "\n"
+    return _compile(source)["step"]
 
 
 # -- parsing -----------------------------------------------------------

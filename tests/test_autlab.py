@@ -754,7 +754,7 @@ def test_local_auts_agree_with_vf2(gid, gens, r, t):
     graph = nx.Graph()
     for i, d in enumerate(big.dist_list):
         graph.add_node(i, dist=d)
-    graph.add_edges_from((i, w) for i, row in enumerate(big.adjacency) for _, w in row)
+    graph.add_edges_from((i, w) for i in range(len(big)) for w in big.neighbor_ids(i))
     matcher = GraphMatcher(graph, graph, node_match=lambda a, b: a["dist"] == b["dist"])
     small = [i for i, d in enumerate(big.dist_list) if d <= r]
     vf2 = {frozenset((big.vertices[i], big.vertices[m[i]]) for i in small)
@@ -786,13 +786,14 @@ def test_twin_quotient_keeps_class_sizes():
     alike; only the class sizes keep the search from exchanging them."""
     p = builtin("zn", n=1)
     edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]
-    rows = [[] for _ in range(6)]
+    # flat rows of width 3, the most neighbours of a vertex, -1 padding
+    targets = [-1] * 18
     for u, w in edges:
-        rows[u].append((0, w))
-        rows[w].append((0, u))
+        targets[targets.index(-1, 3 * u)] = w
+        targets[targets.index(-1, 3 * w)] = u
     verts = tuple((i,) for i in range(6))
     graph = Ball(p, None, 2, verts, {v: i for i, v in enumerate(verts)},
-                 [0, 1, 1, 2, 2, 2], [tuple(row) for row in rows])
+                 [0, 1, 1, 2, 2, 2], targets, list(range(6)))
     classes, gens, lengths, _ = autlab._stable_restrictions(graph, 2)
     assert sorted(chain.from_iterable(classes)) == list(range(6))
     assert gens == () and lengths == (1, 1, 1, 1)
@@ -871,7 +872,7 @@ def test_heisenberg_local_auts_agree_with_twin_quotient_vf2(r, t):
     p = builtin("heisenberg")
     S = standard_genset(p)
     big = generate_ball(p, S, r + t)
-    nbrs = [frozenset(w for _, w in row) for row in big.adjacency]
+    nbrs = [frozenset(big.neighbor_ids(i)) for i in range(len(big))]
     classes = {}
     for i, ns in enumerate(nbrs):
         classes.setdefault(ns, []).append(i)

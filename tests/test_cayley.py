@@ -99,11 +99,14 @@ def test_bfs_matches_brute_force_words():
         assert ball.vertices == tuple(sorted(best))
         for v, d in best.items():
             assert ball.distance_from_identity(v) == d
-        # every row, the boundary shell's included, against a recomputation
+        # every neighbour entry, the boundary shell's included, against a
+        # recomputation: the id of v*s, or -1 outside the ball
         index = {v: i for i, v in enumerate(sorted(best))}
-        for v, row in zip(ball.vertices, ball.adjacency):
-            products = [(sid, p.multiply(v, s)) for sid, s in enumerate(S.elements)]
-            assert row == tuple((sid, index[w]) for sid, w in products if w in index)
+        assert ball.width == len(S)
+        assert ball.targets == [index.get(p.multiply(v, s), -1)
+                                for v in ball.vertices for s in S.elements]
+        boundary = {i // len(S) for i, w in enumerate(ball.targets) if w < 0}
+        assert boundary and all(ball.dist_list[i] == 4 for i in boundary)
 
 
 FILIFORM = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "filiform4.pc"
@@ -141,17 +144,43 @@ def test_distance_via_sphere_matches_bfs_to_twice_the_radius(name, R):
         assert distance_via_sphere(ball, x) == (d if d <= 2 * R else None), (x, d)
 
 
+@pytest.mark.parametrize("fid,radius,depth", [
+    ("heisenberg", 4, 4), ("klein_bottle", 5, 5), ("zxz2", 3, 3),
+    # C3 is all of B(1), so a ball of radius 4 stops at depth 1
+    ("zn_cross_cyclic:0,3", 4, 1)])
+def test_shell_order_and_depth_are_recorded_at_build(fid, radius, depth):
+    p = from_id(fid)
+    ball = generate_ball(p, standard_genset(p), radius)
+    assert sorted(ball.shell_order) == list(range(len(ball)))
+    assert [ball.dist_list[i] for i in ball.shell_order] == sorted(ball.dist_list)
+    assert ball.depth == max(ball.dist_list) == depth
+
+
 def test_generate_ball_multiplies_once_per_vertex_and_generator():
+    """One step-kernel call per vertex, each giving one product per
+    generator, on the polynomial path and on the collector's."""
     h = builtin("heisenberg")
     zx = from_id("zxz2")
+    kb = from_id("klein_bottle")
     fsf = constructions.fsf_generating_set(
         zx, structure.torsion_subgroup(zx), standard_genset(zx)).genset
-    for p, S in ((h, standard_genset(h)), (zx, fsf)):
+    for p, S in ((h, standard_genset(h)), (zx, fsf), (kb, standard_genset(kb))):
         calls = []
-        multiply = p.multiply
-        p.multiply = lambda x, y: calls.append(1) or multiply(x, y)
+        right_multiplier = p.right_multiplier
+
+        def counted(elements):
+            step = right_multiplier(elements)
+
+            def kernel(u):
+                products = step(u)
+                calls.append(len(products))
+                return products
+
+            return kernel
+
+        p.right_multiplier = counted
         ball = generate_ball(p, S, 4)
-        assert len(calls) == len(ball) * len(S)
+        assert calls == [len(S)] * len(ball)
 
 
 def test_geodesic_enumeration(z2_ball8):

@@ -5,12 +5,15 @@ follow from the declared relations; collection must reproduce them exactly.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcay import pcgroup
+from nilcay.cayley import GenSet
+from nilcay.cli import _resolve_genset
 from nilcay.pcgroup import PresentationError, builtin, from_id
 from reference import (CENTRAL_TORSION_SOURCE, FILIFORM_SOURCE,
                        HEISENBERG_MOD3_SOURCE,
@@ -345,6 +348,7 @@ def test_the_lift_is_loaded_on_first_use_and_bypasses_the_collector(monkeypatch)
         return lift(self)
 
     monkeypatch.setattr(pcgroup.PcPresentation, "_lift", counted)
+    monkeypatch.setattr(pcgroup, "_DERIVED", {})   # no earlier derivation
     p = _presentation("heisenberg_z3")
     assert lifts == [] and "_polynomials" not in vars(p)
     x, y = (3, -1, 4, 2), (-5, 9, -2, 2)
@@ -414,11 +418,100 @@ def test_a_refused_lift_keeps_the_collector():
 def test_a_grid_above_the_cap_keeps_the_collector(monkeypatch):
     # the filiform grids hold 251 points, the Heisenberg grids 51
     monkeypatch.setattr(pcgroup, "_MAX_GRID_POINTS", 100)
+    monkeypatch.setattr(pcgroup, "_DERIVED", {})   # derive again under the cap
     fil, heis = _presentation("filiform"), builtin("heisenberg")
     assert fil.product_path == "collector"
     assert heis.product_path == "polynomial, degree 2"
     x, y = (7, -3, 2, 5), (-4, 6, 1, -9)
     assert fil.multiply(x, y) == filiform_mul(x, y)
+
+
+FILIFORM_PC = (Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+               / "filiform4.pc")
+KERNEL_FAMILIES = pcgroup.ACCEPTANCE_FAMILY_IDS + ("filiform4.pc", "zn_cross_cyclic:1,3")
+# ROADMAP sweep set B, a Heisenberg set with entries up to 5 in absolute value
+SWEEP_SET_B = "-2,1,1;-2,2,-1;-1,2,1;1,-2,1;2,-2,5;2,-1,1"
+
+
+def _kernel_sets(name, p):
+    """The std, fsf and lifted sets, and a seeded symmetric set with
+    coordinates in [-2, 2] (sweep set B for Heisenberg)."""
+    sets = {sel: _resolve_genset(p, sel).elements for sel in ("std", "fsf", "lifted")}
+    if name == "heisenberg":
+        sets["sweep B"] = _resolve_genset(p, SWEEP_SET_B).elements
+    else:
+        rng = random.Random(f"kernel set:{name}")
+        base = {tuple(rng.randint(-2, 2) if m is None else rng.randrange(m)
+                      for m in p.orders) for _ in range(3)} - {p.identity}
+        sets["span 2"] = GenSet(p, base | {p.inverse(s) for s in base}).elements
+    return sets
+
+
+@pytest.mark.parametrize("name", KERNEL_FAMILIES)
+def test_step_kernel_equals_the_collector_product(name):
+    """u -> (u*s for s in S) against the letter collector on the lift (the
+    presentation itself when it has no finite-order generator), reduced mod
+    each finite order, on seeded u with negative coordinates; the Klein
+    bottle's kernel is the closure over its collector."""
+    p = (pcgroup.parse_presentation(FILIFORM_PC.read_text())
+         if name == "filiform4.pc" else from_id(name))
+    lift = p._lift()
+    assert p.product_path.startswith(
+        "collector" if name == "klein_bottle" else "polynomial")
+    rng = random.Random(f"kernel:{name}")
+    for sel, S in _kernel_sets(name, p).items():
+        step = p.right_multiplier(S)
+        for _ in range(40):
+            u = tuple(rng.randint(-30, 30) if m is None else rng.randrange(m)
+                      for m in p.orders)
+            want = [tuple(c if m is None else c % m
+                          for c, m in zip(lift._collect_product(u, s), p.orders))
+                    for s in S]
+            assert list(step(u)) == want, (sel, u)
+
+
+def test_step_kernel_returns_coordinates_that_s_leaves_alone():
+    """The folded kernel hands back x_i itself, no fresh int, wherever s
+    leaves coordinate i unchanged: u*b in Heisenberg keeps x_0 and x_2."""
+    p = builtin("heisenberg")
+    u = (10**20, -(10**20), 3 * 10**20)
+    ua, ub = p.right_multiplier([(1, 0, 0), (0, 1, 0)])(u)
+    assert ub == (u[0], u[1] + 1, u[2]) and ub[0] is u[0] and ub[2] is u[2]
+    assert ua[1] is u[1] and ua == p._collect_product(u, (1, 0, 0))
+
+
+def test_step_kernels_are_compiled_once_per_relations_and_set(monkeypatch):
+    """Loading compiles nothing; the first kernel derives the polynomials
+    once, and every presentation object with the same relations gets the
+    same kernel for the same set without deriving again."""
+    derived = []
+    derive = pcgroup.PcPresentation._derive_polynomials
+
+    def counted(self):
+        derived.append(self.name)
+        return derive(self)
+
+    monkeypatch.setattr(pcgroup.PcPresentation, "_derive_polynomials", counted)
+    monkeypatch.setattr(pcgroup, "_DERIVED", {})
+    p, q = from_id("heisenberg_z3"), from_id("heisenberg_z3")
+    assert derived == [] and "_polynomials" not in vars(p)
+    S = p.genset
+    step = p.right_multiplier(S)
+    assert len(derived) == 1
+    assert q.right_multiplier(S) is step is p.right_multiplier(list(S))
+    assert q._polynomials is p._polynomials and len(derived) == 1
+    assert p.right_multiplier(S[:2]) is not step
+
+
+def test_the_lift_gets_its_own_derivation():
+    """The lift reuses its presentation's source text, but its relations
+    differ (t of infinite order), so it derives and multiplies apart."""
+    p = from_id("zxz2")
+    lift = p._lift()
+    assert lift.source == p.source and lift.orders != p.orders
+    assert p.multiply((0, 1), (0, 1)) == (0, 0)
+    assert lift.multiply((0, 1), (0, 1)) == (0, 2)
+    assert lift._polynomials is not p._polynomials
 
 
 @pytest.mark.parametrize("name", ["q8", "heisenberg_mod3", "sol", "klein_bottle",
