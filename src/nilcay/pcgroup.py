@@ -57,8 +57,8 @@ binomial(s_j, k) folds into an integer constant (the falling factorial over
 k!, exact for negative s_j too), the x-binomials are computed once per call
 and shared by all of S, and a coordinate that s leaves alone is returned as
 ``x_i`` itself, with no new int.  It is compiled on first use for each S and
-kept with the derivation.  On the collector path the kernel is a closure
-over the collector product.
+kept with the derivation.  Where no compiled path applies the kernel is a
+closure over the collector product.
 
 A presentation with finite-order generators takes the same path through its
 lift L when it is declared nilpotent with blocks and every finite-order
@@ -71,11 +71,24 @@ reducing the t coordinates mod m is the quotient map L -> G, a
 homomorphism: the product and inverse in G are those of L with these
 coordinates taken mod m, which the generated functions do.  A torsion
 correction whose lift is refused (``a^-1 b a = a b a^-1 = b t`` with t of
-order 2, which cancels in G only) keeps the collector.  So does the Klein
+order 2, which cancels in G only) gets no polynomials, nor does the Klein
 bottle, whose sign alternates with the exponent of a, as no polynomial
-does; so does every other presentation, and one whose grids would exceed
-``_MAX_GRID_POINTS`` collector products.  The collector also stays the
-source the polynomials are derived from.
+does, nor a presentation whose grids would exceed ``_MAX_GRID_POINTS``
+collector products.
+
+A presentation without polynomials whose moves are all SIGN or CENTRAL, and
+whose power words are all trivial, takes a third path: the fast branch of
+``_block_mul`` unrolled over j into straight-line code, generated from the
+table and compiled the same way, on the first product and once per set of
+relations.  A block g_j^f negates each SIGN coordinate when f is odd and
+adds coef * x_l * f to each central correction target, every correction
+reading x_l before the row writes, and coordinates of finite order are
+taken mod m.  Its step kernel folds y := s in: each flip is unconditional
+or absent, and each correction an integer multiple of x_l, so every
+coordinate of u*s is a linear form in u.  The Klein bottle and the refused
+lift above take this path.  GENERIC moves and nontrivial power words (Sol,
+Q8) keep the interpreted collector, which also stays the source the
+polynomials are derived from and the oracle the tests compare against.
 
 At load time conj and conjinv are checked to be inverse maps and every pc
 overlap is collected both ways, so an inconsistent presentation is refused
@@ -94,7 +107,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
 from typing import Optional
 
@@ -115,7 +128,7 @@ class PresentationError(ValueError):
 class CollectionError(RuntimeError):
     """Nothing raises this: collection in standard pc form always ends.
 
-    Kept only because the benchmark harness imports it; ROADMAP item 9
+    Kept only because the benchmark harness imports it; ROADMAP item 10
     deletes it with the harness's next change."""
 
 
@@ -531,24 +544,26 @@ class PcPresentation:
     def _collect_inverse(self, x) -> Element:
         return tuple(self._inverse_vector(x))
 
-    # -- polynomial paths ----------------------------------------------
+    # -- compiled paths ------------------------------------------------
 
     @cached_property
     def _product(self):
-        poly = self._polynomials
-        return self._collect_product if poly is None else poly.multiply
+        compiled = self._compiled
+        return self._collect_product if compiled is None else compiled.multiply
 
     @cached_property
     def _inverter(self):
-        poly = self._polynomials
-        return self._collect_inverse if poly is None else poly.inverse
+        compiled = self._compiled
+        return self._collect_inverse if compiled is None else compiled.inverse
 
     @property
     def product_path(self) -> str:
-        """Which path ``multiply`` takes: ``"polynomial, degree d"`` or
-        ``"collector"``."""
-        poly = self._polynomials
-        return "collector" if poly is None else f"polynomial, degree {poly.degree}"
+        """Which path ``multiply`` takes: ``"polynomial, degree d"``,
+        ``"compiled collector"`` (the collector unrolled for presentations
+        whose moves are all SIGN or CENTRAL and whose power words are
+        trivial) or ``"collector"``."""
+        compiled = self._compiled
+        return "collector" if compiled is None else compiled.path
 
     def _weights(self):
         """The weights w_i, g_i in the k-th block having weight k, when they
@@ -596,31 +611,36 @@ class PcPresentation:
         """The step kernel of the generating set ``elements``: a function
         u -> (u*s for s in elements), for u in normal form.
 
-        On the polynomial path it is the product polynomials with y := s
-        folded in, compiled on the first call for these elements and kept
-        with the derivation (see the module docstring); otherwise a closure
-        over the collector product."""
+        On a compiled path it is that path's product with y := s folded in,
+        compiled on the first call for these elements and kept with the
+        derivation (see the module docstring); otherwise a closure over the
+        collector product."""
         elements = tuple(elements)
-        poly = self._polynomials
-        if poly is None:
+        compiled = self._compiled
+        if compiled is None:
             product = self._collect_product
             return lambda u: [product(u, s) for s in elements]
-        step = poly.kernels.get(elements)
+        step = compiled.kernels.get(elements)
         if step is None:
-            step = poly.kernels[elements] = _compile_step(
-                poly.mul_terms, self.orders, elements)
+            step = compiled.kernels[elements] = compiled.compile_step(elements)
         return step
 
     @cached_property
-    def _polynomials(self):
-        """The compiled product and inverse polynomials, derived on first
-        use and shared by every presentation with the same relations; None
-        where the collector stays (see the module docstring)."""
+    def _compiled(self):
+        """The compiled product, inverse and step kernels, derived on first
+        use and shared by every presentation with the same relations: the
+        polynomials where they apply, else the unrolled collector where every
+        move is SIGN or CENTRAL and no power word is nontrivial, else None,
+        and the collector stays (see the module docstring)."""
         key = (self.gens, self.orders, tuple(sorted(self.power_words.items())),
                tuple(sorted(self.conj.items())), tuple(sorted(self.conjinv.items())),
                self.blocks, self.nilpotent)
         if key not in _DERIVED:
-            _DERIVED[key] = self._derive_polynomials()
+            compiled = self._derive_polynomials()
+            if compiled is None and all(self._fast_reduce) and all(
+                    a[0] in (_SIGN, _CENTRAL) for row in self._moves for _, a in row):
+                compiled = _compile_unrolled(self._moves, self.orders)
+            _DERIVED[key] = compiled
         return _DERIVED[key]
 
     def _derive_polynomials(self):
@@ -708,7 +728,7 @@ class PcPresentation:
 # grids are larger keeps the collector
 _MAX_GRID_POINTS = 20000
 
-# relations -> compiled polynomials (None for the collector), one derivation
+# relations -> compiled products (None for the collector), one derivation
 # per process for presentations that differ only in name, source or genset
 _DERIVED = {}
 
@@ -811,17 +831,17 @@ def _unpack(v, n):
 
 def _compile(source):
     namespace = {"__builtins__": {}}
-    exec(compile(source, "<nilcay product polynomials>", "exec"), namespace)
+    exec(compile(source, "<nilcay compiled products>", "exec"), namespace)
     return namespace
 
 
 def _compile_polynomials(n, mul_terms, inv_terms, orders):
-    """One generated function per operation, as ``multiply``, ``inverse``
-    and the product's ``degree``, with the product terms and an empty dict
-    of step kernels kept for ``_compile_step``; a coordinate of finite order
-    m is taken mod m.  The source holds integer literals and
-    identifiers made here (x0, y3, x2_2 = binomial(x2, 2)), nothing from the
-    presentation's text."""
+    """One generated function per operation, as ``multiply`` and
+    ``inverse``, with the ``path`` that names the product's degree, an empty
+    dict of step kernels and ``compile_step``, ``_compile_step`` over the
+    product terms; a coordinate of finite order m is taken mod m.  The
+    source holds integer literals and identifiers made here (x0, y3, x2_2 =
+    binomial(x2, 2)), nothing from the presentation's text."""
 
     def body(args, per_coordinate):
         lines = [_unpack(v, n) for v in args]
@@ -837,8 +857,9 @@ def _compile_polynomials(n, mul_terms, inv_terms, orders):
                   for terms in mul_terms for _, factors in terms), default=0)
     namespace = _compile(source)
     return SimpleNamespace(multiply=namespace["multiply"],
-                           inverse=namespace["inverse"], degree=degree,
-                           mul_terms=mul_terms, kernels={})
+                           inverse=namespace["inverse"],
+                           path=f"polynomial, degree {degree}", kernels={},
+                           compile_step=partial(_compile_step, mul_terms, orders))
 
 
 def _compile_step(mul_terms, orders, elements):
@@ -867,6 +888,110 @@ def _compile_step(mul_terms, orders, elements):
             coords.append(_expression(poly, m))
         rows.append(f"({', '.join(coords)},)")
     source = "\n".join(["def step(x):", _unpack("x", n), *_binomial_lines(used),
+                        f"    return ({''.join(r + ', ' for r in rows)})"]) + "\n"
+    return _compile(source)["step"]
+
+
+# -- the unrolled collector ------------------------------------------------
+
+
+def _row_actions(row):
+    """One row of ``_moves``, all SIGN or CENTRAL, as the coordinates l that
+    the block inverts when its exponent is odd and the corrections
+    (target, coef, l) that add coef * x_l * (block exponent) to a target."""
+    flips = [l for l, a in row if a[0] == _SIGN]
+    corrections = [(idx, coef, l) for l, a in row if a[0] == _CENTRAL
+                   for idx, coef in a[1]]
+    return flips, corrections
+
+
+def _row_lines(row, f, sign):
+    """The fast branch of ``_block_mul`` for one row, with block exponent
+    ``sign * f`` for the identifier f.  The corrections come first: they read
+    their sources x_l before the row writes anything, as ``_block_mul``
+    gathers them, and they write only targets, which are inert and so are no
+    row's source or flip."""
+    flips, corrections = _row_actions(row)
+    by_target = {}
+    for idx, coef, l in corrections:
+        by_target.setdefault(idx, []).append((sign * coef, ((f"x{l}", 1),)))
+    lines = [f"    x{idx} = x{idx} + ({_expression(terms, None)}) * {f}"
+             for idx, terms in by_target.items()]
+    if flips:
+        lines.append(f"    if {f} & 1:")
+        lines += [f"        x{l} = -x{l}" for l in flips]
+    return lines
+
+
+def _compile_unrolled(moves, orders):
+    """The collector's fast branch unrolled over j, for moves that are all
+    SIGN or CENTRAL and power words that are all trivial, as ``multiply``
+    and ``inverse`` with the same interface as ``_compile_polynomials``.
+
+    x*y runs the rows j = 0, ..., n-1 with block exponent y_j.  Row j reads
+    and writes coordinates above j only, and later rows never touch x_j, so
+    x_j + y_j goes straight into the result, mod m_j at finite order, which
+    also reduces every finite-order correction target.  x^-1 runs them from
+    j = n-1 down with block exponent -x_j, then sets coordinate j to -x_j,
+    mod m_j, as later rows read it as a source; a finite-order target is
+    reduced once at the end.  The source holds integer literals and
+    identifiers made here only."""
+    n = len(orders)
+    mul = ["def multiply(x, y):", _unpack("x", n), _unpack("y", n)]
+    for j, row in enumerate(moves):
+        mul += _row_lines(row, f"y{j}", 1)
+    coords = [_expression([(1, ((f"x{i}", 1),)), (1, ((f"y{i}", 1),))], m)
+              for i, m in enumerate(orders)]
+    mul.append(f"    return ({', '.join(coords)},)")
+    inv = ["def inverse(x):", _unpack("x", n)]
+    for j in range(n - 1, -1, -1):
+        inv += _row_lines(moves[j], f"x{j}", -1)
+        inv.append(f"    x{j} = {_expression([(-1, ((f'x{j}', 1),))], orders[j])}")
+    targets = {idx for row in moves for idx, _, _ in _row_actions(row)[1]}
+    coords = [f"x{i}" if m is None or i not in targets else f"x{i} % {m}"
+              for i, m in enumerate(orders)]
+    inv.append(f"    return ({', '.join(coords)},)")
+    namespace = _compile("\n".join(mul + inv) + "\n")
+    return SimpleNamespace(multiply=namespace["multiply"],
+                           inverse=namespace["inverse"],
+                           path="compiled collector", kernels={},
+                           compile_step=partial(_compile_unrolled_step, moves, orders))
+
+
+def _compile_unrolled_step(moves, orders, elements):
+    """The step kernel u -> (u*s for s in elements) of the unrolled
+    collector.  With y := s each row's flips are unconditional where s_j is
+    odd and absent where it is even, and each correction adds the integer
+    coef * s_j times x_l; a source x_l is read before row l runs, so it is
+    +-u_l.  Every coordinate of u*s is then a linear form in u plus s_i,
+    folded here; one that is x_i alone is returned as ``x_i``, unreduced,
+    since u is a normal form."""
+    n = len(orders)
+    actions = [_row_actions(row) for row in moves]
+    rows = []
+    for s in elements:
+        forms = [{i: 1} for i in range(n)]   # coordinate -> {k: coefficient of x_k}
+        for j, f in enumerate(s):
+            if not f:
+                continue
+            flips, corrections = actions[j]
+            for idx, coef, l in corrections:
+                form = dict(forms[idx])
+                for k, c in forms[l].items():
+                    form[k] = form.get(k, 0) + coef * f * c
+                forms[idx] = form
+            if f & 1:
+                for l in flips:
+                    forms[l] = {k: -c for k, c in forms[l].items()}
+        coords = []
+        for i, (form, e, m) in enumerate(zip(forms, s, orders)):
+            if form == {i: 1} and not e:
+                coords.append(f"x{i}")
+                continue
+            terms = [(c, ((f"x{k}", 1),)) for k, c in sorted(form.items()) if c]
+            coords.append(_expression(terms + [(e, ())] * bool(e), m))
+        rows.append(f"({', '.join(coords)},)")
+    source = "\n".join(["def step(x):", _unpack("x", n),
                         f"    return ({''.join(r + ', ' for r in rows)})"]) + "\n"
     return _compile(source)["step"]
 

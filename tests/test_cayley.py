@@ -16,6 +16,7 @@ from nilcay.cayley import (GenerationError, GenSet, GeodesicCapError,
                            generate_ball, insert_torsion_edge, standard_genset,
                            torsion_label_bound)
 from nilcay.pcgroup import builtin, from_id
+from reference import SOL_SOURCE
 
 
 @pytest.fixture(scope="module")
@@ -158,13 +159,16 @@ def test_shell_order_and_depth_are_recorded_at_build(fid, radius, depth):
 
 def test_generate_ball_multiplies_once_per_vertex_and_generator():
     """One step-kernel call per vertex, each giving one product per
-    generator, on the polynomial path and on the collector's."""
+    generator, on the polynomial path, the compiled collector's and the
+    collector's."""
     h = builtin("heisenberg")
     zx = from_id("zxz2")
     kb = from_id("klein_bottle")
+    sol = pcgroup.parse_presentation(SOL_SOURCE)
     fsf = constructions.fsf_generating_set(
         zx, structure.torsion_subgroup(zx), standard_genset(zx)).genset
-    for p, S in ((h, standard_genset(h)), (zx, fsf), (kb, standard_genset(kb))):
+    for p, S in ((h, standard_genset(h)), (zx, fsf), (kb, standard_genset(kb)),
+                 (sol, standard_genset(sol))):
         calls = []
         right_multiplier = p.right_multiplier
 

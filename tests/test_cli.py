@@ -524,7 +524,7 @@ def test_verify_timings_sidecar(tmp_path):
     assert timing["product_paths"] == {
         "z": "polynomial, degree 1", "z2": "polynomial, degree 1",
         "z3": "polynomial, degree 1", "heisenberg": "polynomial, degree 2",
-        "klein_bottle": "collector", "zxz2": "polynomial, degree 1",
+        "klein_bottle": "compiled collector", "zxz2": "polynomial, degree 1",
         "heisenberg_z3": "polynomial, degree 2"}
     plain = tmp_path / "plain.json"
     assert run(["verify", "--suite", "induced_and_wreath",

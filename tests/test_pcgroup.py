@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcay import pcgroup
-from nilcay.cayley import GenSet
+from nilcay.cayley import GenSet, generate_ball, standard_genset
 from nilcay.cli import _resolve_genset
 from nilcay.pcgroup import PresentationError, builtin, from_id
 from reference import (CENTRAL_TORSION_SOURCE, FILIFORM_SOURCE,
@@ -168,6 +168,11 @@ _SOURCES = {"filiform": FILIFORM_SOURCE, "ut4": UT4_SOURCE, "q8": Q8_SOURCE,
 def _presentation(name):
     if name in _SOURCES:
         return pcgroup.parse_presentation(_SOURCES[name])
+    if name == "klein_nilpotent":
+        return pcgroup.parse_presentation(KLEIN_NILPOTENT_SOURCE)
+    if " x " in name:
+        left, right = name.split(" x ")
+        return pcgroup.direct_product(from_id(left), from_id(right))
     if name == "heisenberg_x_z2":
         return pcgroup.direct_product(builtin("heisenberg"), builtin("zn", n=2))
     if name == "quotient(heisenberg_z3)":
@@ -306,16 +311,18 @@ def test_polynomials_agree_with_the_oracles(name, span):
     # central finite-order generators with trivial power words, by the lift
     ("zxz2", "polynomial, degree 1"), ("heisenberg_z3", "polynomial, degree 2"),
     ("zn_cross_cyclic:1,3", "polynomial, degree 1"),
-    # finite-order generators with power words, or not central
-    ("q8", "collector"), ("heisenberg_mod3", "collector"),
-    # no blocks: Z/3 alone declares none, so it keeps the collector
-    ("zn_cross_cyclic:0,3", "collector"),
+    # no polynomials, every move SIGN or CENTRAL, every power word trivial:
+    # no blocks (Z/3 alone declares none, nor does Heisenberg over Z/3)
+    ("zn_cross_cyclic:0,3", "compiled collector"),
+    ("heisenberg_mod3", "compiled collector"),
     # a torsion correction whose lift is refused
-    ("central_torsion", "collector"),
+    ("central_torsion", "compiled collector"),
     # not nilpotent
-    ("klein_bottle", "collector"), ("sol", "collector"), ("mixed_row", "collector"),
+    ("klein_bottle", "compiled collector"),
     # c = [a, b] in the block of a and b
-    ("heisenberg_one_block", "collector"),
+    ("heisenberg_one_block", "compiled collector"),
+    # power words, or a GENERIC move
+    ("q8", "collector"), ("sol", "collector"), ("mixed_row", "collector"),
 ])
 def test_product_path_is_pinned(name, path):
     assert _presentation(name).product_path == path
@@ -323,7 +330,7 @@ def test_product_path_is_pinned(name, path):
 
 def test_polynomials_are_derived_on_first_use_and_bypass_the_collector():
     p = _presentation("filiform")
-    assert "_polynomials" not in vars(p)
+    assert "_compiled" not in vars(p)
     x, y = (3, -1, 4, 1), (-5, 9, -2, 6)
     want = p._collect_product(x, y), p._collect_inverse(x)
 
@@ -350,7 +357,7 @@ def test_the_lift_is_loaded_on_first_use_and_bypasses_the_collector(monkeypatch)
     monkeypatch.setattr(pcgroup.PcPresentation, "_lift", counted)
     monkeypatch.setattr(pcgroup, "_DERIVED", {})   # no earlier derivation
     p = _presentation("heisenberg_z3")
-    assert lifts == [] and "_polynomials" not in vars(p)
+    assert lifts == [] and "_compiled" not in vars(p)
     x, y = (3, -1, 4, 2), (-5, 9, -2, 2)
     want = p._collect_product(x, y), p._collect_inverse(x)
     assert p.product_path == "polynomial, degree 2" and len(lifts) == 1
@@ -381,7 +388,7 @@ def test_collector_still_agrees_with_the_polynomials(name, span):
 @pytest.mark.parametrize("span", [20, 1000])
 def test_one_block_heisenberg_collects_the_same_products(span):
     """With c in the block of a and b the weight rule fails, so the
-    collector runs, and it gives the built-in group's products."""
+    compiled collector runs, and it gives the built-in group's products."""
     p, heis = _presentation("heisenberg_one_block"), builtin("heisenberg")
     assert p._weights() is None and heis._weights() == (1, 1, 2)
     rng = random.Random(f"one_block:{span}")
@@ -391,22 +398,26 @@ def test_one_block_heisenberg_collects_the_same_products(span):
         assert p.inverse(x) == heis.inverse(x)
 
 
+KLEIN_NILPOTENT_SOURCE = ("group K\nnilpotent true\ntorsion_prefix 0\n"
+                          "gen a order inf\ngen b order inf\n"
+                          "conj b by a = b^-1\nconjinv b by a = b^-1\n"
+                          "block a\nblock b\ngenset a a^-1 b b^-1\n")
+
+
 def test_a_relation_that_does_not_start_with_its_generator_keeps_the_collector():
     """The Klein bottle declared nilpotent, with a block for each generator:
     a^-1 b a = b^-1 breaks the weight rule, and its products are not
-    polynomial, since the sign of b alternates with the exponent of a."""
-    src = ("group K\nnilpotent true\ntorsion_prefix 0\n"
-           "gen a order inf\ngen b order inf\n"
-           "conj b by a = b^-1\nconjinv b by a = b^-1\nblock a\nblock b\n")
-    p = pcgroup.parse_presentation(src)
-    assert p.product_path == "collector"
+    polynomial, since the sign of b alternates with the exponent of a.  Its
+    one move is SIGN, so it takes the compiled collector."""
+    p = pcgroup.parse_presentation(KLEIN_NILPOTENT_SOURCE)
+    assert p.product_path == "compiled collector"
     rng = random.Random("klein_declared_nilpotent")
     for _ in range(200):
         x, y = (tuple(rng.randint(-20, 20) for _ in range(2)) for _ in "xy")
         assert p.multiply(x, y) == klein_mul(x, y)
 
 
-def test_a_refused_lift_keeps_the_collector():
+def test_a_refused_lift_gets_no_polynomials():
     """t is central with a trivial power word, but in the lift, where t
     has infinite order, conj and conjinv of b by a no longer cancel."""
     p = _presentation("central_torsion")
@@ -424,6 +435,80 @@ def test_a_grid_above_the_cap_keeps_the_collector(monkeypatch):
     assert heis.product_path == "polynomial, degree 2"
     x, y = (7, -3, 2, 5), (-4, 6, 1, -9)
     assert fil.multiply(x, y) == filiform_mul(x, y)
+
+
+# -- the unrolled collector -------------------------------------------------
+
+UNROLLED = ("klein_bottle", "klein_nilpotent", "zn_cross_cyclic:0,3",
+            "central_torsion", "heisenberg_one_block", "heisenberg_mod3",
+            "klein_bottle x zxz2", "klein_bottle x heisenberg",
+            "klein_bottle x zn_cross_cyclic:0,3")
+
+
+@pytest.mark.parametrize("name", UNROLLED)
+def test_unrolled_collector_agrees_with_the_interpreted_one(name):
+    """Every presentation without polynomials whose moves are all SIGN or
+    CENTRAL and whose power words are trivial: 2,000 seeded pairs at
+    exponents in [-50, 50], and the step kernel of the standard set and a
+    seeded one on the first 200, against the interpreted collector, which
+    the compiled path never reaches once derived."""
+    p = _presentation(name)
+    assert "_compiled" not in vars(p)
+    rng = random.Random(f"unrolled:{name}")
+
+    def element(span):
+        return tuple(rng.randint(-span, span) if m is None else rng.randrange(m)
+                     for m in p.orders)
+
+    pairs = [(element(50), element(50)) for _ in range(2000)]
+    S = p.genset + tuple({element(3) for _ in range(4)} - {p.identity})
+    want = [(p._collect_product(x, y), p._collect_inverse(x)) for x, y in pairs]
+    want_steps = [[p._collect_product(x, s) for s in S] for x, _ in pairs[:200]]
+    assert p.product_path == "compiled collector"
+
+    def collector(*args):
+        raise AssertionError("the collector ran")
+
+    p._block_mul = collector
+    assert [(p.multiply(x, y), p.inverse(x)) for x, y in pairs] == want
+    step = p.right_multiplier(S)
+    assert [list(step(x)) for x, _ in pairs[:200]] == want_steps
+    if name in ("klein_bottle", "klein_nilpotent"):
+        assert all(xy == klein_mul(x, y) for (x, y), (xy, _) in zip(pairs, want))
+    x = generate_ball(p, standard_genset(p), 4).vertices[-1]
+    assert p.power(x, -5) == p.inverse(p.power(x, 5))
+
+
+def test_the_unrolled_collector_is_compiled_on_first_product(monkeypatch):
+    """Loading compiles nothing; the first product compiles the Klein
+    bottle's multiply and inverse once for its relations, and the first ball
+    over S one step kernel."""
+    sources = []
+    compile_source = pcgroup._compile
+
+    def counted(source):
+        sources.append(source)
+        return compile_source(source)
+
+    monkeypatch.setattr(pcgroup, "_compile", counted)
+    monkeypatch.setattr(pcgroup, "_DERIVED", {})
+    p, q = from_id("klein_bottle"), from_id("klein_bottle")
+    assert sources == [] and "_compiled" not in vars(p)
+    assert p.multiply((1, 2), (1, 3)) == q.multiply((1, 2), (1, 3)) == (2, 1)
+    assert len(sources) == 1 and q._compiled is p._compiled
+    step = p.right_multiplier(p.genset)
+    assert q.right_multiplier(p.genset) is step and len(sources) == 2
+    assert "if y0 & 1:" in sources[0] and "& 1" not in sources[1]
+
+
+def test_klein_ball_on_the_unrolled_kernel_matches_the_interpreted_closure():
+    p, q = from_id("klein_bottle"), from_id("klein_bottle")
+    q._compiled = None    # the closure over the interpreted collector
+    unrolled, closure = (generate_ball(r, standard_genset(r), 12) for r in (p, q))
+    assert (p.product_path, q.product_path) == ("compiled collector", "collector")
+    assert len(unrolled) == 313
+    assert unrolled.vertices == closure.vertices
+    assert unrolled.targets == closure.targets
 
 
 FILIFORM_PC = (Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
@@ -452,12 +537,12 @@ def test_step_kernel_equals_the_collector_product(name):
     """u -> (u*s for s in S) against the letter collector on the lift (the
     presentation itself when it has no finite-order generator), reduced mod
     each finite order, on seeded u with negative coordinates; the Klein
-    bottle's kernel is the closure over its collector."""
+    bottle's kernel is the unrolled collector's."""
     p = (pcgroup.parse_presentation(FILIFORM_PC.read_text())
          if name == "filiform4.pc" else from_id(name))
     lift = p._lift()
     assert p.product_path.startswith(
-        "collector" if name == "klein_bottle" else "polynomial")
+        "compiled collector" if name == "klein_bottle" else "polynomial")
     rng = random.Random(f"kernel:{name}")
     for sel, S in _kernel_sets(name, p).items():
         step = p.right_multiplier(S)
@@ -494,12 +579,12 @@ def test_step_kernels_are_compiled_once_per_relations_and_set(monkeypatch):
     monkeypatch.setattr(pcgroup.PcPresentation, "_derive_polynomials", counted)
     monkeypatch.setattr(pcgroup, "_DERIVED", {})
     p, q = from_id("heisenberg_z3"), from_id("heisenberg_z3")
-    assert derived == [] and "_polynomials" not in vars(p)
+    assert derived == [] and "_compiled" not in vars(p)
     S = p.genset
     step = p.right_multiplier(S)
     assert len(derived) == 1
     assert q.right_multiplier(S) is step is p.right_multiplier(list(S))
-    assert q._polynomials is p._polynomials and len(derived) == 1
+    assert q._compiled is p._compiled and len(derived) == 1
     assert p.right_multiplier(S[:2]) is not step
 
 
@@ -511,7 +596,7 @@ def test_the_lift_gets_its_own_derivation():
     assert lift.source == p.source and lift.orders != p.orders
     assert p.multiply((0, 1), (0, 1)) == (0, 0)
     assert lift.multiply((0, 1), (0, 1)) == (0, 2)
-    assert lift._polynomials is not p._polynomials
+    assert lift._compiled is not p._compiled
 
 
 @pytest.mark.parametrize("name", ["q8", "heisenberg_mod3", "sol", "klein_bottle",
