@@ -41,6 +41,7 @@ every survivor is affine exactly when every generator is, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import factorial, prod
 
 from . import structure
@@ -53,7 +54,8 @@ SEARCH_NODE_GUARD = 10**8
 
 
 class EnumerationCapError(RuntimeError):
-    """The search visited more than ``SEARCH_NODE_GUARD`` nodes."""
+    """The search visited more than ``SEARCH_NODE_GUARD`` nodes; the message
+    names the guard, the base point reached and the generators found."""
 
 
 def _orbit(points, maps):
@@ -147,25 +149,19 @@ def _wl_colors(seed, nbr):
     Any automorphism of the graph that keeps the seed keys keeps these
     colours, so colour classes are sound candidate pools.
     """
-    n = len(seed)
-
     def canon(raw):
+        """Each key's index in order of first appearance, and the count."""
         palette = {}
-        out = [0] * n
-        for i in range(n):
-            key = raw[i]
-            if key not in palette:
-                palette[key] = len(palette)
-            out[i] = palette[key]
-        return out
+        return [palette.setdefault(key, len(palette)) for key in raw], \
+            len(palette)
 
-    cur = canon(seed)
+    cur, count = canon(seed)
     while True:
-        new = canon([(cur[i], tuple(sorted(cur[j] for j in nbr[i])))
-                     for i in range(n)])
-        if len(set(new)) == len(set(cur)):
+        new, new_count = canon([(c, tuple(sorted([cur[j] for j in row])))
+                                for c, row in zip(cur, nbr)])
+        if new_count == count:
             return new
-        cur = new
+        cur, count = new, new_count
 
 
 def _twin_quotient(big: Ball):
@@ -230,14 +226,21 @@ def _stable_restrictions(big: Ball, small_radius):
     at most one candidate (a dead end when it has none), else the frontier
     vertex of least (domain size, rank), small-ball vertices first, where
     rank is the (distance, least member) scan order.  Each frontier entry
-    carries a key whose order is that rule, so one min() picks.
+    carries an integer key whose order is that rule, with rank as its
+    residue mod |Q|, so no two vertices share a key.  The keys sit on a
+    binary heap, and a pick pops stale tops, those no longer the key of
+    their vertex, until the top is live, so the next vertex costs O(log F)
+    for a frontier of F, not a scan of it.  Deletion is lazy: an update
+    pushes the new key and leaves the old one in place.  When the heap holds
+    more than 2 |live keys| + |Q| entries it is rebuilt from the live keys
+    alone, as a sorted list, so it stays O(|Q|) however long the search.
     """
     classes, nbrs, _ = _twin_quotient(big)
     n = len(classes)
     nbr_sets = [frozenset(row) for row in nbrs]
     dist = [big.dist_list[members[0]] for members in classes]
     colors = _wl_colors([(dist[q], len(classes[q]), len(nbrs[q]))
-                         for q in range(n)], nbr_sets)
+                         for q in range(n)], nbrs)
     is_small = [d <= small_radius for d in dist]
     small_q = [q for q in range(n) if is_small[q]]
     slot = {q: k for k, q in enumerate(small_q)}
@@ -252,13 +255,19 @@ def _stable_restrictions(big: Ball, small_radius):
     pre = [-1] * n                        # image -> preimage, -1 while unused
     frontier = {}                         # vertex -> domain
     keys = {}                             # vertex -> pick key
+    heap = []                             # pick keys, stale ones included
     trail = []                            # (vertex, previous domain or None)
+    guard = SEARCH_NODE_GUARD
     nodes = 0
 
     def put(v, dom):
         frontier[v] = dom
         size = len(dom)
-        keys[v] = rank[v] if size <= 1 else (size + suffix[v]) * n + rank[v]
+        key = rank[v] if size <= 1 else (size + suffix[v]) * n + rank[v]
+        keys[v] = key
+        heappush(heap, key)
+        if len(heap) > 2 * len(keys) + n:
+            heap[:] = sorted(keys.values())   # a sorted list is a heap
 
     def assign(u, c):
         img[u] = c
@@ -300,16 +309,6 @@ def _stable_restrictions(big: Ball, small_radius):
         pre[img[u]] = -1
         img[u] = -1
 
-    def consistent(u, c):
-        """Every used neighbour of c is the image of a neighbour of u; with
-        c in u's domain this is the two-way adjacency test."""
-        u_nbrs = nbr_sets[u]
-        for x in nbrs[c]:
-            w = pre[x]
-            if w >= 0 and w not in u_nbrs:
-                return False
-        return True
-
     def complete(u, cands):
         """The first completion of the assignment with u sent to one of the
         candidates, as a map of Q, or None; the assignment is left as is."""
@@ -319,35 +318,60 @@ def _stable_restrictions(big: Ball, small_radius):
             u, todo, mark = stack[-1]
             if img[u] >= 0:
                 unassign(u, mark)
-            c = next((c for c in todo if consistent(u, c)), None)
-            if c is None:
+            # the first candidate c whose used neighbours are all images of
+            # neighbours of u; with c in u's domain this is the two-way
+            # adjacency test
+            u_nbrs = nbr_sets[u]
+            for c in todo:
+                for x in nbrs[c]:
+                    w = pre[x]
+                    if w >= 0 and w not in u_nbrs:
+                        break
+                else:
+                    break
+            else:
                 stack.pop()
                 continue
             nodes += 1
-            if nodes > SEARCH_NODE_GUARD:
-                raise EnumerationCapError("search node guard exceeded")
+            if nodes > guard:
+                raise EnumerationCapError
             assign(u, c)
             if not frontier:              # the ball is connected: all assigned
                 found = img[:]
                 for u, _, mark in reversed(stack):
                     unassign(u, mark)
                 return found
-            v = scan_order[min(keys.values()) % n]
-            stack.append((v, iter(sorted(frontier[v])), len(trail)))
+            key = heap[0]
+            while keys.get(scan_order[key % n]) != key:
+                heappop(heap)
+                key = heap[0]
+            v = scan_order[key % n]
+            dom = frontier[v]
+            stack.append((v, iter(dom if len(dom) <= 1 else sorted(dom)),
+                          len(trail)))
         return None
 
     marks = {}                            # small class -> trail mark, e first
     for b in sorted(small_q, key=rank.__getitem__):
         marks[b] = len(trail)
         assign(b, b)
+    base = list(marks)[1:]
     gens, lengths = [], []
-    for b in reversed(list(marks)[1:]):   # the base, from its last point
+    for i in reversed(range(len(base))):  # the base, from its last point
+        b = base[i]
         unassign(b, marks[b])
         reached, dead = {b}, set()
         for c in sorted(frontier[b]):
             if c in reached or c in dead:
                 continue
-            found = complete(b, [c])
+            try:
+                found = complete(b, [c])
+            except EnumerationCapError:
+                raise EnumerationCapError(
+                    f"search node guard {guard} exceeded at base point "
+                    f"{i + 1} of {len(base)} (the base is processed from its "
+                    f"last point); strong generators found so far: "
+                    f"{len(gens)}") from None
             if found is None:
                 dead = _orbit(dead | {c}, gens)
             else:

@@ -103,12 +103,16 @@ class GenSet:
 
         Each word spells the path from e to g_i along BFS parents in
         B_S(R), for the least R whose ball holds every g_i, so it is a
-        geodesic; the BFS runs within the vertex budget ``max_vertices``.  A
-        nilpotent presentation first gets the exact test that S generates G
-        (``Abelianization.span_index``), so that the BFS is sure to stop.
-        Raises GenerationError, naming a pc generator outside <S>, when the
-        test fails or the BFS exhausts a finite <S>, and BallBudgetError
-        past the budget.
+        geodesic; the BFS runs within the vertex budget ``max_vertices``.
+        Every presentation first gets the abelianization test
+        (``Abelianization.span_index``): a pc generator outside <S>[G, G]
+        shows <S> != G in any group.  On a nilpotent presentation passing it
+        proves that S generates G, so the BFS is sure to stop; otherwise
+        the BFS may still find <S> finite, or run to the budget when <S> is
+        an infinite proper subgroup that the test cannot see.  Raises
+        GenerationError, naming a pc generator outside <S>, when the test
+        fails or the BFS exhausts a finite <S>, and BallBudgetError past the
+        budget.
         """
         if self._pc_words is None:
             self._pc_words = _pc_words(self.require_symmetric(),
@@ -121,14 +125,13 @@ class GenSet:
 
 def _pc_words(genset, budget):
     p = genset.presentation
-    if p.nilpotent:
-        index, missing = p.abelianization.span_index(genset.elements)
-        if missing is not None:
-            where = "infinite index" if index is None else f"index {index}"
-            raise GenerationError(
-                f"the generating set generates a proper subgroup of {p.name}: "
-                f"pc generator {p.gens[missing]} is outside <S>[G, G], which "
-                f"has {where} in G")
+    index, missing = p.abelianization.span_index(genset.elements)
+    if missing is not None:
+        where = "infinite index" if index is None else f"index {index}"
+        raise GenerationError(
+            f"the generating set generates a proper subgroup of {p.name}: "
+            f"pc generator {p.gens[missing]} is outside <S>[G, G], which "
+            f"has {where} in G")
     gens = [p.generator(i) for i in range(p.n)]
     step = p.right_multiplier(genset.elements)
     parent = {p.identity: None}           # element -> (BFS parent, sid)

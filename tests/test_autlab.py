@@ -1,6 +1,7 @@
 """Stable local automorphisms, affine verdicts, normality, induced maps."""
 
 import hashlib
+import heapq
 import random
 import sys
 import time
@@ -819,6 +820,11 @@ SEARCH_PINS = [
      "e2e4c601675968fb31d5124f230e69cd854bc7d4110ea7d6e3aeaf8c36463420"),
     ("heisenberg_z3", "std", 3, 2, 2581, 16,
      "a89bb380d584ea9df5511112fd9b4e9774fa421f6ce9cc8acc71799cd149fcec"),
+    # above acceptance
+    ("heisenberg", "std", 6, 2, 7542, 8,
+     "e109504bcbc0f479cb2414ade3e9094e47e6beb0e2348b3ad97ccc59bb4b6aa7"),
+    ("heisenberg", "std", 7, 2, 11984, 8,
+     "3224185ad3f7e20c324affee5c1ac5af9e3338846cd543df33b86e287770c0b8"),
 ]
 
 
@@ -839,6 +845,38 @@ def test_search_nodes_and_order_are_pinned(gid, gens, r, t, nodes, count,
     assert visited == nodes
     assert len(found) == count == auts.order
     assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
+
+
+def test_the_pick_heap_stays_within_three_times_the_quotient(monkeypatch):
+    """Heisenberg (5,2): 22 of its 24 completions fail, so the search
+    backtracks often and most keys it pushes go stale.  More keys are pushed
+    than popped by over 3n, n the quotient's vertex count, yet the heap
+    never holds more than 3n + 1: 2 |live keys| + n after a push, then
+    rebuilt from the live keys."""
+    seen = {"pushes": 0, "pops": 0, "most": 0, "rebuilds": 0, "expect": 0}
+
+    def push(heap, key):
+        if len(heap) < seen["expect"]:    # shrunk by more than the pops
+            seen["rebuilds"] += 1
+        heapq.heappush(heap, key)
+        seen["pushes"] += 1
+        seen["most"] = max(seen["most"], len(heap))
+        seen["expect"] = len(heap)
+
+    def pop(heap):
+        seen["pops"] += 1
+        seen["expect"] -= 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(autlab, "heappush", push)
+    monkeypatch.setattr(autlab, "heappop", pop)
+    p = builtin("heisenberg")
+    big = generate_ball(p, standard_genset(p), 7)
+    n = len(autlab._twin_quotient(big)[0])
+    assert autlab._stable_restrictions(big, 5)[3] == 4597
+    assert seen["pushes"] - seen["pops"] > 3 * n + 1
+    assert seen["rebuilds"] >= 1
+    assert seen["most"] <= 3 * n + 1
 
 
 def test_search_leaves_the_recursion_limit_alone():

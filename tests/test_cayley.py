@@ -517,23 +517,60 @@ def test_words_are_computed_once_per_generating_set(monkeypatch):
     assert S.pc_words() is words
 
 
+S3_SOURCE = """group S3
+nilpotent false
+torsion_prefix 2
+gen a order 2
+gen b order 3
+pow a = 1
+pow b = 1
+conj b by a = b^2
+conjinv b by a = b^2
+genset a b b^2
+"""
+
+
 def test_a_finite_subgroup_ends_the_bfs():
-    """Without ``nilpotent true`` no exact test runs first.  A finite <S>
-    ends the BFS when a shell comes out empty; an infinite proper one, <a^2>
-    in the Klein bottle, runs into the vertex budget."""
-    src = """group C2xZ
+    """Without ``nilpotent true`` passing the abelianization test does not
+    prove that S generates G, and the BFS decides.  <a> in S3 fills G^ab
+    and is finite: a shell comes out empty.  <a, b^3> in the Klein bottle
+    fills G^ab yet has index 3: the BFS runs into the vertex budget."""
+    s3 = pcgroup.parse_presentation(S3_SOURCE)
+    S = GenSet(s3, [(1, 0)])
+    assert s3.abelianization.span_index(S.elements) == (1, None)
+    with pytest.raises(GenerationError, match="finite proper subgroup of "
+                       "S3, of order 2: pc generator b is outside it"):
+        S.pc_words()
+    k = builtin("klein_bottle")
+    S = GenSet(k, [(1, 0), (-1, 0), (0, 3), (0, -3)])
+    assert k.abelianization.span_index(S.elements) == (1, None)
+    with pytest.raises(cayley.BallBudgetError, match="before reaching every "
+                       "pc generator"):
+        S.pc_words(max_vertices=100)
+
+
+def test_the_abelianization_test_refutes_in_any_group():
+    """A pc generator outside <S>[G, G] shows <S> != G whether or not the
+    presentation is nilpotent; the budget of 10 vertices shows that no BFS
+    ran.  <t> in C2 x Z misses x at infinite index; <a^2, b> in the Klein
+    bottle, whose G^ab is Z x C2, misses a at index 2."""
+    c2xz = pcgroup.parse_presentation("""group C2xZ
 nilpotent false
 torsion_prefix 1
 gen x order inf
 gen t order 2
 pow t = 1
 genset x x^-1 t
-"""
-    p = pcgroup.parse_presentation(src)
-    with pytest.raises(GenerationError, match="finite proper subgroup of "
-                       "C2xZ, of order 2: pc generator x is outside it"):
-        GenSet(p, [(0, 1)]).pc_words()
-    k = builtin("klein_bottle")
-    with pytest.raises(cayley.BallBudgetError, match="before reaching every "
-                       "pc generator"):
-        GenSet(k, [(2, 0), (-2, 0)]).pc_words(max_vertices=100)
+""")
+    klein = builtin("klein_bottle")
+    for p, vectors, message in [
+            (c2xz, [(0, 1)], "C2xZ: pc generator x is outside <S>[G, G], "
+                             "which has infinite index in G"),
+            (klein, [(2, 0), (-2, 0), (0, 1), (0, -1)],
+             "KleinBottle: pc generator a is outside <S>[G, G], which has "
+             "index 2 in G")]:
+        assert not p.nilpotent
+        with pytest.raises(GenerationError) as exc:
+            GenSet(p, vectors).pc_words(max_vertices=10)
+        assert str(exc.value) == ("the generating set generates a proper "
+                                  "subgroup of " + message)

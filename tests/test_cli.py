@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nilcay import cli, constructions, structure
+from nilcay import autlab, cli, constructions, structure
 from nilcay.cayley import GenSet, export_vertex_map, generate_ball
 from nilcay.pcgroup import from_id
 from reference import SOL_SOURCE
@@ -68,6 +68,36 @@ def test_normality_on_a_proper_subgroup_is_inconclusive(capsys):
     assert (result["verdict"], result["ok"]) == ("inconclusive", None)
     assert "pc generator a is outside <S>[G, G], which has index 2" in \
         result["notes"][0]
+
+
+def test_normality_on_a_proper_subgroup_of_the_klein_bottle_is_inconclusive(
+        capsys):
+    """<a^2, b> has index 2; the Klein bottle is not nilpotent, yet the
+    abelianization test refutes generation before any BFS."""
+    assert run(["normality", "--group", "klein_bottle", "--radius", "2",
+                "--stability", "1", "--genset", "2,0;-2,0;0,1;0,-1",
+                "--budget", "100"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["verdict"], result["ok"]) == ("inconclusive", None)
+    assert "pc generator a is outside <S>[G, G], which has index 2" in \
+        result["notes"][0]
+
+
+def test_the_search_cap_names_how_far_it_got(capsys, monkeypatch):
+    """Heisenberg (3,1) takes 621 search nodes; a guard of 500 stops it at
+    the second base point of 52, after the first strong generator."""
+    monkeypatch.setattr(autlab, "SEARCH_NODE_GUARD", 500)
+    note = ("search node guard 500 exceeded at base point 2 of 52 (the base "
+            "is processed from its last point); strong generators found so "
+            "far: 1")
+    assert run(["normality", "--group", "heisenberg", "--radius", "3",
+                "--stability", "1"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["verdict"], result["ok"]) == ("inconclusive", None)
+    assert result["notes"] == [note]
+    assert run(["autos", "--group", "heisenberg", "--radius", "3",
+                "--stability", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["result"] == {"error": note}
 
 
 @pytest.mark.parametrize("budget", ["50", "200"])
