@@ -348,6 +348,14 @@ def vars_of(args):
             if k not in skip and v is not None}
 
 
+def positive_int(text):
+    """An argparse type for caps and budgets: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sp, genset=True, radius=True, budget=True):
     sp.add_argument("--group", required=False,
                     help="built-in id (z2, zn:3, heisenberg, klein_bottle, "
@@ -358,7 +366,7 @@ def _add_common(sp, genset=True, radius=True, budget=True):
     if radius:
         sp.add_argument("--radius", type=int, default=4)
     if budget:
-        sp.add_argument("--budget", type=int, default=None,
+        sp.add_argument("--budget", type=positive_int, default=None,
                         help="the most vertices one ball may have "
                              f"(default {DEFAULT_VERTEX_BUDGET:,})")
     sp.add_argument("--out", help="write the JSON report or export here")
@@ -388,7 +396,7 @@ def build_parser():
     sp.add_argument("--from", required=True)
     sp.add_argument("--to", required=True)
     sp.add_argument("--count-only", action="store_true")
-    sp.add_argument("--cap", type=int, default=10**6)
+    sp.add_argument("--cap", type=positive_int, default=10**6)
     sp.set_defaults(func=cmd_geodesics)
 
     sp = sub.add_parser("distortion", help="distortion profile and verdict")

@@ -119,6 +119,8 @@ def convexity_check(ball, s, kmax) -> Report:
     p = ball.presentation
     if s not in set(ball.genset.elements):
         raise NotAGeneratorError(f"{s} is not in the generating set")
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
     if kmax > ball.radius:
         raise ValueError("kmax exceeds the ball radius")
     params = {"generator": s, "kmax": kmax, "radius": ball.radius}

@@ -26,69 +26,62 @@ move, and a power word, take ``_left_move``: ``g_j^f`` passes the whole tail
 it collects lies in ``G_{j+1}``, so the recursion rises through the
 generator indices and always ends.
 
-Torsion-free nilpotent groups take a second path, made of polynomials.  In
-such a group the coordinates of x*y and of x^-1 are polynomials in the
-coordinates of x and y (P. Hall, *Nilpotent groups*, 1957).  The path
-applies when the presentation is declared nilpotent, has blocks and no
-finite-order generator, and its weights are admissible: g_i in the k-th
-block has weight w_i = k, and every conj/conjinv word of ``l by j`` is g_l
-followed only by generators of weight >= w_j + w_l.  The subgroups
-generated by the generators of weight >= k then form a series with
-[G_a, G_b] <= G_{a+b}, and coordinate i of x*y and of x^-1 has weighted
-degree at most w_i, x_j and y_j weighing w_j (Leedham-Green and Soicher,
-"Symbolic collection using Deep Thought", LMS J. Comput. Math. 1, 1998), so
-total degree at most w_i.  It depends only on the coordinates j <= i of
-weight <= w_i, as every conjugate of g_l lies in <g_l, ..., g_n>, which makes
-<g_{i+1}, ..., g_n> normal.  Each such polynomial is interpolated over the simplex grid
-of total degree <= w_i in those variables, evaluated with the collector, in
-the binomial basis by forward differences (Newton), with exact integer
-coefficients.  The coefficients become one generated function per
-operation, compiled with ``compile()`` from integer literals and
-synthesized identifiers only.  Derivation runs on the first product or
-inverse, not at load, and ``multiply`` and ``inverse`` dispatch to the
-result.  It is kept once per process for each set of relations, so every
-presentation object with the same generators, orders, power words,
-conjugates, blocks and nilpotency flag shares one derivation.
+Two compiled paths replace the collector, and a presentation takes at most
+one of them, by this rule:
+
+- linear collection, every move SIGN or CENTRAL and every power word
+  trivial: the compiled collector;
+- otherwise, torsion-free with admissible weights: the polynomials;
+- otherwise: the interpreted collector, which is also the source the
+  polynomials are derived from and the oracle the tests compare against.
+
+Each is derived on the first product or inverse, not at load, and
+``multiply`` and ``inverse`` dispatch to the result.  It is kept once per
+process for each set of relations, so every presentation object with the
+same generators, orders, power words, conjugates, blocks and nilpotency
+flag shares one derivation.  The generated source is compiled with
+``compile()`` from integer literals and synthesized identifiers only.
+
+The compiled collector is the fast branch of ``_block_mul`` unrolled over j
+into straight-line code.  A block g_j^f negates each SIGN coordinate when f
+is odd and adds coef * x_l * f to each central correction target, every
+correction reading x_l before the row writes, and coordinates of finite
+order are taken mod m.  Every abelian, class-2 and central-torsion family
+takes it, and so does the Klein bottle, whose sign alternates with the
+exponent of a, as no polynomial does.
+
+The polynomials serve the torsion-free nilpotent groups whose collection is
+not linear, such as those of class 3.  In such a group the coordinates of
+x*y and of x^-1 are polynomials in the coordinates of x and y (P. Hall,
+*Nilpotent groups*, 1957).  The path applies when the presentation is
+declared nilpotent, has blocks and no finite-order generator, and its
+weights are admissible: g_i in the k-th block has weight w_i = k, and every
+conj/conjinv word of ``l by j`` is g_l followed only by generators of weight
+>= w_j + w_l.  The subgroups generated by the generators of weight >= k then
+form a series with [G_a, G_b] <= G_{a+b}, and coordinate i of x*y and of
+x^-1 has weighted degree at most w_i, x_j and y_j weighing w_j
+(Leedham-Green and Soicher, "Symbolic collection using Deep Thought", LMS J.
+Comput. Math. 1, 1998), so total degree at most w_i.  It depends only on the
+coordinates j <= i of weight <= w_i, as every conjugate of g_l lies in
+<g_l, ..., g_n>, which makes <g_{i+1}, ..., g_n> normal.  Each such
+polynomial is interpolated over the simplex grid of total degree <= w_i in
+those variables, evaluated with the collector, in the binomial basis by
+forward differences (Newton), with exact integer coefficients, which become
+one generated function per operation.  A presentation whose grids would
+exceed ``_MAX_GRID_POINTS`` collector products keeps the collector, as does
+every presentation outside both paths (Sol, Q8, a class-3 group times Z/2).
 
 A ball multiplies every vertex by the same generating set S, so
-``right_multiplier(S)`` gives a step kernel u -> (u*s for s in S).  On the
-polynomial path it is the product polynomial with y fixed to each s: every
+``right_multiplier(S)`` gives a step kernel u -> (u*s for s in S), the
+compiled product with y := s folded in, compiled on first use for each S and
+kept with the derivation.  On the compiled collector each flip is then
+unconditional or absent, and each correction an integer multiple of x_l, so
+every coordinate of u*s is a linear form in u.  On the polynomials every
 binomial(s_j, k) folds into an integer constant (the falling factorial over
-k!, exact for negative s_j too), the x-binomials are computed once per call
-and shared by all of S, and a coordinate that s leaves alone is returned as
-``x_i`` itself, with no new int.  It is compiled on first use for each S and
-kept with the derivation.  Where no compiled path applies the kernel is a
-closure over the collector product.
-
-A presentation with finite-order generators takes the same path through its
-lift L when it is declared nilpotent with blocks and every finite-order
-generator t is central with a trivial power word (``t^m = 1``).  L is the
-presentation with every finite order made infinite, the power words dropped
-and the finite-order generators added as one more, top block; it must load,
-overlap check included, and satisfy the weight rule.  Each t^m is then
-central in L, so G is L modulo the central subgroup they generate, and
-reducing the t coordinates mod m is the quotient map L -> G, a
-homomorphism: the product and inverse in G are those of L with these
-coordinates taken mod m, which the generated functions do.  A torsion
-correction whose lift is refused (``a^-1 b a = a b a^-1 = b t`` with t of
-order 2, which cancels in G only) gets no polynomials, nor does the Klein
-bottle, whose sign alternates with the exponent of a, as no polynomial
-does, nor a presentation whose grids would exceed ``_MAX_GRID_POINTS``
-collector products.
-
-A presentation without polynomials whose moves are all SIGN or CENTRAL, and
-whose power words are all trivial, takes a third path: the fast branch of
-``_block_mul`` unrolled over j into straight-line code, generated from the
-table and compiled the same way, on the first product and once per set of
-relations.  A block g_j^f negates each SIGN coordinate when f is odd and
-adds coef * x_l * f to each central correction target, every correction
-reading x_l before the row writes, and coordinates of finite order are
-taken mod m.  Its step kernel folds y := s in: each flip is unconditional
-or absent, and each correction an integer multiple of x_l, so every
-coordinate of u*s is a linear form in u.  The Klein bottle and the refused
-lift above take this path.  GENERIC moves and nontrivial power words (Sol,
-Q8) keep the interpreted collector, which also stays the source the
-polynomials are derived from and the oracle the tests compare against.
+k!, exact for negative s_j too), and the x-binomials are computed once per
+call and shared by all of S.  A coordinate that s leaves alone is returned
+as ``x_i`` itself, with no new int.  Where no compiled path applies the
+kernel is a closure over the collector product.
 
 At load time conj and conjinv are checked to be inverse maps and every pc
 overlap is collected both ways, so an inconsistent presentation is refused
@@ -558,10 +551,10 @@ class PcPresentation:
 
     @property
     def product_path(self) -> str:
-        """Which path ``multiply`` takes: ``"polynomial, degree d"``,
-        ``"compiled collector"`` (the collector unrolled for presentations
-        whose moves are all SIGN or CENTRAL and whose power words are
-        trivial) or ``"collector"``."""
+        """Which path ``multiply`` takes: ``"compiled collector"`` (the
+        collector unrolled for presentations whose moves are all SIGN or
+        CENTRAL and whose power words are trivial), else
+        ``"polynomial, degree d"`` or ``"collector"``."""
         compiled = self._compiled
         return "collector" if compiled is None else compiled.path
 
@@ -585,28 +578,6 @@ class PcPresentation:
                     return None
         return tuple(w)
 
-    def _lift(self):
-        """The presentation whose polynomials this one's products reduce:
-        itself without finite-order generators, else its lift L (every
-        finite order made infinite, the power words dropped, the
-        finite-order generators one more, top block) when it is nilpotent
-        with blocks, every finite-order generator is central with a trivial
-        power word, and L loads.  Otherwise None."""
-        finite = tuple(i for i, m in enumerate(self.orders) if m is not None)
-        if not finite:
-            return self
-        if not (self.nilpotent and self.blocks) or \
-                any(not self._inert[i] or self.power_words.get(i) for i in finite):
-            return None
-        try:
-            return PcPresentation(
-                name=self.name, gens=self.gens, orders=(None,) * self.n,
-                power_words={}, conj=self.conj, conjinv=self.conjinv,
-                torsion_len=0, blocks=self.blocks + (finite,), nilpotent=True,
-                genset=(), source=self.source)
-        except PresentationError:
-            return None
-
     def right_multiplier(self, elements):
         """The step kernel of the generating set ``elements``: a function
         u -> (u*s for s in elements), for u in normal form.
@@ -629,23 +600,22 @@ class PcPresentation:
     def _compiled(self):
         """The compiled product, inverse and step kernels, derived on first
         use and shared by every presentation with the same relations: the
-        polynomials where they apply, else the unrolled collector where every
-        move is SIGN or CENTRAL and no power word is nontrivial, else None,
+        unrolled collector where every move is SIGN or CENTRAL and no power
+        word is nontrivial, else the polynomials where they apply, else None,
         and the collector stays (see the module docstring)."""
         key = (self.gens, self.orders, tuple(sorted(self.power_words.items())),
                tuple(sorted(self.conj.items())), tuple(sorted(self.conjinv.items())),
                self.blocks, self.nilpotent)
         if key not in _DERIVED:
-            compiled = self._derive_polynomials()
-            if compiled is None and all(self._fast_reduce) and all(
+            if all(self._fast_reduce) and all(
                     a[0] in (_SIGN, _CENTRAL) for row in self._moves for _, a in row):
-                compiled = _compile_unrolled(self._moves, self.orders)
-            _DERIVED[key] = compiled
+                _DERIVED[key] = _compile_unrolled(self._moves, self.orders)
+            else:
+                _DERIVED[key] = self._derive_polynomials()
         return _DERIVED[key]
 
     def _derive_polynomials(self):
-        lift = self._lift()
-        weights = None if lift is None else lift._weights()
+        weights = self._weights()
         if weights is None:
             return None
         # coordinate i depends on the g_j with j <= i (H_{i+1} is normal) of
@@ -662,11 +632,11 @@ class PcPresentation:
         for i, js in enumerate(support):
             names = [f"x{j}" for j in js] + [f"y{j}" for j in js]
             mul_terms.append(_terms(_fit(
-                lift._collect_product, products, self.n, i, js, weights[i], 2), names))
+                self._collect_product, products, self.n, i, js, weights[i], 2), names))
             inv_terms.append(_terms(_fit(
-                lift._collect_inverse, inverses, self.n, i, js, weights[i], 1),
+                self._collect_inverse, inverses, self.n, i, js, weights[i], 1),
                 names[:len(js)]))
-        return _compile_polynomials(self.n, mul_terms, inv_terms, self.orders)
+        return _compile_polynomials(mul_terms, inv_terms)
 
     def power(self, x, k) -> Element:
         if k == 0:
@@ -812,7 +782,7 @@ def _binomial_lines(factors):
     return lines
 
 
-def _expression(terms, m):
+def _expression(terms, m=None):
     """Source of sum c * prod factors over (c, factors) terms, taken mod m
     when m is not None."""
     parts = []
@@ -835,19 +805,20 @@ def _compile(source):
     return namespace
 
 
-def _compile_polynomials(n, mul_terms, inv_terms, orders):
+def _compile_polynomials(mul_terms, inv_terms):
     """One generated function per operation, as ``multiply`` and
     ``inverse``, with the ``path`` that names the product's degree, an empty
     dict of step kernels and ``compile_step``, ``_compile_step`` over the
-    product terms; a coordinate of finite order m is taken mod m.  The
-    source holds integer literals and identifiers made here (x0, y3, x2_2 =
-    binomial(x2, 2)), nothing from the presentation's text."""
+    product terms.  The source holds integer literals and identifiers made
+    here (x0, y3, x2_2 = binomial(x2, 2)), nothing from the presentation's
+    text."""
+    n = len(mul_terms)
 
     def body(args, per_coordinate):
         lines = [_unpack(v, n) for v in args]
         lines += _binomial_lines({f for terms in per_coordinate
                                   for _, factors in terms for f in factors})
-        coords = [_expression(terms, m) for terms, m in zip(per_coordinate, orders)]
+        coords = [_expression(terms) for terms in per_coordinate]
         lines.append(f"    return ({', '.join(coords)},)")
         return lines
 
@@ -859,19 +830,19 @@ def _compile_polynomials(n, mul_terms, inv_terms, orders):
     return SimpleNamespace(multiply=namespace["multiply"],
                            inverse=namespace["inverse"],
                            path=f"polynomial, degree {degree}", kernels={},
-                           compile_step=partial(_compile_step, mul_terms, orders))
+                           compile_step=partial(_compile_step, mul_terms))
 
 
-def _compile_step(mul_terms, orders, elements):
+def _compile_step(mul_terms, elements):
     """The step kernel u -> (u*s for s in elements): the product polynomials
     with every y_j := s_j, each binomial(s_j, k) folded into the integer
     coefficient.  A coordinate that is x_i alone after folding is returned
-    as ``x_i``, unreduced, since u is a normal form."""
-    n = len(orders)
+    as ``x_i``."""
+    n = len(mul_terms)
     rows, used = [], set()
     for s in elements:
         coords = []
-        for i, (terms, m) in enumerate(zip(mul_terms, orders)):
+        for i, terms in enumerate(mul_terms):
             folded = {}
             for c, factors in terms:
                 xs = tuple(f for f in factors if f[0][0] == "x")
@@ -885,7 +856,7 @@ def _compile_step(mul_terms, orders, elements):
                 coords.append(f"x{i}")
                 continue
             used.update(f for _, xs in poly for f in xs)
-            coords.append(_expression(poly, m))
+            coords.append(_expression(poly))
         rows.append(f"({', '.join(coords)},)")
     source = "\n".join(["def step(x):", _unpack("x", n), *_binomial_lines(used),
                         f"    return ({''.join(r + ', ' for r in rows)})"]) + "\n"
@@ -914,9 +885,9 @@ def _row_lines(row, f, sign):
     flips, corrections = _row_actions(row)
     by_target = {}
     for idx, coef, l in corrections:
-        by_target.setdefault(idx, []).append((sign * coef, ((f"x{l}", 1),)))
-    lines = [f"    x{idx} = x{idx} + ({_expression(terms, None)}) * {f}"
-             for idx, terms in by_target.items()]
+        by_target.setdefault(idx, [(1, ((f"x{idx}", 1),))]).append(
+            (sign * coef, ((f"x{l}", 1), (f, 1))))
+    lines = [f"    x{idx} = {_expression(terms)}" for idx, terms in by_target.items()]
     if flips:
         lines.append(f"    if {f} & 1:")
         lines += [f"        x{l} = -x{l}" for l in flips]

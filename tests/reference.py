@@ -146,8 +146,8 @@ genset a a^-1 b b^-1
 """
 
 # class 2 with a central torsion correction: a^-1 b a = a b a^-1 = b t, t of
-# order 2.  In the lift, where t has infinite order, conj and conjinv no
-# longer cancel (b t t != b), so the lift is refused
+# order 2.  Were t of infinite order, conj and conjinv would not cancel
+# (b t t != b), so the relation holds only because t has order 2
 CENTRAL_TORSION_SOURCE = """\
 group CentralTorsion
 nilpotent true

@@ -494,6 +494,45 @@ def test_usage_errors():
         cli.build_parser().parse_args(["frobnicate"])
 
 
+GEODESICS_Z2 = ["geodesics", "--group", "z2", "--from", "0,0", "--to", "2,2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--group", "z2", "--budget", "-5"],
+    ["ball", "--group", "z2", "--budget", "0"],
+    ["normality", "--group", "heisenberg", "--budget", "0"],
+    [*GEODESICS_Z2, "--cap", "-1"],
+    [*GEODESICS_Z2, "--cap", "0"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_a_cap_below_one_exits_two_at_parse(capsys, argv):
+    """A budget or cap below 1 is malformed input, not a cap that was hit."""
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    option, value = argv[-2:]
+    assert captured.err.endswith(
+        f" error: argument {option}: must be at least 1, got {value}\n")
+
+
+def test_a_cap_of_one_is_a_cap(capsys):
+    assert run(["geodesics", "--group", "z2", "--from", "0,0", "--to", "1,0",
+                "--cap", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["parameters"]["cap"] == 1 and doc["result"]["count"] == 1
+    assert run(["ball", "--group", "z2", "--radius", "1", "--budget", "1"]) == 1
+
+
+@pytest.mark.parametrize("kmax", ["-3", "0"])
+def test_convexity_below_kmax_one_exits_two(capsys, kmax):
+    """No power is checked at kmax < 1, so nothing is certified."""
+    assert run(["biorder", "--group", "z2", "--convexity", "1,0",
+                "--kmax", kmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[0]) == {
+        "error": "kmax must be at least 1", "kind": "ValueError"}
+
+
 def test_budget_exhaustion_exit_code(tmp_path):
     assert run(["ball", "--group", "z2", "--radius", "10", "--budget", "10",
                 "--out", str(tmp_path / "x.tsv")]) == 1
@@ -551,11 +590,9 @@ def test_verify_timings_sidecar(tmp_path):
     timing = read_json(side)
     assert "induced_and_wreath" in timing["per_suite_ms"]
     # each acceptance family's product path, in the sidecar only
-    assert timing["product_paths"] == {
-        "z": "polynomial, degree 1", "z2": "polynomial, degree 1",
-        "z3": "polynomial, degree 1", "heisenberg": "polynomial, degree 2",
-        "klein_bottle": "compiled collector", "zxz2": "polynomial, degree 1",
-        "heisenberg_z3": "polynomial, degree 2"}
+    assert timing["product_paths"] == dict.fromkeys(
+        ("z", "z2", "z3", "heisenberg", "klein_bottle", "zxz2", "heisenberg_z3"),
+        "compiled collector")
     plain = tmp_path / "plain.json"
     assert run(["verify", "--suite", "induced_and_wreath",
                 "--out", str(plain)]) == 0

@@ -112,6 +112,10 @@ def test_convexity_checks():
     assert convexity_check(bh, (1, 0, 0), 5).verdict == "pass"
     with pytest.raises(NotAGeneratorError):
         convexity_check(ball, (1, 1), 3)
+    # no power is checked below k = 1, so there is nothing to certify
+    for kmax in (0, -3):
+        with pytest.raises(ValueError, match="kmax must be at least 1"):
+            convexity_check(ball, (1, 0), kmax)
     # a torsion generator fails convexity: its square is the identity
     zx = from_id("zxz2")
     bz = generate_ball(zx, standard_genset(zx), 4)

@@ -158,6 +158,9 @@ conjinv b by a = c*b
 """
 
 
+FILIFORM_PC = (Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+               / "filiform4.pc")
+
 _SOURCES = {"filiform": FILIFORM_SOURCE, "ut4": UT4_SOURCE, "q8": Q8_SOURCE,
             "heisenberg_mod3": HEISENBERG_MOD3_SOURCE, "sol": SOL_SOURCE,
             "mixed_row": MIXED_ROW_SOURCE,
@@ -170,9 +173,11 @@ def _presentation(name):
         return pcgroup.parse_presentation(_SOURCES[name])
     if name == "klein_nilpotent":
         return pcgroup.parse_presentation(KLEIN_NILPOTENT_SOURCE)
+    if name == "filiform4.pc":
+        return pcgroup.parse_presentation(FILIFORM_PC.read_text())
     if " x " in name:
         left, right = name.split(" x ")
-        return pcgroup.direct_product(from_id(left), from_id(right))
+        return pcgroup.direct_product(_presentation(left), _presentation(right))
     if name == "heisenberg_x_z2":
         return pcgroup.direct_product(builtin("heisenberg"), builtin("zn", n=2))
     if name == "quotient(heisenberg_z3)":
@@ -270,7 +275,6 @@ POLYNOMIAL_ORACLES = {
     "heisenberg_z": lambda x, y: heisenberg_mul(x, y) + (x[3] + y[3],),
     "filiform": filiform_mul,
     "ut4": _ut4_mul,
-    # central torsion with trivial power words: the lift's products mod m
     "zxz2": lambda x, y: (x[0] + y[0], (x[1] + y[1]) % 2),
     "zn_cross_cyclic:1,3": lambda x, y: (x[0] + y[0], (x[1] + y[1]) % 3),
     "heisenberg_z3": lambda x, y: heisenberg_mul(x, y) + ((x[3] + y[3]) % 3,),
@@ -280,52 +284,75 @@ POLYNOMIAL_ORACLES = {
 @pytest.mark.parametrize("span", [3, 20, 1000])
 @pytest.mark.parametrize("name", sorted(POLYNOMIAL_ORACLES))
 def test_polynomials_agree_with_the_oracles(name, span):
-    """Products and inverses on the polynomial path, negative exponents
+    """Products and inverses through ``multiply`` and ``inverse``, and for
+    every torsion-free presentation through the polynomials it derives too
+    (class 1 and 2 multiply on the compiled collector, so this keeps the
+    interpolation's degree-1 and degree-2 checks), negative exponents
     included at every infinite-order generator, against closed forms and
     matrices, and at span 3 against the letter collector too."""
     p = _presentation(name)
-    assert p.product_path.startswith("polynomial")
+    paths = [(p.multiply, p.inverse)]
+    if all(m is None for m in p.orders):
+        polynomials = p._derive_polynomials()
+        assert polynomials.path.startswith("polynomial")
+        paths.append((polynomials.multiply, polynomials.inverse))
     oracle = POLYNOMIAL_ORACLES[name]
     e = p.identity
     rng = random.Random(f"polynomials:{name}:{span}")
     for _ in range(200):
         x, y = (tuple(rng.randint(-span, span) if m is None else rng.randrange(m)
                       for m in p.orders) for _ in "xy")
-        xy, inv = p.multiply(x, y), p.inverse(x)
-        assert xy == oracle(x, y)
-        assert oracle(x, inv) == e == oracle(inv, x)
-        if span == 3:
-            assert xy == letters_to_vector(p, vector_letters(x) + vector_letters(y))
-            assert inv == letters_to_vector(
-                p, [(i, -s) for i, s in reversed(vector_letters(x))])
+        for multiply, inverse in paths:
+            xy, inv = multiply(x, y), inverse(x)
+            assert xy == oracle(x, y)
+            assert oracle(x, inv) == e == oracle(inv, x)
+            if span == 3:
+                assert xy == letters_to_vector(
+                    p, vector_letters(x) + vector_letters(y))
+                assert inv == letters_to_vector(
+                    p, [(i, -s) for i, s in reversed(vector_letters(x))])
 
 
 @pytest.mark.parametrize("name,path", [
-    ("z", "polynomial, degree 1"), ("z2", "polynomial, degree 1"),
-    ("z3", "polynomial, degree 1"), ("zn:5", "polynomial, degree 1"),
-    ("heisenberg", "polynomial, degree 2"),
-    ("heisenberg_z", "polynomial, degree 2"),
-    ("heisenberg_x_z2", "polynomial, degree 2"),
-    ("quotient(heisenberg_z3)", "polynomial, degree 2"),
-    ("filiform", "polynomial, degree 3"), ("ut4", "polynomial, degree 3"),
-    # central finite-order generators with trivial power words, by the lift
-    ("zxz2", "polynomial, degree 1"), ("heisenberg_z3", "polynomial, degree 2"),
-    ("zn_cross_cyclic:1,3", "polynomial, degree 1"),
-    # no polynomials, every move SIGN or CENTRAL, every power word trivial:
-    # no blocks (Z/3 alone declares none, nor does Heisenberg over Z/3)
+    # every move SIGN or CENTRAL and every power word trivial: abelian,
+    # class 2, central torsion, blockless, or not nilpotent
+    ("z", "compiled collector"), ("z2", "compiled collector"),
+    ("z3", "compiled collector"), ("zn:5", "compiled collector"),
+    ("heisenberg", "compiled collector"),
+    ("heisenberg_z", "compiled collector"),
+    ("heisenberg_x_z2", "compiled collector"),
+    ("quotient(heisenberg_z3)", "compiled collector"),
+    ("zxz2", "compiled collector"), ("heisenberg_z3", "compiled collector"),
+    ("zn_cross_cyclic:1,3", "compiled collector"),
     ("zn_cross_cyclic:0,3", "compiled collector"),
     ("heisenberg_mod3", "compiled collector"),
-    # a torsion correction whose lift is refused
     ("central_torsion", "compiled collector"),
-    # not nilpotent
     ("klein_bottle", "compiled collector"),
-    # c = [a, b] in the block of a and b
     ("heisenberg_one_block", "compiled collector"),
-    # power words, or a GENERIC move
+    # a GENERIC move, torsion-free with admissible weights
+    ("filiform", "polynomial, degree 3"), ("ut4", "polynomial, degree 3"),
+    ("filiform4.pc", "polynomial, degree 3"),
+    # power words, or a GENERIC move with a finite-order generator or
+    # without weights
     ("q8", "collector"), ("sol", "collector"), ("mixed_row", "collector"),
+    ("filiform x zxz2", "collector"),
 ])
 def test_product_path_is_pinned(name, path):
     assert _presentation(name).product_path == path
+
+
+def test_class_three_with_central_torsion_collects_exact_products():
+    """Filiform times Z x Z/2 has a GENERIC move and a finite-order
+    generator, so it takes neither compiled path; the collector's products
+    are those of the factors, the torsion coordinate mod 2."""
+    p = _presentation("filiform x zxz2")
+    rng = random.Random("filiform x zxz2")
+    for _ in range(200):
+        x, y = (tuple(rng.randint(-20, 20) if m is None else rng.randrange(m)
+                      for m in p.orders) for _ in "xy")
+        want = filiform_mul(x[:4], y[:4]) + (x[4] + y[4], (x[5] + y[5]) % 2)
+        assert p.multiply(x, y) == want
+        assert p.multiply(want, p.inverse(y)) == x
 
 
 def test_polynomials_are_derived_on_first_use_and_bypass_the_collector():
@@ -344,38 +371,12 @@ def test_polynomials_are_derived_on_first_use_and_bypass_the_collector():
     assert "multiply" not in vars(p) and "inverse" not in vars(p)
 
 
-def test_the_lift_is_loaded_on_first_use_and_bypasses_the_collector(monkeypatch):
-    """Loading heisenberg_z3 builds no lift; its first product does, once,
-    and then no product or inverse collects."""
-    lifts = []
-    lift = pcgroup.PcPresentation._lift
-
-    def counted(self):
-        lifts.append(self.name)
-        return lift(self)
-
-    monkeypatch.setattr(pcgroup.PcPresentation, "_lift", counted)
-    monkeypatch.setattr(pcgroup, "_DERIVED", {})   # no earlier derivation
-    p = _presentation("heisenberg_z3")
-    assert lifts == [] and "_compiled" not in vars(p)
-    x, y = (3, -1, 4, 2), (-5, 9, -2, 2)
-    want = p._collect_product(x, y), p._collect_inverse(x)
-    assert p.product_path == "polynomial, degree 2" and len(lifts) == 1
-
-    def collector(*args):
-        raise AssertionError("the collector ran")
-
-    p._block_mul = collector
-    assert (p.multiply(x, y), p.inverse(x)) == want == ((-2, 8, -3, 1), (-3, 1, -1, 1))
-    assert len(lifts) == 1
-
-
 @pytest.mark.parametrize("name", ["filiform", "ut4", "zxz2", "heisenberg_z3",
                                   "zn_cross_cyclic:1,3"])
 @pytest.mark.parametrize("span", [20, 1000])
 def test_collector_still_agrees_with_the_polynomials(name, span):
-    """The collector stays the source of the polynomials and the path of
-    every other presentation."""
+    """The collector stays the source of the polynomials and the oracle of
+    both compiled paths."""
     p = _presentation(name)
     rng = random.Random(f"collector:{name}:{span}")
     for _ in range(50):
@@ -387,8 +388,9 @@ def test_collector_still_agrees_with_the_polynomials(name, span):
 
 @pytest.mark.parametrize("span", [20, 1000])
 def test_one_block_heisenberg_collects_the_same_products(span):
-    """With c in the block of a and b the weight rule fails, so the
-    compiled collector runs, and it gives the built-in group's products."""
+    """With c in the block of a and b the weight rule fails, but every
+    move is CENTRAL, so the compiled collector runs, as for the built-in
+    group, and it gives the built-in group's products."""
     p, heis = _presentation("heisenberg_one_block"), builtin("heisenberg")
     assert p._weights() is None and heis._weights() == (1, 1, 2)
     rng = random.Random(f"one_block:{span}")
@@ -410,31 +412,22 @@ def test_a_relation_that_does_not_start_with_its_generator_keeps_the_collector()
     polynomial, since the sign of b alternates with the exponent of a.  Its
     one move is SIGN, so it takes the compiled collector."""
     p = pcgroup.parse_presentation(KLEIN_NILPOTENT_SOURCE)
-    assert p.product_path == "compiled collector"
+    assert p._weights() is None and p.product_path == "compiled collector"
     rng = random.Random("klein_declared_nilpotent")
     for _ in range(200):
         x, y = (tuple(rng.randint(-20, 20) for _ in range(2)) for _ in "xy")
         assert p.multiply(x, y) == klein_mul(x, y)
 
 
-def test_a_refused_lift_gets_no_polynomials():
-    """t is central with a trivial power word, but in the lift, where t
-    has infinite order, conj and conjinv of b by a no longer cancel."""
-    p = _presentation("central_torsion")
-    assert p._inert[2] and not p.power_words[2]
-    assert p._lift() is None
-    assert p.multiply((0, 1, 0), (1, 0, 0)) == (1, 1, 1)
-
-
 def test_a_grid_above_the_cap_keeps_the_collector(monkeypatch):
-    # the filiform grids hold 251 points, the Heisenberg grids 51
-    monkeypatch.setattr(pcgroup, "_MAX_GRID_POINTS", 100)
+    # the UT(4) grids hold 710 points, the filiform grids 251
+    monkeypatch.setattr(pcgroup, "_MAX_GRID_POINTS", 500)
     monkeypatch.setattr(pcgroup, "_DERIVED", {})   # derive again under the cap
-    fil, heis = _presentation("filiform"), builtin("heisenberg")
-    assert fil.product_path == "collector"
-    assert heis.product_path == "polynomial, degree 2"
-    x, y = (7, -3, 2, 5), (-4, 6, 1, -9)
-    assert fil.multiply(x, y) == filiform_mul(x, y)
+    ut4, fil = _presentation("ut4"), _presentation("filiform")
+    assert ut4.product_path == "collector"
+    assert fil.product_path == "polynomial, degree 3"
+    x, y = (7, -3, 2, 5, -1, 4), (-4, 6, 1, -9, 3, 2)
+    assert ut4.multiply(x, y) == _ut4_mul(x, y)
 
 
 # -- the unrolled collector -------------------------------------------------
@@ -442,13 +435,14 @@ def test_a_grid_above_the_cap_keeps_the_collector(monkeypatch):
 UNROLLED = ("klein_bottle", "klein_nilpotent", "zn_cross_cyclic:0,3",
             "central_torsion", "heisenberg_one_block", "heisenberg_mod3",
             "klein_bottle x zxz2", "klein_bottle x heisenberg",
-            "klein_bottle x zn_cross_cyclic:0,3")
+            "klein_bottle x zn_cross_cyclic:0,3", "heisenberg", "zxz2",
+            "heisenberg_z3")
 
 
 @pytest.mark.parametrize("name", UNROLLED)
 def test_unrolled_collector_agrees_with_the_interpreted_one(name):
-    """Every presentation without polynomials whose moves are all SIGN or
-    CENTRAL and whose power words are trivial: 2,000 seeded pairs at
+    """Presentations whose moves are all SIGN or CENTRAL and whose power
+    words are trivial, with and without weights: 2,000 seeded pairs at
     exponents in [-50, 50], and the step kernel of the standard set and a
     seeded one on the first 200, against the interpreted collector, which
     the compiled path never reaches once derived."""
@@ -511,8 +505,6 @@ def test_klein_ball_on_the_unrolled_kernel_matches_the_interpreted_closure():
     assert unrolled.targets == closure.targets
 
 
-FILIFORM_PC = (Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
-               / "filiform4.pc")
 KERNEL_FAMILIES = pcgroup.ACCEPTANCE_FAMILY_IDS + ("filiform4.pc", "zn_cross_cyclic:1,3")
 # ROADMAP sweep set B, a Heisenberg set with entries up to 5 in absolute value
 SWEEP_SET_B = "-2,1,1;-2,2,-1;-1,2,1;1,-2,1;2,-2,5;2,-1,1"
@@ -534,25 +526,19 @@ def _kernel_sets(name, p):
 
 @pytest.mark.parametrize("name", KERNEL_FAMILIES)
 def test_step_kernel_equals_the_collector_product(name):
-    """u -> (u*s for s in S) against the letter collector on the lift (the
-    presentation itself when it has no finite-order generator), reduced mod
-    each finite order, on seeded u with negative coordinates; the Klein
-    bottle's kernel is the unrolled collector's."""
-    p = (pcgroup.parse_presentation(FILIFORM_PC.read_text())
-         if name == "filiform4.pc" else from_id(name))
-    lift = p._lift()
-    assert p.product_path.startswith(
-        "compiled collector" if name == "klein_bottle" else "polynomial")
+    """u -> (u*s for s in S) against the interpreted collector's product,
+    on seeded u with negative coordinates; the class-3 filiform kernel is
+    the polynomials', every other one the unrolled collector's."""
+    p = _presentation(name)
+    assert p.product_path == ("polynomial, degree 3" if name == "filiform4.pc"
+                              else "compiled collector")
     rng = random.Random(f"kernel:{name}")
     for sel, S in _kernel_sets(name, p).items():
         step = p.right_multiplier(S)
         for _ in range(40):
             u = tuple(rng.randint(-30, 30) if m is None else rng.randrange(m)
                       for m in p.orders)
-            want = [tuple(c if m is None else c % m
-                          for c, m in zip(lift._collect_product(u, s), p.orders))
-                    for s in S]
-            assert list(step(u)) == want, (sel, u)
+            assert list(step(u)) == [p._collect_product(u, s) for s in S], (sel, u)
 
 
 def test_step_kernel_returns_coordinates_that_s_leaves_alone():
@@ -578,7 +564,7 @@ def test_step_kernels_are_compiled_once_per_relations_and_set(monkeypatch):
 
     monkeypatch.setattr(pcgroup.PcPresentation, "_derive_polynomials", counted)
     monkeypatch.setattr(pcgroup, "_DERIVED", {})
-    p, q = from_id("heisenberg_z3"), from_id("heisenberg_z3")
+    p, q = _presentation("filiform"), _presentation("filiform4.pc")
     assert derived == [] and "_compiled" not in vars(p)
     S = p.genset
     step = p.right_multiplier(S)
@@ -586,17 +572,6 @@ def test_step_kernels_are_compiled_once_per_relations_and_set(monkeypatch):
     assert q.right_multiplier(S) is step is p.right_multiplier(list(S))
     assert q._compiled is p._compiled and len(derived) == 1
     assert p.right_multiplier(S[:2]) is not step
-
-
-def test_the_lift_gets_its_own_derivation():
-    """The lift reuses its presentation's source text, but its relations
-    differ (t of infinite order), so it derives and multiplies apart."""
-    p = from_id("zxz2")
-    lift = p._lift()
-    assert lift.source == p.source and lift.orders != p.orders
-    assert p.multiply((0, 1), (0, 1)) == (0, 0)
-    assert lift.multiply((0, 1), (0, 1)) == (0, 2)
-    assert lift._compiled is not p._compiled
 
 
 @pytest.mark.parametrize("name", ["q8", "heisenberg_mod3", "sol", "klein_bottle",
