@@ -230,6 +230,13 @@ class Ball:
         i = self.index.get(v)
         return None if i is None else self.dist_list[i]
 
+    def sphere(self):
+        """The vertices at distance ``radius`` from the identity."""
+        if self._sphere is None:
+            self._sphere = [v for v, d in zip(self.vertices, self.dist_list)
+                            if d == self.radius]
+        return self._sphere
+
     def distance(self, u, v):
         """Exact dist_S(u, v), or None when not certifiable inside the ball."""
         if u not in self.index:
@@ -321,6 +328,10 @@ def generate_ball(presentation, genset, radius, max_vertices=None) -> Ball:
 def distance_via_sphere(ball, x):
     """Exact dist(e, x) for any x within twice the ball's radius, else None.
 
+    ``ball`` is a ``Ball`` or anything else with its ``presentation``, its
+    ``radius``, ``distance_from_identity`` and ``sphere()``, the vertices at
+    distance ``radius``; ``order``'s growing ball is the other.
+
     Inside B(R) this is the BFS distance.  Outside it, write d = dist(e, x)
     and let S(R) be the sphere of radius R.  If d <= 2R, the vertex y at
     distance R on a geodesic from e to x lies in S(R), and y^-1 x lies in
@@ -334,11 +345,8 @@ def distance_via_sphere(ball, x):
     d = ball.distance_from_identity(x)
     if d is not None:
         return d
-    if ball._sphere is None:
-        ball._sphere = [y for y, dy in zip(ball.vertices, ball.dist_list)
-                        if dy == ball.radius]
     multiply = ball.presentation._product
-    within = (ball.distance_from_identity(multiply(y_inv, x)) for y_inv in ball._sphere)
+    within = (ball.distance_from_identity(multiply(y_inv, x)) for y_inv in ball.sphere())
     best = min((r for r in within if r is not None), default=None)
     return None if best is None else ball.radius + best
 

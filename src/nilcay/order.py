@@ -9,20 +9,22 @@ falsifiable by the sampled bi-invariance property checks.
 Distortion certification never reports an uncertified distance.  Each value
 ``dist(e, g^k)`` comes from one of three certificates, cheapest first:
 
-- in-ball: ``g^k`` lies in the last ball built and its BFS distance is read;
+- in-ball: ``g^k`` lies in the ball grown so far and its BFS distance is read;
 - abelianized bound, in every presentation: the word length of the image
   of ``g^k`` in the free abelianization (a lower bound, as the map is a
   homomorphism) equals ``k * dist(e, g)`` (an upper bound);
 - sphere meet-in-the-middle: ``cayley.distance_via_sphere`` certifies any
-  distance up to twice the radius of the last ball built.
+  distance up to twice the radius of the ball grown so far.
 
 Word lengths in G and in the abelianization Z^rank come from one growing
-ball (``_GrowingBall``), one instance for each: balls are rebuilt at radii
-4, 8, 16, ... until the sphere certifies the distance asked for, and only
-while the proven upper bound ``k * dist(e, g)`` exceeds twice the radius.
-Anything uncertified stays unknown and the classification degrades to
-"inconclusive", with a note naming the vertex budget, the ball of G whose
-build exceeded it and the largest distance still certifiable.
+ball (``_GrowingBall``), one instance for each.  It keeps only the BFS
+distances and the last shell, and is grown in place to radii 4, 8, 16, ...
+until the sphere certifies the distance asked for, and only while the
+proven upper bound ``k * dist(e, g)`` exceeds twice the radius; each vertex
+is expanded once over all the growths.  Anything uncertified stays unknown
+and the classification degrades to "inconclusive", with a note naming the
+vertex budget, the radius whose growth exceeded it and the largest distance
+still certifiable.
 
 The profile's shape is a heuristic, not a certificate, so the verdict is
 guarded by the same abelianization (``structure.Abelianization``): an
@@ -39,7 +41,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import cayley, pcgroup
-from .cayley import GenSet, count_geodesics, generate_ball, iter_geodesics
+from .cayley import GenSet, count_geodesics, iter_geodesics
 from .reporting import Report
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -172,43 +174,69 @@ def central_label_propagation(ball, geo: cayley.GeodesicPath, s) -> Report:
 
 
 class _GrowingBall:
-    """Balls of one generating set, grown on demand to certify distances.
+    """The ball of one generating set, grown in place to certify distances.
 
-    Radii go 4, 8, 16, ..., capped at the proven upper bound, each ball
-    built only when the last one cannot certify the distance asked for; a
-    ball of radius R certifies any distance up to 2R through
-    ``cayley.distance_via_sphere``.
+    It holds the BFS distance of every element within ``radius`` of e and
+    the last shell, the sphere S(radius), which is all that
+    ``cayley.distance_via_sphere`` reads: a ball of radius R certifies any
+    distance up to 2R.  Radii go 0, 4, 8, 16, ..., capped at the proven
+    upper bound, each growth made only when the ball cannot certify the
+    distance asked for; it extends the last shell outward, so every vertex
+    is multiplied by S once.  A growth past the vertex budget is undone, and
+    the ball answers as it did before it.
     """
 
     def __init__(self, genset, budget):
         self.genset = genset
+        self.presentation = genset.presentation
         self.budget = budget
-        self.ball = None
+        e = self.presentation.identity
+        self.dists = {e: 0}               # element -> BFS distance, insertion order
+        self.shell = [e]                  # the elements at distance radius
         self.radius = 0
-        self.failed_radius = None         # radius of the build that broke the budget
+        self.failed_radius = None         # radius of the growth that broke the budget
+        self.distance_from_identity = self.dists.get
+
+    def sphere(self):
+        return self.shell
 
     def dist(self, x, upper):
         """dist(e, x) or None; ``upper`` is a proven upper bound, or None."""
         while True:
-            if self.ball is not None:
-                d = cayley.distance_via_sphere(self.ball, x)
-                if d is not None:
-                    return d
-                if self.ball.depth < self.radius:
-                    return None           # the ball is all of <S>, and x is outside it
+            d = cayley.distance_via_sphere(self, x)
+            if d is not None:
+                return d
+            if not self.shell:
+                return None               # the ball is all of <S>, and x is outside it
             if self.failed_radius is not None or (
                     upper is not None and 2 * self.radius >= upper):
                 return None
             want = max(4, self.radius * 2)
             if upper is not None:
                 want = min(upper, want)
-            try:
-                self.ball = generate_ball(self.genset.presentation, self.genset,
-                                          want, max_vertices=self.budget)
-            except cayley.BallBudgetError:
+            if not self._grow(want):
                 self.failed_radius = want
                 return None
-            self.radius = want
+
+    def _grow(self, radius):
+        """Extend the ball to ``radius`` one shell at a time; False, with the
+        ball as it was, when it would hold more than ``budget`` vertices."""
+        step = self.presentation.right_multiplier(self.genset.require_symmetric().elements)
+        dists, budget, kept = self.dists, self.budget, len(self.dists)
+        shell = self.shell
+        for d in range(self.radius + 1, radius + 1):
+            last, shell = shell, []
+            for u in last:
+                for w in step(u):
+                    if w not in dists:
+                        dists[w] = d
+                        shell.append(w)
+                if len(dists) > budget:
+                    while len(dists) > kept:   # the new vertices were inserted last
+                        dists.popitem()
+                    return False
+        self.shell, self.radius = shell, radius
+        return True
 
 
 @dataclass
@@ -252,10 +280,9 @@ def distortion_profile(presentation, genset, g, kmax,
 
     def dist_of(x, upper):
         """dist(e, x) or None; ``upper`` is a proven upper bound, or None."""
-        if grown.ball is not None:
-            d = grown.ball.distance_from_identity(x)
-            if d is not None:
-                return d
+        d = grown.distance_from_identity(x)
+        if d is not None:
+            return d
         if upper is not None and image_ball is not None \
                 and image_ball.dist(ab.image(x), upper) == upper:
             return upper
@@ -274,7 +301,7 @@ def distortion_profile(presentation, genset, g, kmax,
         dists.append(d)
     if grown.failed_radius is not None:
         reach = (f"B({grown.radius}) certifies distances up to {2 * grown.radius}"
-                 if grown.ball is not None
+                 if grown.radius
                  else "no ball was built, so no distance is certified from one")
         notes.append(f"vertex budget {budget} exceeded building "
                      f"B({grown.failed_radius}); " + reach)

@@ -46,9 +46,10 @@ The compiled collector is the fast branch of ``_block_mul`` unrolled over j
 into straight-line code.  A block g_j^f negates each SIGN coordinate when f
 is odd and adds coef * x_l * f to each central correction target, every
 correction reading x_l before the row writes, and coordinates of finite
-order are taken mod m.  Every abelian, class-2 and central-torsion family
-takes it, and so does the Klein bottle, whose sign alternates with the
-exponent of a, as no polynomial does.
+order are taken mod m.  The inverse folds the rows into one expression per
+coordinate, such as ``- x2 - x1 * x0`` in the Heisenberg group.  Every
+abelian, class-2 and central-torsion family takes it, and so does the Klein
+bottle, whose sign alternates with the exponent of a, as no polynomial does.
 
 The polynomials serve the torsion-free nilpotent groups whose collection is
 not linear, such as those of class 3.  In such a group the coordinates of
@@ -876,17 +877,17 @@ def _row_actions(row):
     return flips, corrections
 
 
-def _row_lines(row, f, sign):
+def _row_lines(row, f):
     """The fast branch of ``_block_mul`` for one row, with block exponent
-    ``sign * f`` for the identifier f.  The corrections come first: they read
-    their sources x_l before the row writes anything, as ``_block_mul``
-    gathers them, and they write only targets, which are inert and so are no
-    row's source or flip."""
+    the identifier f.  The corrections come first: they read their sources
+    x_l before the row writes anything, as ``_block_mul`` gathers them, and
+    they write only targets, which are inert and so are no row's source or
+    flip."""
     flips, corrections = _row_actions(row)
     by_target = {}
     for idx, coef, l in corrections:
         by_target.setdefault(idx, [(1, ((f"x{idx}", 1),))]).append(
-            (sign * coef, ((f"x{l}", 1), (f, 1))))
+            (coef, ((f"x{l}", 1), (f, 1))))
     lines = [f"    x{idx} = {_expression(terms)}" for idx, terms in by_target.items()]
     if flips:
         lines.append(f"    if {f} & 1:")
@@ -902,31 +903,66 @@ def _compile_unrolled(moves, orders):
     x*y runs the rows j = 0, ..., n-1 with block exponent y_j.  Row j reads
     and writes coordinates above j only, and later rows never touch x_j, so
     x_j + y_j goes straight into the result, mod m_j at finite order, which
-    also reduces every finite-order correction target.  x^-1 runs them from
-    j = n-1 down with block exponent -x_j, then sets coordinate j to -x_j,
-    mod m_j, as later rows read it as a source; a finite-order target is
-    reduced once at the end.  The source holds integer literals and
-    identifiers made here only."""
+    also reduces every finite-order correction target.  x^-1 returns one
+    expression per coordinate (``_inverse_coordinates``).  The source holds
+    integer literals and identifiers made here only."""
     n = len(orders)
     mul = ["def multiply(x, y):", _unpack("x", n), _unpack("y", n)]
     for j, row in enumerate(moves):
-        mul += _row_lines(row, f"y{j}", 1)
+        mul += _row_lines(row, f"y{j}")
     coords = [_expression([(1, ((f"x{i}", 1),)), (1, ((f"y{i}", 1),))], m)
               for i, m in enumerate(orders)]
     mul.append(f"    return ({', '.join(coords)},)")
-    inv = ["def inverse(x):", _unpack("x", n)]
-    for j in range(n - 1, -1, -1):
-        inv += _row_lines(moves[j], f"x{j}", -1)
-        inv.append(f"    x{j} = {_expression([(-1, ((f'x{j}', 1),))], orders[j])}")
-    targets = {idx for row in moves for idx, _, _ in _row_actions(row)[1]}
-    coords = [f"x{i}" if m is None or i not in targets else f"x{i} % {m}"
-              for i, m in enumerate(orders)]
-    inv.append(f"    return ({', '.join(coords)},)")
+    inv = ["def inverse(x):", _unpack("x", n),
+           f"    return ({', '.join(_inverse_coordinates(moves, orders))},)"]
     namespace = _compile("\n".join(mul + inv) + "\n")
     return SimpleNamespace(multiply=namespace["multiply"],
                            inverse=namespace["inverse"],
                            path="compiled collector", kernels={},
                            compile_step=partial(_compile_unrolled_step, moves, orders))
+
+
+def _inverse_coordinates(moves, orders):
+    """Each coordinate of x^-1 as one expression in x, for the rows of
+    ``_compile_unrolled``.
+
+    The collector runs the rows from j = n-1 down with block exponent -x_j,
+    then sets coordinate j to -x_j, mod m_j, where later rows read it.  After
+    that only the rows below j write coordinate j: a row j' < j that flips
+    it negates it when x_j' is odd, and a correction of row j' with target
+    j, coefficient coef and source l adds coef * (coordinate l then) *
+    (-x_j').  A source l is never a target, so it is -x_l then, negated by
+    the flips of the rows strictly between j' and l; a target is inert, so
+    it is never flipped and is reduced once, at the end."""
+    n = len(orders)
+    flipped_by = [[] for _ in range(n)]
+    corrected_by = [[] for _ in range(n)]
+    for j, row in enumerate(moves):
+        flips, corrections = _row_actions(row)
+        for l in flips:
+            flipped_by[l].append(j)
+        for idx, coef, l in corrections:
+            corrected_by[idx].append((coef, l, j))
+
+    def negated(l, below):
+        """Coordinate l once the rows above ``below`` have run."""
+        value = _expression([(-1, ((f"x{l}", 1),))], orders[l])
+        rows = [f"x{j}" for j in flipped_by[l] if j > below]
+        if not rows:
+            return value
+        return f"(x{l} if ({' + '.join(rows)}) & 1 else {value})"
+
+    coords = []
+    for i, m in enumerate(orders):
+        terms = [(-1, ((f"x{i}", 1),))]
+        for coef, l, j in corrected_by[i]:
+            source = negated(l, j)
+            if source == f"- x{l}":
+                terms.append((coef, ((f"x{l}", 1), (f"x{j}", 1))))
+            else:
+                terms.append((-coef, ((f"({source})", 1), (f"x{j}", 1))))
+        coords.append(_expression(terms, m) if len(terms) > 1 else negated(i, -1))
+    return coords
 
 
 def _compile_unrolled_step(moves, orders, elements):

@@ -164,6 +164,23 @@ genset a a^-1 b b^-1 t
 """
 
 
+# t inverts b, and [b, a] = z has order 2: the correction of z by a reads b,
+# which t has flipped by the time a's row runs in the inverse
+FLIPPED_SOURCE_SOURCE = """\
+group FlippedSource
+nilpotent false
+torsion_prefix 1
+gen a order inf
+gen t order inf
+gen b order inf
+gen z order 2
+conj b by a = b*z
+conjinv b by a = b*z
+conj b by t = b^-1
+conjinv b by t = b^-1
+genset a a^-1 t t^-1 b b^-1 z
+"""
+
 def heisenberg_mul(x, y):
     """a^i b^j c^k in the built-in Heisenberg group, where b a = a b c^-1:
     (i1+i2, j1+j2, k1+k2 - j1*i2)."""

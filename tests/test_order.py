@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nilcay import order, pcgroup
+from nilcay import cayley, order, pcgroup
 from nilcay.cayley import GenSet, GeodesicPath, generate_ball, standard_genset
 from nilcay.order import (BiOrder, BiOrderUnavailable, NotAGeneratorError,
                           NotCentralError, NotConvexError,
@@ -169,19 +169,113 @@ def test_distortion_profile_pinned_values():
 
 def test_abelianized_bound_reaches_twice_the_radius(monkeypatch):
     # dist(e, g^8) = 48 in Z^3 is certified from the sphere of the image
-    # ball B(32), without building B(48)
+    # ball B(32), without growing it to B(48)
     radii = []
-    real = order.generate_ball
+    grow = order._GrowingBall._grow
 
-    def spy(p, S, radius, **kw):
+    def spy(grown, radius):
         radii.append(radius)
-        return real(p, S, radius, **kw)
+        return grow(grown, radius)
 
-    monkeypatch.setattr(order, "generate_ball", spy)
+    monkeypatch.setattr(order._GrowingBall, "_grow", spy)
     z3 = builtin("zn", n=3)
     prof = distortion_profile(z3, standard_genset(z3), (1, 2, 3), 8)
     assert prof.dists == [6, 12, 24, 48]
     assert max(radii) == 32
+
+
+def _grown_case(name):
+    p = (pcgroup.parse_presentation(FILIFORM.read_text()) if name == "filiform4.pc"
+         else from_id(name))
+    return p, standard_genset(p)
+
+
+@pytest.mark.parametrize("name,radii", [
+    ("heisenberg", (4, 8, 16)), ("klein_bottle", (4, 8, 16)), ("zxz2", (4, 8, 16)),
+    ("filiform4.pc", (4, 8)),
+    # C3 is all of B(1): the shell comes out empty and stays so
+    ("zn_cross_cyclic:0,3", (4, 8, 16)),
+])
+def test_grown_ball_matches_generate_ball_at_each_radius(name, radii):
+    """After each growth the distances and the sphere are those of
+    ``generate_ball`` at that radius, and the sphere certificate agrees with
+    the one on the Ball: exactly up to 2R on all of B(2R + 1) at R = 4, and
+    on seeded words of length R to 2R + 1 above it."""
+    p, S = _grown_case(name)
+    grown = order._GrowingBall(S, cayley.vertex_budget())
+    rng = random.Random(f"grown:{name}")
+    for R in radii:
+        assert grown._grow(R) and grown.radius == R
+        ball = generate_ball(p, S, R)
+        assert grown.dists == {v: ball.dist_list[i] for v, i in ball.index.items()}
+        assert sorted(grown.sphere()) == sorted(ball.sphere())
+        assert bool(grown.sphere()) == (ball.depth == R)
+        if R == 4:
+            big = generate_ball(p, S, 2 * R + 1)
+            xs = dict(zip(big.vertices, big.dist_list))
+        else:
+            xs = {}
+            for _ in range(100):
+                x = p.identity
+                for _ in range(rng.randint(R, 2 * R + 1)):
+                    x = p.multiply(x, rng.choice(S.elements))
+                xs[x] = None
+        for x, d in xs.items():
+            got = cayley.distance_via_sphere(grown, x)
+            assert got == cayley.distance_via_sphere(ball, x), (x, R)
+            if d is not None:
+                assert got == (d if d <= 2 * R else None), (x, d)
+
+
+def test_grown_ball_of_a_finite_subgroup_stops_growing():
+    # <t> = C2 in Z x Z/2: B(4) is all of it, so (1, 0) is outside <S>
+    zx = from_id("zxz2")
+    grown = order._GrowingBall(GenSet(zx, [(0, 1)]), cayley.vertex_budget())
+    assert grown.dist((0, 1), None) == 1 and grown.radius == 4
+    assert grown.shell == [] and grown.dist((1, 0), None) is None
+    assert grown.radius == 4 and grown.failed_radius is None
+
+
+def test_a_growth_past_the_budget_leaves_the_ball_as_it_was():
+    # |B(4)| = 135 and |B(8)| = 1,793 in the Heisenberg group
+    h = builtin("heisenberg")
+    S = standard_genset(h)
+    grown = order._GrowingBall(S, 1000)
+    assert grown._grow(4)
+    dists, shell = dict(grown.dists), list(grown.shell)
+    assert not grown._grow(8)
+    assert (grown.dists, grown.shell, grown.radius) == (dists, shell, 4)
+    assert list(grown.dists) == list(dists)
+    # B(4) still certifies distances up to 8, and none beyond
+    assert cayley.distance_via_sphere(grown, (0, 0, 4)) == 8
+    assert cayley.distance_via_sphere(grown, (0, 0, 16)) is None
+    first = order._GrowingBall(S, 50)
+    assert not first._grow(4)
+    assert (first.dists, first.shell, first.radius) == ({h.identity: 0}, [h.identity], 0)
+
+
+def test_the_profile_expands_each_vertex_once(monkeypatch):
+    # the kmax-64 profile of c grows B(4), B(8) and B(16): every vertex of
+    # B(15) is multiplied by S once, and B(3) and B(7) are not rebuilt
+    h = builtin("heisenberg")
+    S = standard_genset(h)
+    calls = [0]
+    right_multiplier = h.right_multiplier
+
+    def spy(elements):
+        step = right_multiplier(elements)
+
+        def counted(u):
+            calls[0] += 1
+            return step(u)
+
+        return counted
+
+    monkeypatch.setattr(h, "right_multiplier", spy)
+    prof = distortion_profile(h, S, (0, 0, 1), 64)
+    assert prof.dists == [4, 6, 8, 12, 16, 24, 32]
+    monkeypatch.undo()
+    assert calls[0] == len(generate_ball(h, S, 15))
 
 
 def test_classification_matches_analytic_table():

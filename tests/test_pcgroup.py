@@ -16,7 +16,7 @@ from nilcay.cayley import GenSet, generate_ball, standard_genset
 from nilcay.cli import _resolve_genset
 from nilcay.pcgroup import PresentationError, builtin, from_id
 from reference import (CENTRAL_TORSION_SOURCE, FILIFORM_SOURCE,
-                       HEISENBERG_MOD3_SOURCE,
+                       FLIPPED_SOURCE_SOURCE, HEISENBERG_MOD3_SOURCE,
                        HEISENBERG_ONE_BLOCK_SOURCE, MIXED_ROW_SOURCE,
                        Q8_SOURCE, SOL_SOURCE, UT4_SOURCE, filiform_mul,
                        heisenberg_mul, letter_collect, letters_to_vector,
@@ -165,7 +165,8 @@ _SOURCES = {"filiform": FILIFORM_SOURCE, "ut4": UT4_SOURCE, "q8": Q8_SOURCE,
             "heisenberg_mod3": HEISENBERG_MOD3_SOURCE, "sol": SOL_SOURCE,
             "mixed_row": MIXED_ROW_SOURCE,
             "heisenberg_one_block": HEISENBERG_ONE_BLOCK_SOURCE,
-            "central_torsion": CENTRAL_TORSION_SOURCE}
+            "central_torsion": CENTRAL_TORSION_SOURCE,
+            "flipped_source": FLIPPED_SOURCE_SOURCE}
 
 
 def _presentation(name):
@@ -436,7 +437,7 @@ UNROLLED = ("klein_bottle", "klein_nilpotent", "zn_cross_cyclic:0,3",
             "central_torsion", "heisenberg_one_block", "heisenberg_mod3",
             "klein_bottle x zxz2", "klein_bottle x heisenberg",
             "klein_bottle x zn_cross_cyclic:0,3", "heisenberg", "zxz2",
-            "heisenberg_z3")
+            "heisenberg_z3", "flipped_source")
 
 
 @pytest.mark.parametrize("name", UNROLLED)
@@ -471,6 +472,23 @@ def test_unrolled_collector_agrees_with_the_interpreted_one(name):
         assert all(xy == klein_mul(x, y) for (x, y), (xy, _) in zip(pairs, want))
     x = generate_ball(p, standard_genset(p), 4).vertices[-1]
     assert p.power(x, -5) == p.inverse(p.power(x, 5))
+
+
+@pytest.mark.parametrize("name", [
+    "z", "z2", "z3", "zn:5", "heisenberg", "heisenberg_z", "heisenberg_z3",
+    "klein_bottle", "zxz2", "zn_cross_cyclic:0,3", "zn_cross_cyclic:1,4",
+    "zn_cross_cyclic:2,4"])
+def test_compiled_inverse_is_the_collector_inverse(name):
+    """Every built-in on the compiled collector: its inverse, one expression
+    per coordinate, equals the interpreted collector's on 500 seeded
+    elements at exponents in [-60, 60]."""
+    p = from_id(name)
+    assert p.product_path == "compiled collector"
+    rng = random.Random(f"compiled inverse:{name}")
+    for _ in range(500):
+        x = tuple(rng.randint(-60, 60) if m is None else rng.randrange(m)
+                  for m in p.orders)
+        assert p._compiled.inverse(x) == p._collect_inverse(x), x
 
 
 def test_the_unrolled_collector_is_compiled_on_first_product(monkeypatch):
