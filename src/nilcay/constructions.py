@@ -54,11 +54,6 @@ class LabeledGraph:
         return len(self.edges)
 
 
-def make_graph(vertices, edge_pairs) -> LabeledGraph:
-    edges = frozenset(frozenset((u, v)) for u, v in edge_pairs if u != v)
-    return LabeledGraph(tuple(vertices), edges)
-
-
 def edgeless_graph(n) -> LabeledGraph:
     if n < 1:
         raise ValueError("edgeless graph needs at least one vertex")

@@ -85,17 +85,17 @@ class BiOrder:
             raise BiOrderUnavailable(
                 f"{p.name}: filtration does not cover all generators")
         self.presentation = p
+        # coordinates in block order: the first nonzero one of x^-1 y decides
+        self._scan = tuple(i for block in p.blocks for i in block)
 
     def compare(self, x, y) -> int:
         """LESS (-1), EQUAL (0) or GREATER (1), comparing x against y."""
         p = self.presentation
         d = p.multiply(p.inverse(x), y)
-        for block in p.blocks:
-            for i in block:
-                if d[i] > 0:
-                    return LESS
-                if d[i] < 0:
-                    return GREATER
+        for i in self._scan:
+            c = d[i]
+            if c:
+                return LESS if c > 0 else GREATER
         return EQUAL
 
     def max_element(self, elements):

@@ -7,16 +7,29 @@ apart from the envelope, so report bytes are reproducible across runs.
 
 The seeded suites draw random elements from one ``random.Random`` per suite
 and family, named by the seed.  ``_random_elements`` draws them through
-``getrandbits`` with the standard library's own rejection rule, in rounds,
-and yields exactly the elements that one ``randint(-span, span)`` or
-``randrange(m)`` call per coordinate would, leaving the generator in the
-same state.
+``getrandbits`` with the standard library's own rejection rule and yields
+exactly the elements that one ``randint(-span, span)`` or ``randrange(m)``
+call per coordinate would, leaving the generator in the same state.
+
+It relies on the word layout of CPython's Mersenne Twister:
+``getrandbits(k)`` for k <= 32 is one 32-bit output shifted right by
+32 - k, and ``getrandbits(32 * w)`` is w successive outputs, the first in
+the least significant word.  So byte 4i + 3 of that number in little-endian
+order is the top byte of the i-th output, and for k <= 8 its top k bits are
+the i-th ``getrandbits(k)`` draw.  When every coordinate has one bound of at
+most 8 bits whose values fit a signed byte (span <= 127, order <= 128),
+each pass over a round of elements draws every raw value it still needs in
+one ``getrandbits`` call, whose top bytes one ``bytes.translate`` filters and
+maps to values; mixed or larger bounds take one ``getrandbits(k)`` call per
+value.  ``tests/test_suites.py`` compares both with the running standard
+library.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from itertools import chain
 
 from . import __version__, autlab, constructions, order, pcgroup, structure
 from .cayley import (GenSet, count_geodesics, generate_ball, standard_genset)
@@ -28,44 +41,60 @@ _CHUNK = 256
 
 
 def _random_elements(presentation, rng, count, span=20):
-    """Yield ``count`` random elements, coordinate i uniform in
-    [-span, span] at infinite order and in [0, m_i) at order m_i.
+    """Return an iterator over ``count`` random elements, coordinate i
+    uniform in [-span, span] at infinite order and in [0, m_i) at order m_i.
 
     The elements, and the state ``rng`` is left in, are those of ``count``
     successive ``tuple(rng.randint(-span, span) if m is None else
     rng.randrange(m) for m in orders)``: randint and randrange(b) draw
     ``getrandbits(b.bit_length())`` until the value is below b, and so does
-    this.  When every coordinate has one bound, the accepted values are the
-    filtered stream, drawn a round of at most ``_CHUNK`` elements at a time;
-    a round draws only as many values as it still needs, so it never draws
-    past the last element."""
-    getrandbits = rng.getrandbits
+    this.  When every coordinate has one bound b with ``b.bit_length() <= 8``
+    and values that fit a signed byte, the elements come in rounds of at
+    most ``_CHUNK``: a round takes the raw draws it still needs as the top
+    bytes of one ``getrandbits(32 * need)`` (the word layout is in the module
+    docstring), drops the rejected ones and adds the offset with one
+    ``bytes.translate``, and repeats until it has them all, so it never draws
+    past its last element.  Otherwise, with mixed bounds or a bound that
+    needs more than a byte, each value takes its own ``getrandbits`` loop."""
     coords = [(2 * span + 1, -span) if m is None else (m, 0)
               for m in presentation.orders]
-    if len(set(coords)) > 1:
-        coords = [(bound, bound.bit_length(), offset) for bound, offset in coords]
-        for _ in range(count):
-            v = []
-            for bound, k, offset in coords:
-                r = getrandbits(k)
-                while r >= bound:
-                    r = getrandbits(k)
-                v.append(r + offset)
-            yield tuple(v)
-        return
     (bound, offset), n = coords[0], len(coords)
-    k = bound.bit_length()
+    # values in [offset, bound + offset) fit a signed byte iff the largest
+    # does: span <= 127 or m <= 128, and then bound < 256 has at most 8 bits
+    if len(set(coords)) == 1 and bound + offset <= 128:
+        return chain.from_iterable(_byte_rounds(rng, count, n, bound, offset))
+    return _one_by_one(rng, count, coords)
+
+
+def _byte_rounds(rng, count, n, bound, offset):
+    getrandbits = rng.getrandbits
+    shift = 8 - bound.bit_length()
+    table = bytes((r + offset) & 0xFF for r in (b >> shift for b in range(256)))
+    reject = bytes(b for b in range(256) if b >> shift >= bound)
     while count:
         size = min(count, _CHUNK)
         count -= size
-        values = []
         need = size * n
+        values = b""
         while need:
-            drawn = [r + offset for r in [getrandbits(k) for _ in range(need)]
-                     if r < bound]
+            drawn = getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+            drawn = drawn.translate(table, reject)
             values += drawn
             need -= len(drawn)
-        yield from zip(*[iter(values)] * n)
+        yield zip(*[iter(memoryview(values).cast("b"))] * n)
+
+
+def _one_by_one(rng, count, coords):
+    getrandbits = rng.getrandbits
+    coords = [(bound, bound.bit_length(), offset) for bound, offset in coords]
+    for _ in range(count):
+        v = []
+        for bound, k, offset in coords:
+            r = getrandbits(k)
+            while r >= bound:
+                r = getrandbits(k)
+            v.append(r + offset)
+        yield tuple(v)
 
 
 def _families(group_filter):
@@ -90,17 +119,17 @@ def group_laws(seed=0, samples=10**4, group_filter=None) -> Report:
         hashes[fid] = p.sha256()
         rng = random.Random(f"{seed}:laws:{fid}")
         e = p.identity
+        mul, inv = p.multiply, p.inverse
         draws = _random_elements(p, rng, 3 * samples)
         for x, y, z in zip(draws, draws, draws):
-            xy = p.multiply(x, y)
-            if p.multiply(xy, z) != p.multiply(x, p.multiply(y, z)):
+            if mul(mul(x, y), z) != mul(x, mul(y, z)):
                 failures.append({"family": fid, "law": "associativity",
                                  "triple": [x, y, z]})
                 break
-            if p.multiply(x, e) != x or p.multiply(e, x) != x:
+            if mul(x, e) != x or mul(e, x) != x:
                 failures.append({"family": fid, "law": "identity", "x": x})
                 break
-            if p.multiply(x, p.inverse(x)) != e:
+            if mul(x, inv(x)) != e:
                 failures.append({"family": fid, "law": "inverse", "x": x})
                 break
     return Report(
@@ -280,14 +309,13 @@ def biorder_shadow(seed=0, samples=10**4, kmax=6) -> Report:
         if rep.verdict != "pass":
             problems.append({"family": fid, "convexity": rep.witnesses})
         rng = random.Random(f"{seed}:biorder:{fid}")
+        mul, compare = p.multiply, o.compare
         draws = _random_elements(p, rng, 4 * samples, span=10)
         for a, b, x, y in zip(draws, draws, draws, draws):
-            cmp_xy = o.compare(x, y)
+            cmp_xy = compare(x, y)
             if cmp_xy == order.EQUAL:
                 continue
-            lhs = p.multiply(p.multiply(a, x), b)
-            rhs = p.multiply(p.multiply(a, y), b)
-            if o.compare(lhs, rhs) != cmp_xy:
+            if compare(mul(mul(a, x), b), mul(mul(a, y), b)) != cmp_xy:
                 problems.append({"family": fid, "quadruple": [a, x, y, b]})
                 break
     ok = not problems

@@ -11,14 +11,19 @@ from nilcay.cayley import GenSet, check_vertex_map, generate_ball, standard_gens
 from nilcay.pcgroup import builtin, from_id
 
 
+def make_graph(vertices, edge_pairs):
+    edges = frozenset(frozenset((u, v)) for u, v in edge_pairs if u != v)
+    return cn.LabeledGraph(tuple(vertices), edges)
+
+
 def test_wreath_identity_case():
-    x1 = cn.make_graph(["u", "v", "w"], [("u", "v"), ("v", "w")])
+    x1 = make_graph(["u", "v", "w"], [("u", "v"), ("v", "w")])
     w = cn.wreath_product(x1, cn.edgeless_graph(1))
     assert len(w.vertices) == 3 and w.edge_count() == 2
 
 
 def test_wreath_path_times_edgeless():
-    p2 = cn.make_graph([0, 1], [(0, 1)])
+    p2 = make_graph([0, 1], [(0, 1)])
     w = cn.wreath_product(p2, cn.edgeless_graph(2))
     assert len(w.vertices) == 4 and w.edge_count() == 4
 
@@ -39,7 +44,7 @@ def random_graph(rng, nmax=6):
     n = rng.randint(1, nmax)
     verts = list(range(n))
     edges = [(u, v) for u in verts for v in verts if u < v and rng.random() < 0.5]
-    return cn.make_graph(verts, edges)
+    return make_graph(verts, edges)
 
 
 def test_wreath_counts_formula_on_random_graphs():

@@ -14,7 +14,8 @@ from nilcay.order import (BiOrder, BiOrderUnavailable, NotAGeneratorError,
                           central_label_propagation, classify_distorted,
                           convexity_check, distortion_profile, max_generator)
 from nilcay.pcgroup import builtin, direct_product, from_id
-from reference import isolator_closed_form
+from reference import (HEISENBERG_ONE_BLOCK_SOURCE, UT4_SOURCE,
+                       isolator_closed_form)
 
 FILIFORM = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "filiform4.pc"
 
@@ -47,6 +48,36 @@ def test_refusals():
         BiOrder(builtin("klein_bottle"))
     with pytest.raises(BiOrderUnavailable):
         BiOrder(from_id("zxz2"))
+
+
+def _block_rule(p, x, y):
+    """The comparison as the filtration defines it: the first block, then
+    the first coordinate in it, where x^-1 y is nonzero decides."""
+    d = p.multiply(p.inverse(x), y)
+    for block in p.blocks:
+        for i in block:
+            if d[i] > 0:
+                return order.LESS
+            if d[i] < 0:
+                return order.GREATER
+    return order.EQUAL
+
+
+@pytest.mark.parametrize("name", ["z3", "heisenberg", "filiform", "ut4",
+                                  "heisenberg_one_block"])
+def test_compare_is_the_block_rule_on_seeded_pairs(name):
+    sources = {"filiform": FILIFORM.read_text(), "ut4": UT4_SOURCE,
+               "heisenberg_one_block": HEISENBERG_ONE_BLOCK_SOURCE}
+    p = (pcgroup.parse_presentation(sources[name]) if name in sources
+         else from_id(name))
+    o = BiOrder(p)
+    rng = random.Random(f"compare:{name}")
+    for _ in range(3000):
+        x = tuple(rng.randint(-3, 3) for _ in range(p.n))
+        # y agrees with x on a random prefix, so late coordinates decide too
+        keep = rng.randint(0, p.n)
+        y = x[:keep] + tuple(rng.randint(-3, 3) for _ in range(p.n - keep))
+        assert o.compare(x, y) == _block_rule(p, x, y)
 
 
 def test_totality_and_antisymmetry(heis_order):
