@@ -16,10 +16,11 @@ import sys
 import time
 
 from . import __version__, autlab, constructions, order, pcgroup, structure, suites
-from .cayley import (DEFAULT_VERTEX_BUDGET, BallBudgetError, GenSet,
-                     GeodesicCapError, count_geodesics, enumerate_geodesics,
-                     export_distances, export_graph, export_vertex_map,
-                     generate_ball, load_vertex_map, standard_genset)
+from .cayley import (DEFAULT_GEODESIC_CAP, DEFAULT_VERTEX_BUDGET,
+                     BallBudgetError, GenSet, GeodesicCapError,
+                     count_geodesics, enumerate_geodesics, export_distances,
+                     export_graph, export_vertex_map, generate_ball,
+                     load_vertex_map, standard_genset)
 from .pcgroup import PresentationError
 from .reporting import json_bytes, json_pretty, jsonable
 
@@ -96,10 +97,6 @@ def _write(text, path):
         sys.stdout.write(text)
 
 
-def _element(p, text):
-    return p.element_from_str(text)
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -122,8 +119,8 @@ def cmd_ball(args):
 def cmd_distance(args):
     p = _load_group(args.group)
     ball = _ball(p, args)
-    u = _element(p, getattr(args, "from"))
-    v = _element(p, args.to)
+    u = p.element_from_str(getattr(args, "from"))
+    v = p.element_from_str(args.to)
     d = ball.distance(u, v)
     if args.format == "tsv":
         _write(f"{p.element_to_str(u)}\t{p.element_to_str(v)}\t"
@@ -137,8 +134,8 @@ def cmd_distance(args):
 def cmd_geodesics(args):
     p = _load_group(args.group)
     ball = _ball(p, args)
-    u = _element(p, getattr(args, "from"))
-    v = _element(p, args.to)
+    u = p.element_from_str(getattr(args, "from"))
+    v = p.element_from_str(args.to)
     count = count_geodesics(ball, u, v)
     payload = {"count": count}
     if not args.count_only:
@@ -156,7 +153,7 @@ def cmd_geodesics(args):
 def cmd_distortion(args):
     p = _load_group(args.group)
     S = _resolve_genset(p, args.genset)
-    g = _element(p, args.element)
+    g = p.element_from_str(args.element)
     verdict, profile, report = order.classify_distorted(
         p, S, g, kmax=args.kmax, max_vertices=args.budget)
     if args.table:
@@ -173,7 +170,7 @@ def cmd_biorder(args):
     p = _load_group(args.group)
     if args.compare:
         o = order.BiOrder(p)
-        x, y = (_element(p, t) for t in args.compare)
+        x, y = (p.element_from_str(t) for t in args.compare)
         c = o.compare(x, y)
         name = {order.LESS: "less", order.EQUAL: "equal",
                 order.GREATER: "greater"}[c]
@@ -189,7 +186,7 @@ def cmd_biorder(args):
         return EXIT_OK
     # --convexity
     S = _resolve_genset(p, args.genset)
-    s = _element(p, args.convexity)
+    s = p.element_from_str(args.convexity)
     ball = generate_ball(p, S, max(args.kmax, 1), max_vertices=args.budget)
     rep = order.convexity_check(ball, s, args.kmax)
     _emit(_envelope(p, "biorder.convexity", vars_of(args), rep.to_dict()), args)
@@ -212,7 +209,7 @@ def cmd_structure(args):
         return EXIT_OK
     if args.conjugator:
         ball = _ball(p, args)
-        a, b = (_element(p, t) for t in args.conjugator)
+        a, b = (p.element_from_str(t) for t in args.conjugator)
         res = structure.find_conjugator(ball, a, b)
         _emit(_envelope(p, "structure.conjugator", params,
                         res.report.to_dict()), args)
@@ -278,7 +275,7 @@ def cmd_construct(args):
 def cmd_autos(args):
     p = _load_group(args.group)
     ball = _ball(p, args)
-    g = _element(p, args.orbit) if args.orbit else None
+    g = p.element_from_str(args.orbit) if args.orbit else None
     try:
         auts = autlab.enumerate_local_auts(ball, args.stability,
                                            max_vertices=args.budget)
@@ -396,7 +393,7 @@ def build_parser():
     sp.add_argument("--from", required=True)
     sp.add_argument("--to", required=True)
     sp.add_argument("--count-only", action="store_true")
-    sp.add_argument("--cap", type=positive_int, default=10**6)
+    sp.add_argument("--cap", type=positive_int, default=DEFAULT_GEODESIC_CAP)
     sp.set_defaults(func=cmd_geodesics)
 
     sp = sub.add_parser("distortion", help="distortion profile and verdict")
@@ -481,7 +478,7 @@ def main(argv=None):
     except SystemExit2 as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
-    except (PresentationError, ValueError, FileNotFoundError,
+    except (PresentationError, ValueError, OSError,
             structure.SubgroupError, order.BiOrderUnavailable) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}),
               file=sys.stderr)

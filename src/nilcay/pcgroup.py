@@ -11,20 +11,15 @@ the relation.  Group elements are normal-form exponent vectors
 ``(e_1, ..., e_n)`` stored as plain tuples of Python ints, so exponents never
 overflow; at finite-order positions ``0 <= e_i < m_i``.
 
-The general product path is collection from the left.  At load time the
-presentation derives, once and by decreasing generator index, a table of
-how a ``g_j`` block moves left past each higher ``g_l`` run: it commutes,
-inverts the run (``g_j^{-1} g_l g_j = g_l^{-1}``), picks up a central
-correction, or is GENERIC.  Each pair is found by collecting
-``g_l g_j g_l^{-1}``, which reads only the finished rows of generators above
-``j``.  ``_block_mul`` applies whole blocks through this table.  A GENERIC
-move, and a power word, take ``_left_move``: ``g_j^f`` passes the whole tail
-``t`` in ``G_{j+1}`` at once, ``t g_j^f = g_j^f phi^f(t)`` with
+The interpreted product is collection from the left, one algorithm for
+every presentation.  ``_block_mul`` moves a block ``g_j^f`` past the whole
+tail ``t`` in ``G_{j+1}`` at once, ``t g_j^f = g_j^f phi^f(t)`` with
 ``phi(x) = g_j^{-1} x g_j``, applied from cached tables of ``phi^{+-2^k}``
 (Vaughan-Lee, "Collection from the left", J. Symb. Comput. 9, 1990; Sims,
 *Computation with Finitely Presented Groups*, 1994, ch. 9).  Every product
 it collects lies in ``G_{j+1}``, so the recursion rises through the
-generator indices and always ends.
+generator indices and always ends.  Where ``phi_j = 1`` and no power word
+carries, the block only adds to the exponent of ``g_j``.
 
 Two compiled paths replace the collector, and a presentation takes at most
 one of them, by this rule:
@@ -42,14 +37,19 @@ same generators, orders, power words, conjugates, blocks and nilpotency
 flag shares one derivation.  The generated source is compiled with
 ``compile()`` from integer literals and synthesized identifiers only.
 
-The compiled collector is the fast branch of ``_block_mul`` unrolled over j
-into straight-line code.  A block g_j^f negates each SIGN coordinate when f
-is odd and adds coef * x_l * f to each central correction target, every
+The compiled collector rests on a move table (``_moves``), derived with
+it and nowhere else: collecting ``g_l g_j g_l^{-1}`` tells, for each pair
+j < l, whether a g_j block commutes with a g_l run, inverts it
+(``g_j^{-1} g_l g_j = g_l^{-1}``, SIGN), picks up a central correction
+(CENTRAL), or neither (GENERIC).  When every move is SIGN or CENTRAL,
+collection is linear: a block g_j^f negates each SIGN coordinate when f is
+odd and adds coef * x_l * f to each central correction target, every
 correction reading x_l before the row writes, and coordinates of finite
-order are taken mod m.  The inverse folds the rows into one expression per
-coordinate, such as ``- x2 - x1 * x0`` in the Heisenberg group.  Every
-abelian, class-2 and central-torsion family takes it, and so does the Klein
-bottle, whose sign alternates with the exponent of a, as no polynomial does.
+order are taken mod m.  These rows are unrolled over j into straight-line
+code.  The inverse folds the rows into one expression per coordinate, such
+as ``- x2 - x1 * x0`` in the Heisenberg group.  Every abelian, class-2 and
+central-torsion family takes it, and so does the Klein bottle, whose sign
+alternates with the exponent of a, as no polynomial does.
 
 The polynomials serve the torsion-free nilpotent groups whose collection is
 not linear, such as those of class 3.  In such a group the coordinates of
@@ -265,52 +265,16 @@ class PcPresentation:
 
     def _build_tables(self):
         n = self.n
-        # (j, +-1) -> [table of phi_j^(+-2^k) for k = 0, 1, ...]; a table
-        # holds the normal form of phi(g_i) for each i > j, None where fixed
+        # (j, +-1) -> [table of phi_j^(+-2^k) for k = 0, 1, ...], for each g_j
+        # that some higher generator does not commute with; a table holds the
+        # normal form of phi(g_i) for each i > j, None where phi_j fixes g_i
         self._phi = {}
+        for table, sign in ((self.conj, 1), (self.conjinv, -1)):
+            for (l, j), w in table.items():
+                if w != ((l, 1),):
+                    self._phi.setdefault((j, sign), [[None] * n])[0][l] = \
+                        tuple(self._vector(w))
         self._power_vectors = {i: self._vector(w) for i, w in self.power_words.items() if w}
-        # a generator is inert when it commutes with every generator
-        inert = []
-        for i in range(n):
-            ok = all(self.conj.get((l, i), ((l, 1),)) == ((l, 1),) for l in range(i + 1, n))
-            ok = ok and all(
-                self.conj.get((i, j), ((i, 1),)) == ((i, 1),) for j in range(i))
-            inert.append(ok)
-        self._inert = tuple(inert)
-        self._fast_reduce = tuple(
-            self.orders[i] is None or i not in self._power_vectors
-            for i in range(n))
-        # _moves[j]: the (l, action) pairs for l > j whose action is not
-        # COMMUTE, in descending l.  Rows are derived by decreasing j, and
-        # deriving row j collects above g_j only, so it reads finished rows.
-        self._moves = [()] * n
-        for j in range(n - 1, -1, -1):
-            row = ((l, self._derive_action(l, j)) for l in range(n - 1, j, -1))
-            self._moves[j] = tuple((l, a) for l, a in row if a[0] != _COMMUTE)
-        self._moves = tuple(self._moves)
-
-    def _derive_action(self, l, j):
-        """How a g_j block moves left past a g_l run (j < l).
-
-        Collects g_l g_j g_l^{-1} = g_j * w * g_l^{-1} with w the stored
-        conjugate of g_l by g_j.  The inverse direction follows algebraically
-        for the recognized patterns, so only the positive direction is collected.
-        """
-        w = self.conj.get((l, j), ((l, 1),))
-        xp = tuple(self._word_vector(((j, 1),) + w + ((l, -1),)))
-        n = self.n
-        if xp == self.generator(j):
-            return (_COMMUTE,)
-        # g_j g_l^-2: g_j inverts g_l, whose normal-form exponent can only be
-        # -2 at infinite order
-        if xp == tuple(1 if k == j else -2 if k == l else 0 for k in range(n)):
-            return (_SIGN,)
-        if xp[j] == 1:
-            zeta = tuple((k, xp[k]) for k in range(n) if k != j and xp[k])
-            # a correction with a power word leaves the fast path anyway
-            if all(self._inert[k] and self._fast_reduce[k] for k, _ in zeta):
-                return (_CENTRAL, zeta)
-        return (_GENERIC,)
 
     def _check_consistency(self):
         """Load-time consistency: conj and conjinv are inverse maps, and both
@@ -388,50 +352,8 @@ class PcPresentation:
         return v
 
     def _block_mul(self, v, j, f):
-        """Multiply the normal form in ``v`` by ``g_j^f``, in place."""
-        if f == 0:
-            return
-        if self._fast_reduce[j]:
-            flips = corr = None
-            for l, a in self._moves[j]:
-                e = v[l]
-                if not e:
-                    continue
-                kind = a[0]
-                if kind == _SIGN:
-                    if f & 1:
-                        if flips is None:
-                            flips = []
-                        flips.append(l)
-                elif kind == _CENTRAL:
-                    if corr is None:
-                        corr = {}
-                    for idx, coef in a[1]:
-                        corr[idx] = corr.get(idx, 0) + coef * e * f
-                else:
-                    break
-            else:
-                # every move is fast, so v may change now
-                e = v[j] + f
-                m = self.orders[j]
-                if m is not None:
-                    e %= m
-                v[j] = e
-                if flips:
-                    for l in flips:
-                        v[l] = -v[l]
-                if corr:
-                    for idx, val in corr.items():
-                        e = v[idx] + val
-                        m = self.orders[idx]
-                        if m is not None:
-                            e %= m
-                        v[idx] = e
-                return
-        self._left_move(v, j, f)
-
-    def _left_move(self, v, j, f):
-        """Multiply ``v`` by ``g_j^f`` in one step.
+        """Multiply the normal form in ``v`` by ``g_j^f``, in place, by
+        collection from the left.
 
         With v = (v_<j, v_j, t) and the tail t in G_{j+1} = <g_{j+1}, ...>,
         v * g_j^f = (v_<j, v_j + f) * phi_j^f(t), where phi_j(x) = g_j^-1 x g_j.
@@ -439,43 +361,41 @@ class PcPresentation:
         |f|; the tables are squared on first need and cached.  For g_j of
         finite order m_j, v_j + f = q*m_j + e leaves g_j^e, and
         g_j^(q*m_j) = w_j^q, with w_j the power word, joins the tail in front.
+        Where phi_j = 1 and no power word carries, only v_j changes.
         """
-        tables = self._phi_tables(j, 1 if f > 0 else -1)
-        t = [0] * (j + 1) + v[j + 1:]
-        k = abs(f)
-        level = 0
-        while True:
-            if k & 1:
-                t = self._apply_table(tables[level], t, j)
-            k >>= 1
-            if not k:
-                break
-            level += 1
-            if level == len(tables):
-                last = tables[-1]
-                tables.append([None if img is None
-                               else tuple(self._apply_table(last, img, j))
-                               for img in last])
+        if not f:
+            return
         e = v[j] + f
         m = self.orders[j]
+        w = None
         if m is not None:
             q, e = divmod(e, m)
-            w = self._power_vectors.get(j)
-            if q and w:
-                t, tail = self._pow_vector(w, q), t
-                self._mul_into(t, tail)
+            if q:
+                w = self._power_vectors.get(j)
         v[j] = e
+        tables = self._phi.get((j, 1 if f > 0 else -1))
+        if tables is None and w is None:
+            return
+        t = [0] * (j + 1) + v[j + 1:]
+        if tables is not None:
+            k = abs(f)
+            level = 0
+            while True:
+                if k & 1:
+                    t = self._apply_table(tables[level], t, j)
+                k >>= 1
+                if not k:
+                    break
+                level += 1
+                if level == len(tables):
+                    last = tables[-1]
+                    tables.append([None if img is None
+                                   else tuple(self._apply_table(last, img, j))
+                                   for img in last])
+        if w is not None:
+            t, tail = self._pow_vector(w, q), t
+            self._mul_into(t, tail)
         v[j + 1:] = t[j + 1:]
-
-    def _phi_tables(self, j, sign):
-        tables = self._phi.get((j, sign))
-        if tables is None:
-            table = [None] * self.n
-            for (l, k), w in (self.conj if sign > 0 else self.conjinv).items():
-                if k == j and w != ((l, 1),):
-                    table[l] = tuple(self._vector(w))
-            tables = self._phi[(j, sign)] = [table]
-        return tables
 
     def _apply_table(self, table, x, j):
         """phi(x) = prod over i > j of phi(g_i)^(x_i), for x in G_{j+1}."""
@@ -504,7 +424,7 @@ class PcPresentation:
         return v
 
     def _pow_vector(self, x, k):
-        """x^k by binary powering.  ``_left_move`` passes x in G_{j+1} only,
+        """x^k by binary powering.  ``_block_mul`` passes x in G_{j+1} only,
         so the products it collects involve generators above g_j alone."""
         if k < 0:
             x, k = self._inverse_vector(x), -k
@@ -530,9 +450,7 @@ class PcPresentation:
 
     def _collect_product(self, x, y) -> Element:
         v = list(x)
-        for j, e in enumerate(y):
-            if e:
-                self._block_mul(v, j, e)
+        self._mul_into(v, y)
         return tuple(v)
 
     def _collect_inverse(self, x) -> Element:
@@ -608,12 +526,55 @@ class PcPresentation:
                tuple(sorted(self.conj.items())), tuple(sorted(self.conjinv.items())),
                self.blocks, self.nilpotent)
         if key not in _DERIVED:
-            if all(self._fast_reduce) and all(
+            if not self._power_vectors and all(
                     a[0] in (_SIGN, _CENTRAL) for row in self._moves for _, a in row):
                 _DERIVED[key] = _compile_unrolled(self._moves, self.orders)
             else:
                 _DERIVED[key] = self._derive_polynomials()
         return _DERIVED[key]
+
+    @cached_property
+    def _moves(self):
+        """The move table that ``_compile_unrolled`` compiles: ``_moves[j]``
+        holds the (l, action) pairs for l > j whose action is not COMMUTE,
+        in descending l.  Collection never reads it; ``_compiled`` derives it
+        once per set of relations."""
+        n = self.n
+
+        def fixed(l, j):
+            return self.conj.get((l, j), ((l, 1),)) == ((l, 1),)
+
+        # a generator is inert when it commutes with every generator
+        inert = [all(fixed(l, i) for l in range(i + 1, n))
+                 and all(fixed(i, j) for j in range(i)) for i in range(n)]
+        moves = []
+        for j in range(n):
+            row = ((l, self._derive_action(l, j, inert)) for l in range(n - 1, j, -1))
+            moves.append(tuple((l, a) for l, a in row if a[0] != _COMMUTE))
+        return tuple(moves)
+
+    def _derive_action(self, l, j, inert):
+        """How a g_j block moves left past a g_l run (j < l).
+
+        Collects g_l g_j g_l^{-1} = g_j * w * g_l^{-1} with w the stored
+        conjugate of g_l by g_j.  The inverse direction follows algebraically
+        for the recognized patterns, so only the positive direction is collected.
+        """
+        w = self.conj.get((l, j), ((l, 1),))
+        xp = tuple(self._word_vector(((j, 1),) + w + ((l, -1),)))
+        n = self.n
+        if xp == self.generator(j):
+            return (_COMMUTE,)
+        # g_j g_l^-2: g_j inverts g_l, whose normal-form exponent can only be
+        # -2 at infinite order
+        if xp == tuple(1 if k == j else -2 if k == l else 0 for k in range(n)):
+            return (_SIGN,)
+        if xp[j] == 1:
+            zeta = tuple((k, xp[k]) for k in range(n) if k != j and xp[k])
+            # a correction target must be inert and carry no power word
+            if all(inert[k] and k not in self._power_vectors for k, _ in zeta):
+                return (_CENTRAL, zeta)
+        return (_GENERIC,)
 
     def _derive_polynomials(self):
         weights = self._weights()
@@ -878,11 +839,11 @@ def _row_actions(row):
 
 
 def _row_lines(row, f):
-    """The fast branch of ``_block_mul`` for one row, with block exponent
-    the identifier f.  The corrections come first: they read their sources
-    x_l before the row writes anything, as ``_block_mul`` gathers them, and
-    they write only targets, which are inert and so are no row's source or
-    flip."""
+    """Row j of the unrolled product: g_j^f moved left past the coordinates
+    above j, with block exponent the identifier f.  The corrections come
+    first: they read their sources x_l before the row writes anything, as
+    collection reads the tail before the block passes it, and they write
+    only targets, which are inert and so are no row's source or flip."""
     flips, corrections = _row_actions(row)
     by_target = {}
     for idx, coef, l in corrections:
@@ -896,9 +857,9 @@ def _row_lines(row, f):
 
 
 def _compile_unrolled(moves, orders):
-    """The collector's fast branch unrolled over j, for moves that are all
-    SIGN or CENTRAL and power words that are all trivial, as ``multiply``
-    and ``inverse`` with the same interface as ``_compile_polynomials``.
+    """Linear collection unrolled over j, for a move table that is all SIGN
+    or CENTRAL and power words that are all trivial, as ``multiply`` and
+    ``inverse`` with the same interface as ``_compile_polynomials``.
 
     x*y runs the rows j = 0, ..., n-1 with block exponent y_j.  Row j reads
     and writes coordinates above j only, and later rows never touch x_j, so

@@ -399,6 +399,21 @@ def test_induced_partial_map_is_usage_error(tmp_path, capsys):
     assert err["kind"] == "MapError" and "not total" in err["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["ball", "--group", "DIR", "--radius", "1"],
+    ["induced", "--group", "z", "--radius", "2", "--map", "DIR"],
+    ["verify", "--suite", "klein_pair", "--out", "DIR"],
+], ids=["ball --group", "induced --map", "verify --out"])
+def test_a_directory_in_place_of_a_file_exits_2(tmp_path, capsys, argv):
+    """A directory given as a presentation, a vertex map or a report file
+    is an input error: exit 2 with the JSON error, not a traceback."""
+    assert run([str(tmp_path) if a == "DIR" else a for a in argv]) == 2
+    err = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+           if line.startswith("{")]
+    assert [e["kind"] for e in err] == ["IsADirectoryError"]
+    assert str(tmp_path) in err[0]["error"]
+
+
 def test_map_vector_outside_the_normal_form_exits_2(tmp_path, capsys):
     # t has order 2, so 0,3 is no element; the map must not reach a verdict
     mp = tmp_path / "m.tsv"

@@ -4,6 +4,7 @@ The Heisenberg and Klein-bottle multiplication laws have closed forms that
 follow from the declared relations; collection must reproduce them exactly.
 """
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -474,6 +475,53 @@ def test_unrolled_collector_agrees_with_the_interpreted_one(name):
     assert p.power(x, -5) == p.inverse(p.power(x, 5))
 
 
+# sha256 of repr((genset, [(x*y, x^-1) for 200 seeded pairs])), first 16
+# hex digits, pinned while the interpreted collector still had a SIGN and
+# CENTRAL branch that ran the same rows as the compiled collector
+ORACLE_DIGESTS = {
+    "klein_bottle": "c9329f54968d7c88",
+    "klein_nilpotent": "5772b0a19029d096",
+    "zn_cross_cyclic:0,3": "8d9a65acd16aa5fe",
+    "central_torsion": "18e5360a9c270cd6",
+    "heisenberg_one_block": "e92773152cf0704a",
+    "heisenberg_mod3": "8d602b9fd8901351",
+    "klein_bottle x zxz2": "c17de0b9e676dda0",
+    "klein_bottle x heisenberg": "a50b7c0459d46de8",
+    "klein_bottle x zn_cross_cyclic:0,3": "9c4efaee5155982c",
+    "heisenberg": "1565de129e88f2f0",
+    "zxz2": "c9a1e8133e26dc73",
+    "heisenberg_z3": "32745fdec24fa9f8",
+    "flipped_source": "7bb900050d2710e9",
+    "sol": "be2139e6cddabd80",
+    "q8": "ba835619cef41a61",
+    "mixed_row": "5e339a49820fd6e6",
+}
+
+
+@pytest.mark.parametrize("name", UNROLLED + ("sol", "q8", "mixed_row"))
+def test_the_interpreted_collector_reads_no_move_table(name, monkeypatch):
+    """The oracle is independent of the compiled collector: with the move
+    table unreadable, loading and the interpreted product and inverse give
+    the pinned digests, exponents in [-30, 30] ([-6, 6] for Sol)."""
+    def unreadable(self):
+        raise AssertionError("the move table was read")
+
+    monkeypatch.setattr(pcgroup.PcPresentation, "_moves", property(unreadable))
+    p = _presentation(name)
+    rng = random.Random(f"oracle digest:{name}")
+    span = 6 if name == "sol" else 30
+
+    def element():
+        return tuple(rng.randint(-span, span) if m is None else rng.randrange(m)
+                     for m in p.orders)
+
+    pairs = [(element(), element()) for _ in range(200)]
+    data = repr((p.genset, [(p._collect_product(x, y), p._collect_inverse(x))
+                            for x, y in pairs]))
+    assert hashlib.sha256(data.encode()).hexdigest()[:16] == ORACLE_DIGESTS[name]
+    assert "_compiled" not in vars(p)
+
+
 @pytest.mark.parametrize("name", [
     "z", "z2", "z3", "zn:5", "heisenberg", "heisenberg_z", "heisenberg_z3",
     "klein_bottle", "zxz2", "zn_cross_cyclic:0,3", "zn_cross_cyclic:1,4",
@@ -492,22 +540,30 @@ def test_compiled_inverse_is_the_collector_inverse(name):
 
 
 def test_the_unrolled_collector_is_compiled_on_first_product(monkeypatch):
-    """Loading compiles nothing; the first product compiles the Klein
-    bottle's multiply and inverse once for its relations, and the first ball
-    over S one step kernel."""
-    sources = []
+    """Loading compiles nothing and derives no move; the first product
+    derives the Klein bottle's move table and compiles its multiply and
+    inverse, once for its relations, and the first ball over S one step
+    kernel."""
+    sources, moves = [], []
     compile_source = pcgroup._compile
+    derive_action = pcgroup.PcPresentation._derive_action
 
     def counted(source):
         sources.append(source)
         return compile_source(source)
 
+    def spied(self, l, j, inert):
+        moves.append((l, j))
+        return derive_action(self, l, j, inert)
+
     monkeypatch.setattr(pcgroup, "_compile", counted)
+    monkeypatch.setattr(pcgroup.PcPresentation, "_derive_action", spied)
     monkeypatch.setattr(pcgroup, "_DERIVED", {})
     p, q = from_id("klein_bottle"), from_id("klein_bottle")
-    assert sources == [] and "_compiled" not in vars(p)
+    assert sources == [] and moves == [] and "_compiled" not in vars(p)
     assert p.multiply((1, 2), (1, 3)) == q.multiply((1, 2), (1, 3)) == (2, 1)
     assert len(sources) == 1 and q._compiled is p._compiled
+    assert moves == [(1, 0)] and "_moves" not in vars(q)
     step = p.right_multiplier(p.genset)
     assert q.right_multiplier(p.genset) is step and len(sources) == 2
     assert "if y0 & 1:" in sources[0] and "& 1" not in sources[1]
