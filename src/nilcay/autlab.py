@@ -36,12 +36,18 @@ the transpositions of neighbouring twins generate it.  A map affine on the
 interior keeps the interior, so composites of such maps are affine there:
 every survivor is affine exactly when every generator is, and
 ``normality_verdict`` checks the generators.
+
+The search is nearly all forced moves.  A vertex left with one candidate
+is taken next, from a stack; a domain emptied by an assignment ends the
+branch at once; and the search branches only at a fixpoint, where no such
+vertex is left.  Domains only shrink as the assignment grows, so forced
+moves reach the same fixpoint, or a dead end, in any order, and the
+generators found do not depend on that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from math import factorial, prod
 
 from . import structure
@@ -184,6 +190,16 @@ def _twin_quotient(big: Ball):
     return classes, nbrs, cls[e_id]
 
 
+def _fixpoint_pick(frontier, rank, suffix, n):
+    """The frontier vertex of least (domain size + suffix) * n + rank, or
+    the least-ranked vertex with one candidate, which a search holds
+    outside the forced stack only in the state it started from."""
+    def key(v):
+        size = len(frontier[v])
+        return rank[v] if size <= 1 else (size + suffix[v]) * n + rank[v]
+    return min(frontier, key=key)
+
+
 def _stable_restrictions(big: Ball, small_radius):
     """A base and strong generating set for the restrictions to
     B(small_radius) of the distance-preserving automorphisms of the induced
@@ -221,19 +237,28 @@ def _stable_restrictions(big: Ball, small_radius):
     colour adjacent to the images of all its assigned neighbours.
     Assigning u -> c updates only u's unassigned neighbours, and drops c
     from the domains of the neighbours of the preimages of c's used
-    neighbours, the only domains that can hold c; a trail undoes both on
-    backtrack.  The next vertex is the lowest-ranked frontier vertex with
-    at most one candidate (a dead end when it has none), else the frontier
-    vertex of least (domain size, rank), small-ball vertices first, where
-    rank is the (distance, least member) scan order.  Each frontier entry
-    carries an integer key whose order is that rule, with rank as its
-    residue mod |Q|, so no two vertices share a key.  The keys sit on a
-    binary heap, and a pick pops stale tops, those no longer the key of
-    their vertex, until the top is live, so the next vertex costs O(log F)
-    for a frontier of F, not a scan of it.  Deletion is lazy: an update
-    pushes the new key and leaves the old one in place.  When the heap holds
-    more than 2 |live keys| + |Q| entries it is rebuilt from the live keys
-    alone, as a sorted list, so it stays O(|Q|) however long the search.
+    neighbours, the only domains that can hold c; a trail of old domains
+    undoes both on backtrack, one dict store each.
+
+    Almost every pick is forced.  A vertex whose domain shrinks to one
+    candidate goes on a stack, and while the stack holds a vertex the next
+    pick pops it.  A domain that shrinks to none ends the assignment at
+    once: the branch has no completion, and the dead end costs no node.
+    Only at a fixpoint, with no forced vertex left, does the pick scan the
+    frontier (``_fixpoint_pick``) for the vertex of least (domain size,
+    rank), small-ball vertices first, where rank is the (distance, least
+    member) scan order; only there does the search branch, over the sorted
+    domain.  A backtrack empties the stack: it resumes at a branching
+    vertex, whose state was a fixpoint, or at the vertex ``complete``
+    started from, whose one-member domains the scan takes first, by rank.
+    The order of forced picks does not change the generators found.
+    Domains only shrink as the assignment grows, so a forced vertex stays
+    forced until it is assigned, and every completion of the branch sends
+    it to its one candidate.  So forced propagation from one state reaches
+    the same fixpoint, or a dead end, in any order, and the search branches
+    at the same fixpoints, by the same rule and over the same sorted
+    candidates, as one that takes forced vertices by rank; only the nodes a
+    dead end costs differ.
     """
     classes, nbrs, _ = _twin_quotient(big)
     n = len(classes)
@@ -244,37 +269,35 @@ def _stable_restrictions(big: Ball, small_radius):
     is_small = [d <= small_radius for d in dist]
     small_q = [q for q in range(n) if is_small[q]]
     slot = {q: k for k, q in enumerate(small_q)}
-    scan_order = sorted(range(n), key=lambda i: (dist[i], i))
     rank = [0] * n
-    for k, v in enumerate(scan_order):
+    for k, v in enumerate(sorted(range(n), key=lambda i: (dist[i], i))):
         rank[v] = k
-    # keys: rank below n for at most one candidate, then small-ball vertices
-    # by (size, rank), then the rest; a domain holds at most n vertices
+    # small-ball vertices sort before the rest; a domain holds at most n
     suffix = [0 if s else n for s in is_small]
     img = [-1] * n
     pre = [-1] * n                        # image -> preimage, -1 while unused
     frontier = {}                         # vertex -> domain
-    keys = {}                             # vertex -> pick key
-    heap = []                             # pick keys, stale ones included
+    forced = []                           # frontier vertices with one candidate
     trail = []                            # (vertex, previous domain or None)
     guard = SEARCH_NODE_GUARD
     nodes = 0
 
-    def put(v, dom):
+    def put(v, old, dom):
+        """Give v the domain dom, recording old on the trail; False when dom
+        is empty."""
+        trail.append((v, old))
         frontier[v] = dom
-        size = len(dom)
-        key = rank[v] if size <= 1 else (size + suffix[v]) * n + rank[v]
-        keys[v] = key
-        heappush(heap, key)
-        if len(heap) > 2 * len(keys) + n:
-            heap[:] = sorted(keys.values())   # a sorted list is a heap
+        if len(dom) == 1:
+            forced.append(v)
+        return bool(dom)
 
     def assign(u, c):
+        """Send u to c and update the domains; False at the first domain it
+        empties, a dead end, leaving the rest for ``unassign`` to undo."""
         img[u] = c
         pre[c] = u
         if u in frontier:
             trail.append((u, frontier.pop(u)))
-            del keys[u]
         c_nbrs = nbr_sets[c]
         for v in nbrs[u]:
             if img[v] >= 0:
@@ -287,27 +310,28 @@ def _stable_restrictions(big: Ball, small_radius):
                 dom = old & c_nbrs
                 if len(dom) == len(old):
                     continue
-            trail.append((v, old))
-            put(v, dom)
+            if not put(v, old, dom):
+                return False
         for x in nbrs[c]:
             w = pre[x]
             if w < 0:
                 continue
             for v in nbrs[w]:
                 old = frontier.get(v)
-                if old is not None and c in old:
-                    trail.append((v, old))
-                    put(v, old - {c})
+                if old is not None and c in old and not put(v, old, old - {c}):
+                    return False
+        return True
 
     def unassign(u, mark):
         while len(trail) > mark:
             v, old = trail.pop()
             if old is None:
-                del frontier[v], keys[v]
+                del frontier[v]
             else:
-                put(v, old)
+                frontier[v] = old
         pre[img[u]] = -1
         img[u] = -1
+        forced.clear()
 
     def complete(u, cands):
         """The first completion of the assignment with u sent to one of the
@@ -335,20 +359,19 @@ def _stable_restrictions(big: Ball, small_radius):
             nodes += 1
             if nodes > guard:
                 raise EnumerationCapError
-            assign(u, c)
+            if not assign(u, c):
+                continue                  # a dead end: u takes its next candidate
             if not frontier:              # the ball is connected: all assigned
                 found = img[:]
                 for u, _, mark in reversed(stack):
                     unassign(u, mark)
                 return found
-            key = heap[0]
-            while keys.get(scan_order[key % n]) != key:
-                heappop(heap)
-                key = heap[0]
-            v = scan_order[key % n]
-            dom = frontier[v]
-            stack.append((v, iter(dom if len(dom) <= 1 else sorted(dom)),
-                          len(trail)))
+            if forced:
+                v = forced.pop()
+                stack.append((v, iter(frontier[v]), len(trail)))
+            else:
+                v = _fixpoint_pick(frontier, rank, suffix, n)
+                stack.append((v, iter(sorted(frontier[v])), len(trail)))
         return None
 
     marks = {}                            # small class -> trail mark, e first

@@ -1,7 +1,6 @@
 """Stable local automorphisms, affine verdicts, normality, induced maps."""
 
 import hashlib
-import heapq
 import random
 import sys
 import time
@@ -808,38 +807,52 @@ def _as_tuples(maps):
 
 
 # (group id, generating set, radius, stability, search nodes, order, sha256
-#  of the sorted maps of the group)
+#  of the sorted maps of the group, sha256 of the search's (classes,
+#  generators, orbit lengths)).  Both digests were measured when the search
+#  still took forced vertices by rank from a key heap, at 4597, 1155, 17,
+#  292, 2581, 7542 and 11984 nodes.
 SEARCH_PINS = [
-    ("heisenberg", "std", 5, 2, 4597, 8,
-     "9b807fc5475df6a103344bfc1086216b554c0bd10f7c3a4287266d8b5789b070"),
-    ("z3", "std", 4, 2, 1155, 48,
-     "75c388cdfb7e458fbebeb6de20792b42c907e1dc73d98970ab52093dae4aa74d"),
+    ("heisenberg", "std", 5, 2, 3070, 8,
+     "9b807fc5475df6a103344bfc1086216b554c0bd10f7c3a4287266d8b5789b070",
+     "add79ea5355b26055568d7828f8450238b54da57ab30c11e619f42573354f6c9"),
+    ("z3", "std", 4, 2, 1131, 48,
+     "75c388cdfb7e458fbebeb6de20792b42c907e1dc73d98970ab52093dae4aa74d",
+     "dba839db740a713204f2fbf1343ea80d3b06d6a4f0e1c72368a855dc4f0157e0"),
     ("zxz2", "fsf", 6, 2, 17, 8192,
-     "1d7554555cc151017b9c974d16a31c5c7aead57b62fa6c4ba20cd8ce77bc86c6"),
-    ("klein_bottle", "std", 6, 2, 292, 8,
-     "e2e4c601675968fb31d5124f230e69cd854bc7d4110ea7d6e3aeaf8c36463420"),
-    ("heisenberg_z3", "std", 3, 2, 2581, 16,
-     "a89bb380d584ea9df5511112fd9b4e9774fa421f6ce9cc8acc71799cd149fcec"),
+     "1d7554555cc151017b9c974d16a31c5c7aead57b62fa6c4ba20cd8ce77bc86c6",
+     "c7c8c8954bebe6364de37279a795b281117200eb7b498df3e81f5ab8a86c811b"),
+    ("klein_bottle", "std", 6, 2, 289, 8,
+     "e2e4c601675968fb31d5124f230e69cd854bc7d4110ea7d6e3aeaf8c36463420",
+     "27e1317c286207b8e231f62285ef36254e9a331e1809f75748ce1620094f11a7"),
+    ("heisenberg_z3", "std", 3, 2, 1976, 16,
+     "a89bb380d584ea9df5511112fd9b4e9774fa421f6ce9cc8acc71799cd149fcec",
+     "15de1be31d6c064655cb77780d909603104ab9eb6a23beacf57d317c2a7f65e2"),
     # above acceptance
-    ("heisenberg", "std", 6, 2, 7542, 8,
-     "e109504bcbc0f479cb2414ade3e9094e47e6beb0e2348b3ad97ccc59bb4b6aa7"),
-    ("heisenberg", "std", 7, 2, 11984, 8,
-     "3224185ad3f7e20c324affee5c1ac5af9e3338846cd543df33b86e287770c0b8"),
+    ("heisenberg", "std", 6, 2, 5400, 8,
+     "e109504bcbc0f479cb2414ade3e9094e47e6beb0e2348b3ad97ccc59bb4b6aa7",
+     "0e5227b843cbe6177b4e6c71c4462a861dca9ac2022c5ddce169596feefc2207"),
+    ("heisenberg", "std", 7, 2, 9023, 8,
+     "3224185ad3f7e20c324affee5c1ac5af9e3338846cd543df33b86e287770c0b8",
+     "13dc8dbb16dbca43ae3fbae446275756ecb85336619f47d5eafa6943cf69d1d4"),
 ]
 
 
-@pytest.mark.parametrize("gid,gens,r,t,nodes,count,digest", SEARCH_PINS,
+@pytest.mark.parametrize("gid,gens,r,t,nodes,count,digest,search_digest",
+                         SEARCH_PINS,
                          ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in SEARCH_PINS])
 def test_search_nodes_and_order_are_pinned(gid, gens, r, t, nodes, count,
-                                           digest):
-    """The search's node count, and the group its generators generate: the
-    digest is over the group's maps as tuples of vertex ids, sorted, so it
-    pins the group whatever generators the search finds."""
+                                           digest, search_digest):
+    """The search's node count, the group its generators generate, and the
+    generators themselves.  The group digest is over the group's maps as
+    tuples of vertex ids, sorted, so it pins the group whatever generators
+    the search finds; the search digest pins the generators."""
     p = from_id(gid)
     big = generate_ball(p, _resolve_genset(p, gens), r + t)
     classes, gens, lengths, visited = autlab._stable_restrictions(big, r)
     assert sorted(chain.from_iterable(classes)) == [
         i for i, d in enumerate(big.dist_list) if d <= r]
+    assert hashlib.sha256(repr((classes, gens, lengths)).encode()
+                          ).hexdigest() == search_digest
     auts = StableAutomorphisms(classes, gens, lengths)
     found = _as_tuples(_closure(auts))
     assert visited == nodes
@@ -847,36 +860,31 @@ def test_search_nodes_and_order_are_pinned(gid, gens, r, t, nodes, count,
     assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
 
-def test_the_pick_heap_stays_within_three_times_the_quotient(monkeypatch):
-    """Heisenberg (5,2): 22 of its 24 completions fail, so the search
-    backtracks often and most keys it pushes go stale.  More keys are pushed
-    than popped by over 3n, n the quotient's vertex count, yet the heap
-    never holds more than 3n + 1: 2 |live keys| + n after a push, then
-    rebuilt from the live keys."""
-    seen = {"pushes": 0, "pops": 0, "most": 0, "rebuilds": 0, "expect": 0}
+@pytest.mark.parametrize("r,t,nodes,branchings",
+                         [(5, 2, 3070, 7), (2, 1, 238, 55)],
+                         ids=["heisenberg-5-2", "heisenberg-2-1"])
+def test_the_search_branches_only_at_a_fixpoint(monkeypatch, r, t, nodes,
+                                                branchings):
+    """The pick that scans the frontier chooses a vertex with two or more
+    candidates only when no domain of size 0 or 1 is pending.  On
+    Heisenberg (2,1) the scan also meets one-candidate domains left from
+    the state a completion starts from, and must take those first.  Forced
+    picks are nearly all the search: (5,2) branches 7 times in 3070 nodes."""
+    made = []
 
-    def push(heap, key):
-        if len(heap) < seen["expect"]:    # shrunk by more than the pops
-            seen["rebuilds"] += 1
-        heapq.heappush(heap, key)
-        seen["pushes"] += 1
-        seen["most"] = max(seen["most"], len(heap))
-        seen["expect"] = len(heap)
+    def spy(frontier, rank, suffix, n):
+        v = pick(frontier, rank, suffix, n)
+        if len(frontier[v]) >= 2:
+            assert all(len(dom) >= 2 for dom in frontier.values())
+            made.append(v)
+        return v
 
-    def pop(heap):
-        seen["pops"] += 1
-        seen["expect"] -= 1
-        return heapq.heappop(heap)
-
-    monkeypatch.setattr(autlab, "heappush", push)
-    monkeypatch.setattr(autlab, "heappop", pop)
+    pick = autlab._fixpoint_pick
+    monkeypatch.setattr(autlab, "_fixpoint_pick", spy)
     p = builtin("heisenberg")
-    big = generate_ball(p, standard_genset(p), 7)
-    n = len(autlab._twin_quotient(big)[0])
-    assert autlab._stable_restrictions(big, 5)[3] == 4597
-    assert seen["pushes"] - seen["pops"] > 3 * n + 1
-    assert seen["rebuilds"] >= 1
-    assert seen["most"] <= 3 * n + 1
+    big = generate_ball(p, standard_genset(p), r + t)
+    assert autlab._stable_restrictions(big, r)[3] == nodes
+    assert len(made) == branchings
 
 
 def test_search_leaves_the_recursion_limit_alone():

@@ -84,10 +84,10 @@ def test_normality_on_a_proper_subgroup_of_the_klein_bottle_is_inconclusive(
 
 
 def test_the_search_cap_names_how_far_it_got(capsys, monkeypatch):
-    """Heisenberg (3,1) takes 621 search nodes; a guard of 500 stops it at
+    """Heisenberg (3,1) takes 320 search nodes; a guard of 200 stops it at
     the second base point of 52, after the first strong generator."""
-    monkeypatch.setattr(autlab, "SEARCH_NODE_GUARD", 500)
-    note = ("search node guard 500 exceeded at base point 2 of 52 (the base "
+    monkeypatch.setattr(autlab, "SEARCH_NODE_GUARD", 200)
+    note = ("search node guard 200 exceeded at base point 2 of 52 (the base "
             "is processed from its last point); strong generators found so "
             "far: 1")
     assert run(["normality", "--group", "heisenberg", "--radius", "3",
