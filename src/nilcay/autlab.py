@@ -678,66 +678,3 @@ def induced_quotient_check(ball_a: Ball, ball_b: Ball, mapping) -> Report:
         notes=[f"induced translation part: {affine.translation}",
                "affine check ran on the quotient balls"])
 
-
-def central_translation_check(ball_a: Ball, ball_b: Ball, mapping, z,
-                              kmax) -> Report:
-    """Power-translation law m(g z^k) = m(g) sigma(z)^k with g-independent sigma.
-
-    Preconditions are reported distinctly: the source must be torsion-free,
-    z must lie in the central isolated part Z-dagger of the source, and the
-    map must pass the adjacency check.
-    """
-    pa, pb = ball_a.presentation, ball_b.presentation
-    if pa.torsion_len:
-        raise ValueError("precondition: source group must be torsion-free")
-    zd_a = set(structure.z_dagger(pa, ball_a))
-    if z not in zd_a:
-        raise ValueError("precondition: z is not in the central isolated part "
-                         "(Z-dagger) of the source")
-    adjacency = check_vertex_map(ball_a, ball_b, mapping)
-    if not adjacency:
-        raise ValueError(f"precondition: map fails the adjacency check "
-                         f"({adjacency.reason})")
-    params = {"z": z, "kmax": kmax, "radius": ball_a.radius}
-    dom = set(mapping)
-    interior = set(ball_a.interior_vertices())
-    sigma_values = {}
-    samples = 0
-    for g in sorted(interior):
-        orbit = [pa.multiply(g, pa.power(z, k)) for k in range(-kmax, kmax + 1)]
-        if not all(x in interior and x in dom for x in orbit):
-            continue
-        samples += 1
-        mg = mapping[g]
-        sigma = pb.multiply(pb.inverse(mg), mapping[pa.multiply(g, z)])
-        for k in range(-kmax, kmax + 1):
-            want = pb.multiply(mg, pb.power(sigma, k))
-            got = mapping[orbit[kmax + k]]
-            if got != want:
-                return Report(claim="map translates central powers by a fixed element",
-                              verdict="fail", ok=False, parameters=params,
-                              witnesses=[{"g": g, "k": k, "expected": want,
-                                          "got": got}])
-        sigma_values[g] = sigma
-    if not sigma_values:
-        return Report(claim="map translates central powers by a fixed element",
-                      verdict="inconclusive", ok=None, parameters=params,
-                      notes=["no interior orbit of length 2*kmax+1 available; "
-                             "grow the ball or lower kmax"])
-    distinct = sorted(set(sigma_values.values()))
-    if len(distinct) != 1:
-        return Report(claim="map translates central powers by a fixed element",
-                      verdict="fail", ok=False, parameters=params,
-                      witnesses=[{"sigmas": distinct}],
-                      notes=["sigma depends on the base point"])
-    sigma = distinct[0]
-    zd_b = set(structure.z_dagger(pb, ball_b))
-    in_target = sigma in zd_b
-    return Report(
-        claim="map translates central powers by a fixed element",
-        verdict="pass" if in_target else "fail", ok=in_target,
-        parameters=params,
-        witnesses=[{"sigma": sigma, "samples": samples}],
-        notes=["sigma is independent of the base point"] +
-              ([] if in_target else
-               ["sigma is outside the central isolated part of the target"]))

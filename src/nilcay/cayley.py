@@ -12,8 +12,7 @@ are deterministic; the BFS dict, re-valued in place, becomes the index, and
 the relabel list, the lexicographic ids in BFS order, is kept as the shell
 order.  Distance queries answer ``None`` ("unknown") rather than ever
 returning a wrong number: ``dist(u,v)`` is certified exactly when
-``u^{-1}v`` lies in the ball.  ``distance_via_sphere`` reaches twice as far
-from the identity, meeting in the middle on the ball's outer sphere.
+``u^{-1}v`` lies in the ball.
 
 Geodesics are paths in the ball's BFS DAG, whose edges ``u -> u*s`` go one
 shell outward.  A query from ``u`` to ``v`` runs on the translated problem
@@ -218,7 +217,6 @@ class Ball:
         self._nbr_sets = None
         self._interior_ids = None
         self._geo_counts = None           # vid -> geodesics from e, built lazily
-        self._sphere = None               # vertices at distance radius, built lazily
 
     def __contains__(self, v):
         return v in self.index
@@ -229,13 +227,6 @@ class Ball:
     def distance_from_identity(self, v):
         i = self.index.get(v)
         return None if i is None else self.dist_list[i]
-
-    def sphere(self):
-        """The vertices at distance ``radius`` from the identity."""
-        if self._sphere is None:
-            self._sphere = [v for v, d in zip(self.vertices, self.dist_list)
-                            if d == self.radius]
-        return self._sphere
 
     def distance(self, u, v):
         """Exact dist_S(u, v), or None when not certifiable inside the ball."""
@@ -323,32 +314,6 @@ def generate_ball(presentation, genset, radius, max_vertices=None) -> Ball:
     relabel.pop()
     return Ball(presentation, genset, radius, tuple(order[b] for b in lex), index,
                 [dist[b] for b in lex], targets, relabel)
-
-
-def distance_via_sphere(ball, x):
-    """Exact dist(e, x) for any x within twice the ball's radius, else None.
-
-    ``ball`` is a ``Ball`` or anything else with its ``presentation``, its
-    ``radius``, ``distance_from_identity`` and ``sphere()``, the vertices at
-    distance ``radius``; ``order``'s growing ball is the other.
-
-    Inside B(R) this is the BFS distance.  Outside it, write d = dist(e, x)
-    and let S(R) be the sphere of radius R.  If d <= 2R, the vertex y at
-    distance R on a geodesic from e to x lies in S(R), and y^-1 x lies in
-    B(R) with |y^-1 x| = d - R; every y in S(R) with y^-1 x in B(R) gives
-    d <= R + |y^-1 x| by the triangle inequality.  So d is R plus the least
-    |y^-1 x| over those y.  If d > 2R, no y in S(R) has y^-1 x in B(R), as
-    that would give d <= 2R, and the answer is None ("unknown").  As the
-    generating set is symmetric, |y^-1| = |y|, so y^-1 ranges over S(R)
-    itself and no inverse is computed.
-    """
-    d = ball.distance_from_identity(x)
-    if d is not None:
-        return d
-    multiply = ball.presentation._product
-    within = (ball.distance_from_identity(multiply(y_inv, x)) for y_inv in ball.sphere())
-    best = min((r for r in within if r is not None), default=None)
-    return None if best is None else ball.radius + best
 
 
 # -- geodesics -----------------------------------------------------------

@@ -353,19 +353,17 @@ def positive_int(text):
     return value
 
 
-def _add_common(sp, genset=True, radius=True, budget=True):
+def _add_common(sp, radius=True):
     sp.add_argument("--group", required=False,
                     help="built-in id (z2, zn:3, heisenberg, klein_bottle, "
                          "zxz2, heisenberg_z3, ...) or a presentation file path")
-    if genset:
-        sp.add_argument("--genset", default="std",
-                        help="std, fsf, lifted, or explicit vectors 'a,b;c,d'")
+    sp.add_argument("--genset", default="std",
+                    help="std, fsf, lifted, or explicit vectors 'a,b;c,d'")
     if radius:
         sp.add_argument("--radius", type=int, default=4)
-    if budget:
-        sp.add_argument("--budget", type=positive_int, default=None,
-                        help="the most vertices one ball may have "
-                             f"(default {DEFAULT_VERTEX_BUDGET:,})")
+    sp.add_argument("--budget", type=positive_int, default=None,
+                    help="the most vertices one ball may have "
+                         f"(default {DEFAULT_VERTEX_BUDGET:,})")
     sp.add_argument("--out", help="write the JSON report or export here")
     sp.add_argument("--pretty", action="store_true", help="indented JSON")
 

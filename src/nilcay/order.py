@@ -13,8 +13,8 @@ Distortion certification never reports an uncertified distance.  Each value
 - abelianized bound, in every presentation: the word length of the image
   of ``g^k`` in the free abelianization (a lower bound, as the map is a
   homomorphism) equals ``k * dist(e, g)`` (an upper bound);
-- sphere meet-in-the-middle: ``cayley.distance_via_sphere`` certifies any
-  distance up to twice the radius of the ball grown so far.
+- sphere meet-in-the-middle: ``_GrowingBall.distance_via_sphere`` certifies
+  any distance up to twice the radius of the ball grown so far.
 
 Word lengths in G and in the abelianization Z^rank come from one growing
 ball (``_GrowingBall``), one instance for each.  It keeps only the BFS
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from . import cayley, pcgroup
-from .cayley import GenSet, count_geodesics, iter_geodesics
+from . import pcgroup
+from .cayley import GenSet, count_geodesics, iter_geodesics, vertex_budget
 from .reporting import Report
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -55,14 +55,6 @@ class BiOrderUnavailable(ValueError):
 
 
 class NotAGeneratorError(ValueError):
-    pass
-
-
-class NotConvexError(ValueError):
-    pass
-
-
-class NotCentralError(ValueError):
     pass
 
 
@@ -147,29 +139,6 @@ def convexity_check(ball, s, kmax) -> Report:
                          "the bi-infinite line is out of checkable reach"])
 
 
-def central_label_propagation(ball, geo: cayley.GeodesicPath, s) -> Report:
-    """On a convex segment containing an s-labelled edge, every edge is labelled s."""
-    p = ball.presentation
-    if not p.is_central(s):
-        raise NotCentralError(f"label {s} is not central")
-    if not geo.labels:
-        raise ValueError("empty segment")
-    end = geo.end(p)
-    d = ball.distance(geo.start, end)
-    if d != len(geo.labels) or count_geodesics(ball, geo.start, end) != 1:
-        raise NotConvexError("segment is not a convex geodesic inside the ball")
-    if s not in geo.labels:
-        raise ValueError("no edge of the segment is labelled by the given element")
-    params = {"label": s, "length": len(geo.labels)}
-    for i, lab in enumerate(geo.labels):
-        if lab != s:
-            return Report(claim="all edges of the convex segment share the central label",
-                          verdict="fail", ok=False,
-                          witnesses=[{"position": i, "label": lab}], parameters=params)
-    return Report(claim="all edges of the convex segment share the central label",
-                  verdict="pass", ok=True, parameters=params)
-
-
 # -- distortion ------------------------------------------------------------
 
 
@@ -178,7 +147,7 @@ class _GrowingBall:
 
     It holds the BFS distance of every element within ``radius`` of e and
     the last shell, the sphere S(radius), which is all that
-    ``cayley.distance_via_sphere`` reads: a ball of radius R certifies any
+    ``distance_via_sphere`` reads: a ball of radius R certifies any
     distance up to 2R.  Radii go 0, 4, 8, 16, ..., capped at the proven
     upper bound, each growth made only when the ball cannot certify the
     distance asked for; it extends the last shell outward, so every vertex
@@ -195,15 +164,32 @@ class _GrowingBall:
         self.shell = [e]                  # the elements at distance radius
         self.radius = 0
         self.failed_radius = None         # radius of the growth that broke the budget
-        self.distance_from_identity = self.dists.get
 
-    def sphere(self):
-        return self.shell
+    def distance_via_sphere(self, x):
+        """Exact dist(e, x) for any x within twice the radius, else None.
+
+        Inside B(R) this is the BFS distance.  Outside it, write d = dist(e, x)
+        and let S(R) be the sphere of radius R.  If d <= 2R, the vertex y at
+        distance R on a geodesic from e to x lies in S(R), and y^-1 x lies in
+        B(R) with |y^-1 x| = d - R; every y in S(R) with y^-1 x in B(R) gives
+        d <= R + |y^-1 x| by the triangle inequality.  So d is R plus the
+        least |y^-1 x| over those y.  If d > 2R, no y in S(R) has y^-1 x in
+        B(R), as that would give d <= 2R, and the answer is None ("unknown").
+        As the generating set is symmetric, |y^-1| = |y|, so y^-1 ranges over
+        S(R) itself and no inverse is computed.
+        """
+        d = self.dists.get(x)
+        if d is not None:
+            return d
+        multiply, dists = self.presentation._product, self.dists
+        within = (dists.get(multiply(y_inv, x)) for y_inv in self.shell)
+        best = min((r for r in within if r is not None), default=None)
+        return None if best is None else self.radius + best
 
     def dist(self, x, upper):
         """dist(e, x) or None; ``upper`` is a proven upper bound, or None."""
         while True:
-            d = cayley.distance_via_sphere(self, x)
+            d = self.distance_via_sphere(x)
             if d is not None:
                 return d
             if not self.shell:
@@ -267,7 +253,7 @@ def distortion_profile(presentation, genset, g, kmax,
         raise ValueError("distortion profile of the identity is undefined")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    budget = cayley.vertex_budget(max_vertices)
+    budget = vertex_budget(max_vertices)
     ks = _profile_ks(kmax)
     grown = _GrowingBall(genset, budget)
     # the abelianization is a homomorphism, so the distance of an image is a
@@ -280,7 +266,7 @@ def distortion_profile(presentation, genset, g, kmax,
 
     def dist_of(x, upper):
         """dist(e, x) or None; ``upper`` is a proven upper bound, or None."""
-        d = grown.distance_from_identity(x)
+        d = grown.dists.get(x)
         if d is not None:
             return d
         if upper is not None and image_ball is not None \

@@ -267,7 +267,7 @@ class PcPresentation:
         n = self.n
         # (j, +-1) -> [table of phi_j^(+-2^k) for k = 0, 1, ...], for each g_j
         # that some higher generator does not commute with; a table holds the
-        # normal form of phi(g_i) for each i > j, None where phi_j fixes g_i
+        # normal form of phi(g_i) for each i > j, None where phi fixes g_i
         self._phi = {}
         for table, sign in ((self.conj, 1), (self.conjinv, -1)):
             for (l, j), w in table.items():
@@ -388,10 +388,13 @@ class PcPresentation:
                     break
                 level += 1
                 if level == len(tables):
+                    # None where phi^2 fixes g_i, though phi may not: the
+                    # Klein bottle's phi_a inverts b
                     last = tables[-1]
-                    tables.append([None if img is None
-                                   else tuple(self._apply_table(last, img, j))
-                                   for img in last])
+                    images = (None if img is None
+                              else tuple(self._apply_table(last, img, j)) for img in last)
+                    tables.append([None if img == self.generator(i) else img
+                                   for i, img in enumerate(images)])
         if w is not None:
             t, tail = self._pow_vector(w, q), t
             self._mul_into(t, tail)

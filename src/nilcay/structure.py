@@ -2,8 +2,8 @@
 conjugator search.
 
 Subgroups are finite element lists (``SubgroupWitness``).  The free part of
-the abelianization is read from the presentation's relations with exact
-rational elimination, so membership in the isolator of the derived
+the abelianization is read from one integer echelon form of the
+presentation's relations, so membership in the isolator of the derived
 subgroup is exact for every presentation; ``isolator`` and ``z_dagger``
 return exactly the ball elements in it.  Centrality is decided exactly via
 collection.
@@ -154,51 +154,42 @@ def quotient_by_torsion(presentation) -> pcgroup.PcPresentation:
 class Abelianization:
     """The free part of G/[G, G], read from the presentation's relations.
 
-    G/[G, G] is Z^n modulo one vector per defining relation: the exponent
-    sum of its right side minus that of its left side, g_l for a
-    conjugation relation and g_i^m_i for a power relation.  Exact
-    elimination over Fractions reduces these vectors to an echelon basis of
-    their rational span.  A vector reduced against that basis is zero at
-    every pivot; its other coordinates, scaled by one common denominator,
-    are its image in Z^rank.  So ``image`` is a homomorphism whose kernel is
-    the isolator of [G, G], the elements with a power in [G, G].
+    G/[G, G] is Z^n modulo the integer span of one vector per defining
+    relation: the exponent sum of its right side minus that of its left
+    side, g_l for a conjugation relation and g_i^m_i for a power relation.
+    Row operations by Euclid's algorithm reduce these vectors once to an
+    integer echelon basis of their span, one row per pivot column with a
+    positive pivot.  Over Q, e_i reduced against the rows is zero at every
+    pivot; its other coordinates, scaled by one common denominator, are
+    the image of g_i in Z^rank.  So ``image`` is a homomorphism whose kernel
+    is the isolator of [G, G], the elements with a power in [G, G].  The
+    pivot columns and these residues depend only on the rational span of
+    the relations, not on how it was reduced.
     """
 
     def __init__(self, presentation):
         p = presentation
-
-        def relation(lhs, exponent, word):
+        relations = [(l, 1, w) for table in (p.conj, p.conjinv)
+                     for (l, _j), w in table.items()]
+        relations += [(i, m, p.power_words.get(i, ()))
+                      for i, m in enumerate(p.orders) if m is not None]
+        self.n = p.n
+        self._rows = rows = {}          # pivot -> row with a positive pivot
+        for lhs, exponent, word in relations:
             v = [0] * p.n
             v[lhs] -= exponent
             for i, e in word:
                 v[i] += e
-            return v
-
-        relations = [relation(l, 1, w) for table in (p.conj, p.conjinv)
-                     for (l, _j), w in table.items()]
-        relations += [relation(i, m, p.power_words.get(i, ()))
-                      for i, m in enumerate(p.orders) if m is not None]
-        self.n = p.n
-        #: the relation vectors, which span the kernel of Z^n -> G/[G, G]
-        self.relations = tuple(tuple(v) for v in relations)
-        basis = []                      # (pivot, row with 1 at the pivot)
-
-        def reduce(v):
-            v = [Fraction(e) for e in v]
-            for pivot, row in basis:
+            _insert_row(rows, v)
+        free = [i for i in range(p.n) if i not in rows]
+        residues = []
+        for i in range(p.n):
+            v = [Fraction(int(j == i)) for j in range(p.n)]
+            for pivot in sorted(rows):
                 if v[pivot]:
-                    f = v[pivot]
-                    v = [a - f * b for a, b in zip(v, row)]
-            return v
-
-        for v in relations:
-            v = reduce(v)
-            pivot = next((i for i, e in enumerate(v) if e), None)
-            if pivot is not None:
-                basis.append((pivot, [e / v[pivot] for e in v]))
-        pivots = {pivot for pivot, _ in basis}
-        free = [i for i in range(p.n) if i not in pivots]
-        residues = [[reduce(p.generator(i))[j] for j in free] for i in range(p.n)]
+                    f = v[pivot] / rows[pivot][pivot]
+                    v = [a - f * b for a, b in zip(v, rows[pivot])]
+            residues.append([v[j] for j in free])
         den = math.lcm(*(r.denominator for res in residues for r in res))
         self.rank = len(free)
         #: image(g_i) in Z^rank for each pc generator g_i
@@ -221,29 +212,18 @@ class Abelianization:
 
         H[G, G]/[G, G] is the image of H in Z^n modulo the relation vectors,
         so H[G, G] corresponds to the integer span L of the relation vectors
-        and the normal forms of the elements.  Row operations by Euclid's
-        algorithm reduce them to an echelon basis of L with positive pivots;
-        the index of L in Z^n is the product of the pivots when there are n
-        of them.  A vector is in L exactly when reducing it against the
-        basis leaves zero, each pivot dividing the entry it clears.  For
-        nilpotent G, H[G, G] = G implies H = G, so the elements generate G
-        exactly when ``missing`` is None.
+        and the normal forms of the elements.  Inserting the elements into a
+        copy of the relations' echelon rows gives an echelon basis of L; the
+        index of L in Z^n is the product of the pivots when there are n of
+        them.  A vector is in L exactly when reducing it against the basis
+        leaves zero, each pivot dividing the entry it clears.  For nilpotent
+        G, H[G, G] = G implies H = G, so the elements generate G exactly
+        when ``missing`` is None.
         """
         n = self.n
-        rows = {}                       # pivot -> row with a positive pivot
-        for v in (*self.relations, *elements):
-            v = list(v)
-            for i in range(n):
-                if not v[i]:
-                    continue
-                r = rows.get(i)
-                if r is None:
-                    rows[i] = v if v[i] > 0 else [-a for a in v]
-                    break
-                while v[i]:             # Euclid on column i: v[i] ends at 0
-                    q = r[i] // v[i]
-                    r, v = v, [a - q * b for a, b in zip(r, v)]
-                rows[i] = r if r[i] > 0 else [-a for a in r]
+        rows = dict(self._rows)
+        for v in elements:
+            _insert_row(rows, v)
 
         def in_span(v):
             for i in range(n):
@@ -259,6 +239,26 @@ class Abelianization:
         missing = next((i for i in range(n)
                         if not in_span([int(j == i) for j in range(n)])), None)
         return index, missing
+
+
+def _insert_row(rows, v):
+    """Add the integer vector v to the echelon basis ``rows``, a dict from
+    pivot column to a row that is zero before it and positive at it, by
+    Euclid's algorithm on each column where v meets a row.  Rows are
+    replaced, never changed in place, so a copy of the dict is a copy of
+    the basis."""
+    v = list(v)
+    for i in range(len(v)):
+        if not v[i]:
+            continue
+        r = rows.get(i)
+        if r is None:
+            rows[i] = v if v[i] > 0 else [-a for a in v]
+            return
+        while v[i]:                     # Euclid on column i: v[i] ends at 0
+            q = r[i] // v[i]
+            r, v = v, [a - q * b for a, b in zip(r, v)]
+        rows[i] = r if r[i] > 0 else [-a for a in r]
 
 
 def isolator(presentation, ball) -> tuple:

@@ -143,7 +143,8 @@ def group_laws(seed=0, samples=10**4, group_filter=None) -> Report:
 # -- criterion 2 -------------------------------------------------------------
 
 
-def metric_oracle(group_filter=None, radius=4) -> Report:
+def metric_oracle(group_filter=None) -> Report:
+    radius = 4
     families = _families(group_filter)
     mismatches = []
     sizes = {}
@@ -190,7 +191,8 @@ def _brute_force_word_distances(presentation, genset, radius):
 # -- criterion 3 -------------------------------------------------------------
 
 
-def klein_pair(radius=8) -> Report:
+def klein_pair() -> Report:
+    radius = 8
     problems = []
     flip = constructions.klein_flip_map(radius)
     if not flip.check():
@@ -220,7 +222,8 @@ def klein_pair(radius=8) -> Report:
 # -- criterion 4 -------------------------------------------------------------
 
 
-def fsf_construction(radius=5) -> Report:
+def fsf_construction() -> Report:
+    radius = 5
     problems = []
     zx = pcgroup.from_id("zxz2")
     F = structure.torsion_subgroup(zx)
@@ -267,7 +270,8 @@ def fsf_construction(radius=5) -> Report:
 # -- criterion 5 -------------------------------------------------------------
 
 
-def affine_shadow(r=3, t=2) -> Report:
+def affine_shadow() -> Report:
+    r, t = 3, 2
     problems = []
     counts = {}
     for fid in ("z2", "z3", "heisenberg"):
@@ -295,7 +299,8 @@ def affine_shadow(r=3, t=2) -> Report:
 # -- criterion 6 -------------------------------------------------------------
 
 
-def biorder_shadow(seed=0, samples=10**4, kmax=6) -> Report:
+def biorder_shadow(seed=0, samples=10**4) -> Report:
+    kmax = 6
     problems = []
     details = {}
     for fid in ("z", "z2", "z3", "heisenberg"):
@@ -330,7 +335,8 @@ def biorder_shadow(seed=0, samples=10**4, kmax=6) -> Report:
 # -- criterion 7 -------------------------------------------------------------
 
 
-def distortion(kmax=16) -> Report:
+def distortion() -> Report:
+    kmax = 16
     problems = []
     p = pcgroup.builtin("heisenberg")
     S = standard_genset(p)
@@ -367,7 +373,8 @@ def distortion(kmax=16) -> Report:
 # -- criterion 8 -------------------------------------------------------------
 
 
-def torsion_geodesics(seed=0, radius=4, pairs=100) -> Report:
+def torsion_geodesics(seed=0) -> Report:
+    radius, pairs = 4, 100
     problems = []
     from .cayley import torsion_label_bound
     zx = pcgroup.from_id("zxz2")
@@ -418,7 +425,8 @@ def torsion_geodesics(seed=0, radius=4, pairs=100) -> Report:
 # -- criterion 9 -------------------------------------------------------------
 
 
-def induced_and_wreath(radius=5) -> Report:
+def induced_and_wreath() -> Report:
+    radius = 5
     problems = []
     zx = pcgroup.from_id("zxz2")
     N = structure.torsion_subgroup(zx)

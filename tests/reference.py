@@ -12,6 +12,12 @@ subgroup of each built-in family from the family's closed form, with no
 call into ``nilcay``, so the tests check ``structure.Abelianization`` and
 the distortion verdicts against it.
 
+``rational_abelianization`` is exact elimination over Fractions of the
+relation vectors, and ``lattice_span_index`` reads the index of a lattice
+from the gcd of the maximal minors, each minor a Fraction determinant, so
+the tests check the integer echelon form of ``structure.Abelianization``
+against them on ``oracle_presentations``.
+
 ``pairwise_scan`` is the quadratic affine check: alpha(xy) = alpha(x)
 alpha(y) on every pair of interior vertices.  It is weaker than the von
 Dyck certificate of ``autlab.is_affine_on_ball`` (a map can be
@@ -20,6 +26,12 @@ homomorphism of the whole group), so the tests use it as a one-way oracle:
 whatever the certificate passes, the scan passes.
 """
 
+import math
+from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
+
+from nilcay import pcgroup
 from nilcay.autlab import AffineVerdict, _split_translation
 
 # the quaternion group: i^2 = j^2 = z, z^2 = 1, i^-1 j i = j z
@@ -349,3 +361,132 @@ def pairwise_scan(ball_a, ball_b, mapping):
                 return AffineVerdict(False, h, alpha_gens, witness=(x, y),
                                      reason="alpha is not multiplicative")
     return AffineVerdict(True, h, alpha_gens)
+
+
+# -- the abelianization by rational elimination and minors ----------------
+
+
+def relation_vectors(p):
+    """One vector per defining relation: the exponent sum of its right side
+    minus that of its left side, g_l for a conjugation relation and
+    g_i^m_i for a power relation."""
+    out = []
+    for table in (p.conj, p.conjinv):
+        for (l, _j), word in table.items():
+            v = [0] * p.n
+            v[l] -= 1
+            for i, e in word:
+                v[i] += e
+            out.append(v)
+    for i, m in enumerate(p.orders):
+        if m is not None:
+            v = [0] * p.n
+            v[i] -= m
+            for j, e in p.power_words.get(i, ()):
+                v[j] += e
+            out.append(v)
+    return out
+
+
+def _rational_echelon(vectors):
+    """An echelon basis of the rational span, rows with 1 at the pivot, and
+    the reduction of a vector against it."""
+    basis = []                      # (pivot, row with 1 at the pivot)
+
+    def reduce(v):
+        v = [Fraction(e) for e in v]
+        for pivot, row in basis:
+            if v[pivot]:
+                f = v[pivot]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    for v in vectors:
+        v = reduce(v)
+        pivot = next((i for i, e in enumerate(v) if e), None)
+        if pivot is not None:
+            basis.append((pivot, [e / v[pivot] for e in v]))
+    return basis, reduce
+
+
+def rational_abelianization(p):
+    """(rank, generator images): each e_i reduced over Q against the
+    relations is zero at every pivot, and its other coordinates, scaled by
+    one common denominator, are the image of g_i in Z^rank."""
+    basis, reduce = _rational_echelon(relation_vectors(p))
+    pivots = {pivot for pivot, _ in basis}
+    free = [i for i in range(p.n) if i not in pivots]
+    residues = [[reduce(p.generator(i))[j] for j in free] for i in range(p.n)]
+    den = math.lcm(*(r.denominator for res in residues for r in res))
+    return len(free), tuple(tuple(int(r * den) for r in res) for res in residues)
+
+
+def _fraction_det(rows):
+    rows = [[Fraction(e) for e in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return int(det)
+
+
+def lattice_span_index(p, elements):
+    """(index, missing) of L, the integer span of the relation vectors and
+    the elements, as ``Abelianization.span_index`` defines them.
+
+    Let k be the rank of L and C the pivot columns of its rational echelon
+    basis; the projection to C is injective on the rational span, so it
+    maps L onto a lattice of rank k in Z^C whose index is the gcd of the
+    k-by-k minors of the spanning vectors on C.  A vector e_i in the
+    rational span lies in L exactly when adding it leaves that index
+    unchanged.  L has finite index in Z^n only at k = n, where C is every
+    column and the gcd is the index."""
+    # one vector of each pair +-v spans as much as both
+    signed = {tuple(v) if next(e for e in v if e) > 0 else tuple(-e for e in v)
+              for v in relation_vectors(p) + [list(x) for x in elements] if any(v)}
+    vectors = sorted(signed)
+    basis, _ = _rational_echelon(vectors)
+    k, cols = len(basis), sorted(pivot for pivot, _ in basis)
+
+    def minors_gcd(vs):
+        g = 0
+        for rows in combinations(vs, k):
+            g = math.gcd(g, _fraction_det([[r[c] for c in cols] for r in rows]))
+        return g
+
+    base = minors_gcd(vectors)
+    index = base if k == p.n else None
+    missing = None
+    for i in range(p.n):
+        e = p.generator(i)
+        with_e = vectors + [e]
+        if len(_rational_echelon(with_e)[0]) != k or minors_gcd(with_e) != base:
+            missing = i
+            break
+    return index, missing
+
+
+FILIFORM_PC = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "filiform4.pc"
+
+#: twelve built-in ids, then the benchmark's class-3 input and every source above
+ORACLE_BUILTIN_IDS = ("z", "z2", "z3", "zn:5", "heisenberg", "klein_bottle", "zxz2",
+                      "heisenberg_z", "heisenberg_z3", "zn_cross_cyclic:1,3",
+                      "zn_cross_cyclic:2,4", "zn_cross_cyclic:0,3")
+
+
+def oracle_presentations():
+    """(name, presentation) for the 22 presentations that the abelianization
+    is checked on."""
+    out = [(gid, pcgroup.from_id(gid)) for gid in ORACLE_BUILTIN_IDS]
+    out.append(("filiform4.pc", pcgroup.parse_presentation(FILIFORM_PC.read_text())))
+    out += [(name, pcgroup.parse_presentation(text))
+            for name, text in sorted(globals().items()) if name.endswith("_SOURCE")]
+    return out

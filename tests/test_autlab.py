@@ -9,9 +9,9 @@ from itertools import chain
 import pytest
 
 from nilcay import autlab, constructions, structure
-from nilcay.autlab import (StableAutomorphisms, central_translation_check,
-                           enumerate_local_auts, induced_quotient_check,
-                           is_affine_on_ball, normality_verdict)
+from nilcay.autlab import (StableAutomorphisms, enumerate_local_auts,
+                           induced_quotient_check, is_affine_on_ball,
+                           normality_verdict)
 from nilcay.cayley import (Ball, GenerationError, GenSet, check_vertex_map,
                            generate_ball, standard_genset)
 from nilcay.cli import _resolve_genset
@@ -666,38 +666,6 @@ def test_induced_quotient_check_catches_coset_breaker():
     rep = induced_quotient_check(ball, ball, bad)
     assert (rep.verdict, rep.ok) == ("fail", False)
     assert rep.witnesses == [{"coset_of": (0, 0), "offender": (0, 1), "ratio": (1, 0)}]
-
-
-def test_central_translation_check_sigma_values():
-    h = builtin("heisenberg")
-    ball = generate_ball(h, standard_genset(h), 6)
-    ident = {v: v for v in ball.vertices}
-    rep = central_translation_check(ball, ball, ident, (0, 0, 1), 2)
-    assert rep.verdict == "pass"
-    assert rep.witnesses[0]["sigma"] == (0, 0, 1)
-
-    def swap_ab(v):
-        i, j, k = v
-        return h.multiply(h.multiply(h.power((0, 1, 0), i),
-                                     h.power((1, 0, 0), j)),
-                          h.power((0, 0, 1), -k))
-    swapped = {v: swap_ab(v) for v in ball.vertices}
-    rep2 = central_translation_check(ball, ball, swapped, (0, 0, 1), 2)
-    assert rep2.verdict == "pass"
-    assert rep2.witnesses[0]["sigma"] == (0, 0, -1)
-
-
-def test_central_translation_check_preconditions():
-    k = builtin("klein_bottle")
-    ball = generate_ball(k, standard_genset(k), 4)
-    ident = {v: v for v in ball.vertices}
-    with pytest.raises(ValueError, match="Z-dagger"):
-        central_translation_check(ball, ball, ident, (1, 0), 2)
-    zx = from_id("zxz2")
-    bz = generate_ball(zx, standard_genset(zx), 4)
-    with pytest.raises(ValueError, match="torsion-free"):
-        central_translation_check(bz, bz, {v: v for v in bz.vertices},
-                                  (0, 1), 2)
 
 
 # (group id, explicit generating set or None, radius, stability)

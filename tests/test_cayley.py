@@ -7,16 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from nilcay import cayley, constructions, pcgroup, structure
+from nilcay import cayley, constructions, order, pcgroup, structure
 from nilcay.cayley import (GenerationError, GenSet, GeodesicCapError,
                            GeodesicPath,
                            check_vertex_map, count_geodesics,
-                           distance_via_sphere, enumerate_geodesics,
+                           enumerate_geodesics,
                            export_distances, export_graph,
                            generate_ball, insert_torsion_edge, standard_genset,
                            torsion_label_bound)
 from nilcay.pcgroup import builtin, from_id
-from reference import SOL_SOURCE
+from reference import SOL_SOURCE, lattice_span_index
 
 
 @pytest.fixture(scope="module")
@@ -137,12 +137,14 @@ def _sphere_case(name):
 @pytest.mark.parametrize("name,R", [("heisenberg", 4), ("z3", 4), ("klein_bottle", 4),
                                     ("zxz2 fsf", 3), ("filiform", 3)])
 def test_distance_via_sphere_matches_bfs_to_twice_the_radius(name, R):
+    """The sphere certificate of the distortion profile's growing ball."""
     p, S = _sphere_case(name)
-    ball = generate_ball(p, S, R)
+    grown = order._GrowingBall(S, cayley.vertex_budget())
+    assert grown._grow(R)
     oracle = _plain_bfs(p, S, 2 * R + 1)
     assert max(oracle.values()) == 2 * R + 1
     for x, d in oracle.items():
-        assert distance_via_sphere(ball, x) == (d if d <= 2 * R else None), (x, d)
+        assert grown.distance_via_sphere(x) == (d if d <= 2 * R else None), (x, d)
 
 
 @pytest.mark.parametrize("fid,radius,depth", [
@@ -436,6 +438,7 @@ def test_generation_test_has_closed_forms(gid, vectors, index, missing):
     p = from_id(gid)
     S = GenSet(p, [tuple(map(int, v.split(","))) for v in vectors.split(";")])
     assert p.abelianization.span_index(S.elements) == (index, missing)
+    assert lattice_span_index(p, S.elements) == (index, missing)
     assert _index_closed_form(gid, S.elements) == index
     if missing is None:
         S.pc_words()
@@ -482,6 +485,7 @@ def test_generation_test_agrees_with_closed_forms_and_the_bfs():
     for gid, S in _sweep_sets(0, 52):
         p = S.presentation
         index, missing = p.abelianization.span_index(S.elements)
+        assert (index, missing) == lattice_span_index(p, S.elements)
         assert index == _index_closed_form(gid, S.elements)
         assert (index == 1) == (missing is None)
         if missing is None:
@@ -538,12 +542,14 @@ def test_a_finite_subgroup_ends_the_bfs():
     s3 = pcgroup.parse_presentation(S3_SOURCE)
     S = GenSet(s3, [(1, 0)])
     assert s3.abelianization.span_index(S.elements) == (1, None)
+    assert lattice_span_index(s3, S.elements) == (1, None)
     with pytest.raises(GenerationError, match="finite proper subgroup of "
                        "S3, of order 2: pc generator b is outside it"):
         S.pc_words()
     k = builtin("klein_bottle")
     S = GenSet(k, [(1, 0), (-1, 0), (0, 3), (0, -3)])
     assert k.abelianization.span_index(S.elements) == (1, None)
+    assert lattice_span_index(k, S.elements) == (1, None)
     with pytest.raises(cayley.BallBudgetError, match="before reaching every "
                        "pc generator"):
         S.pc_words(max_vertices=100)
@@ -570,6 +576,7 @@ genset x x^-1 t
              "KleinBottle: pc generator a is outside <S>[G, G], which has "
              "index 2 in G")]:
         assert not p.nilpotent
+        assert lattice_span_index(p, vectors) == p.abelianization.span_index(vectors)
         with pytest.raises(GenerationError) as exc:
             GenSet(p, vectors).pc_words(max_vertices=10)
         assert str(exc.value) == ("the generating set generates a proper "

@@ -1,4 +1,4 @@
-"""Bi-order comparators, convex segments, central label propagation, distortion."""
+"""Bi-order comparators, convex segments, distortion."""
 
 import random
 import re
@@ -8,12 +8,11 @@ from pathlib import Path
 import pytest
 
 from nilcay import cayley, order, pcgroup
-from nilcay.cayley import GenSet, GeodesicPath, generate_ball, standard_genset
+from nilcay.cayley import GenSet, generate_ball, standard_genset
 from nilcay.order import (BiOrder, BiOrderUnavailable, NotAGeneratorError,
-                          NotCentralError, NotConvexError,
-                          central_label_propagation, classify_distorted,
-                          convexity_check, distortion_profile, max_generator)
-from nilcay.pcgroup import builtin, direct_product, from_id
+                          classify_distorted, convexity_check,
+                          distortion_profile, max_generator)
+from nilcay.pcgroup import builtin, from_id
 from reference import (HEISENBERG_ONE_BLOCK_SOURCE, UT4_SOURCE,
                        isolator_closed_form)
 
@@ -165,29 +164,6 @@ def test_convexity_fail_with_many_geodesics_is_a_report():
                               "paths": [((1, -2), (1, 2)), ((1, -1), (1, 1))]}]
 
 
-def test_central_label_propagation():
-    z2 = builtin("zn", n=2)
-    ball = generate_ball(z2, standard_genset(z2), 6)
-    geo = GeodesicPath((0, 0), ((1, 0),) * 5)
-    assert central_label_propagation(ball, geo, (1, 0)).verdict == "pass"
-    h = builtin("heisenberg")
-    bh = generate_ball(h, standard_genset(h), 6)
-    with pytest.raises(NotCentralError):
-        central_label_propagation(bh, GeodesicPath((0, 0, 0), ((1, 0, 0),) * 3),
-                                  (1, 0, 0))
-    hz = direct_product(builtin("heisenberg"), builtin("zn", n=1))
-    S = GenSet(hz, [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
-                    (0, 0, 0, 1), (0, 0, 0, -1)])
-    bz = generate_ball(hz, S, 5)
-    zgen = (0, 0, 0, 1)
-    geo = GeodesicPath(hz.identity, (zgen,) * 4)
-    assert central_label_propagation(bz, geo, zgen).verdict == "pass"
-    # a path with a foreign edge in the middle is not convex
-    mixed = GeodesicPath(hz.identity, (zgen, (1, 0, 0, 0), zgen))
-    with pytest.raises(NotConvexError):
-        central_label_propagation(bz, mixed, zgen)
-
-
 def test_distortion_profile_pinned_values():
     h = builtin("heisenberg")
     S = standard_genset(h)
@@ -221,6 +197,22 @@ def _grown_case(name):
     return p, standard_genset(p)
 
 
+def _ball_sphere(ball):
+    """The vertices of a Ball at distance ``radius``, read from its dist_list."""
+    return [v for v, d in zip(ball.vertices, ball.dist_list) if d == ball.radius]
+
+
+def _sphere_distance(ball, x):
+    """dist(e, x) met in the middle on the Ball's sphere, None past 2R."""
+    d = ball.distance_from_identity(x)
+    if d is not None:
+        return d
+    p = ball.presentation
+    within = [ball.distance_from_identity(p.multiply(y, x)) for y in _ball_sphere(ball)]
+    best = min((r for r in within if r is not None), default=None)
+    return None if best is None else ball.radius + best
+
+
 @pytest.mark.parametrize("name,radii", [
     ("heisenberg", (4, 8, 16)), ("klein_bottle", (4, 8, 16)), ("zxz2", (4, 8, 16)),
     ("filiform4.pc", (4, 8)),
@@ -230,7 +222,7 @@ def _grown_case(name):
 def test_grown_ball_matches_generate_ball_at_each_radius(name, radii):
     """After each growth the distances and the sphere are those of
     ``generate_ball`` at that radius, and the sphere certificate agrees with
-    the one on the Ball: exactly up to 2R on all of B(2R + 1) at R = 4, and
+    meeting in the middle on the Ball's sphere: exactly up to 2R on all of B(2R + 1) at R = 4, and
     on seeded words of length R to 2R + 1 above it."""
     p, S = _grown_case(name)
     grown = order._GrowingBall(S, cayley.vertex_budget())
@@ -239,8 +231,8 @@ def test_grown_ball_matches_generate_ball_at_each_radius(name, radii):
         assert grown._grow(R) and grown.radius == R
         ball = generate_ball(p, S, R)
         assert grown.dists == {v: ball.dist_list[i] for v, i in ball.index.items()}
-        assert sorted(grown.sphere()) == sorted(ball.sphere())
-        assert bool(grown.sphere()) == (ball.depth == R)
+        assert sorted(grown.shell) == sorted(_ball_sphere(ball))
+        assert bool(grown.shell) == (ball.depth == R)
         if R == 4:
             big = generate_ball(p, S, 2 * R + 1)
             xs = dict(zip(big.vertices, big.dist_list))
@@ -252,8 +244,8 @@ def test_grown_ball_matches_generate_ball_at_each_radius(name, radii):
                     x = p.multiply(x, rng.choice(S.elements))
                 xs[x] = None
         for x, d in xs.items():
-            got = cayley.distance_via_sphere(grown, x)
-            assert got == cayley.distance_via_sphere(ball, x), (x, R)
+            got = grown.distance_via_sphere(x)
+            assert got == _sphere_distance(ball, x), (x, R)
             if d is not None:
                 assert got == (d if d <= 2 * R else None), (x, d)
 
@@ -278,8 +270,8 @@ def test_a_growth_past_the_budget_leaves_the_ball_as_it_was():
     assert (grown.dists, grown.shell, grown.radius) == (dists, shell, 4)
     assert list(grown.dists) == list(dists)
     # B(4) still certifies distances up to 8, and none beyond
-    assert cayley.distance_via_sphere(grown, (0, 0, 4)) == 8
-    assert cayley.distance_via_sphere(grown, (0, 0, 16)) is None
+    assert grown.distance_via_sphere((0, 0, 4)) == 8
+    assert grown.distance_via_sphere((0, 0, 16)) is None
     first = order._GrowingBall(S, 50)
     assert not first._grow(4)
     assert (first.dists, first.shell, first.radius) == ({h.identity: 0}, [h.identity], 0)

@@ -388,6 +388,20 @@ def test_collector_still_agrees_with_the_polynomials(name, span):
         assert p._collect_inverse(x) == p.inverse(x)
 
 
+def test_squared_tables_hold_none_where_the_power_fixes_the_generator(klein):
+    """phi_a inverts b in the Klein bottle, so phi_a^(2^k) fixes b from k = 1
+    on: the squared tables say so with None, and b's exponent is then only
+    added, not raised by powering."""
+    x, y = (13, -5), (-13, 11)       # |13| = 0b1101 needs phi_a^(+-8)
+    assert klein._collect_product(x, y) == klein_mul(x, y)
+    assert klein._collect_product(y, x) == klein_mul(y, x)
+    for sign in (1, -1):
+        tables = klein._phi[(0, sign)]
+        assert len(tables) >= 4
+        assert tables[0][1] == (0, -1)
+        assert all(table[1] is None for table in tables[1:])
+
+
 @pytest.mark.parametrize("span", [20, 1000])
 def test_one_block_heisenberg_collects_the_same_products(span):
     """With c in the block of a and b the weight rule fails, but every
