@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from . import structure
-from .cayley import (Ball, GenerationError, check_vertex_map, generate_ball,
+from .cayley import (Ball, GenerationError, GenSet, check_vertex_map, generate_ball,
                      require_total, twin_partition)
 from .reporting import Report
 
@@ -654,7 +654,6 @@ def induced_quotient_check(ball_a: Ball, ball_b: Ball, mapping) -> Report:
     # well defined: containment put m(gn) in N2 m(g), and projection kills N2
     qmap = {structure.project_to_quotient(pa, g):
             structure.project_to_quotient(pb, mapping[g]) for g in interior}
-    from .cayley import GenSet
     qgens_a = GenSet(qa, structure.quotient_generators(pa, ball_a.genset.elements))
     qgens_b = GenSet(qb, structure.quotient_generators(pb, ball_b.genset.elements))
     qball_a = generate_ball(qa, qgens_a, ball_a.radius)

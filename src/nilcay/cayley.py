@@ -197,9 +197,7 @@ class Ball:
 
     ``targets[u * width + sid]`` is the id of u * s_sid, or -1 when that
     product lies outside the ball (only for u on the last shell); ``width``
-    is |S|.  ``shell_order`` lists the ids in BFS order, so by distance, and
-    ``depth`` is the largest distance, which is below the radius only when
-    the ball is all of <S>.
+    is |S|.  ``shell_order`` lists the ids in BFS order, so by distance.
     """
 
     def __init__(self, presentation, genset, radius, vertices, index, dist_list,
@@ -213,7 +211,6 @@ class Ball:
         self.targets = targets            # vid * width + sid -> vid of v*s, or -1
         self.width = len(targets) // len(vertices)
         self.shell_order = shell_order    # vids in BFS order
-        self.depth = dist_list[shell_order[-1]]
         self._nbr_sets = None
         self._interior_ids = None
         self._geo_counts = None           # vid -> geodesics from e, built lazily

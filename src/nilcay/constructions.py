@@ -136,16 +136,11 @@ def fsf_generating_set(presentation, finite_subgroup: SubgroupWitness,
 # -- twins -------------------------------------------------------------------
 
 
-def twin_classes(ball_or_graph):
-    """Partition of interior vertices by exact neighborhood equality."""
-    if isinstance(ball_or_graph, Ball):
-        verts = ball_or_graph.interior_vertices()
-        nbrs = ball_or_graph.neighbor_set
-    else:
-        verts = sorted(ball_or_graph.vertices)
-        nbrs = ball_or_graph.neighbor_set
-    return tuple(sorted(tuple(members)
-                        for members in cayley.twin_partition(verts, nbrs)))
+def twin_classes(ball: Ball):
+    """Partition of the ball's interior vertices by exact neighborhood
+    equality."""
+    partition = cayley.twin_partition(ball.interior_vertices(), ball.neighbor_set)
+    return tuple(sorted(tuple(members) for members in partition))
 
 
 def twin_swap_map(ball: Ball, g, h):

@@ -46,10 +46,12 @@ collection is linear: a block g_j^f negates each SIGN coordinate when f is
 odd and adds coef * x_l * f to each central correction target, every
 correction reading x_l before the row writes, and coordinates of finite
 order are taken mod m.  These rows are unrolled over j into straight-line
-code.  The inverse folds the rows into one expression per coordinate, such
-as ``- x2 - x1 * x0`` in the Heisenberg group.  Every abelian, class-2 and
-central-torsion family takes it, and so does the Klein bottle, whose sign
-alternates with the exponent of a, as no polynomial does.
+code.  The inverse runs the same rows on x: for j = 0, ..., n-1 it sets
+y_j = -x_j (mod m_j), x_j as the rows below j left it, and runs row j with
+block exponent y_j.  x*y sets coordinate j to that x_j plus y_j, so
+x*y = e and y = x^-1.  Every abelian, class-2 and central-torsion family
+takes it, and so does the Klein bottle, whose sign alternates with the
+exponent of a, as no polynomial does.
 
 The polynomials serve the torsion-free nilpotent groups whose collection is
 not linear, such as those of class 3.  In such a group the coordinates of
@@ -73,16 +75,19 @@ exceed ``_MAX_GRID_POINTS`` collector products keeps the collector, as does
 every presentation outside both paths (Sol, Q8, a class-3 group times Z/2).
 
 A ball multiplies every vertex by the same generating set S, so
-``right_multiplier(S)`` gives a step kernel u -> (u*s for s in S), the
-compiled product with y := s folded in, compiled on first use for each S and
-kept with the derivation.  On the compiled collector each flip is then
-unconditional or absent, and each correction an integer multiple of x_l, so
-every coordinate of u*s is a linear form in u.  On the polynomials every
-binomial(s_j, k) folds into an integer constant (the falling factorial over
-k!, exact for negative s_j too), and the x-binomials are computed once per
-call and shared by all of S.  A coordinate that s leaves alone is returned
-as ``x_i`` itself, with no new int.  Where no compiled path applies the
-kernel is a closure over the collector product.
+``right_multiplier(S)`` gives a step kernel u -> (u*s for s in S), compiled
+on first use for each S and kept with the derivation.  Each coordinate of
+u*s is interpolated from the compiled ``multiply`` as above, at the shape
+the path stores: a support and a degree for each coordinate.  On the
+polynomials that is the support of coordinate i and its weight w_i.  On the
+compiled collector it is every coordinate at degree 1: once s is fixed each
+flip happens or not, and each correction adds a constant multiple of a
+coordinate, so u*s is affine in u, taken mod m at finite order, where the
+coefficients are reduced mod m.  Every kernel is thus a polynomial in the
+binomial basis; its x-binomials are computed once per call and shared by
+all of S.  A coordinate that s leaves alone is returned as ``x_i`` itself,
+with no new int.  Where no compiled path applies the kernel is a closure
+over the collector product.
 
 At load time conj and conjinv are checked to be inverse maps and every pc
 overlap is collected both ways, so an inconsistent presentation is refused
@@ -101,7 +106,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from functools import cached_property, partial
+from functools import cache, cached_property
 from types import SimpleNamespace
 from typing import Optional
 
@@ -504,7 +509,7 @@ class PcPresentation:
         """The step kernel of the generating set ``elements``: a function
         u -> (u*s for s in elements), for u in normal form.
 
-        On a compiled path it is that path's product with y := s folded in,
+        On a compiled path it is interpolated from that path's product,
         compiled on the first call for these elements and kept with the
         derivation (see the module docstring); otherwise a closure over the
         collector product."""
@@ -515,7 +520,8 @@ class PcPresentation:
             return lambda u: [product(u, s) for s in elements]
         step = compiled.kernels.get(elements)
         if step is None:
-            step = compiled.kernels[elements] = compiled.compile_step(elements)
+            step = compiled.kernels[elements] = _step_kernel(
+                compiled.multiply, compiled.shape, self.orders, elements)
         return step
 
     @cached_property
@@ -601,7 +607,8 @@ class PcPresentation:
             inv_terms.append(_terms(_fit(
                 self._collect_inverse, inverses, self.n, i, js, weights[i], 1),
                 names[:len(js)]))
-        return _compile_polynomials(mul_terms, inv_terms)
+        return _compile_polynomials(mul_terms, inv_terms,
+                                    tuple(zip(support, weights)))
 
     def power(self, x, k) -> Element:
         if k == 0:
@@ -668,42 +675,52 @@ _MAX_GRID_POINTS = 20000
 _DERIVED = {}
 
 
+@cache
 def _simplex(m, d):
     """Every a in N^m with a_1 + ... + a_m <= d."""
     if m == 0:
-        yield ()
-        return
-    for a0 in range(d + 1):
-        for rest in _simplex(m - 1, d - a0):
-            yield (a0,) + rest
+        return ((),)
+    return tuple((a0,) + rest for a0 in range(d + 1)
+                 for rest in _simplex(m - 1, d - a0))
+
+
+@cache
+def _difference_steps(m, d):
+    """The (a, a - e_k) pairs, as positions in ``_simplex(m, d)``, at which
+    ``_newton_coefficients`` takes Delta_k once more: for each k and level,
+    every a with a_k >= level, highest first, so each step reads the
+    previous level's value below it."""
+    position = {a: t for t, a in enumerate(_simplex(m, d))}
+    steps = []
+    for k in range(m):
+        line = sorted(position, key=lambda a: -a[k])
+        for level in range(1, d + 1):
+            for a in line:
+                if a[k] < level:
+                    break
+                steps.append((position[a], position[a[:k] + (a[k] - 1,) + a[k + 1:]]))
+    return tuple(steps)
 
 
 def _newton_coefficients(values, m, d):
     """The coefficients c_a of f = sum c_a prod_k binomial(z_k, a_k), the
-    polynomial of total degree <= d in m variables that takes ``values[a]``
-    at every point a of the simplex grid: c_a is the forward difference
+    polynomial of total degree <= d in m variables that takes ``values[t]``
+    at the t-th point a of the simplex grid: c_a is the forward difference
     Delta^a f(0), taken one variable at a time.  The grid is closed under
     these differences, and an integer-valued f has integer c_a."""
-    c = dict(values)
-    for k in range(m):
-        line = sorted(c, key=lambda a: -a[k])
-        for level in range(1, d + 1):
-            # Delta_k once more at every a_k >= level, highest first, so each
-            # step reads the previous level's value below it
-            for a in line:
-                if a[k] < level:
-                    break
-                c[a] -= c[a[:k] + (a[k] - 1,) + a[k + 1:]]
-    return {a: v for a, v in c.items() if v}
+    c = list(values)
+    for t, below in _difference_steps(m, d):
+        c[t] -= c[below]
+    return dict(zip(_simplex(m, d), c))
 
 
-def _fit(evaluate, cache, n, i, js, d, arity):
-    """Binomial-basis coefficients of coordinate i of ``evaluate``, a map of
-    ``arity`` elements, as a polynomial of total degree <= d in their
-    coordinates js (the others held at 0).  ``cache`` keeps the values
-    across coordinates."""
+@cache
+def _grid(n, js, d, arity):
+    """The simplex grid of total degree <= d over the coordinates js of
+    ``arity`` elements of length n, as argument tuples, in the order of
+    ``_simplex``; the other coordinates are 0."""
     m = len(js)
-    values = {}
+    points = []
     for a in _simplex(arity * m, d):
         args = []
         for r in range(arity):
@@ -711,29 +728,33 @@ def _fit(evaluate, cache, n, i, js, d, arity):
             for t, j in enumerate(js):
                 v[j] = a[r * m + t]
             args.append(tuple(v))
-        args = tuple(args)
-        if args not in cache:
-            cache[args] = evaluate(*args)
-        values[a] = cache[args][i]
-    return _newton_coefficients(values, arity * m, d)
+        points.append(tuple(args))
+    return tuple(points)
+
+
+def _fit(evaluate, memo, n, i, js, d, arity):
+    """Binomial-basis coefficients, by exponent tuple, of coordinate i of
+    ``evaluate``, a map of ``arity`` elements, as a polynomial of total
+    degree <= d in their coordinates js (the others held at 0).  ``memo``
+    keeps the values across coordinates."""
+    values = []
+    for args in _grid(n, js, d, arity):
+        if args not in memo:
+            memo[args] = evaluate(*args)
+        values.append(memo[args][i])
+    return _newton_coefficients(values, arity * len(js), d)
 
 
 def _terms(coefficients, names):
-    """Coefficients by exponent tuple -> sorted (coefficient, factors) terms,
-    a factor (name, k) standing for binomial(name, k)."""
+    """Nonzero coefficients by exponent tuple -> sorted (coefficient,
+    factors) terms, a factor (name, k) standing for binomial(name, k)."""
     terms = [(sum(a), tuple((names[t], k) for t, k in enumerate(a) if k), c)
-             for a, c in coefficients.items()]
+             for a, c in coefficients.items() if c]
     return [(c, factors) for _, factors, c in sorted(terms)]
 
 
 def _factor_identifier(name, k):
     return name if k == 1 else f"{name}_{k}"
-
-
-def _binomial(a, k):
-    """binomial(a, k) for any integer a: the falling factorial over k!,
-    exact for negative a too."""
-    return math.prod(range(a - k + 1, a + 1)) // math.factorial(k)
 
 
 def _binomial_lines(factors):
@@ -770,12 +791,12 @@ def _compile(source):
     return namespace
 
 
-def _compile_polynomials(mul_terms, inv_terms):
+def _compile_polynomials(mul_terms, inv_terms, shape):
     """One generated function per operation, as ``multiply`` and
     ``inverse``, with the ``path`` that names the product's degree, an empty
-    dict of step kernels and ``compile_step``, ``_compile_step`` over the
-    product terms.  The source holds integer literals and identifiers made
-    here (x0, y3, x2_2 = binomial(x2, 2)), nothing from the presentation's
+    dict of step kernels and their ``shape``, each coordinate's (support,
+    degree).  The source holds integer literals and identifiers made here
+    (x0, y3, x2_2 = binomial(x2, 2)), nothing from the presentation's
     text."""
     n = len(mul_terms)
 
@@ -795,33 +816,29 @@ def _compile_polynomials(mul_terms, inv_terms):
     return SimpleNamespace(multiply=namespace["multiply"],
                            inverse=namespace["inverse"],
                            path=f"polynomial, degree {degree}", kernels={},
-                           compile_step=partial(_compile_step, mul_terms))
+                           shape=shape)
 
 
-def _compile_step(mul_terms, elements):
-    """The step kernel u -> (u*s for s in elements): the product polynomials
-    with every y_j := s_j, each binomial(s_j, k) folded into the integer
-    coefficient.  A coordinate that is x_i alone after folding is returned
-    as ``x_i``."""
-    n = len(mul_terms)
+def _step_kernel(multiply, shape, orders, elements):
+    """The step kernel u -> (u*s for s in elements): coordinate i of u*s
+    interpolated from ``multiply`` on the support and at the degree that
+    ``shape[i]`` gives, its coefficients reduced mod m_i at finite order.
+    A coordinate that s leaves alone is returned as ``x_i``, unreduced,
+    since u is a normal form."""
+    n = len(orders)
     rows, used = [], set()
     for s in elements:
-        coords = []
-        for i, terms in enumerate(mul_terms):
-            folded = {}
-            for c, factors in terms:
-                xs = tuple(f for f in factors if f[0][0] == "x")
-                for name, k in factors:
-                    if name[0] == "y":
-                        c *= _binomial(s[int(name[1:])], k)
-                folded[xs] = folded.get(xs, 0) + c
-            poly = [(c, xs) for _, xs, c in sorted(
-                (sum(k for _, k in xs), xs, c) for xs, c in folded.items() if c)]
-            if poly == [(1, ((f"x{i}", 1),))]:
+        values, coords = {}, []
+        for i, ((js, d), m) in enumerate(zip(shape, orders)):
+            fitted = _fit(lambda u: multiply(u, s), values, n, i, js, d, 1)
+            if m is not None:
+                fitted = {a: c % m for a, c in fitted.items()}
+            terms = _terms(fitted, [f"x{j}" for j in js])
+            if terms == [(1, ((f"x{i}", 1),))]:
                 coords.append(f"x{i}")
                 continue
-            used.update(f for _, xs in poly for f in xs)
-            coords.append(_expression(poly))
+            used.update(f for _, factors in terms for f in factors)
+            coords.append(_expression(terms, m))
         rows.append(f"({', '.join(coords)},)")
     source = "\n".join(["def step(x):", _unpack("x", n), *_binomial_lines(used),
                         f"    return ({''.join(r + ', ' for r in rows)})"]) + "\n"
@@ -831,28 +848,22 @@ def _compile_step(mul_terms, elements):
 # -- the unrolled collector ------------------------------------------------
 
 
-def _row_actions(row):
-    """One row of ``_moves``, all SIGN or CENTRAL, as the coordinates l that
-    the block inverts when its exponent is odd and the corrections
-    (target, coef, l) that add coef * x_l * (block exponent) to a target."""
-    flips = [l for l, a in row if a[0] == _SIGN]
-    corrections = [(idx, coef, l) for l, a in row if a[0] == _CENTRAL
-                   for idx, coef in a[1]]
-    return flips, corrections
-
-
 def _row_lines(row, f):
     """Row j of the unrolled product: g_j^f moved left past the coordinates
-    above j, with block exponent the identifier f.  The corrections come
-    first: they read their sources x_l before the row writes anything, as
-    collection reads the tail before the block passes it, and they write
-    only targets, which are inert and so are no row's source or flip."""
-    flips, corrections = _row_actions(row)
+    above j, with block exponent the identifier f.  A SIGN move inverts
+    coordinate l when f is odd; a CENTRAL move adds coef * x_l * f to each
+    of its targets.  The corrections come first: they read their sources
+    x_l before the row writes anything, as collection reads the tail before
+    the block passes it, and they write only targets, which are inert and
+    so are no row's source or flip."""
     by_target = {}
-    for idx, coef, l in corrections:
-        by_target.setdefault(idx, [(1, ((f"x{idx}", 1),))]).append(
-            (coef, ((f"x{l}", 1), (f, 1))))
+    for l, a in row:
+        if a[0] == _CENTRAL:
+            for idx, coef in a[1]:
+                by_target.setdefault(idx, [(1, ((f"x{idx}", 1),))]).append(
+                    (coef, ((f"x{l}", 1), (f, 1))))
     lines = [f"    x{idx} = {_expression(terms)}" for idx, terms in by_target.items()]
+    flips = [l for l, a in row if a[0] == _SIGN]
     if flips:
         lines.append(f"    if {f} & 1:")
         lines += [f"        x{l} = -x{l}" for l in flips]
@@ -862,109 +873,31 @@ def _row_lines(row, f):
 def _compile_unrolled(moves, orders):
     """Linear collection unrolled over j, for a move table that is all SIGN
     or CENTRAL and power words that are all trivial, as ``multiply`` and
-    ``inverse`` with the same interface as ``_compile_polynomials``.
+    ``inverse`` with the same interface as ``_compile_polynomials``; the
+    step kernels' shape is every coordinate at degree 1.
 
     x*y runs the rows j = 0, ..., n-1 with block exponent y_j.  Row j reads
     and writes coordinates above j only, and later rows never touch x_j, so
     x_j + y_j goes straight into the result, mod m_j at finite order, which
-    also reduces every finite-order correction target.  x^-1 returns one
-    expression per coordinate (``_inverse_coordinates``).  The source holds
-    integer literals and identifiers made here only."""
+    also reduces every finite-order correction target.  x^-1 runs the same
+    rows with block exponent y_j = -x_j, mod m_j, so that x*y = e.  The
+    source holds integer literals and identifiers made here only."""
     n = len(orders)
     mul = ["def multiply(x, y):", _unpack("x", n), _unpack("y", n)]
-    for j, row in enumerate(moves):
-        mul += _row_lines(row, f"y{j}")
+    inv = ["def inverse(x):", _unpack("x", n)]
+    for j, (row, m) in enumerate(zip(moves, orders)):
+        lines = _row_lines(row, f"y{j}")
+        mul += lines
+        inv += [f"    y{j} = {_expression([(-1, ((f'x{j}', 1),))], m)}", *lines]
     coords = [_expression([(1, ((f"x{i}", 1),)), (1, ((f"y{i}", 1),))], m)
               for i, m in enumerate(orders)]
     mul.append(f"    return ({', '.join(coords)},)")
-    inv = ["def inverse(x):", _unpack("x", n),
-           f"    return ({', '.join(_inverse_coordinates(moves, orders))},)"]
+    inv.append(f"    return ({', '.join(f'y{j}' for j in range(n))},)")
     namespace = _compile("\n".join(mul + inv) + "\n")
     return SimpleNamespace(multiply=namespace["multiply"],
                            inverse=namespace["inverse"],
                            path="compiled collector", kernels={},
-                           compile_step=partial(_compile_unrolled_step, moves, orders))
-
-
-def _inverse_coordinates(moves, orders):
-    """Each coordinate of x^-1 as one expression in x, for the rows of
-    ``_compile_unrolled``.
-
-    The collector runs the rows from j = n-1 down with block exponent -x_j,
-    then sets coordinate j to -x_j, mod m_j, where later rows read it.  After
-    that only the rows below j write coordinate j: a row j' < j that flips
-    it negates it when x_j' is odd, and a correction of row j' with target
-    j, coefficient coef and source l adds coef * (coordinate l then) *
-    (-x_j').  A source l is never a target, so it is -x_l then, negated by
-    the flips of the rows strictly between j' and l; a target is inert, so
-    it is never flipped and is reduced once, at the end."""
-    n = len(orders)
-    flipped_by = [[] for _ in range(n)]
-    corrected_by = [[] for _ in range(n)]
-    for j, row in enumerate(moves):
-        flips, corrections = _row_actions(row)
-        for l in flips:
-            flipped_by[l].append(j)
-        for idx, coef, l in corrections:
-            corrected_by[idx].append((coef, l, j))
-
-    def negated(l, below):
-        """Coordinate l once the rows above ``below`` have run."""
-        value = _expression([(-1, ((f"x{l}", 1),))], orders[l])
-        rows = [f"x{j}" for j in flipped_by[l] if j > below]
-        if not rows:
-            return value
-        return f"(x{l} if ({' + '.join(rows)}) & 1 else {value})"
-
-    coords = []
-    for i, m in enumerate(orders):
-        terms = [(-1, ((f"x{i}", 1),))]
-        for coef, l, j in corrected_by[i]:
-            source = negated(l, j)
-            if source == f"- x{l}":
-                terms.append((coef, ((f"x{l}", 1), (f"x{j}", 1))))
-            else:
-                terms.append((-coef, ((f"({source})", 1), (f"x{j}", 1))))
-        coords.append(_expression(terms, m) if len(terms) > 1 else negated(i, -1))
-    return coords
-
-
-def _compile_unrolled_step(moves, orders, elements):
-    """The step kernel u -> (u*s for s in elements) of the unrolled
-    collector.  With y := s each row's flips are unconditional where s_j is
-    odd and absent where it is even, and each correction adds the integer
-    coef * s_j times x_l; a source x_l is read before row l runs, so it is
-    +-u_l.  Every coordinate of u*s is then a linear form in u plus s_i,
-    folded here; one that is x_i alone is returned as ``x_i``, unreduced,
-    since u is a normal form."""
-    n = len(orders)
-    actions = [_row_actions(row) for row in moves]
-    rows = []
-    for s in elements:
-        forms = [{i: 1} for i in range(n)]   # coordinate -> {k: coefficient of x_k}
-        for j, f in enumerate(s):
-            if not f:
-                continue
-            flips, corrections = actions[j]
-            for idx, coef, l in corrections:
-                form = dict(forms[idx])
-                for k, c in forms[l].items():
-                    form[k] = form.get(k, 0) + coef * f * c
-                forms[idx] = form
-            if f & 1:
-                for l in flips:
-                    forms[l] = {k: -c for k, c in forms[l].items()}
-        coords = []
-        for i, (form, e, m) in enumerate(zip(forms, s, orders)):
-            if form == {i: 1} and not e:
-                coords.append(f"x{i}")
-                continue
-            terms = [(c, ((f"x{k}", 1),)) for k, c in sorted(form.items()) if c]
-            coords.append(_expression(terms + [(e, ())] * bool(e), m))
-        rows.append(f"({', '.join(coords)},)")
-    source = "\n".join(["def step(x):", _unpack("x", n),
-                        f"    return ({''.join(r + ', ' for r in rows)})"]) + "\n"
-    return _compile(source)["step"]
+                           shape=((tuple(range(n)), 1),) * n)
 
 
 # -- parsing -----------------------------------------------------------

@@ -32,7 +32,9 @@ import time
 from itertools import chain
 
 from . import __version__, autlab, constructions, order, pcgroup, structure
-from .cayley import (GenSet, count_geodesics, generate_ball, standard_genset)
+from .cayley import (GenSet, GeodesicPath, check_vertex_map, count_geodesics,
+                     generate_ball, insert_torsion_edge, standard_genset,
+                     torsion_label_bound)
 from .reporting import Report, json_bytes
 
 
@@ -243,7 +245,6 @@ def fsf_construction() -> Report:
         problems.append(f"twin classes differ from the F-cosets: {classes}")
     g, h = (3, 0), (3, 1)
     swap = constructions.twin_swap_map(ball, g, h)
-    from .cayley import check_vertex_map
     if not check_vertex_map(ball, ball, swap):
         problems.append("twin swap failed the adjacency check")
     fixed = set(gens.elements) | {zx.identity}
@@ -376,7 +377,6 @@ def distortion() -> Report:
 def torsion_geodesics(seed=0) -> Report:
     radius, pairs = 4, 100
     problems = []
-    from .cayley import torsion_label_bound
     zx = pcgroup.from_id("zxz2")
     N = structure.torsion_subgroup(zx)
     S = GenSet(zx, list(standard_genset(zx).elements))  # std already = S u N
@@ -384,7 +384,6 @@ def torsion_geodesics(seed=0) -> Report:
     rep = torsion_label_bound(ball, N.elements)
     if rep.verdict != "pass":
         problems.append({"torsion_label_bound": rep.witnesses})
-    from .cayley import GeodesicPath, insert_torsion_edge
     for k in range(0, 5):
         geo = GeodesicPath((0, 0), ((0, 1),) + ((1, 0),) * k)
         try:

@@ -156,7 +156,7 @@ def test_shell_order_and_depth_are_recorded_at_build(fid, radius, depth):
     ball = generate_ball(p, standard_genset(p), radius)
     assert sorted(ball.shell_order) == list(range(len(ball)))
     assert [ball.dist_list[i] for i in ball.shell_order] == sorted(ball.dist_list)
-    assert ball.depth == max(ball.dist_list) == depth
+    assert max(ball.dist_list) == depth
 
 
 def test_generate_ball_multiplies_once_per_vertex_and_generator():

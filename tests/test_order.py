@@ -232,7 +232,7 @@ def test_grown_ball_matches_generate_ball_at_each_radius(name, radii):
         ball = generate_ball(p, S, R)
         assert grown.dists == {v: ball.dist_list[i] for v, i in ball.index.items()}
         assert sorted(grown.shell) == sorted(_ball_sphere(ball))
-        assert bool(grown.shell) == (ball.depth == R)
+        assert bool(grown.shell) == (max(ball.dist_list) == R)
         if R == 4:
             big = generate_ball(p, S, 2 * R + 1)
             xs = dict(zip(big.vertices, big.dist_list))

@@ -536,15 +536,19 @@ def test_the_interpreted_collector_reads_no_move_table(name, monkeypatch):
     assert "_compiled" not in vars(p)
 
 
-@pytest.mark.parametrize("name", [
-    "z", "z2", "z3", "zn:5", "heisenberg", "heisenberg_z", "heisenberg_z3",
-    "klein_bottle", "zxz2", "zn_cross_cyclic:0,3", "zn_cross_cyclic:1,4",
-    "zn_cross_cyclic:2,4"])
+COMPILED_BUILTINS = ("z", "z2", "z3", "zn:5", "heisenberg", "heisenberg_z",
+                     "heisenberg_z3", "klein_bottle", "zxz2", "zn_cross_cyclic:0,3",
+                     "zn_cross_cyclic:1,4", "zn_cross_cyclic:2,4")
+
+
+@pytest.mark.parametrize("name", COMPILED_BUILTINS + tuple(
+    name for name in UNROLLED if name not in COMPILED_BUILTINS))
 def test_compiled_inverse_is_the_collector_inverse(name):
-    """Every built-in on the compiled collector: its inverse, one expression
-    per coordinate, equals the interpreted collector's on 500 seeded
-    elements at exponents in [-60, 60]."""
-    p = from_id(name)
+    """Every built-in on the compiled collector, the reference sources and
+    the Klein products: its inverse, the rows run on x with block exponent
+    y_j = -x_j, equals the interpreted collector's on 500 seeded elements
+    at exponents in [-60, 60]."""
+    p = _presentation(name)
     assert p.product_path == "compiled collector"
     rng = random.Random(f"compiled inverse:{name}")
     for _ in range(500):
@@ -593,7 +597,8 @@ def test_klein_ball_on_the_unrolled_kernel_matches_the_interpreted_closure():
     assert unrolled.targets == closure.targets
 
 
-KERNEL_FAMILIES = pcgroup.ACCEPTANCE_FAMILY_IDS + ("filiform4.pc", "zn_cross_cyclic:1,3")
+KERNEL_FAMILIES = pcgroup.ACCEPTANCE_FAMILY_IDS + (
+    "filiform4.pc", "zn_cross_cyclic:1,3", "ut4", "heisenberg_x_z2")
 # ROADMAP sweep set B, a Heisenberg set with entries up to 5 in absolute value
 SWEEP_SET_B = "-2,1,1;-2,2,-1;-1,2,1;1,-2,1;2,-2,5;2,-1,1"
 
@@ -615,10 +620,11 @@ def _kernel_sets(name, p):
 @pytest.mark.parametrize("name", KERNEL_FAMILIES)
 def test_step_kernel_equals_the_collector_product(name):
     """u -> (u*s for s in S) against the interpreted collector's product,
-    on seeded u with negative coordinates; the class-3 filiform kernel is
-    the polynomials', every other one the unrolled collector's."""
+    on seeded u with negative coordinates; the class-3 filiform and UT(4,Z)
+    kernels are fitted at degree 3 from the polynomials, every other one at
+    degree 1 from the unrolled collector."""
     p = _presentation(name)
-    assert p.product_path == ("polynomial, degree 3" if name == "filiform4.pc"
+    assert p.product_path == ("polynomial, degree 3" if name in ("filiform4.pc", "ut4")
                               else "compiled collector")
     rng = random.Random(f"kernel:{name}")
     for sel, S in _kernel_sets(name, p).items():
@@ -637,6 +643,27 @@ def test_step_kernel_returns_coordinates_that_s_leaves_alone():
     ua, ub = p.right_multiplier([(1, 0, 0), (0, 1, 0)])(u)
     assert ub == (u[0], u[1] + 1, u[2]) and ub[0] is u[0] and ub[2] is u[2]
     assert ua[1] is u[1] and ua == p._collect_product(u, (1, 0, 0))
+
+
+def test_step_kernel_reduces_coefficients_mod_the_order(monkeypatch):
+    """u -> u * t^2 in C3 takes 2 and 0 at the grid points 0 and 1, so
+    Newton gives 2 - 2x; the kernel holds the coefficient -2 reduced mod 3,
+    and every coefficient of a finite-order coordinate lies in [0, m)."""
+    sources = []
+    compile_source = pcgroup._compile
+
+    def counted(source):
+        sources.append(source)
+        return compile_source(source)
+
+    monkeypatch.setattr(pcgroup, "_compile", counted)
+    monkeypatch.setattr(pcgroup, "_DERIVED", {})
+    p = from_id("zn_cross_cyclic:0,3")
+    assert p.multiply((1,), (2,)) == (0,)
+    step = p.right_multiplier([(1,), (2,)])
+    assert [step((u,)) for u in range(3)] == [((1,), (2,)), ((2,), (0,)), ((0,), (1,))]
+    assert sources[1] == ("def step(x):\n    x0, = x\n"
+                          "    return (((1 + x0) % 3,), ((2 + x0) % 3,), )\n")
 
 
 def test_step_kernels_are_compiled_once_per_relations_and_set(monkeypatch):
