@@ -10,6 +10,7 @@ they never break byte-level reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -368,7 +369,10 @@ def _add_common(sp, radius=True):
     sp.add_argument("--pretty", action="store_true", help="indented JSON")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs milliseconds."""
     ap = argparse.ArgumentParser(prog="nilcay", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -181,7 +181,7 @@ class _GrowingBall:
         d = self.dists.get(x)
         if d is not None:
             return d
-        multiply, dists = self.presentation._product, self.dists
+        multiply, dists = self.presentation.multiply, self.dists
         within = (dists.get(multiply(y_inv, x)) for y_inv in self.shell)
         best = min((r for r in within if r is not None), default=None)
         return None if best is None else self.radius + best

@@ -30,12 +30,14 @@ one of them, by this rule:
 - otherwise: the interpreted collector, which is also the source the
   polynomials are derived from and the oracle the tests compare against.
 
-Each is derived on the first product or inverse, not at load, and
-``multiply`` and ``inverse`` dispatch to the result.  It is kept once per
-process for each set of relations, so every presentation object with the
-same generators, orders, power words, conjugates, blocks and nilpotency
-flag shares one derivation.  The generated source is compiled with
-``compile()`` from integer literals and synthesized identifiers only.
+Each is derived on first use, not at load.  The first access to
+``multiply`` or ``inverse`` on an object binds that attribute to the derived
+function itself, so no product pays a dispatch frame.  The derivation is
+kept once per process for each set of relations, so every presentation
+object with the same generators, orders, power words, conjugates, blocks
+and nilpotency flag shares one derivation.  The generated source is
+compiled with ``compile()`` from integer literals and synthesized
+identifiers only.
 
 The compiled collector rests on a move table (``_moves``), derived with
 it and nowhere else: collecting ``g_l g_j g_l^{-1}`` tells, for each pair
@@ -112,6 +114,14 @@ from typing import Optional
 
 Element = tuple  # exponent vector, tuple of int
 Word = tuple     # tuple of (generator index, exponent) factors
+
+
+class _derived(cached_property):
+    """A cached property that is also callable as ``(obj, *args)``, so code
+    that wraps the class attribute as a method still reaches the function."""
+
+    def __call__(self, obj, *args):
+        return self.__get__(obj)(*args)
 
 
 class PresentationError(ValueError):
@@ -450,11 +460,18 @@ class PcPresentation:
 
     # -- group operations ------------------------------------------------
 
-    def multiply(self, x, y) -> Element:
-        return self._product(x, y)
+    @_derived
+    def multiply(self):
+        """The product x, y -> x*y: the compiled path's function, else the
+        collector's, bound on first access (see the module docstring)."""
+        compiled = self._compiled
+        return self._collect_product if compiled is None else compiled.multiply
 
-    def inverse(self, x) -> Element:
-        return self._inverter(x)
+    @_derived
+    def inverse(self):
+        """The inverse x -> x^-1, bound as ``multiply`` is."""
+        compiled = self._compiled
+        return self._collect_inverse if compiled is None else compiled.inverse
 
     def _collect_product(self, x, y) -> Element:
         v = list(x)
@@ -465,16 +482,6 @@ class PcPresentation:
         return tuple(self._inverse_vector(x))
 
     # -- compiled paths ------------------------------------------------
-
-    @cached_property
-    def _product(self):
-        compiled = self._compiled
-        return self._collect_product if compiled is None else compiled.multiply
-
-    @cached_property
-    def _inverter(self):
-        compiled = self._compiled
-        return self._collect_inverse if compiled is None else compiled.inverse
 
     @property
     def product_path(self) -> str:

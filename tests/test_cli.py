@@ -509,6 +509,19 @@ def test_usage_errors():
         cli.build_parser().parse_args(["frobnicate"])
 
 
+def test_the_parser_is_built_once_and_a_usage_error_leaves_it_unchanged(capsys):
+    argv = ["normality", "--group", "klein_bottle", "--radius", "2",
+            "--stability", "2"]
+    cli.build_parser.cache_clear()
+    assert run(argv) == 0
+    fresh = capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["normality", "--group", "klein_bottle", "--radius", "x"]) == 2
+    assert capsys.readouterr().out == ""
+    assert run(argv) == 0
+    assert capsys.readouterr().out == fresh
+
+
 GEODESICS_Z2 = ["geodesics", "--group", "z2", "--from", "0,0", "--to", "2,2"]
 
 

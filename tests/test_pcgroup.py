@@ -369,8 +369,65 @@ def test_polynomials_are_derived_on_first_use_and_bypass_the_collector():
     p.product_path  # derives
     p._block_mul = collector
     assert (p.multiply(x, y), p.inverse(x)) == want
-    # the entry points stay methods of the class, where tracers count calls
-    assert "multiply" not in vars(p) and "inverse" not in vars(p)
+    # the attributes are the polynomials themselves, with no frame between
+    assert vars(p)["multiply"] is p._compiled.multiply
+    assert vars(p)["inverse"] is p._compiled.inverse
+
+
+@pytest.mark.parametrize("name, path", [
+    ("heisenberg", "compiled collector"),
+    ("filiform4.pc", "polynomials"),
+    ("sol", "collector"),
+])
+def test_multiply_and_inverse_are_bound_to_the_path_on_first_access(name, path):
+    """Loading binds nothing; the first access binds each attribute to the
+    function of its path; an instance attribute set before it wins."""
+    p = _presentation(name)
+    assert not {"_compiled", "multiply", "inverse"} & set(vars(p))
+    mul, inv = p.multiply, p.inverse
+    if path == "collector":
+        assert p._compiled is None
+        assert (mul, inv) == (p._collect_product, p._collect_inverse)
+    else:
+        assert (mul, inv) == (p._compiled.multiply, p._compiled.inverse)
+    assert (vars(p)["multiply"], vars(p)["inverse"]) == (mul, inv)
+    x = p.generator(0)
+    assert p.multiply(x, p.inverse(x)) == p.identity
+
+    q = _presentation(name)
+
+    def patched(a, b):
+        return q.identity
+
+    q.multiply = patched
+    assert q.multiply is patched and q.multiply(x, x) == q.identity
+    assert q.inverse(x) == p.inverse(x)
+
+
+def test_products_through_the_class_attribute_agree_with_the_collector(monkeypatch):
+    """A tracer that wraps ``PcPresentation.multiply`` and ``inverse`` on the
+    class calls the original as ``fn(obj, *args)``; products and inverses
+    keep their values on that route."""
+    calls = []
+
+    def wrap(attr):
+        original = pcgroup.PcPresentation.__dict__[attr]
+
+        def counted(*args):
+            calls.append(attr)
+            return original(*args)
+        monkeypatch.setattr(pcgroup.PcPresentation, attr, counted)
+
+    wrap("multiply")
+    wrap("inverse")
+    for name in ("heisenberg", "filiform", "sol"):
+        p = _presentation(name)
+        rng = random.Random(f"class route:{name}")
+        for _ in range(20):
+            x, y = (tuple(rng.randint(-9, 9) for _ in p.orders) for _ in "xy")
+            assert p.multiply(x, y) == p._collect_product(x, y)
+            assert p.inverse(x) == p._collect_inverse(x)
+    assert {"multiply", "inverse"} <= set(calls)
 
 
 @pytest.mark.parametrize("name", ["filiform", "ut4", "zxz2", "heisenberg_z3",
