@@ -47,7 +47,6 @@ generators found do not depend on that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
 
 from . import structure
@@ -76,7 +75,6 @@ def _orbit(points, maps):
     return seen
 
 
-@dataclass(frozen=True)
 class StableAutomorphisms:
     """The stable local automorphisms of B(r), as one group.
 
@@ -86,9 +84,11 @@ class StableAutomorphisms:
     ``orbit_lengths`` are the action's basic orbit lengths |Delta_i|.
     """
 
-    classes: tuple
-    strong_generators: tuple
-    orbit_lengths: tuple
+    def __init__(self, classes: tuple, strong_generators: tuple,
+                 orbit_lengths: tuple):
+        self.classes = classes
+        self.strong_generators = strong_generators
+        self.orbit_lengths = orbit_lengths
 
     @property
     def order(self):
@@ -125,15 +125,17 @@ class StableAutomorphisms:
                             for v in self.classes[j]))
 
 
-@dataclass
 class AffineVerdict:
-    affine: bool
-    translation: tuple
-    alpha_on_generators: dict | None
-    witness: tuple | None = None
-    reason: str = ""
-    #: the images of the source pc generators when the certificate holds
-    alpha_on_pc_generators: tuple | None = None
+    def __init__(self, affine: bool, translation: tuple,
+                 alpha_on_generators: dict | None, witness: tuple | None = None,
+                 reason: str = "", alpha_on_pc_generators: tuple | None = None):
+        self.affine = affine
+        self.translation = translation
+        self.alpha_on_generators = alpha_on_generators
+        self.witness = witness
+        self.reason = reason
+        #: the images of the source pc generators when the certificate holds
+        self.alpha_on_pc_generators = alpha_on_pc_generators
 
     def __bool__(self):
         return self.affine

@@ -25,8 +25,6 @@ at 2.  Listing walks the DAG forward through the target's ancestors only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .reporting import Report
 from .structure import conjugation_stable
 
@@ -174,12 +172,21 @@ def vertex_budget(explicit=None):
     return DEFAULT_VERTEX_BUDGET if explicit is None else explicit
 
 
-@dataclass(frozen=True)
 class GeodesicPath:
-    """A path given by its start vertex and ordered edge labels."""
+    """A path given by its start vertex and ordered edge labels; equal and
+    hashed by value."""
 
-    start: tuple
-    labels: tuple
+    def __init__(self, start: tuple, labels: tuple):
+        self.start = start
+        self.labels = labels
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.labels) == (other.start, other.labels)
+
+    def __hash__(self):
+        return hash((self.start, self.labels))
 
     def end(self, presentation):
         x = self.start
@@ -525,11 +532,11 @@ def load_vertex_map(path, source, target):
 # -- vertex-map adjacency check -------------------------------------------
 
 
-@dataclass
 class MapVerdict:
-    ok: bool
-    reason: str = ""
-    witness: tuple | None = None
+    def __init__(self, ok: bool, reason: str = "", witness: tuple | None = None):
+        self.ok = ok
+        self.reason = reason
+        self.witness = witness
 
     def __bool__(self):
         return self.ok

@@ -16,7 +16,6 @@ automorphism can do: a^2 is central and b^2 is not.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 from . import cayley, structure
 from .cayley import Ball, GenSet, check_vertex_map, generate_ball
@@ -24,17 +23,13 @@ from .pcgroup import builtin
 from .structure import SubgroupWitness
 
 
-@dataclass(frozen=True)
 class LabeledGraph:
-    """A finite undirected graph; vertices are arbitrary hashables."""
+    """A finite undirected graph; vertices are arbitrary hashables.  Equal
+    and hashed by its vertices and edges."""
 
-    vertices: tuple
-    edges: frozenset          # frozenset of 2-element frozensets
-    _nbrs: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        nbrs = {v: set() for v in self.vertices}
-        for e in self.edges:
+    def __init__(self, vertices: tuple, edges: frozenset):
+        nbrs = {v: set() for v in vertices}
+        for e in edges:
             if len(e) != 2:
                 raise ValueError("self-loops are not allowed")
             if not e <= nbrs.keys():
@@ -42,7 +37,17 @@ class LabeledGraph:
             u, w = e
             nbrs[u].add(w)
             nbrs[w].add(u)
-        object.__setattr__(self, "_nbrs", {v: frozenset(ws) for v, ws in nbrs.items()})
+        self.vertices = vertices
+        self.edges = edges        # frozenset of 2-element frozensets
+        self._nbrs = {v: frozenset(ws) for v, ws in nbrs.items()}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     def vertex_set(self):
         return self._nbrs.keys()
@@ -107,10 +112,10 @@ def lift_generating_set(presentation, quotient_genset) -> GenSet:
     return GenSet(p, lifted)
 
 
-@dataclass
 class FsfResult:
-    genset: GenSet
-    removed_identity: bool
+    def __init__(self, genset: GenSet, removed_identity: bool):
+        self.genset = genset
+        self.removed_identity = removed_identity
 
 
 def fsf_generating_set(presentation, finite_subgroup: SubgroupWitness,
@@ -162,12 +167,12 @@ def twin_swap_map(ball: Ball, g, h):
 # -- Klein bottle maps --------------------------------------------------------
 
 
-@dataclass
 class BallMap:
-    source: Ball
-    target: object
-    mapping: dict
-    notes: list = field(default_factory=list)
+    def __init__(self, source: Ball, target, mapping: dict, notes: list | None = None):
+        self.source = source
+        self.target = target
+        self.mapping = mapping
+        self.notes = [] if notes is None else notes
 
     def check(self):
         return check_vertex_map(self.source, self.target, self.mapping)

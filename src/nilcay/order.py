@@ -36,7 +36,6 @@ An element of finite order is never undistorted: its powers are bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -225,13 +224,14 @@ class _GrowingBall:
         return True
 
 
-@dataclass
 class DistortionProfile:
-    element: tuple
-    ks: list
-    dists: list        # int or None per k
-    ratios: list       # Fraction or None per k
-    notes: list
+    def __init__(self, element: tuple, ks: list, dists: list, ratios: list,
+                 notes: list):
+        self.element = element
+        self.ks = ks
+        self.dists = dists        # int or None per k
+        self.ratios = ratios      # Fraction or None per k
+        self.notes = notes
 
 
 def _profile_ks(kmax):

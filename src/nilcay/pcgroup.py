@@ -110,7 +110,6 @@ import math
 import re
 from functools import cache, cached_property
 from types import SimpleNamespace
-from typing import Optional
 
 Element = tuple  # exponent vector, tuple of int
 Word = tuple     # tuple of (generator index, exponent) factors
@@ -137,7 +136,7 @@ class PresentationError(ValueError):
 class CollectionError(RuntimeError):
     """Nothing raises this: collection in standard pc form always ends.
 
-    Kept only because the benchmark harness imports it; ROADMAP item 10
+    Kept only because the benchmark harness imports it; ROADMAP item 9
     deletes it with the harness's next change."""
 
 
@@ -658,7 +657,7 @@ class PcPresentation:
         in standard pc form has a series with these cyclic factors."""
         return sum(1 for m in self.orders if m is None)
 
-    def order_of(self, x, bound) -> Optional[int]:
+    def order_of(self, x, bound) -> int | None:
         """Smallest 1 <= k <= bound with x^k = e, or None."""
         acc = x
         for k in range(1, bound + 1):
@@ -793,8 +792,11 @@ def _unpack(v, n):
 
 
 def _compile(source):
+    """Execute generated source, named by its digest so that profiles keep
+    the functions of different derivations apart."""
+    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
     namespace = {"__builtins__": {}}
-    exec(compile(source, "<nilcay compiled products>", "exec"), namespace)
+    exec(compile(source, f"<nilcay compiled {digest}>", "exec"), namespace)
     return namespace
 
 

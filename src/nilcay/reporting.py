@@ -8,7 +8,6 @@ exit code is derived from; ``None`` marks purely informational reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
 def jsonable(value):
@@ -22,14 +21,16 @@ def jsonable(value):
     return value
 
 
-@dataclass
 class Report:
-    claim: str
-    verdict: str
-    ok: bool | None = None
-    witnesses: list = field(default_factory=list)
-    parameters: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+    def __init__(self, claim: str, verdict: str, ok: bool | None = None,
+                 witnesses: list | None = None, parameters: dict | None = None,
+                 notes: list | None = None):
+        self.claim = claim
+        self.verdict = verdict
+        self.ok = ok
+        self.witnesses = [] if witnesses is None else witnesses
+        self.parameters = {} if parameters is None else parameters
+        self.notes = [] if notes is None else notes
 
     def to_dict(self):
         return {

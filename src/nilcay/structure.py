@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import pcgroup
@@ -24,13 +23,13 @@ class SubgroupError(ValueError):
     pass
 
 
-@dataclass
 class SubgroupWitness:
     """A finite subgroup given by its full element list."""
 
-    presentation: object
-    elements: tuple
-    label: str = ""
+    def __init__(self, presentation, elements: tuple, label: str = ""):
+        self.presentation = presentation
+        self.elements = elements
+        self.label = label
 
     def check_closed(self):
         p = self.presentation
@@ -273,10 +272,10 @@ def z_dagger(presentation, ball) -> tuple:
     return tuple(x for x in isolator(presentation, ball) if presentation.is_central(x))
 
 
-@dataclass
 class ConjugatorResult:
-    witness: tuple | None
-    report: Report
+    def __init__(self, witness: tuple | None, report: Report):
+        self.witness = witness
+        self.report = report
 
 
 def find_conjugator(ball, a, b) -> ConjugatorResult:

@@ -600,6 +600,19 @@ def test_verify_reports_are_byte_identical_across_hash_seeds(tmp_path):
     assert run(argv + ["--threads", "2"]) == 2
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site, and any .pth file it runs, from importing modules first
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nilcay.cli; "
+            "print('\\n'.join(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "nilcay.cli" in loaded
+    assert not {"dataclasses", "inspect", "typing"} & loaded
+
+
 def test_verify_group_filter(tmp_path):
     out = tmp_path / "laws.json"
     code = run(["verify", "--suite", "metric_oracle", "--group", "heisenberg",

@@ -970,3 +970,16 @@ def test_direct_product_with_a_blockless_factor(left, right):
         assert p.multiply(xa + xb, ya + yb) == a.multiply(xa, ya) + b.multiply(xb, yb)
     with pytest.raises(BiOrderUnavailable):
         BiOrder(p)
+
+
+def test_each_derivation_compiles_under_the_digest_of_its_source():
+    """cProfile labels a function by (filename, first line, name), so a
+    filename shared by every derivation merged the products of different
+    presentations into one profile entry."""
+    heis, klein = from_id("heisenberg"), from_id("klein_bottle")
+    names = {heis.multiply.__code__.co_filename, klein.multiply.__code__.co_filename}
+    assert len(names) == 2
+    source = "def f():\n    return 1\n"
+    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
+    assert {pcgroup._compile(source)["f"].__code__.co_filename for _ in range(2)} == {
+        f"<nilcay compiled {digest}>"}
