@@ -6,6 +6,15 @@ nonzero exponent.  This is a bi-invariant total order when the blocks are
 adapted to the central series, which holds for the built-in families and is
 falsifiable by the sampled bi-invariance property checks.
 
+``BiOrder.compare`` is the presentation's comparator for that scan
+(``PcPresentation.comparator``), bound on first access.  Where the scan is
+the index order, or the blocks give admissible weights (g_i in the k-th
+block weighing k), the first nonzero coordinate of ``x^{-1} y`` in scan
+order is the first coordinate where x and y differ, with the sign of
+``y_i - x_i``, so x and y are compared lexicographically in scan order and
+no product is computed; the ``pcgroup`` module docstring gives the proof.
+Otherwise ``x^{-1} y`` is computed and scanned.
+
 Distortion certification never reports an uncertified distance.  Each value
 ``dist(e, g^k)`` comes from one of three certificates, cheapest first:
 
@@ -79,15 +88,12 @@ class BiOrder:
         # coordinates in block order: the first nonzero one of x^-1 y decides
         self._scan = tuple(i for block in p.blocks for i in block)
 
-    def compare(self, x, y) -> int:
-        """LESS (-1), EQUAL (0) or GREATER (1), comparing x against y."""
-        p = self.presentation
-        d = p.multiply(p.inverse(x), y)
-        for i in self._scan:
-            c = d[i]
-            if c:
-                return LESS if c > 0 else GREATER
-        return EQUAL
+    @pcgroup._derived
+    def compare(self):
+        """x, y -> LESS (-1), EQUAL (0) or GREATER (1), comparing x against
+        y: the presentation's comparator for the scan order, bound on first
+        access as ``PcPresentation.multiply`` is."""
+        return self.presentation.comparator(self._scan)
 
     def max_element(self, elements):
         best = None

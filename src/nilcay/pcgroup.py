@@ -91,6 +91,32 @@ all of S.  A coordinate that s leaves alone is returned as ``x_i`` itself,
 with no new int.  Where no compiled path applies the kernel is a closure
 over the collector product.
 
+A bi-order (``order.BiOrder``) compares x with y by the sign of the first
+nonzero coordinate of x^-1 y in its scan order, the order of its filtration
+blocks.  ``comparator(scan)`` gives that test without a product where the
+scan is the index order or the weights are admissible: it compares x and y
+lexicographically, read in scan order.  With d = x^-1 y, so y = x*d, and i
+the first scan position where d_i != 0, it suffices that x*d agrees with x
+before i and that (x*d)_i = x_i + d_i.
+
+- Index order, in a torsion-free presentation: d lies in
+  H_i = <g_i, ..., g_n>, and H_{i+1} is normal in H_i (standard pc form),
+  so with x = x_<i g_i^(x_i) t, t in H_{i+1}, x*d = x_<i g_i^(x_i + d_i) t'
+  with t' in H_{i+1}.
+- Admissible weights: let w = w_i, and G_v the subgroup generated by the
+  generators of weight >= v; it is normal, and its elements are the normal
+  forms that are 0 at every coordinate of weight < v.  The scan visits the
+  weights in increasing order, so d lies in G_w.  By induction down from the
+  top weight, x*h for h in G_v keeps every coordinate of x of weight < v
+  and adds h_j at each coordinate j of weight v: collecting one factor
+  g_k^f of h, w_k >= v, past the tail t of x gives g_k^f phi^f(t), and
+  phi(t) = t c with c in G_{v+1}, as each conjugate of g_l is g_l times
+  generators of weight >= w_k + w_l; so x*g_k^f is x with f added at k,
+  times c, which leaves every coordinate of weight <= v alone.
+
+Otherwise the comparator computes x^-1 y with ``multiply`` and ``inverse``
+and scans it.
+
 At load time conj and conjinv are checked to be inverse maps and every pc
 overlap is collected both ways, so an inconsistent presentation is refused
 before it could give a wrong product.  Every presentation, built-in or
@@ -109,6 +135,7 @@ import hashlib
 import math
 import re
 from functools import cache, cached_property
+from operator import itemgetter
 from types import SimpleNamespace
 
 Element = tuple  # exponent vector, tuple of int
@@ -117,10 +144,12 @@ Word = tuple     # tuple of (generator index, exponent) factors
 
 class _derived(cached_property):
     """A cached property that is also callable as ``(obj, *args)``, so code
-    that wraps the class attribute as a method still reaches the function."""
+    that wraps the class attribute as a method still reaches the function.
+    That route stores nothing on ``obj``, so a wrapper set on the class sees
+    every call; ``func`` runs on each one and must stay cheap."""
 
     def __call__(self, obj, *args):
-        return self.__get__(obj)(*args)
+        return self.func(obj)(*args)
 
 
 class PresentationError(ValueError):
@@ -530,6 +559,34 @@ class PcPresentation:
                 compiled.multiply, compiled.shape, self.orders, elements)
         return step
 
+    def comparator(self, scan):
+        """The bi-order comparator of the coordinate order ``scan``, a
+        permutation of range(n): x, y -> -1, 0 or 1, the sign of the first
+        nonzero coordinate of x^-1 y in that order, -1 where it is positive
+        and 0 where x = y.  Where the scan is the index order or the weights
+        are admissible, this is the lexicographic comparison of x and y
+        read in scan order (see the module docstring); otherwise it
+        computes x^-1 y and scans it."""
+        if scan == tuple(range(self.n)):
+            return _lexicographic
+        if self._weights() is not None:
+            read = itemgetter(*scan)
+
+            def compare(x, y):
+                x, y = read(x), read(y)
+                return -1 if x < y else 1 if x > y else 0
+            return compare
+        multiply, inverse = self.multiply, self.inverse
+
+        def compare(x, y):
+            d = multiply(inverse(x), y)
+            for i in scan:
+                c = d[i]
+                if c:
+                    return -1 if c > 0 else 1
+            return 0
+        return compare
+
     @cached_property
     def _compiled(self):
         """The compiled product, inverse and step kernels, derived on first
@@ -668,6 +725,11 @@ class PcPresentation:
 
     def __repr__(self):
         return f"PcPresentation({self.name!r}, gens={self.gens})"
+
+
+def _lexicographic(x, y):
+    """-1, 0 or 1 as x is below, equal to or above y lexicographically."""
+    return -1 if x < y else 1 if x > y else 0
 
 
 # -- polynomial products -------------------------------------------------

@@ -51,8 +51,9 @@ def test_refusals():
 
 def _block_rule(p, x, y):
     """The comparison as the filtration defines it: the first block, then
-    the first coordinate in it, where x^-1 y is nonzero decides."""
-    d = p.multiply(p.inverse(x), y)
+    the first coordinate in it, where x^-1 y is nonzero decides; x^-1 y
+    comes from the collector, not from the compiled product."""
+    d = p._collect_product(p._collect_inverse(x), y)
     for block in p.blocks:
         for i in block:
             if d[i] > 0:
@@ -62,21 +63,93 @@ def _block_rule(p, x, y):
     return order.EQUAL
 
 
-@pytest.mark.parametrize("name", ["z3", "heisenberg", "filiform", "ut4",
-                                  "heisenberg_one_block"])
-def test_compare_is_the_block_rule_on_seeded_pairs(name):
+# weights b = 1, a = 2, c = 3: the scan is b, a, c, not the index order,
+# and the weights are admissible
+HEISENBERG_BAC_SOURCE = """\
+group HeisenbergBAC
+nilpotent true
+torsion_prefix 0
+gen a order inf
+gen b order inf
+gen c order inf
+conj b by a = b*c^-1
+conjinv b by a = b*c
+block b
+block a
+block c
+genset a a^-1 b b^-1
+"""
+
+
+def _comparison_case(name):
+    one_block = re.sub(r"(?m)^block .*\n", "", FILIFORM.read_text()) + "block a b c d\n"
     sources = {"filiform": FILIFORM.read_text(), "ut4": UT4_SOURCE,
-               "heisenberg_one_block": HEISENBERG_ONE_BLOCK_SOURCE}
-    p = (pcgroup.parse_presentation(sources[name]) if name in sources
-         else from_id(name))
+               "heisenberg_one_block": HEISENBERG_ONE_BLOCK_SOURCE,
+               "heisenberg_bac": HEISENBERG_BAC_SOURCE,
+               # no admissible weights, and collection is not linear: no
+               # compiled path at all
+               "filiform_one_block": one_block,
+               # neither the index order nor admissible weights
+               "heisenberg_one_block_cab": HEISENBERG_ONE_BLOCK_SOURCE.replace(
+                   "block a b c", "block c a b")}
+    return (pcgroup.parse_presentation(sources[name]) if name in sources
+            else from_id(name))
+
+
+@pytest.mark.parametrize("name", ["z3", "heisenberg", "filiform", "ut4",
+                                  "heisenberg_one_block", "heisenberg_bac",
+                                  "filiform_one_block", "heisenberg_one_block_cab"])
+def test_compare_is_the_block_rule_on_seeded_pairs(name):
+    """Where the scan is the index order or the weights are admissible,
+    compare reads x and y and computes no product; otherwise it computes
+    x^-1 y.  Pairs share a prefix, or are x and x*g with g 0 on a prefix of
+    the scan, so late coordinates decide too."""
+    p = _comparison_case(name)
     o = BiOrder(p)
+    assert (o._scan != tuple(range(p.n))) == name.endswith(("_bac", "_cab"))
+    products = []
+
+    def counted(x, y):
+        products.append((x, y))
+        return p._collect_product(x, y)
+
+    p.multiply = counted
     rng = random.Random(f"compare:{name}")
     for _ in range(3000):
         x = tuple(rng.randint(-3, 3) for _ in range(p.n))
-        # y agrees with x on a random prefix, so late coordinates decide too
         keep = rng.randint(0, p.n)
         y = x[:keep] + tuple(rng.randint(-3, 3) for _ in range(p.n - keep))
+        g = dict(zip(o._scan, [0] * keep + [rng.randint(-3, 3) for _ in range(p.n - keep)]))
+        z = p._collect_product(x, tuple(g[i] for i in range(p.n)))
         assert o.compare(x, y) == _block_rule(p, x, y)
+        assert o.compare(x, z) == _block_rule(p, x, z)
+    assert bool(products) == name.endswith("_cab")
+
+
+def test_the_lexicographic_rule_needs_its_conditions():
+    """In the scan c, a, b of the Heisenberg group with one block, some x
+    and y differ first at a but x^-1 y is nonzero at c: the comparator must
+    compute x^-1 y there."""
+    p = _comparison_case("heisenberg_one_block_cab")
+    x, y = (1, -1, 0), (2, -1, 0)
+    read = [(v[2], v[0], v[1]) for v in (x, y)]
+    assert read[0] < read[1]
+    assert p._collect_product(p._collect_inverse(x), y)[2] != 0
+    assert BiOrder(p).compare(x, y) == _block_rule(p, x, y) == order.GREATER
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "heisenberg_bac",
+                                  "heisenberg_one_block_cab"])
+def test_compare_through_the_class_binds_nothing(name):
+    """``BiOrder.compare(o, x, y)``, the call a tracer's class wrapper
+    makes, gives ``o.compare(x, y)`` and stores nothing on o."""
+    p = _comparison_case(name)
+    o, bound = BiOrder(p), BiOrder(p)
+    rng = random.Random(f"class route:{name}")
+    for _ in range(200):
+        x, y = (tuple(rng.randint(-3, 3) for _ in range(p.n)) for _ in "xy")
+        assert BiOrder.compare(o, x, y) == bound.compare(x, y)
+    assert "compare" not in vars(o) and "compare" in vars(bound)
 
 
 def test_totality_and_antisymmetry(heis_order):
