@@ -8,12 +8,11 @@ falsifiable by the sampled bi-invariance property checks.
 
 ``BiOrder.compare`` is the presentation's comparator for that scan
 (``PcPresentation.comparator``), bound on first access.  Where the scan is
-the index order, or the blocks give admissible weights (g_i in the k-th
-block weighing k), the first nonzero coordinate of ``x^{-1} y`` in scan
-order is the first coordinate where x and y differ, with the sign of
-``y_i - x_i``, so x and y are compared lexicographically in scan order and
-no product is computed; the ``pcgroup`` module docstring gives the proof.
-Otherwise ``x^{-1} y`` is computed and scanned.
+the index order, the first nonzero coordinate of ``x^{-1} y`` is the first
+coordinate where x and y differ, with the sign of ``y_i - x_i``, so x and y
+are compared lexicographically and no product is computed; the ``pcgroup``
+module docstring gives the proof.  Any other scan computes ``x^{-1} y`` and
+scans it.
 
 Distortion certification never reports an uncertified distance.  Each value
 ``dist(e, g^k)`` comes from one of three certificates, cheapest first:

@@ -93,29 +93,15 @@ over the collector product.
 
 A bi-order (``order.BiOrder``) compares x with y by the sign of the first
 nonzero coordinate of x^-1 y in its scan order, the order of its filtration
-blocks.  ``comparator(scan)`` gives that test without a product where the
-scan is the index order or the weights are admissible: it compares x and y
-lexicographically, read in scan order.  With d = x^-1 y, so y = x*d, and i
-the first scan position where d_i != 0, it suffices that x*d agrees with x
-before i and that (x*d)_i = x_i + d_i.
-
-- Index order, in a torsion-free presentation: d lies in
-  H_i = <g_i, ..., g_n>, and H_{i+1} is normal in H_i (standard pc form),
-  so with x = x_<i g_i^(x_i) t, t in H_{i+1}, x*d = x_<i g_i^(x_i + d_i) t'
-  with t' in H_{i+1}.
-- Admissible weights: let w = w_i, and G_v the subgroup generated by the
-  generators of weight >= v; it is normal, and its elements are the normal
-  forms that are 0 at every coordinate of weight < v.  The scan visits the
-  weights in increasing order, so d lies in G_w.  By induction down from the
-  top weight, x*h for h in G_v keeps every coordinate of x of weight < v
-  and adds h_j at each coordinate j of weight v: collecting one factor
-  g_k^f of h, w_k >= v, past the tail t of x gives g_k^f phi^f(t), and
-  phi(t) = t c with c in G_{v+1}, as each conjugate of g_l is g_l times
-  generators of weight >= w_k + w_l; so x*g_k^f is x with f added at k,
-  times c, which leaves every coordinate of weight <= v alone.
-
-Otherwise the comparator computes x^-1 y with ``multiply`` and ``inverse``
-and scans it.
+blocks.  ``comparator(scan)`` gives that test, kept on the presentation for
+each scan.  In a torsion-free presentation whose scan is the index order it
+computes no product: it compares x and y lexicographically.  With
+d = x^-1 y, so y = x*d, and i the first index where d_i != 0, d lies in
+H_i = <g_i, ..., g_n>, and H_{i+1} is normal in H_i (standard pc form), so
+with x = x_<i g_i^(x_i) t, t in H_{i+1}, x*d = x_<i g_i^(x_i + d_i) t' with
+t' in H_{i+1}: x*d agrees with x before i and (x*d)_i = x_i + d_i.  Any
+other scan, or a presentation with torsion, computes x^-1 y with
+``multiply`` and ``inverse`` and scans it.
 
 At load time conj and conjinv are checked to be inverse maps and every pc
 overlap is collected both ways, so an inconsistent presentation is refused
@@ -135,7 +121,6 @@ import hashlib
 import math
 import re
 from functools import cache, cached_property
-from operator import itemgetter
 from types import SimpleNamespace
 
 Element = tuple  # exponent vector, tuple of int
@@ -214,6 +199,7 @@ class PcPresentation:
         self.nilpotent = nilpotent
         self.genset = tuple(genset)
         self.source = source
+        self._comparators = {}      # scan -> comparator, see comparator()
         self._validate()
         self._build_tables()
         self._check_consistency()
@@ -561,30 +547,28 @@ class PcPresentation:
 
     def comparator(self, scan):
         """The bi-order comparator of the coordinate order ``scan``, a
-        permutation of range(n): x, y -> -1, 0 or 1, the sign of the first
+        tuple permuting range(n): x, y -> -1, 0 or 1, the sign of the first
         nonzero coordinate of x^-1 y in that order, -1 where it is positive
-        and 0 where x = y.  Where the scan is the index order or the weights
-        are admissible, this is the lexicographic comparison of x and y
-        read in scan order (see the module docstring); otherwise it
-        computes x^-1 y and scans it."""
-        if scan == tuple(range(self.n)):
-            return _lexicographic
-        if self._weights() is not None:
-            read = itemgetter(*scan)
+        and 0 where x = y.  Torsion-free with ``scan`` the index order, it
+        is the lexicographic comparison of x and y (see the module
+        docstring); otherwise it computes x^-1 y and scans it.  Kept on the
+        presentation for each scan."""
+        compare = self._comparators.get(scan)
+        if compare is not None:
+            return compare
+        if not self.torsion_len and scan == tuple(range(self.n)):
+            compare = _lexicographic
+        else:
+            multiply, inverse = self.multiply, self.inverse
 
             def compare(x, y):
-                x, y = read(x), read(y)
-                return -1 if x < y else 1 if x > y else 0
-            return compare
-        multiply, inverse = self.multiply, self.inverse
-
-        def compare(x, y):
-            d = multiply(inverse(x), y)
-            for i in scan:
-                c = d[i]
-                if c:
-                    return -1 if c > 0 else 1
-            return 0
+                d = multiply(inverse(x), y)
+                for i in scan:
+                    c = d[i]
+                    if c:
+                        return -1 if c > 0 else 1
+                return 0
+        self._comparators[scan] = compare
         return compare
 
     @cached_property

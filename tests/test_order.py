@@ -1,5 +1,6 @@
 """Bi-order comparators, convex segments, distortion."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -63,8 +64,8 @@ def _block_rule(p, x, y):
     return order.EQUAL
 
 
-# weights b = 1, a = 2, c = 3: the scan is b, a, c, not the index order,
-# and the weights are admissible
+# blocks b / a / c, admissible weights b = 1, a = 2, c = 3: the scan is
+# b, a, c, not the index order, so compare computes x^-1 y
 HEISENBERG_BAC_SOURCE = """\
 group HeisenbergBAC
 nilpotent true
@@ -89,7 +90,7 @@ def _comparison_case(name):
                # no admissible weights, and collection is not linear: no
                # compiled path at all
                "filiform_one_block": one_block,
-               # neither the index order nor admissible weights
+               # a scan out of index order that no weights give
                "heisenberg_one_block_cab": HEISENBERG_ONE_BLOCK_SOURCE.replace(
                    "block a b c", "block c a b")}
     return (pcgroup.parse_presentation(sources[name]) if name in sources
@@ -100,13 +101,14 @@ def _comparison_case(name):
                                   "heisenberg_one_block", "heisenberg_bac",
                                   "filiform_one_block", "heisenberg_one_block_cab"])
 def test_compare_is_the_block_rule_on_seeded_pairs(name):
-    """Where the scan is the index order or the weights are admissible,
-    compare reads x and y and computes no product; otherwise it computes
-    x^-1 y.  Pairs share a prefix, or are x and x*g with g 0 on a prefix of
-    the scan, so late coordinates decide too."""
+    """Where the scan is the index order compare reads x and y and computes
+    no product; otherwise it computes x^-1 y.  Pairs share a prefix, or are
+    x and x*g with g 0 on a prefix of the scan, so late coordinates decide
+    too."""
     p = _comparison_case(name)
     o = BiOrder(p)
-    assert (o._scan != tuple(range(p.n))) == name.endswith(("_bac", "_cab"))
+    out_of_order = name.endswith(("_bac", "_cab"))
+    assert (o._scan != tuple(range(p.n))) == out_of_order
     products = []
 
     def counted(x, y):
@@ -123,7 +125,13 @@ def test_compare_is_the_block_rule_on_seeded_pairs(name):
         z = p._collect_product(x, tuple(g[i] for i in range(p.n)))
         assert o.compare(x, y) == _block_rule(p, x, y)
         assert o.compare(x, z) == _block_rule(p, x, z)
-    assert bool(products) == name.endswith("_cab")
+    assert bool(products) == out_of_order
+
+
+def _scan_rule(p, scan, x, y):
+    """The sign rule of ``comparator(scan)``, on the collector's x^-1 y."""
+    d = p._collect_product(p._collect_inverse(x), y)
+    return next((-1 if d[i] > 0 else 1 for i in scan if d[i]), 0)
 
 
 def test_the_lexicographic_rule_needs_its_conditions():
@@ -138,18 +146,48 @@ def test_the_lexicographic_rule_needs_its_conditions():
     assert BiOrder(p).compare(x, y) == _block_rule(p, x, y) == order.GREATER
 
 
+@pytest.mark.parametrize("name", ["heisenberg", "filiform", "heisenberg_z3"])
+def test_only_the_index_order_of_a_torsion_free_group_is_lexicographic(name):
+    """Every scan of the first three coordinates gets the lexicographic
+    comparator only when it is the index order and the group is torsion
+    free, though the Heisenberg weights (1, 1, 2) are admissible; each
+    comparator is the sign rule and is kept per scan.  In the Heisenberg
+    groups (1, -1, 0) is below (2, -1, 0) in the index order but above it
+    in the scan c, a, b."""
+    p = _comparison_case(name)
+    rng = random.Random(f"scans:{name}")
+    for head in itertools.permutations(range(3)):
+        scan = head + tuple(range(3, p.n))
+        compare = p.comparator(scan)
+        assert p.comparator(scan) is compare
+        assert (compare is pcgroup._lexicographic) == (
+            scan == tuple(range(p.n)) and not p.torsion_len)
+        pairs = [((1, -1, 0) + (0,) * (p.n - 3), (2, -1, 0) + (0,) * (p.n - 3))]
+        pairs += [tuple(tuple(rng.randrange(m) if m else rng.randint(-3, 3)
+                              for m in p.orders) for _ in "xy") for _ in range(300)]
+        for x, y in pairs:
+            assert compare(x, y) == _scan_rule(p, scan, x, y)
+    x, y = pairs[0]
+    assert p.comparator((0, 1, 2) + tuple(range(3, p.n)))(x, y) == -1
+    assert p.comparator((2, 0, 1) + tuple(range(3, p.n)))(x, y) == (
+        1 if name.startswith("heisenberg") else -1)
+
+
 @pytest.mark.parametrize("name", ["heisenberg", "heisenberg_bac",
                                   "heisenberg_one_block_cab"])
 def test_compare_through_the_class_binds_nothing(name):
     """``BiOrder.compare(o, x, y)``, the call a tracer's class wrapper
-    makes, gives ``o.compare(x, y)`` and stores nothing on o."""
+    makes, gives ``o.compare(x, y)`` and stores nothing on o; both routes
+    use the one comparator the presentation keeps for the scan."""
     p = _comparison_case(name)
     o, bound = BiOrder(p), BiOrder(p)
+    kept = p.comparator(o._scan)
     rng = random.Random(f"class route:{name}")
     for _ in range(200):
         x, y = (tuple(rng.randint(-3, 3) for _ in range(p.n)) for _ in "xy")
         assert BiOrder.compare(o, x, y) == bound.compare(x, y)
     assert "compare" not in vars(o) and "compare" in vars(bound)
+    assert p.comparator(o._scan) is kept and bound.compare is kept
 
 
 def test_totality_and_antisymmetry(heis_order):
