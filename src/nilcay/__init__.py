@@ -24,6 +24,7 @@ from .cayley import (  # noqa: F401
     GenSet,
     GeodesicCapError,
     GeodesicPath,
+    UncertifiedDistanceError,
     check_vertex_map,
     count_geodesics,
     enumerate_geodesics,

@@ -15,12 +15,16 @@ returning a wrong number: ``dist(u,v)`` is certified exactly when
 ``u^{-1}v`` lies in the ball.
 
 Geodesics are paths in the ball's BFS DAG, whose edges ``u -> u*s`` go one
-shell outward.  A query from ``u`` to ``v`` runs on the translated problem
-from the identity to ``u^{-1}v``, as label sequences are invariant under
-left translation.  The first query caches the geodesic counts from the
-identity, one pass over the DAG in shell order, and a count is then a
-lookup; the torsion-label check reruns that pass with a label count capped
-at 2.  Listing walks the DAG forward through the target's ancestors only.
+shell outward: ``targets[u * width + sid] = w`` with ``dist[w] = dist[u] + 1``.
+A query from ``u`` to ``v`` runs on the translated problem from the
+identity to ``u^{-1}v``, as label sequences are invariant under left
+translation.  Every geodesic routine is a loop over these arrays, with no
+per-edge generator.  The first query caches the geodesic counts from the
+identity, pushed along the forward edges in shell order, and a count is
+then a lookup; the torsion-label check makes the same push with a label
+count capped at 2.  Listing collects the target's ancestors one shell at a
+time backward over the ``targets`` rows, then walks forward through them on
+an explicit stack, lazily and in label order.
 """
 
 from __future__ import annotations
@@ -309,9 +313,12 @@ def generate_ball(presentation, genset, radius, max_vertices=None) -> Ball:
                     raise BallBudgetError(
                         f"ball exceeded vertex budget {budget} at radius {d}")
             flat.append(wid)
-    lex = sorted(range(len(order)), key=order.__getitem__)
+    # the BFS ids' int objects, the index's values in BFS order, serve again
+    # as the lexicographic ids, so the ball allocates one int per vertex, not three
+    ids = list(index.values())
+    lex = sorted(ids, key=order.__getitem__)
     relabel = [0] * len(lex)              # BFS id -> lexicographic id
-    for i, b in enumerate(lex):
+    for i, b in zip(ids, lex):
         relabel[b] = index[order[b]] = i
     relabel.append(-1)                    # so that -1, outside the ball, stays -1
     targets = [relabel[w] for b in lex for w in flat[b * k:b * k + k]]
@@ -323,77 +330,114 @@ def generate_ball(presentation, genset, radius, max_vertices=None) -> Ball:
 # -- geodesics -----------------------------------------------------------
 
 
-def _certified_remainder(ball, u, v):
-    """Index and distance of ``u^{-1}v``, raising when it is not in the ball."""
+class UncertifiedDistanceError(ValueError):
+    """The ball does not certify the distance between the endpoints of a
+    geodesic query: ``u^{-1}v`` lies outside it."""
+
+    def __init__(self, radius):
+        super().__init__(f"distance between the endpoints is not certifiable "
+                         f"in the ball of radius {radius}")
+        self.radius = radius
+
+
+def _remainder_id(ball, u, v):
+    """The id of ``u^{-1}v``, raising when it lies outside the ball."""
     p = ball.presentation
     wid = ball.index.get(p.multiply(p.inverse(u), v))
     if wid is None:
-        raise ValueError("distance between the endpoints is not certifiable in this ball")
-    return wid, ball.dist_list[wid]
-
-
-def _dag_edges(ball):
-    """Edges (u, sid, u*s) of the BFS DAG, with the sources u in shell order."""
-    dist = ball.dist_list
-    for u in ball.shell_order:
-        du = dist[u] + 1
-        for sid, w in enumerate(ball.row(u)):
-            if w >= 0 and dist[w] == du:
-                yield u, sid, w
+        raise UncertifiedDistanceError(ball.radius)
+    return wid
 
 
 def _geodesic_counts(ball):
-    if ball._geo_counts is None:
-        counts = [0] * len(ball)
-        counts[ball.index[ball.presentation.identity]] = 1
-        for u, _, w in _dag_edges(ball):
-            counts[w] += counts[u]
+    """Geodesics from the identity to each vertex, cached on the ball."""
+    counts = ball._geo_counts
+    if counts is None:
+        dist, targets, k, radius = ball.dist_list, ball.targets, ball.width, ball.radius
+        counts = [0] * len(dist)
+        counts[ball.shell_order[0]] = 1
+        for u in ball.shell_order:
+            du = dist[u] + 1
+            if du > radius:
+                continue          # the last shell has no forward edges
+            c = counts[u]
+            for w in targets[u * k:u * k + k]:
+                if dist[w] == du and w >= 0:
+                    counts[w] += c
         ball._geo_counts = counts
-    return ball._geo_counts
+    return counts
+
+
+def _walk(ball, u, wid):
+    """The geodesics from u to u * vertices[wid], lazily, in sid order, which
+    is lexicographic order of labels as ``GenSet.elements`` is sorted.
+
+    The ancestors of wid are found one shell at a time, backward: the
+    neighbours x*s one shell closer are exactly x's DAG predecessors, as S
+    is symmetric.  The walk then runs forward from the identity through the
+    ancestors only, on an explicit stack, so every path it starts reaches
+    wid and it holds one frame whatever the length.
+    """
+    dist, targets, k = ball.dist_list, ball.targets, ball.width
+    gens = ball.genset.elements
+    d = dist[wid]
+    if d == 0:
+        yield GeodesicPath(u, ())
+        return
+    level = {wid}
+    children = {}        # ancestor -> [(label, child)], the children in sid order
+    for j in range(d - 1, -1, -1):
+        above = level
+        level = {y for x in above for y in targets[x * k:x * k + k]
+                 if y >= 0 and dist[y] == j}
+        for x in level:
+            children[x] = [(gens[sid], y)
+                           for sid, y in enumerate(targets[x * k:x * k + k])
+                           if y in above]
+    labels = []
+    stack = [iter(children[ball.shell_order[0]])]
+    while stack:
+        for s, y in stack[-1]:
+            if y == wid:
+                yield GeodesicPath(u, (*labels, s))
+            else:
+                labels.append(s)
+                stack.append(iter(children[y]))
+                break
+        else:
+            stack.pop()
+            if labels:
+                labels.pop()
 
 
 def iter_geodesics(ball, u, v):
     """Geodesic segments from u to v, lazily, in lexicographic order of labels.
 
-    Ancestors of the target are found by stepping to neighbours one shell
-    closer, which are DAG predecessors because the generating set is
-    symmetric.
+    The query runs on the translated problem from the identity to
+    ``u^{-1}v``.  The walk first collects that target's ancestors in the
+    BFS DAG, shell by shell backward, then lists paths forward through them
+    on an explicit stack, building each path only when it is asked for.
+    Raises UncertifiedDistanceError when ``u^{-1}v`` is outside the ball.
     """
-    wid, d = _certified_remainder(ball, u, v)
-    dist, gens = ball.dist_list, ball.genset.elements
-    ancestors = shell = {wid}
-    for _ in range(d):
-        shell = {y for x in shell for y in ball.neighbor_ids(x) if dist[y] == dist[x] - 1}
-        ancestors = ancestors | shell
-    labels = []
-
-    def walk(x):
-        if x == wid:
-            yield GeodesicPath(u, tuple(labels))
-            return
-        # -1, outside the ball, is never an ancestor
-        for sid, y in enumerate(ball.row(x)):
-            if y in ancestors and dist[y] == dist[x] + 1:
-                labels.append(gens[sid])
-                yield from walk(y)
-                labels.pop()
-
-    return walk(ball.index[ball.presentation.identity])
+    return _walk(ball, u, _remainder_id(ball, u, v))
 
 
 def enumerate_geodesics(ball, u, v, cap=DEFAULT_GEODESIC_CAP):
     """All geodesic segments from u to v, as label sequences in canonical order."""
-    wid, _ = _certified_remainder(ball, u, v)
+    wid = _remainder_id(ball, u, v)
     count = _geodesic_counts(ball)[wid]
     if count > cap:
         raise GeodesicCapError(f"geodesic cap {cap} exceeded", count)
-    return list(iter_geodesics(ball, u, v))
+    return list(_walk(ball, u, wid))
 
 
 def count_geodesics(ball, u, v):
     """Number of geodesic segments from u to v, a lookup in the cached counts."""
-    wid, _ = _certified_remainder(ball, u, v)
-    return _geodesic_counts(ball)[wid]
+    p = ball.presentation
+    wid = ball.index.get(p.multiply(p.inverse(u), v))
+    if wid is None:
+        raise UncertifiedDistanceError(ball.radius)
+    return (ball._geo_counts or _geodesic_counts(ball))[wid]
 
 
 # -- torsion-label checks (geodesics through a finite normal subgroup) ----
@@ -410,12 +454,18 @@ def torsion_label_bound(ball, subgroup_elements) -> Report:
     labels_in = members - {p.identity}
     params = {"radius": ball.radius, "subgroup_order": len(members)}
     in_n = [s in labels_in for s in ball.genset.elements]
+    dist, targets, k, radius = ball.dist_list, ball.targets, ball.width, ball.radius
     # most subgroup labels on a geodesic from e, capped at 2; -1 if unreached
-    hits = [-1] * len(ball)
-    hits[ball.index[p.identity]] = 0
-    for u, sid, w in _dag_edges(ball):
-        if hits[u] >= 0:
-            hits[w] = max(hits[w], min(2, hits[u] + in_n[sid]))
+    hits = [-1] * len(dist)
+    hits[ball.shell_order[0]] = 0
+    for u in ball.shell_order:
+        du = dist[u] + 1
+        if du > radius:
+            continue
+        h = hits[u]
+        for w, t in zip(targets[u * k:u * k + k], in_n):
+            if dist[w] == du and w >= 0 and h + t > hits[w]:
+                hits[w] = min(2, h + t)
     if 2 in hits:
         w = ball.vertices[hits.index(2)]
         path = next(g for g in iter_geodesics(ball, p.identity, w)
@@ -463,7 +513,10 @@ def insert_torsion_edge(ball, geo: GeodesicPath, subgroup_elements):
                          "(a non-subgroup label coincides with a subgroup element)")
     end = geo.end(p)
     for path in paths:
-        assert path.end(p) == end and len(path) == k + 1
+        if path.end(p) != end:
+            raise ValueError(
+                f"inserted path {path.labels} ends at {path.end(p)}, not at "
+                f"{end}; the presentation's conjugation is inconsistent")
     return paths
 
 

@@ -19,9 +19,10 @@ import time
 from . import __version__, autlab, constructions, order, pcgroup, structure, suites
 from .cayley import (DEFAULT_GEODESIC_CAP, DEFAULT_VERTEX_BUDGET,
                      BallBudgetError, GenSet, GeodesicCapError,
-                     count_geodesics, enumerate_geodesics, export_distances,
-                     export_graph, export_vertex_map, generate_ball,
-                     load_vertex_map, standard_genset)
+                     UncertifiedDistanceError, count_geodesics,
+                     enumerate_geodesics, export_distances, export_graph,
+                     export_vertex_map, generate_ball, load_vertex_map,
+                     standard_genset)
 from .pcgroup import PresentationError
 from .reporting import json_bytes, json_pretty, jsonable
 
@@ -480,17 +481,20 @@ def main(argv=None):
     except SystemExit2 as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
+    except (BallBudgetError, GeodesicCapError, UncertifiedDistanceError) as exc:
+        # before ValueError: a ball too small to certify a query is a cap
+        diag = {"error": str(exc), "kind": type(exc).__name__}
+        if isinstance(exc, GeodesicCapError):
+            diag["count"] = exc.count
+        if isinstance(exc, UncertifiedDistanceError):
+            diag["radius"] = exc.radius
+        print(json.dumps(diag), file=sys.stderr)
+        return EXIT_VERDICT
     except (PresentationError, ValueError, OSError,
             structure.SubgroupError, order.BiOrderUnavailable) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}),
               file=sys.stderr)
         return EXIT_USAGE
-    except (BallBudgetError, GeodesicCapError) as exc:
-        diag = {"error": str(exc), "kind": type(exc).__name__}
-        if isinstance(exc, GeodesicCapError):
-            diag["count"] = exc.count
-        print(json.dumps(diag), file=sys.stderr)
-        return EXIT_VERDICT
     finally:
         elapsed = (time.perf_counter() - t0) * 1000.0
         print(f"wall_clock_ms={elapsed:.1f}", file=sys.stderr)

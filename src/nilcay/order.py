@@ -108,7 +108,11 @@ def max_generator(order: BiOrder, genset: GenSet):
     """The order-maximum of a symmetric generating set; exceeds the identity."""
     genset.require_symmetric()
     s = order.max_element(genset.elements)
-    assert order.compare(order.presentation.identity, s) == LESS
+    p = order.presentation
+    if order.compare(p.identity, s) != LESS:
+        raise BiOrderUnavailable(
+            f"{p.name}: the declared filtration is not a bi-order, its largest "
+            f"generator {p.element_to_str(s)} does not exceed the identity")
     return s
 
 

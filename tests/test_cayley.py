@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -227,6 +227,51 @@ def test_geodesic_cap(z2_ball8):
     assert exc.value.count == 70  # binomial(8, 4)
 
 
+def test_geodesic_counts_are_multinomials_on_z3():
+    """Closed form: in Z^3 with S = {+-e_i} the geodesics from e to v are the
+    orderings of |v_i| steps of sign(v_i) e_i, (|v_1|+|v_2|+|v_3|)! / prod |v_i|!
+    of them; every listing has that many distinct paths, in sorted order."""
+    p = builtin("zn", n=3)
+    ball = generate_ball(p, standard_genset(p), 8)
+    assert len(ball) == 833
+    listed = 0
+    for v in ball.vertices:
+        parts = [abs(x) for x in v]
+        count = math.factorial(sum(parts))
+        for x in parts:
+            count //= math.factorial(x)
+        assert count_geodesics(ball, p.identity, v) == count
+        if count <= 10**4:
+            labels = [g.labels for g in enumerate_geodesics(ball, p.identity, v)]
+            assert len(labels) == count
+            assert labels == sorted(set(labels))
+            listed += 1
+    assert listed == len(ball)
+
+
+def test_iter_geodesics_builds_only_the_paths_asked_for(monkeypatch):
+    """Two paths taken from the 756,756 geodesics e -> (5,5,5) in Z^3 B(16)
+    build two GeodesicPath objects, the two lexicographically first."""
+    p = builtin("zn", n=3)
+    ball = generate_ball(p, standard_genset(p), 16)
+    e = p.identity
+    assert count_geodesics(ball, e, (5, 5, 5)) == 756756
+    built = []
+
+    class Counted(GeodesicPath):
+        def __init__(self, start, labels):
+            built.append(labels)
+            super().__init__(start, labels)
+
+    monkeypatch.setattr(cayley, "GeodesicPath", Counted)
+    first = list(islice(cayley.iter_geodesics(ball, e, (5, 5, 5)), 2))
+    assert len(built) == 2
+    a, b, c = (1, 0, 0), (0, 1, 0), (0, 0, 1)    # S sorted: ... < c < b < a
+    assert [g.labels for g in first] == [
+        (c,) * 5 + (b,) * 5 + (a,) * 5,
+        (c,) * 5 + (b,) * 4 + (a, b) + (a,) * 4]
+
+
 def _geodesic_words(p, S, radius):
     """Oracle: for each d <= radius, the words of length d over S (as tuples
     of generator indices) grouped by their product, from all |S|^d words."""
@@ -343,6 +388,19 @@ def test_insert_torsion_edge_flags_non_normal_set():
     geo = GeodesicPath(h.identity, ((1, 0, 0), (0, 1, 0)))
     with pytest.raises(ValueError, match="not normal"):
         insert_torsion_edge(ball, geo, fake)
+
+
+def test_insert_torsion_edge_checks_the_endpoints_without_assert(monkeypatch):
+    """A conjugation that leaves the subgroup's members but not the path's
+    endpoint raises, also under ``python -O``."""
+    zx = from_id("zxz2")
+    ball = generate_ball(zx, standard_genset(zx), 5)
+    geo = GeodesicPath((0, 0), ((0, 1), (1, 0), (1, 0)))
+    monkeypatch.setattr(zx, "conjugate",
+                        lambda n, g: n if g == zx.identity else zx.identity)
+    with pytest.raises(ValueError, match=r"inserted path \(\(1, 0\), \(0, 0\), "
+                       r"\(1, 0\)\) ends at \(2, 0\), not at \(2, 1\)"):
+        insert_torsion_edge(ball, geo, [(0, 0), (0, 1)])
 
 
 def test_insert_torsion_edge_heisenberg_product():

@@ -172,6 +172,23 @@ def test_tsv_goes_to_out(tmp_path, capsys, argv, text):
     assert out.read_text() == text
 
 
+def test_geodesics_outside_the_ball_exit_one(capsys):
+    """A ball too small to certify the distance is a cap that was hit, not
+    malformed input: exit 1, nothing on stdout, a JSON error naming the
+    radius.  ``distance`` answers null for the same pair."""
+    assert run(["geodesics", "--group", "z2", "--radius", "4", "--from", "0,0",
+                "--to", "5,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[0]) == {
+        "error": "distance between the endpoints is not certifiable in the "
+                 "ball of radius 4",
+        "kind": "UncertifiedDistanceError", "radius": 4}
+    assert run(["distance", "--group", "z2", "--radius", "4", "--from", "0,0",
+                "--to", "5,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["dist"] is None
+
+
 def test_geodesics_count(tmp_path):
     out = tmp_path / "g.json"
     assert run(["geodesics", "--group", "z2", "--radius", "4", "--from", "0,0",

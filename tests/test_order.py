@@ -244,6 +244,17 @@ def test_max_generator(z2_order, heis_order):
     assert max_generator(z2_order, singleton) == (0, 1)
 
 
+def test_max_generator_checks_its_result_without_assert(monkeypatch, z2_order):
+    """An order whose maximum of S does not exceed e is refused, also under
+    ``python -O``."""
+    z2 = z2_order.presentation
+    monkeypatch.setattr(BiOrder, "max_element", lambda self, elements: min(elements))
+    with pytest.raises(BiOrderUnavailable, match=re.escape(
+            "the declared filtration is not a bi-order, its largest generator "
+            "-1,0 does not exceed the identity")):
+        max_generator(z2_order, standard_genset(z2))
+
+
 def test_convexity_checks():
     z2 = builtin("zn", n=2)
     ball = generate_ball(z2, standard_genset(z2), 6)
