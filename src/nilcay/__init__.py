@@ -21,12 +21,14 @@ from .pcgroup import (  # noqa: F401
 from .cayley import (  # noqa: F401
     Ball,
     BallBudgetError,
+    DistanceBall,
     GenSet,
     GeodesicCapError,
     GeodesicPath,
     UncertifiedDistanceError,
     check_vertex_map,
     count_geodesics,
+    distance_ball,
     enumerate_geodesics,
     generate_ball,
     iter_geodesics,

@@ -14,6 +14,19 @@ order.  Distance queries answer ``None`` ("unknown") rather than ever
 returning a wrong number: ``dist(u,v)`` is certified exactly when
 ``u^{-1}v`` lies in the ball.
 
+The module has two balls, and a reader takes the cheaper one that holds
+what it reads:
+
+- ``Ball`` (``generate_ball``), the ball above, with edge rows, vertex ids
+  and the shell order.  The graph export, geodesics, the automorphism
+  search, ``structure``, ``order.convexity_check`` and the suites read it.
+- ``DistanceBall`` (``distance_ball``) is the same BFS keeping only
+  element -> distance and the last sphere, grown in place.  Vertex counts,
+  distance queries and the distance export read it (the CLI's ``ball``
+  without ``--out`` and ``distance``), and so does distortion
+  (``order.distortion_profile``), which grows it until its sphere certifies
+  the distance asked for.
+
 Geodesics are paths in the ball's BFS DAG, whose edges ``u -> u*s`` go one
 shell outward: ``targets[u * width + sid] = w`` with ``dist[w] = dist[u] + 1``.
 A query from ``u`` to ``v`` runs on the translated problem from the
@@ -238,11 +251,11 @@ class Ball:
 
     def distance(self, u, v):
         """Exact dist_S(u, v), or None when not certifiable inside the ball."""
-        if u not in self.index:
-            raise ValueError("start vertex is not in the ball")
-        p = self.presentation
-        w = p.multiply(p.inverse(u), v)
-        return self.distance_from_identity(w)
+        return _distance(self, u, v)
+
+    def sorted_distances(self):
+        """(vertex, distance) pairs in lexicographic vertex order."""
+        return zip(self.vertices, self.dist_list)
 
     def row(self, vid):
         """The id of v*s for each s in S, in order, -1 where it lies outside
@@ -325,6 +338,130 @@ def generate_ball(presentation, genset, radius, max_vertices=None) -> Ball:
     relabel.pop()
     return Ball(presentation, genset, radius, tuple(order[b] for b in lex), index,
                 [dist[b] for b in lex], targets, relabel)
+
+
+def _distance(ball, u, v):
+    """dist_S(u, v) read from the ball's distances from e, None outside it;
+    ValueError when u is not in the ball."""
+    if u not in ball:
+        raise ValueError("start vertex is not in the ball")
+    p = ball.presentation
+    return ball.distance_from_identity(p.multiply(p.inverse(u), v))
+
+
+class DistanceBall:
+    """The ball of one generating set without edges, grown in place.
+
+    It holds the BFS distance of every element within ``radius`` of e and
+    the last shell, the sphere S(radius), which is all that counts,
+    distances and ``distance_via_sphere`` read: a ball of radius R
+    certifies any distance up to 2R.  ``grow`` extends the last shell
+    outward, so every vertex is multiplied by S once over all the growths;
+    a growth past the vertex budget is undone, and the ball answers as it
+    did before it.  ``dist`` is distortion's policy: radii go 0, 4, 8, 16,
+    ..., capped at the proven upper bound, each growth made only when the
+    ball cannot certify the distance asked for.
+    """
+
+    def __init__(self, genset, budget):
+        self.genset = genset
+        self.presentation = genset.presentation
+        self.budget = budget
+        e = self.presentation.identity
+        self.dists = {e: 0}               # element -> BFS distance, insertion order
+        self.shell = [e]                  # the elements at distance radius
+        self.radius = 0
+        self.failed_radius = None         # radius of the growth that broke the budget
+
+    def __contains__(self, v):
+        return v in self.dists
+
+    def __len__(self):
+        return len(self.dists)
+
+    def distance_from_identity(self, v):
+        return self.dists.get(v)
+
+    def distance(self, u, v):
+        """Exact dist_S(u, v), or None when u^-1 v is outside the ball."""
+        return _distance(self, u, v)
+
+    def sorted_distances(self):
+        """(vertex, distance) pairs in lexicographic vertex order."""
+        return sorted(self.dists.items())
+
+    def distance_via_sphere(self, x):
+        """Exact dist(e, x) for any x within twice the radius, else None.
+
+        Inside B(R) this is the BFS distance.  Outside it, write d = dist(e, x)
+        and let S(R) be the sphere of radius R.  If d <= 2R, the vertex y at
+        distance R on a geodesic from e to x lies in S(R), and y^-1 x lies in
+        B(R) with |y^-1 x| = d - R; every y in S(R) with y^-1 x in B(R) gives
+        d <= R + |y^-1 x| by the triangle inequality.  So d is R plus the
+        least |y^-1 x| over those y.  If d > 2R, no y in S(R) has y^-1 x in
+        B(R), as that would give d <= 2R, and the answer is None ("unknown").
+        As the generating set is symmetric, |y^-1| = |y|, so y^-1 ranges over
+        S(R) itself and no inverse is computed.
+        """
+        d = self.dists.get(x)
+        if d is not None:
+            return d
+        multiply, dists = self.presentation.multiply, self.dists
+        within = (dists.get(multiply(y_inv, x)) for y_inv in self.shell)
+        best = min((r for r in within if r is not None), default=None)
+        return None if best is None else self.radius + best
+
+    def dist(self, x, upper):
+        """dist(e, x) or None; ``upper`` is a proven upper bound, or None."""
+        while True:
+            d = self.distance_via_sphere(x)
+            if d is not None:
+                return d
+            if not self.shell:
+                return None               # the ball is all of <S>, and x is outside it
+            if self.failed_radius is not None or (
+                    upper is not None and 2 * self.radius >= upper):
+                return None
+            want = max(4, self.radius * 2)
+            if upper is not None:
+                want = min(upper, want)
+            try:
+                self.grow(want)
+            except BallBudgetError:
+                self.failed_radius = want
+                return None
+
+    def grow(self, radius):
+        """Extend the ball to ``radius`` one shell at a time.  Past the
+        budget it raises BallBudgetError, naming the shell that broke it,
+        with the ball as it was."""
+        step = self.presentation.right_multiplier(self.genset.require_symmetric().elements)
+        dists, budget, kept = self.dists, self.budget, len(self.dists)
+        shell = self.shell
+        for d in range(self.radius + 1, radius + 1):
+            last, shell = shell, []
+            append = shell.append
+            for u in last:
+                for w in step(u):
+                    if w not in dists:
+                        dists[w] = d
+                        append(w)
+                if len(dists) > budget:
+                    while len(dists) > kept:   # the new vertices were inserted last
+                        dists.popitem()
+                    raise BallBudgetError(
+                        f"ball exceeded vertex budget {budget} at radius {d}")
+        self.shell, self.radius = shell, radius
+
+
+def distance_ball(genset, radius, max_vertices=None) -> DistanceBall:
+    """B(radius) of Cay(G;S) as distances only, with the checks and the
+    budget error of ``generate_ball``."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    ball = DistanceBall(genset.require_symmetric(), vertex_budget(max_vertices))
+    ball.grow(radius)
+    return ball
 
 
 # -- geodesics -----------------------------------------------------------
@@ -541,13 +678,14 @@ def export_graph(ball, path):
 
 
 def export_distances(ball, path):
-    """TSV `vertex<TAB>dist` in canonical vertex order."""
+    """TSV `vertex<TAB>dist` in canonical vertex order, from a Ball or a
+    DistanceBall."""
     lines = [
         f"# presentation: {ball.presentation.name}",
         f"# radius: {ball.radius}",
     ]
-    for i, v in enumerate(ball.vertices):
-        lines.append(f"{_fmt(v)}\t{ball.dist_list[i]}")
+    for v, d in ball.sorted_distances():
+        lines.append(f"{_fmt(v)}\t{d}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -19,7 +19,7 @@ import time
 from . import __version__, autlab, constructions, order, pcgroup, structure, suites
 from .cayley import (DEFAULT_GEODESIC_CAP, DEFAULT_VERTEX_BUDGET,
                      BallBudgetError, GenSet, GeodesicCapError,
-                     UncertifiedDistanceError, count_geodesics,
+                     UncertifiedDistanceError, count_geodesics, distance_ball,
                      enumerate_geodesics, export_distances, export_graph,
                      export_vertex_map, generate_ball, load_vertex_map,
                      standard_genset)
@@ -65,10 +65,13 @@ def _resolve_genset(p, selector):
     return GenSet(p, _parse_vectors(selector, p.n))
 
 
-def _ball(p, args):
-    """B(--radius) of ``p`` over the --genset selection, within --budget."""
-    return generate_ball(p, _resolve_genset(p, args.genset), args.radius,
-                         max_vertices=args.budget)
+def _ball(p, args, edges=True):
+    """B(--radius) of ``p`` over the --genset selection, within --budget: a
+    Ball, or a DistanceBall without edge rows when ``edges`` is false."""
+    S = _resolve_genset(p, args.genset)
+    if edges:
+        return generate_ball(p, S, args.radius, max_vertices=args.budget)
+    return distance_ball(S, args.radius, max_vertices=args.budget)
 
 
 def _envelope(p, command, params, payload):
@@ -104,7 +107,8 @@ def _write(text, path):
 
 def cmd_ball(args):
     p = _load_group(args.group)
-    ball = _ball(p, args)
+    # only the graph export reads edge rows
+    ball = _ball(p, args, edges=bool(args.out))
     if args.out:
         export_graph(ball, args.out)
     if args.distances:
@@ -120,7 +124,7 @@ def cmd_ball(args):
 
 def cmd_distance(args):
     p = _load_group(args.group)
-    ball = _ball(p, args)
+    ball = _ball(p, args, edges=False)
     u = p.element_from_str(getattr(args, "from"))
     v = p.element_from_str(args.to)
     d = ball.distance(u, v)

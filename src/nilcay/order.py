@@ -21,11 +21,11 @@ Distortion certification never reports an uncertified distance.  Each value
 - abelianized bound, in every presentation: the word length of the image
   of ``g^k`` in the free abelianization (a lower bound, as the map is a
   homomorphism) equals ``k * dist(e, g)`` (an upper bound);
-- sphere meet-in-the-middle: ``_GrowingBall.distance_via_sphere`` certifies
+- sphere meet-in-the-middle: ``DistanceBall.distance_via_sphere`` certifies
   any distance up to twice the radius of the ball grown so far.
 
 Word lengths in G and in the abelianization Z^rank come from one growing
-ball (``_GrowingBall``), one instance for each.  It keeps only the BFS
+ball, ``cayley.DistanceBall``, one instance for each.  It keeps only the BFS
 distances and the last shell, and is grown in place to radii 4, 8, 16, ...
 until the sphere certifies the distance asked for, and only while the
 proven upper bound ``k * dist(e, g)`` exceeds twice the radius; each vertex
@@ -48,7 +48,8 @@ from fractions import Fraction
 from itertools import islice
 
 from . import pcgroup
-from .cayley import GenSet, count_geodesics, iter_geodesics, vertex_budget
+from .cayley import (DistanceBall, GenSet, count_geodesics, iter_geodesics,
+                     vertex_budget)
 from .reporting import Report
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -150,89 +151,6 @@ def convexity_check(ball, s, kmax) -> Report:
 # -- distortion ------------------------------------------------------------
 
 
-class _GrowingBall:
-    """The ball of one generating set, grown in place to certify distances.
-
-    It holds the BFS distance of every element within ``radius`` of e and
-    the last shell, the sphere S(radius), which is all that
-    ``distance_via_sphere`` reads: a ball of radius R certifies any
-    distance up to 2R.  Radii go 0, 4, 8, 16, ..., capped at the proven
-    upper bound, each growth made only when the ball cannot certify the
-    distance asked for; it extends the last shell outward, so every vertex
-    is multiplied by S once.  A growth past the vertex budget is undone, and
-    the ball answers as it did before it.
-    """
-
-    def __init__(self, genset, budget):
-        self.genset = genset
-        self.presentation = genset.presentation
-        self.budget = budget
-        e = self.presentation.identity
-        self.dists = {e: 0}               # element -> BFS distance, insertion order
-        self.shell = [e]                  # the elements at distance radius
-        self.radius = 0
-        self.failed_radius = None         # radius of the growth that broke the budget
-
-    def distance_via_sphere(self, x):
-        """Exact dist(e, x) for any x within twice the radius, else None.
-
-        Inside B(R) this is the BFS distance.  Outside it, write d = dist(e, x)
-        and let S(R) be the sphere of radius R.  If d <= 2R, the vertex y at
-        distance R on a geodesic from e to x lies in S(R), and y^-1 x lies in
-        B(R) with |y^-1 x| = d - R; every y in S(R) with y^-1 x in B(R) gives
-        d <= R + |y^-1 x| by the triangle inequality.  So d is R plus the
-        least |y^-1 x| over those y.  If d > 2R, no y in S(R) has y^-1 x in
-        B(R), as that would give d <= 2R, and the answer is None ("unknown").
-        As the generating set is symmetric, |y^-1| = |y|, so y^-1 ranges over
-        S(R) itself and no inverse is computed.
-        """
-        d = self.dists.get(x)
-        if d is not None:
-            return d
-        multiply, dists = self.presentation.multiply, self.dists
-        within = (dists.get(multiply(y_inv, x)) for y_inv in self.shell)
-        best = min((r for r in within if r is not None), default=None)
-        return None if best is None else self.radius + best
-
-    def dist(self, x, upper):
-        """dist(e, x) or None; ``upper`` is a proven upper bound, or None."""
-        while True:
-            d = self.distance_via_sphere(x)
-            if d is not None:
-                return d
-            if not self.shell:
-                return None               # the ball is all of <S>, and x is outside it
-            if self.failed_radius is not None or (
-                    upper is not None and 2 * self.radius >= upper):
-                return None
-            want = max(4, self.radius * 2)
-            if upper is not None:
-                want = min(upper, want)
-            if not self._grow(want):
-                self.failed_radius = want
-                return None
-
-    def _grow(self, radius):
-        """Extend the ball to ``radius`` one shell at a time; False, with the
-        ball as it was, when it would hold more than ``budget`` vertices."""
-        step = self.presentation.right_multiplier(self.genset.require_symmetric().elements)
-        dists, budget, kept = self.dists, self.budget, len(self.dists)
-        shell = self.shell
-        for d in range(self.radius + 1, radius + 1):
-            last, shell = shell, []
-            for u in last:
-                for w in step(u):
-                    if w not in dists:
-                        dists[w] = d
-                        shell.append(w)
-                if len(dists) > budget:
-                    while len(dists) > kept:   # the new vertices were inserted last
-                        dists.popitem()
-                    return False
-        self.shell, self.radius = shell, radius
-        return True
-
-
 class DistortionProfile:
     def __init__(self, element: tuple, ks: list, dists: list, ratios: list,
                  notes: list):
@@ -264,12 +182,12 @@ def distortion_profile(presentation, genset, g, kmax,
         raise ValueError("kmax must be at least 1")
     budget = vertex_budget(max_vertices)
     ks = _profile_ks(kmax)
-    grown = _GrowingBall(genset, budget)
+    grown = DistanceBall(genset, budget)
     # the abelianization is a homomorphism, so the distance of an image is a
     # lower bound on the distance of the element, in every presentation
     ab = p.abelianization
     images = {ab.image(s) for s in genset.elements} - {(0,) * ab.rank}
-    image_ball = (_GrowingBall(GenSet(pcgroup.builtin("zn", n=ab.rank), images), budget)
+    image_ball = (DistanceBall(GenSet(pcgroup.builtin("zn", n=ab.rank), images), budget)
                   if images else None)
     notes = []
 

@@ -7,7 +7,13 @@ relative orders (positive integer or infinite), power relations
 no declared relation commute).  It must be in standard pc form: every
 conjugate by ``g_j`` and the power word of ``g_j`` lie in
 ``G_{j+1} = <g_{j+1}, ..., g_n>``; the parser refuses anything else, naming
-the relation.  Group elements are normal-form exponent vectors
+the relation.  A presentation declared nilpotent must also have a central
+pc series: every conjugate of g_l by g_j is g_l followed by a word in
+``G_{l+1}``, so [g_l, g_j] lies in ``G_{l+1}``; the parser refuses any
+other conjugate, naming it.  The rule is sufficient, not necessary (D8 as
+a of order 2 and b of order 4 with b^a = b^3 is refused), and the bi-order,
+the polynomial path and the Osin guard of ``order.classify_distorted`` rely
+on the flag.  Group elements are normal-form exponent vectors
 ``(e_1, ..., e_n)`` stored as plain tuples of Python ints, so exponents never
 overflow; at finite-order positions ``0 <= e_i < m_i``.
 
@@ -261,12 +267,17 @@ class PcPresentation:
             if sorted(flat) != infinite or len(set(flat)) != len(flat):
                 raise PresentationError(
                     "filtration blocks must partition the infinite-order generators")
-        if self.nilpotent and self.blocks:
-            for _, l, _, w in relations:
-                if any(i < l for i, _ in w):
+        if self.nilpotent:
+            # each conjugate of g_l is g_l times a word in G_{l+1}, so every
+            # [g_l, g_j] lies in G_{l+1}: the pc series is central
+            for tag, l, j, w in relations:
+                if w[:1] != ((l, 1),):
+                    g = self.gens[l]
                     raise PresentationError(
-                        f"conjugate of {self.gens[l]} mentions a generator below it; "
-                        "not central-series-adapted")
+                        f"{tag} {g} by {self.gens[j]} = {_word_text(w, self.gens)} "
+                        f"does not fit 'nilpotent true': a conjugate of {g} must "
+                        f"be {g} followed only by generators after {g}; refine "
+                        "the series to a central one, or declare nilpotent false")
         for v in self.genset:
             if len(v) != n:
                 raise PresentationError("generating-set element has wrong length")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nilcay import cayley, constructions, order, pcgroup, structure
+from nilcay import cayley, constructions, pcgroup, structure
 from nilcay.cayley import (GenerationError, GenSet, GeodesicCapError,
                            GeodesicPath,
                            check_vertex_map, count_geodesics,
@@ -139,12 +139,63 @@ def _sphere_case(name):
 def test_distance_via_sphere_matches_bfs_to_twice_the_radius(name, R):
     """The sphere certificate of the distortion profile's growing ball."""
     p, S = _sphere_case(name)
-    grown = order._GrowingBall(S, cayley.vertex_budget())
-    assert grown._grow(R)
+    grown = cayley.DistanceBall(S, cayley.vertex_budget())
+    grown.grow(R)
     oracle = _plain_bfs(p, S, 2 * R + 1)
     assert max(oracle.values()) == 2 * R + 1
     for x, d in oracle.items():
         assert grown.distance_via_sphere(x) == (d if d <= 2 * R else None), (x, d)
+
+
+@pytest.mark.parametrize("gid,genset,radii", [
+    ("z3", "std", (0, 1, 5, 9)),
+    ("heisenberg_z3", "fsf", (0, 2, 4)),
+    ("klein_bottle", "std", (0, 3, 7, 12)),
+    ("filiform4.pc", "std", (1, 4, 7)),
+    # <t> = C2 in Z x Z/2: every ball from B(1) on is the whole subgroup
+    ("zxz2", "0,1", (0, 1, 6)),
+])
+def test_distance_ball_counts_and_measures_as_generate_ball(gid, genset, radii):
+    """The distance-only BFS against the edge-building one: the same count,
+    the same distance for every element and the same lexicographic listing,
+    and ``distance`` agrees on seeded pairs, both inside and outside."""
+    from nilcay.cli import _resolve_genset
+    p = pcgroup.parse_presentation(FILIFORM.read_text()) if gid == "filiform4.pc" \
+        else from_id(gid)
+    S = _resolve_genset(p, genset)
+    rng = random.Random(f"distance ball:{gid}")
+    for r in radii:
+        ball = generate_ball(p, S, r)
+        dball = cayley.distance_ball(S, r)
+        assert len(dball) == len(ball) and dball.radius == r
+        assert dball.dists == {v: ball.dist_list[i] for v, i in ball.index.items()}
+        assert list(dball.sorted_distances()) == list(ball.sorted_distances())
+        for _ in range(30):
+            u = rng.choice(ball.vertices)
+            v = tuple(rng.randint(-r, r) if m is None else rng.randrange(m)
+                      for m in p.orders)
+            assert dball.distance(u, v) == ball.distance(u, v)
+        outside = tuple(2 * r + 3 if m is None else 0 for m in p.orders)
+        if outside not in ball:
+            for b in (ball, dball):
+                with pytest.raises(ValueError, match="start vertex is not in the ball"):
+                    b.distance(outside, p.identity)
+
+
+def test_distance_ball_keeps_the_checks_of_generate_ball():
+    """A negative radius, an asymmetric set even at radius 0, and the budget
+    error naming the shell that broke it, as generate_ball raises them."""
+    p = builtin("zn", n=2)
+    S = standard_genset(p)
+    for build in (lambda *a, **k: generate_ball(p, *a, **k), cayley.distance_ball):
+        with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+            build(S, -1)
+        with pytest.raises(ValueError, match="^generating set is not symmetric"):
+            build(GenSet(p, [(1, 0), (0, 1)]), 0)
+        # |B(1)| = 5 and |B(2)| = 13
+        with pytest.raises(cayley.BallBudgetError,
+                           match="^ball exceeded vertex budget 10 at radius 2$"):
+            build(S, 10, max_vertices=10)
 
 
 @pytest.mark.parametrize("fid,radius,depth", [

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nilcay import autlab, cli, constructions, structure
+from nilcay import autlab, cayley, cli, constructions, structure
 from nilcay.cayley import GenSet, export_vertex_map, generate_ball
 from nilcay.pcgroup import from_id
 from reference import SOL_SOURCE
@@ -268,6 +268,22 @@ def test_presentation_outside_standard_pc_form_exits_2_at_parse(tmp_path, capsys
     err = json.loads(capsys.readouterr().err.splitlines()[0])
     assert err["kind"] == "PresentationError"
     assert "conj b by a = a*b is not in standard pc form" in err["error"]
+
+
+def test_a_klein_bottle_flagged_nilpotent_exits_2(tmp_path, capsys):
+    # b^a = b^-1: the pc series is not central, so the flag is refused
+    src = tmp_path / "klein.pc"
+    src.write_text("group K\nnilpotent true\ntorsion_prefix 0\n"
+                   "gen a order inf\ngen b order inf\n"
+                   "conj b by a = b^-1\nconjinv b by a = b^-1\n"
+                   "block a\nblock b\ngenset a a^-1 b b^-1\n")
+    assert run(["biorder", "--group", str(src), "--compare", "0,0", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.splitlines()[0])
+    assert err["kind"] == "PresentationError"
+    assert err["error"].startswith("conj b by a = b^-1 does not fit 'nilpotent true'")
+    assert "refine the series to a central one" in err["error"]
 
 
 def test_rank_of_a_polycyclic_user_presentation(tmp_path):
@@ -581,6 +597,65 @@ def test_convexity_below_kmax_one_exits_two(capsys, kmax):
 def test_budget_exhaustion_exit_code(tmp_path):
     assert run(["ball", "--group", "z2", "--radius", "10", "--budget", "10",
                 "--out", str(tmp_path / "x.tsv")]) == 1
+
+
+def _refuse_edge_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Ball with edge rows was built")
+
+    monkeypatch.setattr(cayley.Ball, "__init__", refuse)
+
+
+FILIFORM_PC = str(Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+                  / "filiform4.pc")
+
+
+@pytest.mark.parametrize("group,radius", [
+    ("heisenberg", "6"), ("klein_bottle", "6"), (FILIFORM_PC, "8"),
+    ("zn_cross_cyclic:0,3", "5")])
+def test_ball_count_and_distances_build_no_edge_rows(tmp_path, capsys, monkeypatch,
+                                                     group, radius):
+    """Without --out, ``ball`` counts and exports distances from the
+    distance-only BFS: the same summary and the same TSV bytes as the run
+    that builds the edge rows for --out."""
+    argv = ["ball", "--group", group, "--radius", radius]
+    with_edges, without = tmp_path / "with.tsv", tmp_path / "without.tsv"
+    assert run([*argv, "--out", str(tmp_path / "g.tsv"),
+                "--distances", str(with_edges)]) == 0
+    summary = capsys.readouterr().err.splitlines()[0]
+    _refuse_edge_rows(monkeypatch)
+    assert run([*argv, "--distances", str(without)]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == summary
+    assert without.read_bytes() == with_edges.read_bytes()
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == json.loads(summary)
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["ball", "--group", "z2", "--radius", "10", "--budget", "10"], 1,
+     {"error": "ball exceeded vertex budget 10 at radius 2",
+      "kind": "BallBudgetError"}),
+    (["ball", "--group", "z2", "--radius", "-1"], 2,
+     {"error": "radius must be nonnegative", "kind": "ValueError"}),
+    (["ball", "--group", "z2", "--radius", "0", "--genset", "1,0;0,1"], 2,
+     {"error": "generating set is not symmetric (closed under inverses)",
+      "kind": "ValueError"}),
+    (["distance", "--group", "z2", "--radius", "-1", "--from", "0,0",
+      "--to", "1,0"], 2,
+     {"error": "radius must be nonnegative", "kind": "ValueError"}),
+    (["distance", "--group", "z2", "--radius", "2", "--from", "9,9",
+      "--to", "0,0"], 2,
+     {"error": "start vertex is not in the ball", "kind": "ValueError"}),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_distance_only_commands_keep_their_errors(capsys, monkeypatch, argv, code,
+                                                  err):
+    """The exit codes and JSON errors of the edge-building path, pinned
+    before ``ball`` and ``distance`` stopped building edge rows."""
+    _refuse_edge_rows(monkeypatch)
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[0]) == err
 
 
 def test_abelianized_bound_respects_the_budget(capsys):

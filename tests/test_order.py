@@ -300,13 +300,13 @@ def test_abelianized_bound_reaches_twice_the_radius(monkeypatch):
     # dist(e, g^8) = 48 in Z^3 is certified from the sphere of the image
     # ball B(32), without growing it to B(48)
     radii = []
-    grow = order._GrowingBall._grow
+    grow = cayley.DistanceBall.grow
 
     def spy(grown, radius):
         radii.append(radius)
         return grow(grown, radius)
 
-    monkeypatch.setattr(order._GrowingBall, "_grow", spy)
+    monkeypatch.setattr(cayley.DistanceBall, "grow", spy)
     z3 = builtin("zn", n=3)
     prof = distortion_profile(z3, standard_genset(z3), (1, 2, 3), 8)
     assert prof.dists == [6, 12, 24, 48]
@@ -347,10 +347,11 @@ def test_grown_ball_matches_generate_ball_at_each_radius(name, radii):
     meeting in the middle on the Ball's sphere: exactly up to 2R on all of B(2R + 1) at R = 4, and
     on seeded words of length R to 2R + 1 above it."""
     p, S = _grown_case(name)
-    grown = order._GrowingBall(S, cayley.vertex_budget())
+    grown = cayley.DistanceBall(S, cayley.vertex_budget())
     rng = random.Random(f"grown:{name}")
     for R in radii:
-        assert grown._grow(R) and grown.radius == R
+        grown.grow(R)
+        assert grown.radius == R
         ball = generate_ball(p, S, R)
         assert grown.dists == {v: ball.dist_list[i] for v, i in ball.index.items()}
         assert sorted(grown.shell) == sorted(_ball_sphere(ball))
@@ -375,7 +376,7 @@ def test_grown_ball_matches_generate_ball_at_each_radius(name, radii):
 def test_grown_ball_of_a_finite_subgroup_stops_growing():
     # <t> = C2 in Z x Z/2: B(4) is all of it, so (1, 0) is outside <S>
     zx = from_id("zxz2")
-    grown = order._GrowingBall(GenSet(zx, [(0, 1)]), cayley.vertex_budget())
+    grown = cayley.DistanceBall(GenSet(zx, [(0, 1)]), cayley.vertex_budget())
     assert grown.dist((0, 1), None) == 1 and grown.radius == 4
     assert grown.shell == [] and grown.dist((1, 0), None) is None
     assert grown.radius == 4 and grown.failed_radius is None
@@ -385,17 +386,21 @@ def test_a_growth_past_the_budget_leaves_the_ball_as_it_was():
     # |B(4)| = 135 and |B(8)| = 1,793 in the Heisenberg group
     h = builtin("heisenberg")
     S = standard_genset(h)
-    grown = order._GrowingBall(S, 1000)
-    assert grown._grow(4)
+    grown = cayley.DistanceBall(S, 1000)
+    grown.grow(4)
     dists, shell = dict(grown.dists), list(grown.shell)
-    assert not grown._grow(8)
+    # |B(7)| = 1,069 is the first ball past 1,000
+    with pytest.raises(cayley.BallBudgetError,
+                       match="^ball exceeded vertex budget 1000 at radius 7$"):
+        grown.grow(8)
     assert (grown.dists, grown.shell, grown.radius) == (dists, shell, 4)
     assert list(grown.dists) == list(dists)
     # B(4) still certifies distances up to 8, and none beyond
     assert grown.distance_via_sphere((0, 0, 4)) == 8
     assert grown.distance_via_sphere((0, 0, 16)) is None
-    first = order._GrowingBall(S, 50)
-    assert not first._grow(4)
+    first = cayley.DistanceBall(S, 50)
+    with pytest.raises(cayley.BallBudgetError, match="at radius 3$"):   # |B(3)| = 53
+        first.grow(4)
     assert (first.dists, first.shell, first.radius) == ({h.identity: 0}, [h.identity], 0)
 
 

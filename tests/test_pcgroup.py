@@ -475,17 +475,18 @@ def test_one_block_heisenberg_collects_the_same_products(span):
         assert p.inverse(x) == heis.inverse(x)
 
 
-KLEIN_NILPOTENT_SOURCE = ("group K\nnilpotent true\ntorsion_prefix 0\n"
+KLEIN_NILPOTENT_SOURCE = ("group K\nnilpotent false\ntorsion_prefix 0\n"
                           "gen a order inf\ngen b order inf\n"
                           "conj b by a = b^-1\nconjinv b by a = b^-1\n"
                           "block a\nblock b\ngenset a a^-1 b b^-1\n")
 
 
 def test_a_relation_that_does_not_start_with_its_generator_keeps_the_collector():
-    """The Klein bottle declared nilpotent, with a block for each generator:
-    a^-1 b a = b^-1 breaks the weight rule, and its products are not
-    polynomial, since the sign of b alternates with the exponent of a.  Its
-    one move is SIGN, so it takes the compiled collector."""
+    """The Klein bottle with a block for each generator: a^-1 b a = b^-1
+    breaks the weight rule, and its products are not polynomial, since the
+    sign of b alternates with the exponent of a.  Its one move is SIGN, so
+    it takes the compiled collector.  It is flagged ``nilpotent false``, as
+    the parser refuses ``true`` for it."""
     p = pcgroup.parse_presentation(KLEIN_NILPOTENT_SOURCE)
     assert p._weights() is None and p.product_path == "compiled collector"
     rng = random.Random("klein_declared_nilpotent")
@@ -861,6 +862,35 @@ def test_conj_and_conjinv_must_cancel():
            "conj b by a = b*c\nconjinv b by a = b*c\nblock a b\nblock c\n")
     with pytest.raises(PresentationError, match="conj and conjinv for b by a do not cancel"):
         pcgroup.parse_presentation(src)
+
+
+# D8 = <a, b | a^2, b^4, b^a = b^3> is nilpotent, but its pc series
+# D8 > <b> > 1 is not central; the rule is sufficient, not necessary
+D8_SOURCE = ("group D8\nnilpotent true\ntorsion_prefix 2\n"
+             "gen a order 2\ngen b order 4\n"
+             "conj b by a = b^3\nconjinv b by a = b^3\ngenset a b b^3\n")
+
+
+@pytest.mark.parametrize("source,relation", [
+    (KLEIN_NILPOTENT_SOURCE.replace("nilpotent false", "nilpotent true"),
+     "conj b by a = b^-1"),
+    # the check runs without blocks too
+    (KLEIN_NILPOTENT_SOURCE.replace("nilpotent false", "nilpotent true")
+     .replace("block a\nblock b\n", ""), "conj b by a = b^-1"),
+    (D8_SOURCE, "conj b by a = b^3"),
+], ids=["klein", "klein without blocks", "d8"])
+def test_nilpotent_true_needs_a_central_pc_series(source, relation):
+    """``nilpotent true`` is refused unless every conjugate of g_l is g_l
+    followed only by later generators; the same file flagged ``false``
+    loads."""
+    with pytest.raises(PresentationError) as info:
+        pcgroup.parse_presentation(source)
+    assert str(info.value) == (
+        f"{relation} does not fit 'nilpotent true': a conjugate of b must be b "
+        "followed only by generators after b; refine the series to a central "
+        "one, or declare nilpotent false")
+    assert not pcgroup.parse_presentation(
+        source.replace("nilpotent true", "nilpotent false")).nilpotent
 
 
 def test_conjugate_and_centrality(heis, klein):
