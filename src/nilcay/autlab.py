@@ -51,7 +51,7 @@ from math import factorial, prod
 
 from . import structure
 from .cayley import (Ball, GenerationError, GenSet, check_vertex_map, generate_ball,
-                     require_total, twin_partition)
+                     require_total)
 from .reporting import Report
 
 #: search nodes the stable-restriction backtracking may visit before giving up
@@ -152,42 +152,92 @@ class AffineVerdict:
 
 
 def _wl_colors(seed, nbr):
-    """Stable Weisfeiler-Leman colours refined from the seed keys.
+    """The coarsest equitable partition finer than the seed keys' partition,
+    as a colour per vertex; ``nbr`` is an undirected graph's neighbour rows.
 
-    Any automorphism of the graph that keeps the seed keys keeps these
-    colours, so colour classes are sound candidate pools.
+    A partition is equitable when any two vertices of a cell have as many
+    neighbours in each cell; this one is the stable partition of 1-WL colour
+    refinement.  It is refined by splitter cells (McKay and Piperno,
+    "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014): pop a
+    splitter S from the queue, count each vertex's neighbours in S, and split
+    every touched cell by that count.  The largest part keeps the cell's
+    index, queued or not, and the other parts are queued.  A cell off the
+    queue was a splitter whole, so the counts into its largest part are
+    those into the cell less those into the other parts, and need no pass of
+    their own (Hopcroft's "smaller half"): each vertex joins a new splitter
+    at most log2(n) times.  A split separates only vertices with different
+    numbers of neighbours in a union of cells, so every equitable partition
+    finer than the seed stays finer than the cells, and the result, which
+    is equitable, is the coarsest one.  Any automorphism of the graph that
+    keeps the seed keeps the colours, so colour classes are sound candidate
+    pools.
     """
-    def canon(raw):
-        """Each key's index in order of first appearance, and the count."""
-        palette = {}
-        return [palette.setdefault(key, len(palette)) for key in raw], \
-            len(palette)
-
-    cur, count = canon(seed)
-    while True:
-        new, new_count = canon([(c, tuple(sorted([cur[j] for j in row])))
-                                for c, row in zip(cur, nbr)])
-        if new_count == count:
-            return new
-        cur, count = new, new_count
+    palette = {}
+    color = [palette.setdefault(key, len(palette)) for key in seed]
+    cells = [set() for _ in palette]
+    for v, c in enumerate(color):
+        cells[c].add(v)
+    queue = list(range(len(cells)))
+    while queue:
+        count = {}                        # vertex -> its neighbours in the splitter
+        get = count.get
+        for v in cells[queue.pop()]:
+            for w in nbr[v]:
+                count[w] = get(w, 0) + 1
+        touched = {}                      # cell -> count -> its vertices with it
+        for w, k in count.items():
+            by = touched.setdefault(color[w], {})
+            if k in by:
+                by[k].append(w)
+            else:
+                by[k] = [w]
+        for c, by in touched.items():
+            cell = cells[c]
+            if len(by) == 1 and len(next(iter(by.values()))) == len(cell):
+                continue                  # one count for the whole cell
+            for members in by.values():
+                cell.difference_update(members)
+            # the untouched rest of the cell, with no neighbour in the splitter
+            parts = [set(members) for members in by.values()]
+            if cell:
+                parts.append(cell)
+            parts.sort(key=len, reverse=True)
+            cells[c] = parts[0]
+            for part in parts[1:]:
+                for v in part:
+                    color[v] = len(cells)
+                queue.append(len(cells))
+                cells.append(part)
+    return color
 
 
 def _twin_quotient(big: Ball):
     """The twin classes of the induced graph on the big ball, with e split
     off into a class of its own, sorted by least member; the quotient's
-    neighbour rows, in class indices; and the index of e's class."""
+    neighbour rows, in class indices; and the index of e's class.
+
+    One pass over the ``targets`` rows groups the vertices by the set of
+    their row's entries.  A row lists |S| distinct products, so two rows
+    with the same neighbours in the ball hold -1, for those outside it,
+    alike: the set with its -1 is as good a key as the neighbour set.  As
+    the ids are walked in order, the classes come sorted by least member.
+    Each class row is its first member's row.
+    """
     e_id = big.index[big.presentation.identity]
-    nbr_sets = [frozenset(big.neighbor_ids(v)) for v in range(len(big.vertices))]
-    classes = twin_partition([i for i in range(len(big.vertices)) if i != e_id],
-                             nbr_sets.__getitem__)
-    classes.append([e_id])
-    classes.sort()
-    cls = [0] * len(big.vertices)
-    for q, members in enumerate(classes):
-        for v in members:
-            cls[v] = q
+    rows = list(zip(*[iter(big.targets)] * big.width))
+    slot, classes, cls = {}, [], []       # row set -> class; vid -> class
+    for v, row in enumerate(rows):
+        # e's twins make a class without e
+        key = None if v == e_id else frozenset(row)
+        q = slot.get(key)
+        if q is None:
+            q = slot[key] = len(classes)
+            classes.append([v])
+        else:
+            classes[q].append(v)
+        cls.append(q)
     # adjacency between two classes is all or nothing: any member stands in
-    nbrs = [tuple(dict.fromkeys(cls[w] for w in big.neighbor_ids(members[0])))
+    nbrs = [tuple(dict.fromkeys(cls[w] for w in rows[members[0]] if w >= 0))
             for members in classes]
     return classes, nbrs, cls[e_id]
 
@@ -233,10 +283,12 @@ def _stable_restrictions(big: Ball, small_radius):
     or of a failed candidate (McKay and Piperno, "Practical graph
     isomorphism, II", 2014).  So the generators found from b_i on generate H_i.
 
-    Candidates come from stable WL colours seeded with (distance, class
-    size, degree).  The frontier holds every unassigned vertex with an
-    assigned neighbour, with its domain: the unused vertices of its WL
-    colour adjacent to the images of all its assigned neighbours.
+    Candidates come from colours (``_wl_colors``): the seed cells of equal
+    (distance, class size, degree) are refined by splitter cells, each
+    split by the number of neighbours in a splitter, until the partition is
+    equitable.  The frontier holds every unassigned vertex with an assigned
+    neighbour, with its domain: the unused vertices of its colour adjacent
+    to the images of all its assigned neighbours.
     Assigning u -> c updates only u's unassigned neighbours, and drops c
     from the domains of the neighbours of the preimages of c's used
     neighbours, the only domains that can hold c; a trail of old domains

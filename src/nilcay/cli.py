@@ -24,7 +24,7 @@ from .cayley import (DEFAULT_GEODESIC_CAP, DEFAULT_VERTEX_BUDGET,
                      export_vertex_map, generate_ball, load_vertex_map,
                      standard_genset)
 from .pcgroup import PresentationError
-from .reporting import json_bytes, json_pretty, jsonable
+from .reporting import json_bytes, json_pretty
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -79,8 +79,8 @@ def _envelope(p, command, params, payload):
         "tool": {"name": "nilcay", "version": __version__},
         "command": command,
         "presentation": {"name": p.name, "sha256": p.sha256()},
-        "parameters": jsonable(params),
-        "result": jsonable(payload),
+        "parameters": params,
+        "result": payload,
     }
 
 
@@ -118,7 +118,7 @@ def cmd_ball(args):
     if not args.out and not args.distances:
         _emit(_envelope(p, "ball", vars_of(args), payload), args)
     else:
-        print(json.dumps(jsonable(payload)), file=sys.stderr)
+        print(json.dumps(payload), file=sys.stderr)
     return EXIT_OK
 
 
@@ -208,13 +208,14 @@ def cmd_structure(args):
                         {"elements": list(N.elements), "order": len(N.elements)}),
               args)
         return EXIT_OK
+    # Z-dagger, the isolator and the conjugator read vertices and distances
     if args.zdagger:
-        zd = structure.z_dagger(p, _ball(p, args))
+        zd = structure.z_dagger(p, _ball(p, args, edges=False))
         _emit(_envelope(p, "structure.zdagger", params,
                         {"elements": list(zd)}), args)
         return EXIT_OK
     if args.conjugator:
-        ball = _ball(p, args)
+        ball = _ball(p, args, edges=False)
         a, b = (p.element_from_str(t) for t in args.conjugator)
         res = structure.find_conjugator(ball, a, b)
         _emit(_envelope(p, "structure.conjugator", params,
@@ -226,7 +227,7 @@ def cmd_structure(args):
         _emit(_envelope(p, "structure.rank", params, rep.to_dict()), args)
         return EXIT_OK if rep.ok else EXIT_VERDICT
     # --isolator
-    isolator = structure.isolator(p, _ball(p, args))
+    isolator = structure.isolator(p, _ball(p, args, edges=False))
     _emit(_envelope(p, "structure.isolator", params,
                     {"elements": list(isolator)}), args)
     return EXIT_OK
@@ -374,52 +375,41 @@ def _add_common(sp, radius=True):
     sp.add_argument("--pretty", action="store_true", help="indented JSON")
 
 
-@functools.cache
-def build_parser():
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, and building it costs milliseconds."""
-    ap = argparse.ArgumentParser(prog="nilcay", description=__doc__)
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("ball", help="generate and export a Cayley ball")
+def _ball_args(sp):
     _add_common(sp)
     sp.add_argument("--distances", help="also export vertex distances (TSV)")
-    sp.set_defaults(func=cmd_ball)
 
-    sp = sub.add_parser("distance", help="certified word distance")
+
+def _distance_args(sp):
     _add_common(sp)
     sp.add_argument("--format", choices=("json", "tsv"), default="json")
     sp.add_argument("--from", required=True)
     sp.add_argument("--to", required=True)
-    sp.set_defaults(func=cmd_distance)
 
-    sp = sub.add_parser("geodesics", help="enumerate or count geodesics")
-    _add_common(sp)
-    sp.add_argument("--format", choices=("json", "tsv"), default="json")
-    sp.add_argument("--from", required=True)
-    sp.add_argument("--to", required=True)
+
+def _geodesics_args(sp):
+    _distance_args(sp)
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--cap", type=positive_int, default=DEFAULT_GEODESIC_CAP)
-    sp.set_defaults(func=cmd_geodesics)
 
-    sp = sub.add_parser("distortion", help="distortion profile and verdict")
+
+def _distortion_args(sp):
     _add_common(sp, radius=False)
     sp.add_argument("--element", required=True)
     sp.add_argument("--kmax", type=int, default=order.DEFAULT_CLASSIFY_KMAX)
     sp.add_argument("--table", help="write the k/dist/ratio TSV here")
-    sp.set_defaults(func=cmd_distortion)
 
-    sp = sub.add_parser("biorder", help="bi-order comparisons and convexity")
+
+def _biorder_args(sp):
     _add_common(sp, radius=False)
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--compare", nargs=2, metavar=("X", "Y"))
     mode.add_argument("--max", action="store_true")
     mode.add_argument("--convexity", metavar="GEN")
     sp.add_argument("--kmax", type=int, default=6)
-    sp.set_defaults(func=cmd_biorder)
 
-    sp = sub.add_parser("structure", help="torsion, isolators, conjugators, ranks")
+
+def _structure_args(sp):
     _add_common(sp)
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--torsion", action="store_true")
@@ -427,9 +417,9 @@ def build_parser():
     mode.add_argument("--isolator", action="store_true")
     mode.add_argument("--conjugator", nargs=2, metavar=("A", "B"))
     mode.add_argument("--rank", action="store_true")
-    sp.set_defaults(func=cmd_structure)
 
-    sp = sub.add_parser("construct", help="wreath/FSF/lift/Klein constructions")
+
+def _construct_args(sp):
     _add_common(sp)
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--klein-grid", type=int, metavar="R")
@@ -437,27 +427,27 @@ def build_parser():
     mode.add_argument("--fsf", action="store_true")
     mode.add_argument("--lift", action="store_true")
     mode.add_argument("--wreath-fibers", type=int, metavar="N")
-    sp.set_defaults(func=cmd_construct)
 
-    sp = sub.add_parser("autos", help="stable local automorphisms and orbits")
+
+def _autos_args(sp):
     _add_common(sp)
     sp.add_argument("--stability", type=int, default=2)
     sp.add_argument("--orbit", metavar="ELEMENT")
-    sp.set_defaults(func=cmd_autos)
 
-    sp = sub.add_parser("normality", help="ball-level normality verdict")
+
+def _normality_args(sp):
     _add_common(sp)
     sp.add_argument("--stability", type=int, default=2)
-    sp.set_defaults(func=cmd_normality)
 
-    sp = sub.add_parser("induced", help="torsion-quotient induced-map check")
+
+def _induced_args(sp):
     _add_common(sp)
     sp.add_argument("--target", help="target group id (defaults to --group)")
     sp.add_argument("--target-genset")
     sp.add_argument("--map", required=True, help="vertex map TSV (src<TAB>dst)")
-    sp.set_defaults(func=cmd_induced)
 
-    sp = sub.add_parser("verify", help="run acceptance suites")
+
+def _verify_args(sp):
     sp.add_argument("--suite", default="all",
                     help="all or a comma list of: " + ", ".join(suites.SUITES))
     sp.add_argument("--group", help="restrict family-parametric suites")
@@ -467,12 +457,56 @@ def build_parser():
     sp.add_argument("--out", help="write the JSON report here")
     sp.add_argument("--pretty", action="store_true")
     sp.add_argument("--timings", help="write wall-clock sidecar JSON here")
-    sp.set_defaults(func=cmd_verify)
+
+
+#: subcommand name -> (help, handler, options), in the order --help lists them
+COMMANDS = {
+    "ball": ("generate and export a Cayley ball", cmd_ball, _ball_args),
+    "distance": ("certified word distance", cmd_distance, _distance_args),
+    "geodesics": ("enumerate or count geodesics", cmd_geodesics, _geodesics_args),
+    "distortion": ("distortion profile and verdict", cmd_distortion,
+                   _distortion_args),
+    "biorder": ("bi-order comparisons and convexity", cmd_biorder, _biorder_args),
+    "structure": ("torsion, isolators, conjugators, ranks", cmd_structure,
+                  _structure_args),
+    "construct": ("wreath/FSF/lift/Klein constructions", cmd_construct,
+                  _construct_args),
+    "autos": ("stable local automorphisms and orbits", cmd_autos, _autos_args),
+    "normality": ("ball-level normality verdict", cmd_normality, _normality_args),
+    "induced": ("torsion-quotient induced-map check", cmd_induced, _induced_args),
+    "verify": ("run acceptance suites", cmd_verify, _verify_args),
+}
+
+
+@functools.cache
+def build_parser(command=None):
+    """The command-line parser, built once per process and per argument:
+    parsing leaves it unchanged, and building it costs milliseconds.
+
+    With a subcommand's name it has that subcommand alone, which parses
+    that subcommand's arguments, and prints its help and errors, as the
+    full parser does: the usage line that its top-level errors print names
+    every subcommand, as the full parser's choices do.
+    """
+    ap = argparse.ArgumentParser(prog="nilcay", description=__doc__)
+    ap.add_argument("--version", action="version", version=__version__)
+    # the choices' own metavar when every subcommand is built
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_text, func, add_options = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        add_options(sp)
+        sp.set_defaults(func=func)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a subcommand's parser alone, when argv names one; --help, --version
+    # and unknown commands get the full parser
+    ap = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
     try:
         args = ap.parse_args(argv)
         if getattr(args, "format", None) == "tsv" and args.pretty:

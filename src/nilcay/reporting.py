@@ -3,6 +3,10 @@
 Verdict strings are op-specific (``pass``/``fail``/``inconclusive``,
 ``normal-at-(r,t)``/``non-normal``, ...).  ``ok`` carries the boolean the
 exit code is derived from; ``None`` marks purely informational reports.
+
+Reports and envelopes hold their values as computed, tuples and sets
+included; ``json_bytes`` and ``json_pretty`` convert them (``jsonable``)
+once, as they serialize.
 """
 
 from __future__ import annotations
@@ -33,13 +37,14 @@ class Report:
         self.notes = [] if notes is None else notes
 
     def to_dict(self):
+        """The report's fields, unconverted: the serializers convert them."""
         return {
             "claim": self.claim,
             "verdict": self.verdict,
             "ok": self.ok,
-            "witnesses": jsonable(self.witnesses),
-            "parameters": jsonable(self.parameters),
-            "notes": jsonable(self.notes),
+            "witnesses": self.witnesses,
+            "parameters": self.parameters,
+            "notes": self.notes,
         }
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from . import pcgroup
 from .reporting import Report
@@ -262,9 +263,10 @@ def _insert_row(rows, v):
 
 def isolator(presentation, ball) -> tuple:
     """Ball elements in the isolator of the derived subgroup, the elements
-    with a power in [G, G]."""
+    with a power in [G, G], in lexicographic order.  Only the vertices are
+    read, so ``ball`` may be a Ball or a DistanceBall."""
     in_isolator = presentation.abelianization.in_isolator
-    return tuple(x for x in ball.vertices if in_isolator(x))
+    return tuple(x for x, _ in ball.sorted_distances() if in_isolator(x))
 
 
 def z_dagger(presentation, ball) -> tuple:
@@ -284,19 +286,15 @@ def find_conjugator(ball, a, b) -> ConjugatorResult:
     Scans vertices by (distance, lexicographic) order and returns the first
     witness.  For it a^-k g b^k = g for every k, so dist(a^k, g b^k) = |g|
     is constant in k: the bounded-distance hypothesis of the conjugacy
-    criterion holds with nothing further to check.
+    criterion holds with nothing further to check.  Only distances are
+    read, so ``ball`` may be a Ball or a DistanceBall.
     """
     p = ball.presentation
-    if a not in ball.index or b not in ball.index:
+    if a not in ball or b not in ball:
         raise ValueError("both elements must lie in the ball")
-    order_ids = sorted(range(len(ball.vertices)),
-                       key=lambda i: (ball.dist_list[i], ball.vertices[i]))
-    witness = None
-    for i in order_ids:
-        g = ball.vertices[i]
-        if p.conjugate(a, g) == b:
-            witness = g
-            break
+    # a stable sort of the lexicographic listing by distance
+    scan = sorted(ball.sorted_distances(), key=itemgetter(1))
+    witness = next((g for g, _ in scan if p.conjugate(a, g) == b), None)
     if witness is not None:
         rep = Report(claim="conjugating element found in the ball",
                      verdict="found", ok=True,

@@ -18,6 +18,11 @@ from the gcd of the maximal minors, each minor a Fraction determinant, so
 the tests check the integer echelon form of ``structure.Abelianization``
 against them on ``oracle_presentations``.
 
+``wl_rounds`` is colour refinement by rounds: every vertex recoloured by
+its colour and the sorted colours of its neighbours, until the number of
+colours stops growing.  ``autlab._wl_colors`` refines by splitter cells
+instead, and the tests check that both reach the same partition.
+
 ``pairwise_scan`` is the quadratic affine check: alpha(xy) = alpha(x)
 alpha(y) on every pair of interior vertices.  It is weaker than the von
 Dyck certificate of ``autlab.is_affine_on_ball`` (a map can be
@@ -361,6 +366,24 @@ def pairwise_scan(ball_a, ball_b, mapping):
                 return AffineVerdict(False, h, alpha_gens, witness=(x, y),
                                      reason="alpha is not multiplicative")
     return AffineVerdict(True, h, alpha_gens)
+
+
+def wl_rounds(seed, nbr):
+    """Stable Weisfeiler-Leman colours refined from the seed keys, one
+    round at a time: the colours as indices in order of first appearance."""
+    def canon(raw):
+        """Each key's index in order of first appearance, and the count."""
+        palette = {}
+        return [palette.setdefault(key, len(palette)) for key in raw], \
+            len(palette)
+
+    cur, count = canon(seed)
+    while True:
+        new, new_count = canon([(c, tuple(sorted([cur[j] for j in row])))
+                                for c, row in zip(cur, nbr)])
+        if new_count == count:
+            return new
+        cur, count = new, new_count
 
 
 # -- the abelianization by rational elimination and minors ----------------

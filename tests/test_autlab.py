@@ -7,6 +7,8 @@ import time
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcay import autlab, constructions, structure
 from nilcay.autlab import (StableAutomorphisms, enumerate_local_auts,
@@ -16,7 +18,7 @@ from nilcay.cayley import (Ball, GenerationError, GenSet, check_vertex_map,
                            generate_ball, standard_genset)
 from nilcay.cli import _resolve_genset
 from nilcay.pcgroup import builtin, from_id
-from reference import pairwise_scan
+from reference import pairwise_scan, wl_rounds
 
 
 @pytest.fixture(scope="module")
@@ -826,6 +828,95 @@ def test_search_nodes_and_order_are_pinned(gid, gens, r, t, nodes, count,
     assert visited == nodes
     assert len(found) == count == auts.order
     assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
+
+
+def _same_partition(a, b):
+    """Whether the two colourings split the vertices alike, up to renaming."""
+    return len(set(a)) == len(set(b)) == len(set(zip(a, b)))
+
+
+def _is_equitable(colors, nbr):
+    """Whether any two vertices of a colour have as many neighbours of each
+    colour."""
+    profile = {}
+    for c, row in zip(colors, nbr):
+        counts = sorted(colors[w] for w in row)
+        if profile.setdefault(c, counts) != counts:
+            return False
+    return True
+
+
+@st.composite
+def _seeded_graphs(draw):
+    """An undirected graph without loops as neighbour rows, and seed keys
+    from a few values, so that cells of several vertices are common."""
+    n = draw(st.integers(1, 24))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    rows = [set() for _ in range(n)]
+    for u, w in pairs:
+        if u != w:
+            rows[u].add(w)
+            rows[w].add(u)
+    seed = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return seed, [tuple(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_seeded_graphs())
+def test_splitter_refinement_matches_wl_rounds(graph):
+    seed, nbr = graph
+    colors = autlab._wl_colors(seed, nbr)
+    assert _same_partition(colors, wl_rounds(seed, nbr))
+    assert _is_equitable(colors, nbr)
+    assert len(set(zip(seed, colors))) == len(set(colors))   # finer than the seed
+
+
+def test_splitter_refinement_matches_wl_rounds_on_the_search_balls(monkeypatch):
+    """On the twin quotient of every pinned search ball, with the seed keys
+    ``_stable_restrictions`` gives it, the splitter refinement reaches the
+    partition of the round-based refinement."""
+    calls = []
+
+    def spy(seed, nbr):
+        colors = refine(seed, nbr)
+        calls.append((seed, nbr, colors))
+        return colors
+
+    refine = autlab._wl_colors
+    monkeypatch.setattr(autlab, "_wl_colors", spy)
+    for gid, gens, r, t, *_ in SEARCH_PINS:
+        p = from_id(gid)
+        big = generate_ball(p, _resolve_genset(p, gens), r + t)
+        autlab._stable_restrictions(big, r)
+        (seed, nbr, colors), = calls
+        calls.clear()
+        classes, nbrs, _ = autlab._twin_quotient(big)
+        assert nbr == nbrs and len(seed) == len(classes)
+        assert _same_partition(colors, wl_rounds(seed, nbr)), (gid, gens, r, t)
+        assert _is_equitable(colors, nbr)
+
+
+def test_twin_quotient_groups_equal_neighbour_sets():
+    """The classes are the vertices of B(r + t) with equal sets of
+    neighbours in the ball, e alone, sorted by least member, and each class
+    row names the classes of its members' neighbours."""
+    for gid, gens, r, t in (("zxz2", "fsf", 4, 2), ("heisenberg_z3", "fsf", 2, 1),
+                            ("heisenberg", "std", 3, 2)):
+        p = from_id(gid)
+        big = generate_ball(p, _resolve_genset(p, gens), r + t)
+        classes, nbrs, e_q = autlab._twin_quotient(big)
+        e_id = big.index[p.identity]
+        by_set = {}
+        for v in range(len(big)):
+            key = "e" if v == e_id else frozenset(big.neighbor_ids(v))
+            by_set.setdefault(key, []).append(v)
+        assert classes == sorted(by_set.values()) and classes[e_q] == [e_id]
+        cls = {v: q for q, members in enumerate(classes) for v in members}
+        for q, members in enumerate(classes):
+            for v in members:
+                assert set(nbrs[q]) == {cls[w] for w in big.neighbor_ids(v)}
+            assert len(set(nbrs[q])) == len(nbrs[q])
 
 
 @pytest.mark.parametrize("r,t,nodes,branchings",

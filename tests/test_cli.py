@@ -1,5 +1,6 @@
 """CLI driver: subcommands, exit codes, exports, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -555,6 +556,63 @@ def test_the_parser_is_built_once_and_a_usage_error_leaves_it_unchanged(capsys):
     assert capsys.readouterr().out == fresh
 
 
+# one accepted command line per subcommand
+SAMPLE_ARGV = {
+    "ball": ["--group", "z2"],
+    "distance": ["--group", "z2", "--from", "0,0", "--to", "1,0"],
+    "geodesics": ["--group", "z2", "--from", "0,0", "--to", "1,0", "--count-only"],
+    "distortion": ["--group", "z2", "--element", "1,0", "--kmax", "4"],
+    "biorder": ["--group", "z2", "--compare", "1,0", "0,1"],
+    "structure": ["--group", "z2", "--conjugator", "1,0", "1,0"],
+    "construct": ["--group", "z2", "--wreath-fibers", "2"],
+    "autos": ["--group", "z2", "--orbit", "1,0"],
+    "normality": ["--group", "z2", "--stability", "1"],
+    "induced": ["--group", "z2", "--map", "m.tsv"],
+    "verify": ["--suite", "group_laws", "--seed", "3"],
+}
+
+
+def _full_parser_says(capsys, argv):
+    """(exit code, stdout, stderr) of the full parser on argv."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_subcommand_alone_parses_as_the_full_parser(capsys, command):
+    """``main`` builds only the parser of the subcommand that argv names.
+    Its help, its usage errors (those the subcommand reports and those the
+    top level reports, with the full usage line) and its namespaces are the
+    full parser's."""
+    cli.build_parser.cache_clear()
+    for argv in ([command, "--help"], [command, "--group"], [command, "--bogus"],
+                 [command, "--version"], [command, *SAMPLE_ARGV[command], "extra"]):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _full_parser_says(capsys, argv)
+        assert code in (0, 2) and captured.out + captured.err
+    alone = cli.build_parser(command)
+    assert cli.build_parser.cache_info().currsize == 2   # this one and the full one
+    argv = [command, *SAMPLE_ARGV[command]]
+    assert vars(alone.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    other = next(c for c in cli.COMMANDS if c != command)
+    with pytest.raises(SystemExit):          # the other subcommands are not built
+        alone.parse_args([other, *SAMPLE_ARGV[other]])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["--version"],
+                                  ["frobnicate"], ["--group", "z2", "ball"]])
+def test_the_top_level_gets_the_full_parser(capsys, argv):
+    cli.build_parser.cache_clear()
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert cli.build_parser.cache_info().currsize == 1
+    assert (code, captured.out, captured.err) == _full_parser_says(capsys, argv)
+
+
 GEODESICS_Z2 = ["geodesics", "--group", "z2", "--from", "0,0", "--to", "2,2"]
 
 
@@ -629,6 +687,21 @@ def test_ball_count_and_distances_build_no_edge_rows(tmp_path, capsys, monkeypat
     assert without.read_bytes() == with_edges.read_bytes()
     assert run(argv) == 0
     assert json.loads(capsys.readouterr().out)["result"] == json.loads(summary)
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["--zdagger"], "45bd2cdc3b911f9103652801c557a209a33aebb18cec43511231d4986ca7feee"),
+    (["--isolator"], "9c2dd064d2819024638590c139f752bbb5988c0ce0acab92f32ceaac82b30740"),
+    (["--conjugator", "1,0,0", "1,0,1"],
+     "f2562c60005f86ef3fcf526df5199c9cb7488475be4ba2838c47c78e9c9c9a40"),
+], ids=["zdagger", "isolator", "conjugator"])
+def test_structure_ball_commands_build_no_edge_rows(capsys, monkeypatch, argv, digest):
+    """Z-dagger, the isolator and the conjugator of Heisenberg B(5) read the
+    distance-only ball; stdout sha256 measured when they built edge rows."""
+    _refuse_edge_rows(monkeypatch)
+    assert run(["structure", "--group", "heisenberg", *argv, "--radius", "5"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv,code,err", [

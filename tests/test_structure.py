@@ -3,12 +3,13 @@ conjugator search, ranks."""
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from nilcay import cli, structure
-from nilcay.cayley import GenSet, generate_ball, standard_genset
+from nilcay.cayley import GenSet, distance_ball, generate_ball, standard_genset
 from nilcay.pcgroup import PresentationError, builtin, from_id, parse_presentation
 from nilcay.structure import (SubgroupError, SubgroupWitness, find_conjugator,
                               quotient_by_torsion, rank_report, torsion_subgroup,
@@ -207,6 +208,33 @@ def test_conjugator_witness_is_exact():
     ball = generate_ball(h, standard_genset(h), 4)
     res = find_conjugator(ball, (1, 0, 0), (1, 0, 1))
     assert h.conjugate((1, 0, 0), res.witness) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("gid,genset,radius", [
+    ("heisenberg", "std", 4), ("heisenberg_z3", "std", 3), ("klein_bottle", "std", 5),
+    ("zxz2", "fsf", 4), ("zn_cross_cyclic:1,3", "lifted", 3)])
+def test_isolator_and_conjugator_read_the_distance_only_ball(gid, genset, radius):
+    """``isolator``, ``z_dagger`` and ``find_conjugator`` give the same
+    answers on the distance-only ball as on the ball with edge rows, and the
+    conjugator is the least one by (distance, vertex)."""
+    p = from_id(gid)
+    S = cli._resolve_genset(p, genset)
+    ball, dball = generate_ball(p, S, radius), distance_ball(S, radius)
+    assert structure.isolator(p, dball) == structure.isolator(p, ball)
+    assert z_dagger(p, dball) == z_dagger(p, ball)
+    rng = random.Random(gid)
+    vertices = ball.vertices
+    for _ in range(20):
+        a, g = rng.choice(vertices), rng.choice(vertices)
+        b = p.conjugate(a, g)
+        if rng.random() < 0.3 or b not in ball:
+            b = rng.choice(vertices)
+        want = min(((d, x) for x, d in ball.sorted_distances()
+                    if p.conjugate(a, x) == b), default=(None, None))[1]
+        for res in (find_conjugator(ball, a, b), find_conjugator(dball, a, b)):
+            assert res.witness == want
+            assert res.report.verdict == ("none-within-ball" if want is None
+                                          else "found")
 
 
 def test_rank_reports():
