@@ -38,15 +38,17 @@ every survivor is affine exactly when every generator is, and
 ``normality_verdict`` checks the generators.
 
 The search is nearly all forced moves.  A vertex left with one candidate
-is taken next, from a stack; a domain emptied by an assignment ends the
-branch at once; and the search branches only at a fixpoint, where no such
-vertex is left.  Domains only shrink as the assignment grows, so forced
-moves reach the same fixpoint, or a dead end, in any order, and the
-generators found do not depend on that order.
+joins a queue, and each assignment at a branch point is followed by a chase
+that assigns the queued vertices first in, first out; a domain emptied by an
+assignment ends the branch at once; and the search branches only at a
+fixpoint, where no such vertex is left.  Domains only shrink as the
+assignment grows, so forced moves reach the same fixpoint, or a dead end, in
+any order, and the generators found do not depend on that order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from math import factorial, prod
 
 from . import structure
@@ -245,7 +247,7 @@ def _twin_quotient(big: Ball):
 def _fixpoint_pick(frontier, rank, suffix, n):
     """The frontier vertex of least (domain size + suffix) * n + rank, or
     the least-ranked vertex with one candidate, which a search holds
-    outside the forced stack only in the state it started from."""
+    outside the forced queue only in the state it started from."""
     def key(v):
         size = len(frontier[v])
         return rank[v] if size <= 1 else (size + suffix[v]) * n + rank[v]
@@ -295,17 +297,26 @@ def _stable_restrictions(big: Ball, small_radius):
     undoes both on backtrack, one dict store each.
 
     Almost every pick is forced.  A vertex whose domain shrinks to one
-    candidate goes on a stack, and while the stack holds a vertex the next
-    pick pops it.  A domain that shrinks to none ends the assignment at
-    once: the branch has no completion, and the dead end costs no node.
-    Only at a fixpoint, with no forced vertex left, does the pick scan the
-    frontier (``_fixpoint_pick``) for the vertex of least (domain size,
-    rank), small-ball vertices first, where rank is the (distance, least
-    member) scan order; only there does the search branch, over the sorted
-    domain.  A backtrack empties the stack: it resumes at a branching
-    vertex, whose state was a fixpoint, or at the vertex ``complete``
-    started from, whose one-member domains the scan takes first, by rank.
-    The order of forced picks does not change the generators found.
+    candidate joins a queue, and after each assignment at a branch point
+    the chase takes the queue first in, first out, assigning each vertex
+    to its one candidate after the two-way adjacency test, one node each,
+    until the queue is empty; so propagation runs outward from the vertex
+    just set, and a contradiction near it is met early (the queue of arc
+    consistency: Mackworth, "Consistency in networks of relations",
+    Artificial Intelligence 8, 1977).  A domain that shrinks to none ends
+    the assignment at once: the branch has no completion, and the dead end
+    costs no node.  Only at a fixpoint, with the queue empty, does the pick
+    scan the frontier (``_fixpoint_pick``) for the vertex of least (domain
+    size, rank), small-ball vertices first, where rank is the (distance,
+    least member) scan order; only there does the search branch, over the
+    sorted domain.  So ``complete`` keeps a stack entry only for the vertex
+    it started from and for each branching vertex, with the vertices its
+    chase assigned: a dead end or a completion undoes a whole chase with
+    one rewind of the trail.  A backtrack empties the queue: it resumes at
+    a branching vertex, whose state was a fixpoint, or at the vertex
+    ``complete`` started from, whose one-member domains the scan takes
+    first, by rank.  The order of forced picks does not change the
+    generators found.
     Domains only shrink as the assignment grows, so a forced vertex stays
     forced until it is assigned, and every completion of the branch sends
     it to its one candidate.  So forced propagation from one state reaches
@@ -331,7 +342,7 @@ def _stable_restrictions(big: Ball, small_radius):
     img = [-1] * n
     pre = [-1] * n                        # image -> preimage, -1 while unused
     frontier = {}                         # vertex -> domain
-    forced = []                           # frontier vertices with one candidate
+    forced = deque()                      # frontier vertices with one candidate
     trail = []                            # (vertex, previous domain or None)
     guard = SEARCH_NODE_GUARD
     nodes = 0
@@ -347,7 +358,7 @@ def _stable_restrictions(big: Ball, small_radius):
 
     def assign(u, c):
         """Send u to c and update the domains; False at the first domain it
-        empties, a dead end, leaving the rest for ``unassign`` to undo."""
+        empties, a dead end, leaving the rest for ``undo``."""
         img[u] = c
         pre[c] = u
         if u in frontier:
@@ -376,56 +387,67 @@ def _stable_restrictions(big: Ball, small_radius):
                     return False
         return True
 
-    def unassign(u, mark):
+    def undo(mark, assigned):
+        """Rewind the trail to the mark and free the assigned vertices."""
         while len(trail) > mark:
             v, old = trail.pop()
             if old is None:
                 del frontier[v]
             else:
                 frontier[v] = old
-        pre[img[u]] = -1
-        img[u] = -1
+        for u in assigned:
+            pre[img[u]] = -1
+            img[u] = -1
         forced.clear()
+
+    def fits(u, c):
+        """Whether every used neighbour of c is the image of a neighbour of
+        u; with c in u's domain this is the two-way adjacency test."""
+        u_nbrs = nbr_sets[u]
+        for x in nbrs[c]:
+            w = pre[x]
+            if w >= 0 and w not in u_nbrs:
+                return False
+        return True
 
     def complete(u, cands):
         """The first completion of the assignment with u sent to one of the
         candidates, as a map of Q, or None; the assignment is left as is."""
         nonlocal nodes
-        stack = [(u, iter(cands), len(trail))]    # vertex, candidates, mark
+        # vertex, candidates, trail mark, and the vertices assigned since the
+        # mark: the vertex and its chase
+        stack = [(u, iter(cands), len(trail), [])]
         while stack:
-            u, todo, mark = stack[-1]
-            if img[u] >= 0:
-                unassign(u, mark)
-            # the first candidate c whose used neighbours are all images of
-            # neighbours of u; with c in u's domain this is the two-way
-            # adjacency test
-            u_nbrs = nbr_sets[u]
-            for c in todo:
-                for x in nbrs[c]:
-                    w = pre[x]
-                    if w >= 0 and w not in u_nbrs:
-                        break
-                else:
-                    break
-            else:
+            u, todo, mark, chase = stack[-1]
+            if chase:
+                undo(mark, chase)
+                chase.clear()
+            c = next((c for c in todo if fits(u, c)), None)
+            if c is None:
                 stack.pop()
                 continue
-            nodes += 1
-            if nodes > guard:
-                raise EnumerationCapError
-            if not assign(u, c):
+            v = u
+            while True:                   # assign v -> c, then chase the queue
+                nodes += 1
+                if nodes > guard:
+                    raise EnumerationCapError
+                chase.append(v)
+                ok = assign(v, c)
+                if not ok or not forced:
+                    break
+                v = forced.popleft()
+                c, = frontier[v]
+                ok = fits(v, c)
+                if not ok:
+                    break
+            if not ok:
                 continue                  # a dead end: u takes its next candidate
             if not frontier:              # the ball is connected: all assigned
                 found = img[:]
-                for u, _, mark in reversed(stack):
-                    unassign(u, mark)
+                undo(stack[0][2], [v for *_, chase in stack for v in chase])
                 return found
-            if forced:
-                v = forced.pop()
-                stack.append((v, iter(frontier[v]), len(trail)))
-            else:
-                v = _fixpoint_pick(frontier, rank, suffix, n)
-                stack.append((v, iter(sorted(frontier[v])), len(trail)))
+            v = _fixpoint_pick(frontier, rank, suffix, n)
+            stack.append((v, iter(sorted(frontier[v])), len(trail), []))
         return None
 
     marks = {}                            # small class -> trail mark, e first
@@ -436,7 +458,7 @@ def _stable_restrictions(big: Ball, small_radius):
     gens, lengths = [], []
     for i in reversed(range(len(base))):  # the base, from its last point
         b = base[i]
-        unassign(b, marks[b])
+        undo(marks[b], [b])
         reached, dead = {b}, set()
         for c in sorted(frontier[b]):
             if c in reached or c in dead:

@@ -127,7 +127,10 @@ def cmd_distance(args):
     ball = _ball(p, args, edges=False)
     u = p.element_from_str(getattr(args, "from"))
     v = p.element_from_str(args.to)
-    d = ball.distance(u, v)
+    if u not in ball:
+        raise ValueError("start vertex is not in the ball")
+    # the sphere S(r) certifies every distance up to 2r
+    d = ball.distance_via_sphere(p.multiply(p.inverse(u), v))
     if args.format == "tsv":
         _write(f"{p.element_to_str(u)}\t{p.element_to_str(v)}\t"
                f"{'unknown' if d is None else d}\n", args.out)

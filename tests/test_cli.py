@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -150,13 +151,46 @@ def test_stability_below_one_exits_two(capsys, command, radius, stability):
 
 
 def test_distance_and_unknown(tmp_path):
+    """B(r) certifies distances up to 2r through its sphere S(r): (3,1)
+    lies outside B(2) at distance 4, and (5,5), at 10, is unknown."""
     out = tmp_path / "d.json"
     assert run(["distance", "--group", "z2", "--radius", "8",
                 "--from", "0,0", "--to", "3,4", "--out", str(out)]) == 0
     assert read_json(out)["result"]["dist"] == 7
     assert run(["distance", "--group", "z2", "--radius", "2",
+                "--from", "0,0", "--to", "3,1", "--out", str(out)]) == 0
+    assert read_json(out)["result"] == {"certified": True, "dist": 4}
+    assert run(["distance", "--group", "z2", "--radius", "2",
                 "--from", "0,0", "--to", "5,5", "--out", str(out)]) == 0
-    assert read_json(out)["result"]["dist"] is None
+    assert read_json(out)["result"] == {"certified": False, "dist": None}
+
+
+def test_heisenberg_distance_reads_the_sphere_up_to_twice_the_radius(capsys):
+    """Seeded pairs (u, v) with u in B(2) of the Heisenberg group: the JSON
+    and TSV answers are the BFS distance of u^-1 v in B(4), and unknown
+    exactly where B(4) does not hold it."""
+    p = from_id("heisenberg")
+    S = cli._resolve_genset(p, "std")
+    small, big = cayley.distance_ball(S, 2), cayley.distance_ball(S, 4)
+    rng = random.Random("distance via sphere")
+    starts = sorted(small.dists)
+    seen = set()
+    for _ in range(40):
+        u = rng.choice(starts)
+        v = tuple(x + rng.randint(-3, 3) for x in u)
+        want = big.dists.get(p.multiply(p.inverse(u), v))
+        seen.add(want)
+        pair = [f"--from={p.element_to_str(u)}", f"--to={p.element_to_str(v)}"]
+        assert run(["distance", "--group", "heisenberg", "--radius", "2",
+                    *pair]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result == {"certified": want is not None, "dist": want}
+        assert run(["distance", "--group", "heisenberg", "--radius", "2",
+                    *pair, "--format", "tsv"]) == 0
+        assert capsys.readouterr().out.split("\t")[2] == (
+            "unknown\n" if want is None else f"{want}\n")
+    # the draw reaches past B(2) and past B(4)
+    assert None in seen and {3, 4} <= seen
 
 
 @pytest.mark.parametrize("argv,text", [
@@ -176,7 +210,8 @@ def test_tsv_goes_to_out(tmp_path, capsys, argv, text):
 def test_geodesics_outside_the_ball_exit_one(capsys):
     """A ball too small to certify the distance is a cap that was hit, not
     malformed input: exit 1, nothing on stdout, a JSON error naming the
-    radius.  ``distance`` answers null for the same pair."""
+    radius.  ``distance`` reads the sphere S(4), which certifies distances
+    up to 8, and answers 5 for the same pair."""
     assert run(["geodesics", "--group", "z2", "--radius", "4", "--from", "0,0",
                 "--to", "5,0"]) == 1
     captured = capsys.readouterr()
@@ -187,7 +222,7 @@ def test_geodesics_outside_the_ball_exit_one(capsys):
         "kind": "UncertifiedDistanceError", "radius": 4}
     assert run(["distance", "--group", "z2", "--radius", "4", "--from", "0,0",
                 "--to", "5,0"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["dist"] is None
+    assert json.loads(capsys.readouterr().out)["result"]["dist"] == 5
 
 
 def test_geodesics_count(tmp_path):
